@@ -56,7 +56,6 @@ from .criteria import (
     boundedness_check,
     compactness_profile,
     classify,
-    schwarz_expansion_sup,
     schwarz_expansion_range,
     little_bloch_operator_check,
     lip1_boundedness_check,

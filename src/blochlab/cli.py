@@ -2,8 +2,7 @@
 
 All commands accept plan overrides (--levels, --angles, --rounds, --budget,
 --seed) and write versioned JSON / fixed-column CSV reports.  Exit code 0
-means no suite failure and no oracle breach.  The environment variable
-BLOCH_LAB_THREADS caps evaluation parallelism.
+means no suite failure and no oracle breach.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .norms import (
     little_bloch_gap,
 )
 from .holo import TruncationUnavailableError
-from .polydisk import PolydiskPoint, one_minus_sq
+from .polydisk import as_coords, complex_pair, complex_pairs, one_minus_sq
 from .sampling import NormEstimate, SamplingPlan, estimate_supremum
 from .testfuncs import make_f, make_g, make_h, family_norm_bound
 
@@ -84,19 +84,13 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return [[float(c.real), float(c.imag)] for c in obj.ravel()]
+            return complex_pairs(obj)
         return [float(v) for v in obj.ravel()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return complex_pair(obj)
     return obj
-
-
-def _coords(z) -> np.ndarray:
-    if isinstance(z, PolydiskPoint):
-        return z.coords
-    return np.asarray(z, dtype=complex)
 
 
 def _require_certified(phi: HoloSelfMap):
@@ -145,14 +139,14 @@ def criterion_density_fn(phi: HoloSelfMap, p: float, q: float):
 
 
 def coordinate_density(phi: HoloSelfMap, p: float, q: float, axis: int, z) -> float:
-    v = float(coordinate_density_fn(phi, p, q, axis)(_coords(z)))
+    v = float(coordinate_density_fn(phi, p, q, axis)(as_coords(z)))
     if not np.isfinite(v):
         raise SingularEvaluationError(f"|phi_{axis}(z)| >= 1 at the requested point")
     return v
 
 
 def criterion_density(phi: HoloSelfMap, p: float, q: float, z) -> float:
-    v = float(criterion_density_fn(phi, p, q)(_coords(z)))
+    v = float(criterion_density_fn(phi, p, q)(as_coords(z)))
     if not np.isfinite(v):
         raise SingularEvaluationError("some |phi_l(z)| >= 1 at the requested point")
     return v
@@ -249,7 +243,7 @@ class BoundaryPath:
             "path_id": self.path_id,
             "mode": self.mode,
             "axis": self.axis,
-            "points": [[[float(c.real), float(c.imag)] for c in row] for row in self.points],
+            "points": [complex_pairs(row) for row in self.points],
             "approach": None if self.approach is None else [float(v) for v in self.approach],
         }
 
@@ -450,12 +444,8 @@ def weighted_jacobian_singular_values(phi: HoloSelfMap, Z: np.ndarray) -> np.nda
 def schwarz_expansion_range(phi: HoloSelfMap, z) -> tuple[float, float]:
     """(smallest, largest) squared singular value of the metric-weighted Jacobian:
     the extremal ratios of H_{phi(z)}(J u) to H_z(u) over directions u != 0."""
-    s = weighted_jacobian_singular_values(phi, _coords(z))
+    s = weighted_jacobian_singular_values(phi, as_coords(z))
     return float(s[..., -1] ** 2), float(s[..., 0] ** 2)
-
-
-def schwarz_expansion_sup(phi: HoloSelfMap, z) -> float:
-    return schwarz_expansion_range(phi, z)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polydisk import PolydiskPoint, one_minus_sq
+from .polydisk import as_coords
 
 DEGREE_CAP_DEFAULT = 64
 
@@ -37,16 +37,6 @@ class EvaluationDomainError(ValueError):
 
 class TruncationUnavailableError(TypeError):
     """The representation carries no Taylor truncation of the requested kind."""
-
-
-class DegreeCapError(ValueError):
-    """Polynomial normalization would exceed the configured degree cap."""
-
-
-def _coords(z) -> np.ndarray:
-    if isinstance(z, PolydiskPoint):
-        return z.coords
-    return np.asarray(z, dtype=complex)
 
 
 class HoloFunction:
@@ -69,7 +59,7 @@ class HoloFunction:
     # -- conveniences ------------------------------------------------------
 
     def value(self, z) -> complex:
-        return complex(self.val(_coords(z)))
+        return complex(self.val(as_coords(z)))
 
     def partials(self) -> list:
         cached = getattr(self, "_partials_cache", None)
@@ -79,16 +69,12 @@ class HoloFunction:
         return cached
 
     def gradient(self, z) -> np.ndarray:
-        Z = _coords(z)
+        Z = as_coords(z)
         return np.array([p.val(Z) for p in self.partials()], dtype=complex)
 
     def _check_axis(self, axis: int):
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis must lie in [0, {self.dim - 1}], got {axis}")
-
-
-def gradient(f: HoloFunction, z) -> np.ndarray:
-    return f.gradient(z)
 
 
 def is_zero(f: HoloFunction) -> bool:
@@ -522,13 +508,9 @@ class HoloSelfMap:
         Z = np.asarray(Z, dtype=complex)
         return np.stack([c.val(Z) for c in self.components], axis=-1)
 
-    def image_point(self, z) -> PolydiskPoint:
-        w = self.val(_coords(z))
-        return PolydiskPoint(w, interior=bool(np.all(np.abs(w) < 1.0)))
-
     def jacobian(self, z) -> np.ndarray:
         """Matrix with entry (l, k) = d phi_l / d z_k at z."""
-        Z = _coords(z)
+        Z = as_coords(z)
         return np.array([[p.val(Z) for p in comp.partials()] for comp in self.components],
                         dtype=complex)
 

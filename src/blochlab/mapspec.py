@@ -26,6 +26,7 @@ from .holo import (
     compose_map,
     moebius_automorphism,
 )
+from .polydisk import complex_pair
 from .testfuncs import TestFunction
 
 
@@ -64,15 +65,15 @@ def _load_component(comp: dict, dim: int) -> HoloFunction:
 def _dump_component(f: HoloFunction) -> dict:
     if isinstance(f, Series):
         return {"type": "series",
-                "terms": [{"exponents": list(e), "coeff": [c.real, c.imag]}
+                "terms": [{"exponents": list(e), "coeff": complex_pair(c)}
                           for e, c in sorted(f.coeffs.items())]}
     if isinstance(f, MoebiusFactor):
-        return {"type": "moebius", "a": [f.a.real, f.a.imag],
+        return {"type": "moebius", "a": complex_pair(f.a),
                 "theta": f.theta, "source": f.axis}
     if isinstance(f, TestFunction):
         return f.to_json()
     if isinstance(f, Const):
-        return {"type": "constant", "value": [f.c.real, f.c.imag]}
+        return {"type": "constant", "value": complex_pair(f.c)}
     raise SpecError(f"cannot serialize a {type(f).__name__} component")
 
 

@@ -3,9 +3,11 @@
 The p-Bloch density of f at z is sum_k |df/dz_k(z)| (1 - |z_k|^2)^p; the norm
 adds |f(0)| to its supremum.  The Lipschitz-quotient norm sups the difference
 quotient |f(z) - f(w)| / |z - w|^p over pairs.  Both are estimated from below
-by stratified sampling plus refinement.  The module also provides the
-direction-optimized Bergman-metric seminorm, closed-form point-evaluation
-bound factors, and the measured distance to a degree-m Taylor polynomial.
+by the one maximiser, `sampling.maximise`: stratified sampling plus
+refinement, over points for the density and over pairs for the quotient.  The
+module also provides the direction-optimized Bergman-metric seminorm,
+closed-form point-evaluation bound factors, and the measured distance to a
+degree-m Taylor polynomial.
 """
 
 from __future__ import annotations
@@ -13,17 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .holo import HoloFunction, Series, subtract
-from .polydisk import PolydiskPoint, one_minus_sq
-from .sampling import NormEstimate, SamplingPlan, estimate_supremum, stratified_grid
+from .polydisk import as_coords, one_minus_sq
+from .sampling import NormEstimate, SamplingPlan, estimate_supremum, maximise, stratified_grid
 
 _PAIR_SEPARATION_FLOOR = 1e-14
 _SHORT_DELTAS = (1e-2, 1e-4)
-
-
-def _coords(z) -> np.ndarray:
-    if isinstance(z, PolydiskPoint):
-        return z.coords
-    return np.asarray(z, dtype=complex)
 
 
 def _check_p(p: float):
@@ -48,7 +44,7 @@ def bloch_density_fn(f: HoloFunction, p: float):
 
 
 def bloch_density(f: HoloFunction, p: float, z) -> float:
-    return float(bloch_density_fn(f, p)(_coords(z)))
+    return float(bloch_density_fn(f, p)(as_coords(z)))
 
 
 def bloch_norm_estimate(f: HoloFunction, p: float, plan: SamplingPlan | None = None) -> NormEstimate:
@@ -80,38 +76,25 @@ def timoney_q_fn(f: HoloFunction):
 
 
 def timoney_q(f: HoloFunction, z) -> float:
-    return float(timoney_q_fn(f)(_coords(z)))
+    return float(timoney_q_fn(f)(as_coords(z)))
 
 
-def pointeval_bound(p: float, n: int, z) -> float:
-    """Factor B with |f(z)| <= B * (p-Bloch norm of f), by exponent regime.
+def pointeval_bound(p: float, Z) -> np.ndarray:
+    """Factor B with |f(z)| <= B * (p-Bloch norm of f) at points Z of shape (..., n).
 
     p < 1: (n - p + 1) / (1 - p), independent of z.
     p = 1: ((n ln 2 + 1) / (n ln 2)) * sum_k ln(2 / (1 - |z_k|^2)).
     p > 1: ((2^{p-1} n + p - 1) / (n (p - 1))) * sum_k (1 - |z_k|^2)^{1-p}.
     """
     _check_p(p)
-    mods = np.abs(_coords(z))
-    if np.any(mods >= 1.0):
-        raise ValueError("point-evaluation bounds require a strictly interior point")
-    if p < 1.0:
-        return (n - p + 1.0) / (1.0 - p)
-    oms = one_minus_sq(mods)
-    if p == 1.0:
-        ln2 = np.log(2.0)
-        return float((n * ln2 + 1.0) / (n * ln2) * np.sum(np.log(2.0 / oms)))
-    return float((2.0 ** (p - 1.0) * n + p - 1.0) / (n * (p - 1.0))
-                 * np.sum(oms ** (1.0 - p)))
-
-
-def pointeval_bound_batch(p: float, Z: np.ndarray) -> np.ndarray:
-    """pointeval_bound over points Z of shape (..., n)."""
-    _check_p(p)
     Z = np.asarray(Z, dtype=complex)
     n = Z.shape[-1]
+    mods = np.abs(Z)
+    if np.any(mods >= 1.0):
+        raise ValueError("point-evaluation bounds require strictly interior points")
     if p < 1.0:
         return np.full(Z.shape[:-1], (n - p + 1.0) / (1.0 - p))
-    oms = one_minus_sq(np.abs(Z))
+    oms = one_minus_sq(mods)
     if p == 1.0:
         ln2 = np.log(2.0)
         return (n * ln2 + 1.0) / (n * ln2) * np.sum(np.log(2.0 / oms), axis=-1)
@@ -164,6 +147,18 @@ def _coordinate_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(left), np.array(right)
 
 
+def _grid_pairs(dim: int, plan: SamplingPlan, rng: np.random.Generator):
+    """Stratified random pairs: a grid against a shuffled second grid.
+
+    Returns (Zl, Zr, levels) with each pair's outermost radial level; the
+    per-grid levels and the shuffle are dropped before the pairs are scored.
+    """
+    Zl, levl = stratified_grid(dim, plan, rng)
+    Zr, levr = stratified_grid(dim, plan, rng)
+    perm = rng.permutation(Zr.shape[0])
+    return Zl, Zr[perm], np.maximum(levl, levr[perm])
+
+
 def lipschitz_norm_estimate(f: HoloFunction, p: float,
                             plan: SamplingPlan | None = None) -> NormEstimate:
     """|f(0)| plus an estimated sup of |f(z) - f(w)| / |z - w|^p over z != w.
@@ -178,46 +173,21 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
     dim = f.dim
     rng = np.random.default_rng(plan.seed)
 
-    Zl, levl = stratified_grid(dim, plan, rng)
-    Zr, levr = stratified_grid(dim, plan, rng)
-    perm = rng.permutation(Zr.shape[0])
-    Zr = Zr[perm]
-    levr = levr[perm]
-    quot = _pair_quotients(f, p, Zl, Zr)
-    evaluations = Zl.shape[0]
-
-    nlev = plan.radial_levels + 1
-    pair_levels = np.maximum(levl, levr)
-    level_trace = []
-    running = 0.0
-    for i in range(nlev):
-        mask = pair_levels == i
-        if np.any(mask):
-            running = max(running, float(quot[mask].max()))
-        level_trace.append(running)
-
-    best = int(np.argmax(quot))
-    best_val = float(quot[best])
-    wl, wr = Zl[best].copy(), Zr[best].copy()
-
-    # coordinate-direction pairs on a stratified subsample
-    stride = max(1, Zl.shape[0] // 256)
-    cl, cr = _coordinate_pairs(Zl[::stride])
-    if cl.size:
-        cq = _pair_quotients(f, p, cl, cr)
-        evaluations += cl.shape[0]
-        ci = int(np.argmax(cq))
-        if float(cq[ci]) > best_val:
-            best_val = float(cq[ci])
-            wl, wr = cl[ci].copy(), cr[ci].copy()
-
-    trace = [best_val]
+    Zl, Zr, levels = _grid_pairs(dim, plan, rng)
     n_refine = max(8, plan.angular_count)
     box = 0.2
     r_cap = plan.max_radius()
-    for _ in range(plan.max_rounds):
-        if evaluations + 2 * n_refine > plan.budget:
-            break
+
+    batches = [((Zl, Zr), levels)]
+    # coordinate-direction pairs on a stratified subsample, outside the level trace
+    stride = max(1, Zl.shape[0] // 256)
+    cl, cr = _coordinate_pairs(Zl[::stride])
+    if cl.size:
+        batches.append(((cl, cr), None))
+
+    def propose(witness):
+        nonlocal box
+        wl, wr = witness
         batches_l, batches_r = [], []
         for anchor_l, anchor_r in ((wl, wr), (wr, wl)):
             jitter = box * (rng.random((n_refine, dim)) - 0.5) \
@@ -232,21 +202,9 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
         if cl2.size:
             batches_l.append(cl2)
             batches_r.append(cr2)
-        CL = np.concatenate(batches_l)
-        CR = np.concatenate(batches_r)
-        cq = _pair_quotients(f, p, CL, CR)
-        evaluations += CL.shape[0]
-        ci = int(np.argmax(cq))
-        if float(cq[ci]) > best_val:
-            best_val = float(cq[ci])
-            wl, wr = CL[ci].copy(), CR[ci].copy()
-        trace.append(best_val)
         box *= plan.shrink
+        return np.concatenate(batches_l), np.concatenate(batches_r)
 
-    converged = (len(trace) >= 2
-                 and (trace[-1] - trace[-2]) <= 1e-3 * max(trace[-1], 1e-300))
     base = abs(f.value(np.zeros(dim, dtype=complex)))
-    return NormEstimate(value=base + best_val, base=base, sup=best_val,
-                        witness=wl, trace=trace, level_trace=level_trace,
-                        converged=bool(converged), evaluations=evaluations,
-                        witness_partner=wr)
+    return maximise(lambda L, R: _pair_quotients(f, p, L, R), batches, propose,
+                    2 * n_refine, plan, base=base)

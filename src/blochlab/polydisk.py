@@ -2,7 +2,8 @@
 
 Points, directions, multi-indices, the product Bergman metric, distance to
 the boundary, and the coordinate-interpolation points used when telescoping a
-difference f(z) - f(w) one coordinate at a time.
+difference f(z) - f(w) one coordinate at a time.  Also the one [re, im] JSON
+codec for complex values and the one coercion of points to coordinate arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +24,16 @@ class DomainError(ValueError):
     """A coordinate lies outside the (closed) unit polydisk."""
 
 
+def complex_pair(c) -> list:
+    """A complex scalar as the JSON pair [re, im]."""
+    return [float(c.real), float(c.imag)]
+
+
+def complex_pairs(values) -> list:
+    """Complex values, flattened, as a JSON list of [re, im] pairs."""
+    return [complex_pair(c) for c in np.ravel(values)]
+
+
 def _as_complex_vector(coords) -> np.ndarray:
     v = np.asarray(coords, dtype=complex)
     if v.ndim != 1 or v.size < 1:
@@ -40,11 +51,12 @@ class PolydiskPoint:
     def __init__(self, coords, interior: bool = True):
         v = _as_complex_vector(coords)
         mods = np.abs(v)
+        # phrased as "not all inside" so that NaN coordinates are rejected too
         if interior:
-            if np.any(mods >= 1.0):
+            if not np.all(mods < 1.0):
                 raise DomainError(f"point is not strictly interior: max |z_k| = {mods.max()}")
         else:
-            if np.any(mods > 1.0 + EPS_MACH):
+            if not np.all(mods <= 1.0 + EPS_MACH):
                 raise DomainError(f"point is outside the closed polydisk: max |z_k| = {mods.max()}")
         object.__setattr__(self, "coords", v)
         object.__setattr__(self, "interior", interior)
@@ -54,11 +66,8 @@ class PolydiskPoint:
     def dim(self) -> int:
         return self.coords.size
 
-    def is_interior(self) -> bool:
-        return bool(np.all(np.abs(self.coords) < 1.0))
-
     def to_json(self) -> list:
-        return [[float(c.real), float(c.imag)] for c in self.coords]
+        return complex_pairs(self.coords)
 
     @classmethod
     def from_json(cls, pairs, interior: bool = True) -> "PolydiskPoint":
@@ -72,7 +81,16 @@ class PolydiskPoint:
         return isinstance(other, PolydiskPoint) and np.array_equal(self.coords, other.coords)
 
     def __hash__(self):
-        return hash(self.coords.tobytes())
+        # hashes Python complex values, so that 0.0 and -0.0 (equal under
+        # __eq__) hash alike, which raw bytes would not
+        return hash(tuple(self.coords.tolist()))
+
+
+def as_coords(z) -> np.ndarray:
+    """The coordinates of a PolydiskPoint, or z itself as a complex array."""
+    if isinstance(z, PolydiskPoint):
+        return z.coords
+    return np.asarray(z, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -89,9 +107,6 @@ class Direction:
     @property
     def dim(self) -> int:
         return self.components.size
-
-    def to_json(self) -> list:
-        return [[float(c.real), float(c.imag)] for c in self.components]
 
 
 @dataclass(frozen=True)

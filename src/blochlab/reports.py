@@ -6,6 +6,8 @@ import csv
 import json
 import time
 
+from .polydisk import complex_pairs
+
 SCHEMA_VERSION = 1
 
 # Fixed CSV column order; one row per sample or path point.
@@ -41,4 +43,4 @@ def write_csv(path: str, rows: list[dict], columns: list[str] | None = None):
 
 def format_point(coords) -> str:
     """Coordinates as a compact JSON string of [re, im] pairs."""
-    return json.dumps([[float(c.real), float(c.imag)] for c in coords])
+    return json.dumps(complex_pairs(coords))

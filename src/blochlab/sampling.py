@@ -1,31 +1,28 @@
 """Supremum estimation over the polydisk by boundary-refined sampling.
 
-The grid is radially stratified at radii r_i = 1 - 2^{-i} (density piles up
-near the boundary, where weighted-derivative densities fight their weights),
-crossed with jittered angles, followed by local refinement rounds that shrink
-a polar box around the running maximum.  Estimates are lower bounds of the
-true supremum by construction; `converged` reports whether the refinement
-trace plateaued.  Everything is deterministic for a fixed seed.
+One maximiser, `maximise`, serves every estimator: it scores initial candidate
+batches, records the cumulative maximum per radial level, then runs local
+refinement rounds around the running maximum until the rounds or the
+evaluation budget run out.  `estimate_supremum` feeds it a pointwise density
+over a radially stratified grid (radii r_i = 1 - 2^{-i}, where
+weighted-derivative densities fight their weights, crossed with jittered
+angles) and refines in a shrinking polar box; the Lipschitz estimator in
+`norms` feeds it pairs of points.  Estimates are lower bounds of the true
+supremum by construction; `converged` reports whether the refinement trace
+plateaued.  Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .polydisk import complex_pairs
+
 PLATEAU_RTOL = 1e-3
 _TINY = 1e-300
-
-
-def thread_cap() -> int:
-    """Parallelism cap from BLOCH_LAB_THREADS (evaluations are chunked by it)."""
-    try:
-        return max(1, int(os.environ.get("BLOCH_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,13 @@ class SamplingPlan:
 
 @dataclass
 class NormEstimate:
-    """A lower-bound estimate of base + sup(density).
+    """A lower-bound estimate of base + sup(score), as `maximise` returns it.
 
-    value = base + sup, where sup is the density at `witness`.  `trace` holds
-    the cumulative per-round maxima (nondecreasing); `level_trace` the
-    cumulative maxima per radial boundary level.  `witness_partner` is set for
-    pair-based quotients (Lipschitz estimation).
+    value = base + sup, where sup is the score of the best candidate: the
+    point `witness`, or for pair-based quotients (Lipschitz estimation) the
+    pair (`witness`, `witness_partner`).  `trace` holds the best score after
+    the initial batches and after each refinement round (nondecreasing);
+    `level_trace` the cumulative maxima per radial boundary level.
     """
 
     value: float
@@ -98,15 +96,14 @@ class NormEstimate:
             "value": self.value,
             "base": self.base,
             "sup": self.sup,
-            "witness": [[float(c.real), float(c.imag)] for c in np.atleast_1d(self.witness)],
+            "witness": complex_pairs(self.witness),
             "trace": [float(t) for t in self.trace],
             "level_trace": [float(t) for t in self.level_trace],
             "converged": bool(self.converged),
             "evaluations": int(self.evaluations),
         }
         if self.witness_partner is not None:
-            out["witness_partner"] = [[float(c.real), float(c.imag)]
-                                      for c in np.atleast_1d(self.witness_partner)]
+            out["witness_partner"] = complex_pairs(self.witness_partner)
         return out
 
 
@@ -146,13 +143,54 @@ def stratified_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator | Non
     return Z, levels
 
 
-def _chunked_eval(density_fn, Z: np.ndarray) -> np.ndarray:
-    """Evaluate the density over Z, chunked by the thread cap (keeps peak memory flat)."""
-    chunks = max(1, thread_cap())
-    if chunks == 1 or Z.shape[0] < 2 * chunks:
-        return np.asarray(density_fn(Z), dtype=float)
-    parts = np.array_split(Z, chunks, axis=0)
-    return np.concatenate([np.asarray(density_fn(p), dtype=float) for p in parts])
+def maximise(score, batches, propose, round_cost: int, plan: SamplingPlan,
+             base: float = 0.0) -> NormEstimate:
+    """Estimate base + sup of `score` from initial batches plus refinement rounds.
+
+    A candidate batch is a tuple of (N, dim) arrays, (Z,) for points or
+    (Zl, Zr) for pairs, that score(*batch) maps to N floats.  `batches` holds
+    the initial (batch, levels) pairs, each scored in its own call; levels
+    gives each candidate's outermost radial level, or is None for a batch kept
+    out of the per-level trace.  Each round costs
+    `round_cost` evaluations of plan.budget and scores propose(witness), a
+    batch around the best candidate so far; rounds stop at plan.max_rounds or
+    when the next would exceed the budget.  The best candidate's rows are the
+    witness and, for pairs, its partner.
+    """
+    best, witness, evaluations = 0.0, None, 0
+
+    def offer(cand, vals):
+        nonlocal best, witness, evaluations
+        evaluations += cand[0].shape[0]
+        i = int(np.argmax(vals))
+        if witness is None or float(vals[i]) > best:
+            best, witness = float(vals[i]), tuple(a[i].copy() for a in cand)
+
+    level_max = [0.0] * (plan.radial_levels + 1)
+    for cand, levels in batches:
+        vals = np.asarray(score(*cand), dtype=float)
+        offer(cand, vals)
+        if levels is not None:
+            for i in range(len(level_max)):
+                mask = levels == i
+                if np.any(mask):
+                    level_max[i] = max(level_max[i], float(vals[mask].max()))
+    level_trace = list(itertools.accumulate(level_max, max))
+
+    trace = [best]
+    for _ in range(plan.max_rounds):
+        if evaluations + round_cost > plan.budget:
+            break
+        cand = propose(witness)
+        offer(cand, np.asarray(score(*cand), dtype=float))
+        trace.append(best)
+
+    converged = (len(trace) >= 2
+                 and (trace[-1] - trace[-2]) <= PLATEAU_RTOL * max(trace[-1], _TINY))
+    return NormEstimate(value=base + best, base=base, sup=best,
+                        witness=witness[0], trace=trace, level_trace=level_trace,
+                        converged=bool(converged), evaluations=evaluations,
+                        witness_partner=witness[1] if len(witness) > 1 else None)
 
 
 def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
@@ -166,59 +204,31 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
     """
     rng = np.random.default_rng(plan.seed)
     Z, levels = stratified_grid(dim, plan, rng)
-    vals = _chunked_eval(density_fn, Z)
-    evaluations = Z.shape[0]
-
-    nlev = plan.radial_levels + 1
-    level_trace = []
-    running = 0.0
-    for i in range(nlev):
-        mask = levels == i
-        if np.any(mask):
-            running = max(running, float(vals[mask].max()))
-        level_trace.append(running)
-
-    best_idx = int(np.argmax(vals))
-    best_val = float(vals[best_idx])
-    witness = Z[best_idx].copy()
-
     r_cap = plan.max_radius()
     radii = plan.radii()
-    trace = [best_val]
     n_refine = max(8, plan.angular_count)
-    w_r = np.abs(witness)
-    w_t = np.angle(witness)
-    # initial polar box: bracket of neighboring radial levels around the witness
-    dr = np.empty(dim)
-    for k in range(dim):
-        below = radii[radii < w_r[k] - 1e-15]
-        above = radii[radii > w_r[k] + 1e-15]
-        lo = below.max() if below.size else 0.0
-        hi = above.min() if above.size else r_cap
-        dr[k] = max(hi - w_r[k], w_r[k] - lo, 1e-6)
-    dt = np.full(dim, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
+    dr = dt = None
 
-    for _ in range(plan.max_rounds):
-        if evaluations + n_refine > plan.budget:
-            break
+    def propose(witness):
+        nonlocal dr, dt
+        (w,) = witness
+        w_r = np.abs(w)
+        w_t = np.angle(w)
+        if dr is None:
+            # initial polar box: bracket of neighboring radial levels around the witness
+            dr = np.empty(dim)
+            for k in range(dim):
+                below = radii[radii < w_r[k] - 1e-15]
+                above = radii[radii > w_r[k] + 1e-15]
+                lo = below.max() if below.size else 0.0
+                hi = above.min() if above.size else r_cap
+                dr[k] = max(hi - w_r[k], w_r[k] - lo, 1e-6)
+            dt = np.full(dim, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
         r = w_r[None, :] + dr[None, :] * (2.0 * rng.random((n_refine, dim)) - 1.0)
         np.clip(r, 0.0, r_cap, out=r)
         t = w_t[None, :] + dt[None, :] * (2.0 * rng.random((n_refine, dim)) - 1.0)
-        cand = r * np.exp(1j * t)
-        cvals = _chunked_eval(density_fn, cand)
-        evaluations += n_refine
-        ci = int(np.argmax(cvals))
-        if float(cvals[ci]) > best_val:
-            best_val = float(cvals[ci])
-            witness = cand[ci].copy()
-            w_r = np.abs(witness)
-            w_t = np.angle(witness)
-        trace.append(best_val)
         dr *= plan.shrink
         dt *= plan.shrink
+        return (r * np.exp(1j * t),)
 
-    converged = (len(trace) >= 2
-                 and (trace[-1] - trace[-2]) <= PLATEAU_RTOL * max(trace[-1], _TINY))
-    return NormEstimate(value=base + best_val, base=base, sup=best_val,
-                        witness=witness, trace=trace, level_trace=level_trace,
-                        converged=bool(converged), evaluations=evaluations)
+    return maximise(density_fn, [((Z,), levels)], propose, n_refine, plan, base=base)

@@ -24,10 +24,10 @@ from .norms import (
     bloch_density_fn,
     bloch_norm_estimate,
     lipschitz_norm_estimate,
-    pointeval_bound_batch,
+    pointeval_bound,
     timoney_q_fn,
 )
-from .oracle import uniform_points
+from .oracle import derivative_results, uniform_points
 from .polydisk import Direction, PolydiskPoint, bergman_metric, boundary_distance, segment_point
 from .sampling import SamplingPlan
 from .testfuncs import family_norm_bound, make_f, make_g, make_h, tail_bound, truncate_test
@@ -107,18 +107,14 @@ def boundary_distance_positivity(seed: int = 2) -> SuiteRow:
 
 def derivative_fd_agreement(fns, count: int = 200, seed: int = 3,
                             tol: float = 1e-6) -> SuiteRow:
-    from .oracle import fd_gradient
-
-    worst, witness = 0.0, ""
-    for i, f in enumerate(fns):
-        Z = uniform_points(f.dim, count, seed + i, rmax=0.8)
-        G = fd_gradient(f, Z)
-        for k, pk in enumerate(f.partials()):
-            exact = pk.val(Z)
-            err = float(np.max(np.abs(G[..., k] - exact) / np.maximum(np.abs(exact), 1.0)))
-            if err > worst:
-                worst, witness = err, f"member {i} ({type(f).__name__}), axis {k}"
-    return _row("derivative-fd-agreement", worst <= tol, worst, witness, tol=tol)
+    """Structural partials agree with central finite differences; the witness
+    is the oracle row of the worst member."""
+    results = derivative_results(fns, count=count, seed=seed, threshold=tol)
+    worst = max(results, key=lambda r: r.oracle, default=None)
+    if worst is None:
+        return _row("derivative-fd-agreement", True, 0.0, tol=tol)
+    return _row("derivative-fd-agreement", worst.oracle <= tol, worst.oracle,
+                worst.quantity, tol=tol)
 
 
 def chain_rule_identity(phi_corpus, fns, count: int = 100, seed: int = 4,
@@ -191,7 +187,7 @@ def point_evaluation_bound(polys, ps=(0.5, 1.0, 2.0), count: int = 2000,
         for i, f in enumerate(polys):
             Z = uniform_points(f.dim, count, seed + i, rmax=0.995)
             norm = bloch_norm_estimate(f, p, plan).value
-            bound = pointeval_bound_batch(p, Z) * norm * (1.0 + slack)
+            bound = pointeval_bound(p, Z) * norm * (1.0 + slack)
             excess = float(np.max(np.abs(f.val(Z)) - bound))
             if excess > worst:
                 worst, witness = excess, f"poly {i}, p={p}"

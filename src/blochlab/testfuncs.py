@@ -26,6 +26,7 @@ from .holo import (
     Series,
     rising_factorial_coeffs,
 )
+from .polydisk import complex_pair
 
 _SERIES_RTOL = 1e-14
 _SERIES_MAX_TERMS = 200_000
@@ -120,7 +121,7 @@ class TestFunction(HoloFunction):
 
     def to_json(self) -> dict:
         return {"type": "testfn", "family": self.family, "l": self.axis,
-                "w": [self.w.real, self.w.imag], "p": self.p}
+                "w": complex_pair(self.w), "p": self.p}
 
     def __repr__(self):
         return (f"TestFunction({self.family!r}, axis={self.axis}, "

@@ -20,7 +20,6 @@ from blochlab.criteria import (
     make_boundary_paths,
     operator_norm_lower_bound,
     schwarz_expansion_range,
-    schwarz_expansion_sup,
 )
 from blochlab.holo import (
     HoloSelfMap,
@@ -198,7 +197,7 @@ class TestSchwarzExpansion:
         assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_halving_at_origin(self):
-        assert schwarz_expansion_sup(halving_map(1), np.array([0.0])) \
+        assert schwarz_expansion_range(halving_map(1), np.array([0.0]))[1] \
             == pytest.approx(0.25, abs=1e-14)
 
     def test_automorphism_metric_equality(self):

@@ -6,14 +6,16 @@ import pytest
 
 from blochlab.holo import Const, MoebiusFactor, Series
 from blochlab.norms import (
+    _pair_quotients,
     bloch_density,
+    bloch_density_fn,
     bloch_norm_estimate,
     lipschitz_norm_estimate,
     little_bloch_gap,
     pointeval_bound,
     timoney_q,
 )
-from blochlab.sampling import SamplingPlan
+from blochlab.sampling import SamplingPlan, estimate_supremum
 
 PLAN = SamplingPlan(seed=7)
 
@@ -71,6 +73,14 @@ class TestBlochNormEstimate:
         assert est.value == pytest.approx(est.base + bloch_density(f, 1.0, est.witness),
                                           rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_default_plan_stays_within_budget(self, dim):
+        plan = SamplingPlan()
+        f = Series({(1,) * dim: 1.0}, dim)
+        est = estimate_supremum(bloch_density_fn(f, 1.0), dim, plan)
+        assert est.evaluations <= plan.budget
+        assert len(est.trace) > 1
+
 
 class TestTimoneyQ:
     def test_linear_two_vars(self):
@@ -110,19 +120,20 @@ class TestPointevalBound:
     def test_small_exponent_constant(self):
         # (1 - 0.5 + 1) / (1 - 0.5) = 3, z-independent
         for z in ([0.0], [0.9], [0.5j]):
-            assert pointeval_bound(0.5, 1, z) == pytest.approx(3.0)
+            assert pointeval_bound(0.5, z) == pytest.approx(3.0)
 
     def test_unit_exponent_log_factor(self):
         # ((ln 2 + 1)/ln 2) * ln 2 = 1 + ln 2 at the origin
-        assert pointeval_bound(1.0, 1, [0.0]) == pytest.approx(1.0 + np.log(2.0), rel=1e-14)
+        assert pointeval_bound(1.0, [0.0]) == pytest.approx(1.0 + np.log(2.0), rel=1e-14)
 
     def test_large_exponent(self):
         # ((2 + 1)/1) * 1 = 3 at the origin for p = 2, n = 1
-        assert pointeval_bound(2.0, 1, [0.0]) == pytest.approx(3.0)
+        assert pointeval_bound(2.0, [0.0]) == pytest.approx(3.0)
 
     def test_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            pointeval_bound(2.0, 1, [1.0])
+        for p in (0.5, 1.0, 2.0):
+            with pytest.raises(ValueError):
+                pointeval_bound(p, [[0.1, 0.2], [1.0, 0.0]])
 
 
 class TestLipschitzNorm:
@@ -150,6 +161,35 @@ class TestLipschitzNorm:
         assert est.converged
         assert est.value <= 19.0 * (1 + 1e-6) + abs(m.value([0.0]))
         assert est.value >= 10.0  # the quotient genuinely grows near the boundary
+
+    def test_witness_pair_rescores_to_sup(self):
+        for f, p in ((Series({(2, 1): 1.0, (0, 1): -0.5j}, 2), 0.5),
+                     (MoebiusFactor(1, 0, 0.6), 1.0),
+                     (Series({(1,): 5.0}, 1), 1.0)):
+            est = lipschitz_norm_estimate(f, p, PLAN)
+            quotient = _pair_quotients(f, p, est.witness[None, :],
+                                       est.witness_partner[None, :])
+            assert quotient[0] == est.sup
+
+    def test_traces_nondecreasing(self):
+        f = Series({(2, 1): 1.0, (0, 1): -0.5j, (3, 0): 0.25}, 2)
+        for p in (0.5, 1.0):
+            est = lipschitz_norm_estimate(f, p, PLAN)
+            assert len(est.trace) > 1
+            assert np.all(np.diff(est.trace) >= 0)
+            assert np.all(np.diff(est.level_trace) >= 0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: at dim 3 the grid pairs plus the coordinate pairs spend "
+        "62,762 evaluations of the 60,000 default budget, so no refinement round "
+        "runs and the estimate never converges (lip1_boundedness_check of "
+        "identity_map(3) is inconclusive, at dim 2 it holds)"))
+    def test_dim3_default_plan_refines_within_budget(self):
+        plan = SamplingPlan()
+        est = lipschitz_norm_estimate(Series.coordinate(0, 3), 1.0, plan)
+        assert est.evaluations <= plan.budget
+        assert len(est.trace) > 1
+        assert est.converged
 
     def test_rejects_exponent_above_one(self):
         with pytest.raises(ValueError):

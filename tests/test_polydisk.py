@@ -116,6 +116,13 @@ class TestMultiIndex:
             MultiIndex((1, -1))
 
 
+class TestPointValidation:
+    def test_rejects_nan_coordinate(self):
+        for interior in (True, False):
+            with pytest.raises(DomainError):
+                PolydiskPoint([float("nan"), 0.2], interior=interior)
+
+
 class TestSerialization:
     def test_point_json_round_trip(self):
         z = PolydiskPoint([0.1 + 0.2j, -0.3j])

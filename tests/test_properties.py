@@ -25,6 +25,14 @@ def interior_coords(dim, max_radius=0.95):
     return st.lists(scalar, min_size=dim, max_size=dim)
 
 
+# real and imaginary parts with both signed zeros, which compare equal
+signed_part = st.sampled_from([0.0, -0.0, 0.5, -0.25])
+
+
+def _flip_zero(x: float, flip: bool) -> float:
+    return -x if flip and x == 0.0 else x
+
+
 complex_scalar = st.tuples(
     st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False)
 ).map(lambda t: complex(*t))
@@ -39,6 +47,18 @@ class TestMetricHomogeneity:
         lhs = bergman_metric(pz, Direction([c * x for x in u]))
         rhs = abs(c) ** 2 * bergman_metric(pz, Direction(u))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestPointHash:
+    @given(parts=st.lists(st.tuples(signed_part, signed_part, st.booleans(), st.booleans()),
+                          min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_points_hash_equal(self, parts):
+        a = PolydiskPoint([complex(re, im) for re, im, _, _ in parts])
+        b = PolydiskPoint([complex(_flip_zero(re, fr), _flip_zero(im, fi))
+                           for re, im, fr, fi in parts])
+        assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestTelescoping:
