@@ -14,7 +14,6 @@ from .polydisk import (
     bergman_metric,
     boundary_distance,
     segment_point,
-    replace_coord,
 )
 from .holo import (
     HoloFunction,
@@ -31,9 +30,9 @@ from .holo import (
 )
 from .sampling import SamplingPlan, NormEstimate
 from .norms import (
-    bloch_density,
+    bloch_density_fn,
     bloch_norm_estimate,
-    timoney_q,
+    timoney_q_fn,
     lipschitz_norm_estimate,
     pointeval_bound,
     little_bloch_gap,
@@ -51,12 +50,12 @@ from .criteria import (
     BoundaryPath,
     CriterionReport,
     Verdict,
-    criterion_density,
-    coordinate_density,
+    criterion_density_fn,
+    coordinate_density_fn,
     boundedness_check,
     compactness_profile,
     classify,
-    schwarz_expansion_range,
+    weighted_jacobian_singular_values,
     little_bloch_operator_check,
     lip1_boundedness_check,
     operator_norm_lower_bound,

@@ -7,7 +7,6 @@ means no suite failure and no oracle breach.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -53,7 +52,7 @@ def main():
 
 @main.command()
 @click.option("--spec", type=click.Path(exists=True), default=None,
-              help="Function spec JSON (see README for the format).")
+              help="Function spec JSON (format: see the blochlab.mapspec module docstring).")
 @click.option("--testfn", type=click.Choice(["f", "g", "h"]), default=None,
               help="Use a built-in test-family member instead of --spec.")
 @click.option("--tf-axis", type=int, default=0, show_default=True,

@@ -16,11 +16,10 @@ from .polydisk import multi_indices_up_to
 from .testfuncs import make_f, make_g, make_h
 
 
-def polynomial_corpus(dim: int, count: int = 50, max_degree: int = 4,
-                      seed: int = 0) -> list[Series]:
-    """Random polynomials with complex Gaussian coefficients, degree <= max_degree."""
+def polynomial_corpus(dim: int, count: int = 50, seed: int = 0) -> list[Series]:
+    """Random polynomials with complex Gaussian coefficients, degree <= 4."""
     rng = np.random.default_rng(seed)
-    exps = [mi.exponents for mi in multi_indices_up_to(dim, max_degree)]
+    exps = [mi.exponents for mi in multi_indices_up_to(dim, 4)]
     out = []
     for _ in range(count):
         coeffs = {}

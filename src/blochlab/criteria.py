@@ -11,6 +11,12 @@ the image (or a single image coordinate, for p < 1) approaches the boundary
 detects compactness.  Verdicts here always refer to the numerical criterion:
 every record names the detector rule that produced it and carries witnesses.
 
+The densities have batched evaluators only, mapping points (..., n) to
+values (...): `criterion_density_fn` sums the rows `coordinate_density_fn`,
+and row l is the q-Bloch density of phi_l (`norms.bloch_density_fn`) over
+(1 - |phi_l|^2)^p.  A row is +inf where |phi_l| >= 1 and its numerator is
+nonzero (a numerical escape from the polydisk).
+
 Rule names used in reports:
   sup-density-plateau      boundedness via a plateauing supremum trace
   image-boundary-decay     global density decay along image-to-boundary paths
@@ -28,16 +34,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .holo import HoloFunction, HoloSelfMap, compose, power_map_monomial
+from .holo import HoloSelfMap, TruncationUnavailableError, compose, power_map_monomial
 from .norms import (
+    bloch_density_fn,
     bloch_norm_estimate,
     lipschitz_norm_estimate,
     little_bloch_gap,
 )
-from .holo import TruncationUnavailableError
-from .polydisk import as_coords, complex_pair, complex_pairs, one_minus_sq
+from .polydisk import complex_pair, complex_pairs, one_minus_sq
 from .sampling import NormEstimate, SamplingPlan, estimate_supremum
-from .testfuncs import make_f, make_g, make_h, family_norm_bound
+from .testfuncs import make_f, make_g, make_h
 
 PLATEAU_RTOL = 1e-3
 DECAY_TOL = 1e-3
@@ -48,15 +54,12 @@ GROWTH_WINDOW = 4
 SMALL_COMPONENT_MARGIN = 1e-3
 PATH_MIN_POINTS = 8
 PATH_REQUIRED_FINAL = 1e-4
-PATH_DEFAULT_FINAL = 1e-8
+PATH_FINAL_TARGET = 1e-8
+PATH_MAX_TARGETS = 64
 
 
 class UncertifiedMapError(ValueError):
     """The map carries no self-map certificate; detectors refuse to run."""
-
-
-class SingularEvaluationError(ValueError):
-    """|phi_l(z)| >= 1 was met pointwise (numerical escape from the polydisk)."""
 
 
 class PathValidationError(ValueError):
@@ -104,19 +107,17 @@ def _require_certified(phi: HoloSelfMap):
 
 
 def coordinate_density_fn(phi: HoloSelfMap, p: float, q: float, axis: int):
-    """Batched single-row density: sum_k |d phi_axis/d z_k| (1-|z_k|^2)^q / (1-|phi_axis|^2)^p.
+    """Batched single-row density: sum_k |d phi_axis/d z_k| (1-|z_k|^2)^q / (1-|phi_axis|^2)^p,
+    i.e. the q-Bloch density of phi_axis over (1-|phi_axis|^2)^p.
 
     Points where |phi_axis| >= 1 numerically evaluate to +inf (flagged escape).
     """
     comp = phi.components[axis]
-    parts = comp.partials()
+    numerator = bloch_density_fn(comp, q)
 
     def density(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        weights = one_minus_sq(np.abs(Z)) ** q
-        num = np.zeros(Z.shape[:-1], dtype=float)
-        for k, pk in enumerate(parts):
-            num += np.abs(pk.val(Z)) * weights[..., k]
+        num = numerator(Z)
         om = one_minus_sq(np.abs(comp.val(Z)))
         escaped = om <= 0.0
         om = np.where(escaped, 1.0, om)
@@ -136,20 +137,6 @@ def criterion_density_fn(phi: HoloSelfMap, p: float, q: float):
         return out
 
     return density
-
-
-def coordinate_density(phi: HoloSelfMap, p: float, q: float, axis: int, z) -> float:
-    v = float(coordinate_density_fn(phi, p, q, axis)(as_coords(z)))
-    if not np.isfinite(v):
-        raise SingularEvaluationError(f"|phi_{axis}(z)| >= 1 at the requested point")
-    return v
-
-
-def criterion_density(phi: HoloSelfMap, p: float, q: float, z) -> float:
-    v = float(criterion_density_fn(phi, p, q)(as_coords(z)))
-    if not np.isfinite(v):
-        raise SingularEvaluationError("some |phi_l(z)| >= 1 at the requested point")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +246,14 @@ def _ray_pool(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
-                        count: int | None = None, seed: int = 0,
-                        final_target: float = PATH_DEFAULT_FINAL,
-                        max_targets: int = 64) -> list[BoundaryPath]:
+                        count: int | None = None, seed: int = 0) -> list[BoundaryPath]:
     """Construct approach paths along straight radial rays by bisection.
 
     A pool of ray directions z(t) = t * u (|u_k| = 1) is probed at a deep
     radius; the `count` rays along which the approach measure gets smallest
-    are kept, and for halving targets delta the parameter t is bisected so
-    the measure crosses delta.  Rays that cannot push the measure below 1e-4
+    are kept, and for halving targets delta (at most PATH_MAX_TARGETS, down
+    to PATH_FINAL_TARGET) the parameter t is bisected so the measure crosses
+    delta.  Rays that cannot push the measure below 1e-4
     (or that stall far above the deepest ray) are dropped; an empty list
     states that the requested approach is unrealizable (the map stays away
     from the boundary).
@@ -303,7 +289,7 @@ def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
 
     delta = min(g0 / 2.0, 0.25)
     targets = []
-    while delta >= final_target and len(targets) < max_targets:
+    while delta >= PATH_FINAL_TARGET and len(targets) < PATH_MAX_TARGETS:
         targets.append(delta)
         delta /= 2.0
 
@@ -335,7 +321,7 @@ def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
     if not finals:
         return []
     best_final = min(finals)
-    stall_cutoff = max(best_final * 16.0, final_target * 4.0)
+    stall_cutoff = max(best_final * 16.0, PATH_FINAL_TARGET * 4.0)
 
     paths = []
     for i in range(count):
@@ -433,19 +419,12 @@ def weighted_jacobian_singular_values(phi: HoloSelfMap, Z: np.ndarray) -> np.nda
     """Singular values (descending) of D2 J_phi(z) D1^{-1} at each point, where
     D1 = diag(1/(1-|z_k|^2)) and D2 = diag(1/(1-|phi_l(z)|^2))."""
     Z = np.asarray(Z, dtype=complex)
-    J = phi.jacobian_batch(Z)
+    J = phi.jacobian(Z)
     W = phi.val(Z)
     col = one_minus_sq(np.abs(Z))          # multiplies column k (= D1^{-1})
     row = 1.0 / one_minus_sq(np.abs(W))    # multiplies row l (= D2)
     M = row[..., :, None] * J * col[..., None, :]
     return np.linalg.svd(M, compute_uv=False)
-
-
-def schwarz_expansion_range(phi: HoloSelfMap, z) -> tuple[float, float]:
-    """(smallest, largest) squared singular value of the metric-weighted Jacobian:
-    the extremal ratios of H_{phi(z)}(J u) to H_z(u) over directions u != 0."""
-    s = weighted_jacobian_singular_values(phi, as_coords(z))
-    return float(s[..., -1] ** 2), float(s[..., 0] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +459,11 @@ def lip1_boundedness_check(phi: HoloSelfMap, plan: SamplingPlan | None = None) -
 
 def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
                                 degree_cap: int,
-                                plan: SamplingPlan | None = None,
-                                gap_tol: float = DECAY_TOL) -> Verdict:
+                                plan: SamplingPlan | None = None) -> Verdict:
     """Little-space detector: (a) the powers phi^gamma stay close to polynomials
     in the q-Bloch norm for every multi-index gamma of degree <= degree_cap
-    (measured at truncation index 4 * degree_cap), and (b) the (p, q) criterion
+    (measured at truncation index 4 * degree_cap, escalated up to twice while
+    the gap stays >= DECAY_TOL), and (b) the (p, q) criterion
     supremum plateaus.  The degree cap is a finite surrogate for the full
     multi-index family and is recorded as such.
     """
@@ -503,7 +482,7 @@ def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
             for m in (m0, 2 * m0, 4 * m0):
                 gap = little_bloch_gap(f, q, m, plan)
                 gaps[key], gap_index[key] = gap, m
-                if gap < gap_tol:
+                if gap < DECAY_TOL:
                     break
         except TruncationUnavailableError:
             skipped.append(key)
@@ -519,7 +498,7 @@ def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
     worst = max(gaps.values(), default=0.0)
     if bounded.verdict == "fails":
         return Verdict("fails", "power-map-gaps", margin=worst, detail=detail)
-    if not skipped and worst < gap_tol and bounded.verdict == "holds":
+    if not skipped and worst < DECAY_TOL and bounded.verdict == "holds":
         return Verdict("holds", "power-map-gaps", margin=worst, detail=detail)
     return Verdict("inconclusive", "power-map-gaps", margin=worst, detail=detail)
 
@@ -598,7 +577,7 @@ class CriterionReport:
             for j in range(pr.values.size):
                 rows.append({
                     "sample_index": idx,
-                    "z": _format_point(self.dimension, pr, j),
+                    "z": _format_point(pr, j),
                     "density": float(pr.values[j]),
                     "path_id": pr.path_id,
                     "verdict": self.compact.verdict,
@@ -607,14 +586,13 @@ class CriterionReport:
         return rows
 
 
-def _format_point(dim, profile: PathProfile, j: int) -> str:
+def _format_point(profile: PathProfile, j: int) -> str:
     # profiles only carry approach/values; point storage lives in the JSON report
     return f"approach={profile.approach[j]:.6g}"
 
 
 def classify(phi: HoloSelfMap, p: float, q: float,
-             plan: SamplingPlan | None = None,
-             paths: list[BoundaryPath] | None = None) -> CriterionReport:
+             plan: SamplingPlan | None = None) -> CriterionReport:
     """Run the boundedness detector, pick the applicable compactness route,
     and assemble a full report.
 
@@ -650,8 +628,8 @@ def classify(phi: HoloSelfMap, p: float, q: float,
                           detail={"component_sups": comp_sup_values,
                                   "component_q_norms": [e.value for e in norms_q]})
     elif p < 1.0 and q >= 1.0:
-        cpaths = paths if paths is not None else _coordinate_paths(phi, plan.seed)
-        profiles, prof_verdict = compactness_profile(phi, p, q, cpaths, "coordinate")
+        paths = _coordinate_paths(phi, plan.seed)
+        profiles, prof_verdict = compactness_profile(phi, p, q, paths, "coordinate")
         routes["coordinate-boundary-decay"] = prof_verdict
         if prof_verdict.verdict == "fails":
             compact = Verdict("inconclusive", "exponent-gap",
@@ -661,16 +639,14 @@ def classify(phi: HoloSelfMap, p: float, q: float,
             compact = Verdict("holds", "exponent-gap", margin=prof_verdict.margin,
                               detail={"profile": prof_verdict.to_json()})
     elif p >= 1.0:
-        gpaths = paths if paths is not None else make_boundary_paths(phi, "image", seed=plan.seed)
-        profiles, prof_verdict = compactness_profile(phi, p, q, gpaths, "image")
-        compact = prof_verdict
+        paths = make_boundary_paths(phi, "image", seed=plan.seed)
+        profiles, compact = compactness_profile(phi, p, q, paths, "image")
         if q <= 1.0:
             sv = _metric_expansion_route(phi, plan)
             routes["metric-expansion"] = sv
     else:
-        cpaths = paths if paths is not None else _coordinate_paths(phi, plan.seed)
-        profiles, prof_verdict = compactness_profile(phi, p, q, cpaths, "coordinate")
-        compact = prof_verdict
+        paths = _coordinate_paths(phi, plan.seed)
+        profiles, compact = compactness_profile(phi, p, q, paths, "coordinate")
 
     if bounded.verdict == "inconclusive" and compact.verdict == "holds" \
             and compact.rule in ("image-boundary-decay", "coordinate-boundary-decay"):

@@ -24,7 +24,11 @@ import numpy as np
 
 from .polydisk import as_coords
 
-DEGREE_CAP_DEFAULT = 64
+# compose normalizes a polynomial composite to a Series only up to this degree
+DEGREE_CAP = 64
+
+# a sampling certificate needs the sampled sup of max_l |phi_l| to stay this far below 1
+SELF_MAP_MARGIN = 1e-6
 
 # A kernel 1/(1 - conj(w) z)^e is evaluated only where |1 - conj(w) z| stays
 # above this floor; nearer points are degenerate and get flagged.
@@ -67,10 +71,6 @@ class HoloFunction:
             cached = [self.partial(k) for k in range(self.dim)]
             self._partials_cache = cached
         return cached
-
-    def gradient(self, z) -> np.ndarray:
-        Z = as_coords(z)
-        return np.array([p.val(Z) for p in self.partials()], dtype=complex)
 
     def _check_axis(self, axis: int):
         if not 0 <= axis < self.dim:
@@ -199,8 +199,8 @@ class Series(HoloFunction):
         return acc
 
     @classmethod
-    def monomial(cls, exponents, dim: int, coeff: complex = 1.0) -> "Series":
-        return cls({tuple(exponents): coeff}, dim)
+    def monomial(cls, exponents, dim: int) -> "Series":
+        return cls({tuple(exponents): 1.0}, dim)
 
     @classmethod
     def coordinate(cls, axis: int, dim: int) -> "Series":
@@ -508,15 +508,9 @@ class HoloSelfMap:
         Z = np.asarray(Z, dtype=complex)
         return np.stack([c.val(Z) for c in self.components], axis=-1)
 
-    def jacobian(self, z) -> np.ndarray:
-        """Matrix with entry (l, k) = d phi_l / d z_k at z."""
-        Z = as_coords(z)
-        return np.array([[p.val(Z) for p in comp.partials()] for comp in self.components],
-                        dtype=complex)
-
-    def jacobian_batch(self, Z) -> np.ndarray:
-        """Jacobian at many points: (..., n) -> (..., n, n)."""
-        Z = np.asarray(Z, dtype=complex)
+    def jacobian(self, Z) -> np.ndarray:
+        """Matrices with entry (l, k) = d phi_l / d z_k at points (..., n) -> (..., n, n)."""
+        Z = as_coords(Z)
         rows = [np.stack([p.val(Z) for p in comp.partials()], axis=-1)
                 for comp in self.components]
         return np.stack(rows, axis=-2)
@@ -527,9 +521,9 @@ def identity_map(dim: int) -> HoloSelfMap:
     return HoloSelfMap(comps, SelfMapCertificate("coefficients", evidence=1.0))
 
 
-def constant_map(values, dim: int | None = None) -> HoloSelfMap:
+def constant_map(values) -> HoloSelfMap:
     v = np.asarray(values, dtype=complex)
-    dim = v.size if dim is None else dim
+    dim = v.size
     if np.any(np.abs(v) >= 1.0):
         raise EvaluationDomainError("constant map values must lie inside the polydisk")
     comps = [Const(c, dim) for c in v]
@@ -558,13 +552,13 @@ def moebius_automorphism(a, theta, sigma=None) -> HoloSelfMap:
     return HoloSelfMap(comps, SelfMapCertificate("automorphism", evidence=1.0))
 
 
-def certify_self_map(phi: HoloSelfMap, plan=None, margin: float = 1e-6) -> SelfMapCertificate:
+def certify_self_map(phi: HoloSelfMap, plan=None) -> SelfMapCertificate:
     """Attach the strongest certificate available and return it.
 
     Order: keep an exact 'automorphism' certificate; else the coefficient test
     (sum of |a_gamma| <= 1 per component, which never accepts a non-self-map);
     else sampled sup of max_l |phi_l| over the plan's grid, accepted when it
-    stays <= 1 - margin.
+    stays <= 1 - SELF_MAP_MARGIN.
     """
     if phi.certificate.kind == "automorphism":
         return phi.certificate
@@ -581,17 +575,17 @@ def certify_self_map(phi: HoloSelfMap, plan=None, margin: float = 1e-6) -> SelfM
     plan = plan if plan is not None else SamplingPlan()
     Z, _ = stratified_grid(phi.dim, plan)
     sup = float(np.max(np.abs(phi.val(Z)))) if Z.size else 0.0
-    if sup <= 1.0 - margin:
-        cert = SelfMapCertificate("sampling", margin=margin, evidence=sup)
+    if sup <= 1.0 - SELF_MAP_MARGIN:
+        cert = SelfMapCertificate("sampling", margin=SELF_MAP_MARGIN, evidence=sup)
     else:
         cert = SelfMapCertificate("unverified", evidence=sup)
     phi.certificate = cert
     return cert
 
 
-def compose(f: HoloFunction, phi: HoloSelfMap, degree_cap: int = DEGREE_CAP_DEFAULT) -> HoloFunction:
+def compose(f: HoloFunction, phi: HoloSelfMap) -> HoloFunction:
     """f o phi.  Normalizes to a Series when everything is polynomial and the
-    resulting degree stays within the cap; otherwise returns a lazy node whose
+    resulting degree stays within DEGREE_CAP; otherwise returns a lazy node whose
     derivatives follow the chain rule exactly."""
     if f.dim != phi.dim:
         raise ValueError("function and map dimensions must agree")
@@ -600,22 +594,21 @@ def compose(f: HoloFunction, phi: HoloSelfMap, degree_cap: int = DEGREE_CAP_DEFA
     if isinstance(f, Series) and all(isinstance(c, Series) for c in phi.components):
         inner_deg = max((c.max_degree for c in phi.components), default=0)
         bound = f.max_degree * max(inner_deg, 1)
-        if bound <= degree_cap:
+        if bound <= DEGREE_CAP:
             return f.substitute(list(phi.components))
     return Composition(f, list(phi.components))
 
 
-def power_map_monomial(phi: HoloSelfMap, gamma, degree_cap: int = DEGREE_CAP_DEFAULT) -> HoloFunction:
+def power_map_monomial(phi: HoloSelfMap, gamma) -> HoloFunction:
     """phi^gamma = prod_l phi_l^{gamma_l}, built by composing the monomial z^gamma with phi."""
     if hasattr(gamma, "exponents"):
         gamma = gamma.exponents
     exps = tuple(int(g) for g in gamma)
     mono = Series.monomial(exps, phi.dim)
-    return compose(mono, phi, degree_cap=degree_cap)
+    return compose(mono, phi)
 
 
-def compose_map(phi: HoloSelfMap, psi: HoloSelfMap,
-                degree_cap: int = DEGREE_CAP_DEFAULT) -> HoloSelfMap:
+def compose_map(phi: HoloSelfMap, psi: HoloSelfMap) -> HoloSelfMap:
     """The self-map phi o psi (components phi_l o psi)."""
-    comps = [compose(c, psi, degree_cap=degree_cap) for c in phi.components]
+    comps = [compose(c, psi) for c in phi.components]
     return HoloSelfMap(comps, UNVERIFIED)

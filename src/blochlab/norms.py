@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .holo import HoloFunction, Series, subtract
-from .polydisk import as_coords, one_minus_sq
+from .polydisk import one_minus_sq
 from .sampling import NormEstimate, SamplingPlan, estimate_supremum, maximise, stratified_grid
 
 _PAIR_SEPARATION_FLOOR = 1e-14
@@ -41,10 +41,6 @@ def bloch_density_fn(f: HoloFunction, p: float):
         return out
 
     return density
-
-
-def bloch_density(f: HoloFunction, p: float, z) -> float:
-    return float(bloch_density_fn(f, p)(as_coords(z)))
 
 
 def bloch_norm_estimate(f: HoloFunction, p: float, plan: SamplingPlan | None = None) -> NormEstimate:
@@ -73,10 +69,6 @@ def timoney_q_fn(f: HoloFunction):
         return np.sqrt(acc)
 
     return q
-
-
-def timoney_q(f: HoloFunction, z) -> float:
-    return float(timoney_q_fn(f)(as_coords(z)))
 
 
 def pointeval_bound(p: float, Z) -> np.ndarray:
@@ -207,4 +199,4 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
 
     base = abs(f.value(np.zeros(dim, dtype=complex)))
     return maximise(lambda L, R: _pair_quotients(f, p, L, R), batches, propose,
-                    2 * n_refine, plan, base=base)
+                    plan, base=base)

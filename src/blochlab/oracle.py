@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holo import HoloFunction, HoloSelfMap
+from .holo import HoloFunction
 from .polydisk import one_minus_sq
 from .testfuncs import TestFunction
 
@@ -21,6 +21,8 @@ FD_STEP = 1e-5
 DERIVATIVE_THRESHOLD = 1e-4
 SUP_THRESHOLD = 5e-2
 SUP_CONTAINMENT_SLACK = 1e-12
+ANTIDERIVATIVE_THRESHOLD = 1e-10
+Q_DIRECTIONS = 512
 
 
 @dataclass
@@ -41,7 +43,7 @@ def relative_discrepancy(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def fd_gradient(f: HoloFunction, Z: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+def fd_gradient(f: HoloFunction, Z: np.ndarray) -> np.ndarray:
     """Central finite-difference partials along the real axis of each coordinate.
 
     For holomorphic f the derivative along the real direction equals the
@@ -53,9 +55,9 @@ def fd_gradient(f: HoloFunction, Z: np.ndarray, step: float = FD_STEP) -> np.nda
     for k in range(Z.shape[-1]):
         Zp = Z.copy()
         Zm = Z.copy()
-        Zp[..., k] += step
-        Zm[..., k] -= step
-        grads.append((f.val(Zp) - f.val(Zm)) / (2.0 * step))
+        Zp[..., k] += FD_STEP
+        Zm[..., k] -= FD_STEP
+        grads.append((f.val(Zp) - f.val(Zm)) / (2.0 * FD_STEP))
     return np.stack(grads, axis=-1)
 
 
@@ -67,40 +69,27 @@ def uniform_points(dim: int, count: int, seed: int, rmax: float = 0.95) -> np.nd
     return r * np.exp(1j * theta)
 
 
-def fd_bloch_density(f: HoloFunction, p: float, Z: np.ndarray,
-                     step: float = FD_STEP) -> np.ndarray:
-    g = np.abs(fd_gradient(f, Z, step))
+def fd_bloch_density(f: HoloFunction, p: float, Z: np.ndarray) -> np.ndarray:
+    g = np.abs(fd_gradient(f, Z))
     return np.sum(g * one_minus_sq(np.abs(Z)) ** p, axis=-1)
 
 
 def uniform_bloch_norm(f: HoloFunction, p: float, count: int = 20_000,
-                       seed: int = 0, rmax: float = 0.97) -> float:
-    """|f(0)| + max of the finite-difference density over a plain uniform grid."""
-    Z = uniform_points(f.dim, count, seed, rmax=rmax)
+                       seed: int = 0) -> float:
+    """|f(0)| + max of the finite-difference density over a plain uniform
+    grid of radius 0.97."""
+    Z = uniform_points(f.dim, count, seed, rmax=0.97)
     base = abs(f.value(np.zeros(f.dim, dtype=complex)))
     return base + float(np.max(fd_bloch_density(f, p, Z)))
 
 
-def uniform_criterion_sup(phi: HoloSelfMap, p: float, q: float, count: int = 20_000,
-                          seed: int = 0, rmax: float = 0.97) -> float:
-    """Max criterion density over a uniform grid, everything by finite differences."""
-    Z = uniform_points(phi.dim, count, seed, rmax=rmax)
-    weights = one_minus_sq(np.abs(Z)) ** q
-    total = np.zeros(Z.shape[0])
-    for comp in phi.components:
-        g = np.abs(fd_gradient(comp, Z))
-        om = one_minus_sq(np.abs(comp.val(Z)))
-        total += np.sum(g * weights, axis=-1) / om ** p
-    return float(np.max(total))
-
-
-def direct_q_seminorm(f: HoloFunction, Z: np.ndarray, n_dirs: int = 512,
-                      seed: int = 0) -> np.ndarray:
-    """Q_f by direct maximization of |<grad f, u>| / sqrt(H(z,u)) over random u."""
+def direct_q_seminorm(f: HoloFunction, Z: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Q_f by direct maximization of |<grad f, u>| / sqrt(H(z,u)) over
+    Q_DIRECTIONS random u."""
     rng = np.random.default_rng(seed)
     Z = np.asarray(Z, dtype=complex)
     dim = Z.shape[-1]
-    U = rng.normal(size=(n_dirs, dim)) + 1j * rng.normal(size=(n_dirs, dim))
+    U = rng.normal(size=(Q_DIRECTIONS, dim)) + 1j * rng.normal(size=(Q_DIRECTIONS, dim))
     G = fd_gradient(f, Z)                      # (N, dim)
     w2 = one_minus_sq(np.abs(Z)) ** 2          # (N, dim)
     num = np.abs(np.einsum("nd,md->nm", G, U))
@@ -130,12 +119,12 @@ def antiderivative_closed_form(t: TestFunction, Z: np.ndarray) -> np.ndarray:
 
 
 def derivative_results(fns: list, count: int = 1000, seed: int = 0,
-                       rmax: float = 0.8,
                        threshold: float = DERIVATIVE_THRESHOLD) -> list[OracleResult]:
-    """Worst relative FD-vs-structural partial discrepancy per corpus member."""
+    """Worst relative FD-vs-structural partial discrepancy per corpus member,
+    over points of radius <= 0.8."""
     out = []
     for i, f in enumerate(fns):
-        Z = uniform_points(f.dim, count, seed + i, rmax=rmax)
+        Z = uniform_points(f.dim, count, seed + i, rmax=0.8)
         G_fd = fd_gradient(f, Z)
         worst = 0.0
         for k, pk in enumerate(f.partials()):
@@ -147,8 +136,8 @@ def derivative_results(fns: list, count: int = 1000, seed: int = 0,
     return out
 
 
-def sup_results(fns: list, p: float, plan, count: int = 20_000, seed: int = 0,
-                threshold: float = SUP_THRESHOLD) -> list[OracleResult]:
+def sup_results(fns: list, p: float, plan, count: int = 20_000,
+                seed: int = 0) -> list[OracleResult]:
     """Uniform-grid norm vs the refined primary estimate.  The refined value
     must contain the plain one from above (refinement only adds candidates)."""
     from .norms import bloch_norm_estimate
@@ -159,14 +148,13 @@ def sup_results(fns: list, p: float, plan, count: int = 20_000, seed: int = 0,
         plain = uniform_bloch_norm(f, p, count=count, seed=seed + i)
         disc = relative_discrepancy(primary, plain)
         breach = plain > primary + SUP_CONTAINMENT_SLACK or (
-            plain > primary and disc > threshold)
+            plain > primary and disc > SUP_THRESHOLD)
         out.append(OracleResult(f"sup:{i}:{type(f).__name__}:p={p}",
                                 primary, plain, disc, breach))
     return out
 
 
-def q_seminorm_results(fns: list, count: int = 200, seed: int = 0,
-                       threshold: float = DERIVATIVE_THRESHOLD) -> list[OracleResult]:
+def q_seminorm_results(fns: list, count: int = 200, seed: int = 0) -> list[OracleResult]:
     """Closed-form Q seminorm vs direct maximization over random directions.
     The direct value can only undershoot; it must never exceed the closed form."""
     from .norms import timoney_q_fn
@@ -180,12 +168,12 @@ def q_seminorm_results(fns: list, count: int = 200, seed: int = 0,
         scale = float(np.max(np.abs(closed))) + 1e-300
         out.append(OracleResult(f"q-seminorm:{i}:{type(f).__name__}", float(np.max(closed)),
                                 float(np.max(direct)), max(over, 0.0) / scale,
-                                over > threshold * scale))
+                                over > DERIVATIVE_THRESHOLD * scale))
     return out
 
 
-def antiderivative_results(members: list, count: int = 500, seed: int = 0,
-                           threshold: float = 1e-10) -> list[OracleResult]:
+def antiderivative_results(members: list, count: int = 500,
+                           seed: int = 0) -> list[OracleResult]:
     """Series evaluation of the antiderivative family vs its closed form."""
     out = []
     for i, t in enumerate(members):
@@ -196,7 +184,7 @@ def antiderivative_results(members: list, count: int = 500, seed: int = 0,
         closed = antiderivative_closed_form(t, Z)
         disc = float(np.max(np.abs(series - closed) / np.maximum(np.abs(closed), 1.0)))
         out.append(OracleResult(f"antiderivative:{i}:w={t.w}:p={t.p}", 0.0, disc,
-                                disc, disc > threshold))
+                                disc, disc > ANTIDERIVATIVE_THRESHOLD))
     return out
 
 

@@ -70,10 +70,6 @@ class PolydiskPoint:
         return complex_pairs(self.coords)
 
     @classmethod
-    def from_json(cls, pairs, interior: bool = True) -> "PolydiskPoint":
-        return cls([complex(re, im) for re, im in pairs], interior=interior)
-
-    @classmethod
     def closed(cls, coords) -> "PolydiskPoint":
         return cls(coords, interior=False)
 
@@ -128,9 +124,6 @@ class MultiIndex:
     @property
     def degree(self) -> int:
         return sum(self.exponents)
-
-    def power(self, z: PolydiskPoint) -> complex:
-        return complex(np.prod(z.coords ** np.array(self.exponents)))
 
 
 def multi_indices_up_to(dim: int, max_degree: int):
@@ -192,15 +185,3 @@ def segment_point(z: PolydiskPoint, w: PolydiskPoint, j: int) -> PolydiskPoint:
     coords = np.concatenate([z.coords[: n - j], w.coords[n - j:]])
     return PolydiskPoint(coords, interior=z.interior and w.interior)
 
-
-def replace_coord(z: PolydiskPoint, axis: int, a: complex) -> PolydiskPoint:
-    """Copy of z with coordinate `axis` (0-based) replaced by a."""
-    n = z.dim
-    if not 0 <= axis < n:
-        raise ValueError(f"axis must lie in [0, {n - 1}], got {axis}")
-    if abs(a) > 1.0 + EPS_MACH:
-        raise DomainError(f"replacement value leaves the closed polydisk: |a| = {abs(a)}")
-    coords = z.coords.copy()
-    coords[axis] = a
-    interior = z.interior and abs(a) < 1.0
-    return PolydiskPoint(coords, interior=interior)

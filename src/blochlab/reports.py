@@ -32,10 +32,9 @@ def write_json(path: str, obj: dict):
         fh.write("\n")
 
 
-def write_csv(path: str, rows: list[dict], columns: list[str] | None = None):
-    columns = columns if columns is not None else CSV_COLUMNS
+def write_csv(path: str, rows: list[dict]):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

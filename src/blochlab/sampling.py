@@ -120,7 +120,6 @@ def stratified_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator | Non
 
     if n_combos > plan.budget:
         combo = rng.integers(0, nlev, size=(plan.budget, dim))
-        per = 1
         r = radii[combo]
         theta = 2.0 * np.pi * rng.random((plan.budget, dim))
         Z = r * np.exp(1j * theta)
@@ -143,7 +142,7 @@ def stratified_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator | Non
     return Z, levels
 
 
-def maximise(score, batches, propose, round_cost: int, plan: SamplingPlan,
+def maximise(score, batches, propose, plan: SamplingPlan,
              base: float = 0.0) -> NormEstimate:
     """Estimate base + sup of `score` from initial batches plus refinement rounds.
 
@@ -151,11 +150,11 @@ def maximise(score, batches, propose, round_cost: int, plan: SamplingPlan,
     (Zl, Zr) for pairs, that score(*batch) maps to N floats.  `batches` holds
     the initial (batch, levels) pairs, each scored in its own call; levels
     gives each candidate's outermost radial level, or is None for a batch kept
-    out of the per-level trace.  Each round costs
-    `round_cost` evaluations of plan.budget and scores propose(witness), a
-    batch around the best candidate so far; rounds stop at plan.max_rounds or
-    when the next would exceed the budget.  The best candidate's rows are the
-    witness and, for pairs, its partner.
+    out of the per-level trace.  Each round proposes propose(witness), a batch
+    around the best candidate so far, and is charged the batch's length
+    against plan.budget; rounds stop at plan.max_rounds or before a batch
+    that would exceed the budget.  The best candidate's rows are the witness
+    and, for pairs, its partner.
     """
     best, witness, evaluations = 0.0, None, 0
 
@@ -179,9 +178,9 @@ def maximise(score, batches, propose, round_cost: int, plan: SamplingPlan,
 
     trace = [best]
     for _ in range(plan.max_rounds):
-        if evaluations + round_cost > plan.budget:
-            break
         cand = propose(witness)
+        if evaluations + cand[0].shape[0] > plan.budget:
+            break
         offer(cand, np.asarray(score(*cand), dtype=float))
         trace.append(best)
 
@@ -231,4 +230,4 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
         dt *= plan.shrink
         return (r * np.exp(1j * t),)
 
-    return maximise(density_fn, [((Z,), levels)], propose, n_refine, plan, base=base)
+    return maximise(density_fn, [((Z,), levels)], propose, plan, base=base)

@@ -192,7 +192,12 @@ def truncate_test(t: TestFunction, m: int) -> Series:
 
 def tail_bound(p: float, w: complex, m: int) -> float:
     """sum_{j > m} c_j |w|^j with c_j = p(p+1)...(p+j-1)/j!, summed until the
-    terms drop below 1e-16 of the running sum."""
+    terms drop below 1e-16 of the running sum.
+
+    Near |w| = 1 the sum can stop at the term cap instead; the rest is then
+    bounded by a geometric series, since the term ratio (p+j)|w|/(j+1) moves
+    monotonically toward |w| and so never exceeds the larger of the two.
+    """
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
     if abs(w) >= 1.0:
@@ -213,5 +218,6 @@ def tail_bound(p: float, w: complex, m: int) -> float:
         term *= (p + j) * aw / (j + 1)
         j += 1
         if j - m > _SERIES_MAX_TERMS:
-            break
+            ratio = max((p + j) * aw / (j + 1), aw)
+            return total + term / (1.0 - ratio) if ratio < 1.0 else float("inf")
     return total

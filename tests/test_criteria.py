@@ -6,20 +6,17 @@ import pytest
 from blochlab.criteria import (
     BoundaryPath,
     PathValidationError,
-    SingularEvaluationError,
     UncertifiedMapError,
     boundedness_check,
     classify,
     compactness_profile,
-    coordinate_density,
     coordinate_density_fn,
-    criterion_density,
     criterion_density_fn,
     lip1_boundedness_check,
     little_bloch_operator_check,
     make_boundary_paths,
     operator_norm_lower_bound,
-    schwarz_expansion_range,
+    weighted_jacobian_singular_values,
 )
 from blochlab.holo import (
     HoloSelfMap,
@@ -59,17 +56,17 @@ class TestCriterionDensity:
         for n in (1, 2, 3):
             phi = identity_map(n)
             z = np.full(n, 0.1 + 0.2j)
-            assert criterion_density(phi, 1.0, 1.0, z) == pytest.approx(n, abs=1e-12)
+            assert criterion_density_fn(phi, 1.0, 1.0)(z) == pytest.approx(n, abs=1e-12)
 
     def test_identity_mixed_exponents(self):
         # (1-0.64)^2/(1-0.64)^1 + 1 = 0.36 + 1 = 1.36
         phi = identity_map(2)
-        assert criterion_density(phi, 1.0, 2.0, np.array([0.8, 0.0])) \
+        assert criterion_density_fn(phi, 1.0, 2.0)(np.array([0.8, 0.0])) \
             == pytest.approx(1.36, abs=1e-12)
 
     def test_halving_at_origin(self):
         phi = halving_map(1)
-        assert criterion_density(phi, 1.0, 1.0, np.array([0.0])) == pytest.approx(0.5)
+        assert criterion_density_fn(phi, 1.0, 1.0)(np.array([0.0])) == pytest.approx(0.5)
 
     def test_row_decomposition(self):
         phi = product_map()
@@ -82,23 +79,22 @@ class TestCriterionDensity:
         # phi = (z_1 z_2, z_2), first row at z = (0, 0.5):
         # |z_2|(1-0)^q/(1-0)^p + |z_1|(1-0.25)^q/(1-0)^p = 0.5
         phi = product_map()
-        val = coordinate_density(phi, 1.0, 1.0, 0, np.array([0.0, 0.5]))
+        val = coordinate_density_fn(phi, 1.0, 1.0, 0)(np.array([0.0, 0.5]))
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_coordinate_rows_are_one(self):
         phi = identity_map(2)
         for l in range(2):
-            assert coordinate_density(phi, 1.0, 1.0, l, np.array([0.3, -0.6j])) \
+            assert coordinate_density_fn(phi, 1.0, 1.0, l)(np.array([0.3, -0.6j])) \
                 == pytest.approx(1.0, abs=1e-14)
 
-    def test_singular_escape_raises(self):
+    def test_singular_escape_is_inf(self):
         # a falsely-certified map whose image leaves the disk at an interior point
         from blochlab.holo import SelfMapCertificate
 
         phi = HoloSelfMap([Series({(0,): 0.999, (1,): 0.1}, 1)],
                           certificate=SelfMapCertificate("sampling", 1e-6, 0.9))
-        with pytest.raises(SingularEvaluationError):
-            criterion_density(phi, 1.0, 1.0, np.array([0.5]))
+        assert criterion_density_fn(phi, 1.0, 1.0)(np.array([0.5])) == np.inf
 
 
 class TestBoundednessCheck:
@@ -190,24 +186,24 @@ class TestCompactnessProfile:
 
 
 class TestSchwarzExpansion:
+    """Squared singular values of the weighted Jacobian: the extremal ratios of
+    H_{phi(z)}(J u) to H_z(u) over directions u != 0."""
+
     def test_identity_ratio_one(self):
         phi = identity_map(2)
-        lo, hi = schwarz_expansion_range(phi, np.array([0.3, -0.4j]))
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(1.0, abs=1e-12)
+        s2 = weighted_jacobian_singular_values(phi, np.array([0.3, -0.4j])) ** 2
+        np.testing.assert_allclose(s2, 1.0, atol=1e-12)
 
     def test_halving_at_origin(self):
-        assert schwarz_expansion_range(halving_map(1), np.array([0.0]))[1] \
-            == pytest.approx(0.25, abs=1e-14)
+        s2 = weighted_jacobian_singular_values(halving_map(1), np.array([0.0])) ** 2
+        assert s2[0] == pytest.approx(0.25, abs=1e-14)
 
     def test_automorphism_metric_equality(self):
         rng = np.random.default_rng(9)
         phi = moebius_automorphism([0.5 + 0.2j, -0.3], [0.7, 2.1], sigma=(1, 0))
-        for _ in range(50):
-            z = 0.95 * np.sqrt(rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
-            lo, hi = schwarz_expansion_range(phi, z)
-            assert lo == pytest.approx(1.0, abs=1e-9)
-            assert hi == pytest.approx(1.0, abs=1e-9)
+        Z = 0.95 * np.sqrt(rng.random((50, 2))) * np.exp(2j * np.pi * rng.random((50, 2)))
+        s2 = weighted_jacobian_singular_values(phi, Z) ** 2
+        np.testing.assert_allclose(s2, 1.0, atol=1e-9)
 
 
 class TestClassify:

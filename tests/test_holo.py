@@ -69,11 +69,14 @@ class TestPartial:
         assert m.partial(0).value(z) == pytest.approx(fd_partial(m, z, 0), rel=1e-7)
 
     def test_gradient(self):
+        def gradient(f, z):
+            return [pk.value(z) for pk in f.partials()]
+
         f = Series({(1, 0): 1.0, (0, 1): 1.0}, 2)
-        np.testing.assert_allclose(f.gradient([0.3, -0.2j]), [1.0, 1.0])
+        np.testing.assert_allclose(gradient(f, [0.3, -0.2j]), [1.0, 1.0])
         g = Series({(1, 1): 1.0}, 2)
-        np.testing.assert_allclose(g.gradient([0.2, 0.5]), [0.5, 0.2])
-        np.testing.assert_allclose(Const(4.0, 2).gradient([0.1, 0.1]), [0.0, 0.0])
+        np.testing.assert_allclose(gradient(g, [0.2, 0.5]), [0.5, 0.2])
+        np.testing.assert_allclose(gradient(Const(4.0, 2), [0.1, 0.1]), [0.0, 0.0])
 
 
 class TestJacobian:
@@ -118,7 +121,7 @@ class TestCompose:
         comp = compose(f, phi)
         Z = 0.8 * np.sqrt(rng.random((40, 2))) * np.exp(2j * np.pi * rng.random((40, 2)))
         W = phi.val(Z)
-        J = phi.jacobian_batch(Z)
+        J = phi.jacobian(Z)
         for k in range(2):
             manual = sum(f.partial(m).val(W) * J[..., m, k] for m in range(2))
             structural = comp.partial(k).val(Z)
@@ -127,7 +130,7 @@ class TestCompose:
     def test_lazy_composition_over_degree_cap(self):
         f = Series({(40,): 1.0}, 1)
         phi = HoloSelfMap([Series({(3,): 0.3}, 1)])
-        comp = compose(f, phi, degree_cap=64)
+        comp = compose(f, phi)
         assert isinstance(comp, Composition)
         z = [0.7]
         assert comp.value(z) == pytest.approx((0.3 * 0.7 ** 3) ** 40, rel=1e-12)

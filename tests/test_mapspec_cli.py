@@ -8,7 +8,6 @@ from click.testing import CliRunner
 
 from blochlab import mapspec
 from blochlab.cli import main
-from blochlab.holo import Series, identity_map, moebius_automorphism
 from blochlab.testfuncs import make_g
 
 IDENTITY_2 = {

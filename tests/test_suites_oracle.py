@@ -5,7 +5,7 @@ import pytest
 
 from blochlab import suites
 from blochlab.corpus import default_function_corpus, default_selfmap_corpus, polynomial_corpus
-from blochlab.holo import Const, HoloFunction, Series
+from blochlab.holo import HoloFunction, Series
 from blochlab.oracle import (
     antiderivative_results,
     derivative_results,
@@ -127,8 +127,8 @@ class TestSuites:
         assert suites.expansion_plateau(maps).passed
 
     def test_consistency_rows(self):
-        assert suites.small_exponent_decay(plan=QUICK_PLAN).passed
-        assert suites.metric_floor_implies_stay(plan=QUICK_PLAN).passed
+        assert suites.small_exponent_decay().passed
+        assert suites.metric_floor_implies_stay().passed
 
     def test_empty_corpus_rows_pass(self):
         assert suites.derivative_fd_agreement([]).passed

@@ -1,0 +1,103 @@
+"""The package's public surface carries nothing unused.
+
+Walks the syntax trees of src/blochlab and fails on an import a module never
+uses, or on a defaulted parameter of a public function that no call in src/,
+tests/ or bench/ passes: such an option is fixed by construction and belongs
+in the code as a constant.  Calls are matched by the callee's name, so a
+parameter counts as passed when any call of that name passes it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "blochlab"
+CALLER_DIRS = ("src", "tests", "bench")
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _public_functions(tree):
+    """(call name, function node, index of its first caller-supplied positional)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                if item.name == "__init__":
+                    yield node.name, item, 1
+                elif not item.name.startswith("_"):
+                    yield item.name, item, 0 if static else 1
+
+
+def _defaulted(fn, skip):
+    """(name, positional index or None) of each parameter that has a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i in range(first, len(positional)):
+        yield positional[i].arg, i - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _calls():
+    """Callee name -> list of (positional count, *-splat, keyword names, **-splat)."""
+    calls = {}
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None:
+                    continue
+                calls.setdefault(name, []).append((
+                    sum(not isinstance(a, ast.Starred) for a in node.args),
+                    any(isinstance(a, ast.Starred) for a in node.args),
+                    {k.arg for k in node.keywords if k.arg is not None},
+                    any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":  # its imports are the package's exports
+            continue
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{name}: {imp}" for imp in _imported_names(tree) if imp not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = _calls()
+    never = []
+    for module, tree in _modules().items():
+        for call_name, fn, skip in _public_functions(tree):
+            for param, index in _defaulted(fn, skip):
+                passed = any(
+                    param in keywords or star_kw
+                    or (index is not None and (n_pos > index or star))
+                    for n_pos, star, keywords, star_kw in calls.get(call_name, []))
+                if not passed:
+                    never.append(f"{module}: {call_name}({param})")
+    assert not never, "defaulted parameters no call passes: " + ", ".join(never)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from blochlab.holo import EvaluationDomainError, Series
-from blochlab.norms import bloch_density, bloch_norm_estimate, little_bloch_gap
+from blochlab.holo import EvaluationDomainError, rising_factorial_coeffs
+from blochlab.norms import bloch_density_fn, bloch_norm_estimate, little_bloch_gap
 from blochlab.sampling import SamplingPlan
 from blochlab.testfuncs import (
     TestFunction,
@@ -134,7 +134,7 @@ class TestDensityIdentity:
             t = make_f(0, 0.6 + 0.3j, p, 2)
             Z = 0.95 * np.sqrt(rng.random((200, 2))) * np.exp(2j * np.pi * rng.random((200, 2)))
             for z in Z[:50]:
-                lhs = abs(t.value([0.0, 0.0])) + bloch_density(t, p, z)
+                lhs = abs(t.value([0.0, 0.0])) + bloch_density_fn(t, p)(z)
                 zl = z[0]
                 rhs = (1 - abs(zl) ** 2) ** p / abs(1 - np.conj(0.6 + 0.3j) * zl) ** p
                 assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -181,6 +181,18 @@ class TestTailBound:
         for p in (0.5, 1.0, 2.0):
             tails = [tail_bound(p, 0.6, m) for m in range(8)]
             assert all(a > b for a, b in zip(tails, tails[1:]))
+
+    def test_bounds_closed_form_near_unit_parameter(self):
+        # sum_j c_j |w|^j = (1 - |w|)^-p, so the tail is that minus the head;
+        # at |w| = 0.99999 the summation reaches its term cap first
+        aw = 0.99999
+        for p in (0.5, 1.0, 2.0, 3.0):
+            for m in (0, 4):
+                head = float(np.sum(rising_factorial_coeffs(p, m + 1) * aw ** np.arange(m + 1)))
+                exact = (1.0 - aw) ** -p - head
+                tail = tail_bound(p, aw, m)
+                assert np.isfinite(tail)
+                assert tail >= exact * (1.0 - 1e-9)
 
     def test_gap_below_tail(self):
         t = make_g(0, 0.5, 1.0, 2)
