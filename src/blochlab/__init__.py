@@ -43,7 +43,6 @@ from .testfuncs import (
     make_g,
     make_h,
     family_norm_bound,
-    truncate_test,
     tail_bound,
 )
 from .criteria import (

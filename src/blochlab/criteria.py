@@ -42,6 +42,7 @@ from .norms import (
     little_bloch_gap,
 )
 from .polydisk import complex_pair, complex_pairs, one_minus_sq
+from .reports import SCHEMA_VERSION
 from .sampling import NormEstimate, SamplingPlan, estimate_supremum
 from .testfuncs import make_f, make_g, make_h
 
@@ -204,14 +205,11 @@ class BoundaryPath:
     path_id: str = ""
 
     def measure(self, phi: HoloSelfMap) -> np.ndarray:
-        W = phi.val(self.points)
-        if self.mode == "image":
-            return np.min(1.0 - np.abs(W), axis=-1)
-        if self.mode == "coordinate":
-            if self.axis is None:
-                raise PathValidationError("coordinate mode needs an axis")
-            return 1.0 - np.abs(W[..., self.axis])
-        raise PathValidationError(f"unknown path mode {self.mode!r}")
+        if self.mode not in ("image", "coordinate"):
+            raise PathValidationError(f"unknown path mode {self.mode!r}")
+        if self.mode == "coordinate" and self.axis is None:
+            raise PathValidationError("coordinate mode needs an axis")
+        return _approach(phi.val(self.points), self.mode, self.axis)
 
     def validate(self, phi: HoloSelfMap) -> np.ndarray:
         m = self.measure(phi)
@@ -233,6 +231,14 @@ class BoundaryPath:
             "points": [complex_pairs(row) for row in self.points],
             "approach": None if self.approach is None else [float(v) for v in self.approach],
         }
+
+
+def _approach(W: np.ndarray, mode: str, axis: int | None) -> np.ndarray:
+    """Approach measure of image points W (..., n): min_k (1 - |W_k|) in mode
+    'image', 1 - |W_axis| in mode 'coordinate'."""
+    if mode == "image":
+        return np.min(1.0 - np.abs(W), axis=-1)
+    return 1.0 - np.abs(W[..., axis])
 
 
 def _ray_pool(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -269,10 +275,7 @@ def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
     t_max = 1.0 - 1e-12
 
     def measures_for(U: np.ndarray, T: np.ndarray) -> np.ndarray:
-        W = phi.val(T[:, None] * U)
-        if mode == "image":
-            return np.min(1.0 - np.abs(W), axis=-1)
-        return 1.0 - np.abs(W[..., axis])
+        return _approach(phi.val(T[:, None] * U), mode, axis)
 
     pool = _ray_pool(n, count, rng)
     deep_pool = measures_for(pool, np.full(pool.shape[0], t_max))
@@ -381,16 +384,17 @@ def compactness_profile(phi: HoloSelfMap, p: float, q: float,
         return [], Verdict("holds", "small-components",
                            detail={"reason": "no realizable boundary approach"})
 
+    if mode == "image":
+        densities = {None: criterion_density_fn(phi, p, q)}
+    else:
+        densities = {l: coordinate_density_fn(phi, p, q, l) for l in range(phi.dim)}
     profiles = []
     for path in paths:
         if path.mode != mode:
             raise PathValidationError(
                 f"path {path.path_id!r} has mode {path.mode!r}; profile expects {mode!r}")
         approach = path.validate(phi)
-        if mode == "image":
-            fn = criterion_density_fn(phi, p, q)
-        else:
-            fn = coordinate_density_fn(phi, p, q, path.axis)
+        fn = densities[path.axis if mode == "coordinate" else None]
         values = np.asarray(fn(path.points), dtype=float)
         profiles.append(PathProfile(path.path_id, path.mode, path.axis,
                                     approach, values, _judge_tail(values)))
@@ -556,7 +560,7 @@ class CriterionReport:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "dimension": self.dimension,
             "p": self.p,
             "q": self.q,
@@ -678,8 +682,8 @@ def _metric_expansion_route(phi: HoloSelfMap, plan: SamplingPlan) -> Verdict:
     from .sampling import stratified_grid
 
     Z, _ = stratified_grid(phi.dim, plan, rng)
-    take = min(Z.shape[0], 2048)
-    s = weighted_jacobian_singular_values(phi, Z[:take])
+    # an even stride: the grid is ordered by radial-level combination
+    s = weighted_jacobian_singular_values(phi, Z[::max(1, len(Z) // 2048)])
     smin = float(np.min(s[..., -1] ** 2))
     smax = float(np.max(s[..., 0] ** 2))
     if smin >= DECAY_TOL:

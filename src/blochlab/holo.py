@@ -7,8 +7,9 @@ differences never appear here; they live in the independent oracle module.
 
 Representations:
   * Series        -- finite multivariate power series (polynomials),
-  * ScaledKernel  -- c / (1 - conj(w) z_axis)^e, closed under d/dz,
-  * MoebiusFactor -- one-coordinate disk automorphism factor,
+  * ScaledKernel  -- c / (1 - conj(w) z_axis)^e, closed under d/dz; the one closed
+                     form of the kernel, reused by Moebius derivatives and `testfuncs`,
+  * MoebiusFactor -- one-coordinate disk automorphism factor (partials: ScaledKernels),
   * Const / Scaled / Sum / Product / Composition nodes over these.
 
 Self-maps of U^n carry a certificate recording why they are believed to map
@@ -17,7 +18,6 @@ into the closed polydisk (coefficient test, sampling, or exact construction).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,7 +294,9 @@ class MoebiusFactor(HoloFunction):
         self._check_axis(axis)
         if axis != self.axis:
             return Const(0.0, self.dim)
-        return _MoebiusDerivative(self.dim, self.axis, self.a, self.theta, order=1)
+        # d/dz (z - a)/(1 - conj(a) z) = (1 - |a|^2) / (1 - conj(a) z)^2
+        return ScaledKernel(self.dim, self.axis, self.a, 2.0,
+                            self.phase * (1.0 - abs(self.a) ** 2))
 
     def taylor(self, m):
         # (z - a)/(1 - conj(a) z) = -a + (1 - |a|^2) sum_{j>=1} conj(a)^{j-1} z^j
@@ -311,38 +313,6 @@ class MoebiusFactor(HoloFunction):
 
     def __repr__(self):
         return f"MoebiusFactor(axis={self.axis}, a={self.a}, theta={self.theta})"
-
-
-class _MoebiusDerivative(HoloFunction):
-    """Order-m derivative of a MoebiusFactor: e^{i theta} (1-|a|^2) m! conj(a)^{m-1} / (1 - conj(a) z)^{m+1}."""
-
-    def __init__(self, dim, axis, a, theta, order):
-        self.dim = int(dim)
-        self.axis = int(axis)
-        self.a = complex(a)
-        self.theta = float(theta)
-        self.order = int(order)
-
-    def _front(self) -> complex:
-        return (np.exp(1j * self.theta) * (1.0 - abs(self.a) ** 2)
-                * math.factorial(self.order) * np.conj(self.a) ** (self.order - 1))
-
-    def val(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        den = 1.0 - np.conj(self.a) * Z[..., self.axis]
-        return self._front() / den ** (self.order + 1)
-
-    def partial(self, axis):
-        self._check_axis(axis)
-        if axis != self.axis:
-            return Const(0.0, self.dim)
-        return _MoebiusDerivative(self.dim, self.axis, self.a, self.theta, self.order + 1)
-
-    def taylor(self, m):
-        base = MoebiusFactor(self.dim, self.axis, self.a, self.theta).taylor(m + self.order)
-        for _ in range(self.order):
-            base = base.partial(self.axis)
-        return base
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .holo import HoloFunction, Series, subtract
+from .holo import HoloFunction, subtract
 from .polydisk import one_minus_sq
-from .sampling import NormEstimate, SamplingPlan, estimate_supremum, maximise, stratified_grid
+from .sampling import (REFINE_SHRINK, NormEstimate, SamplingPlan, estimate_supremum,
+                       maximise, stratified_grid)
 
 _PAIR_SEPARATION_FLOOR = 1e-14
 _SHORT_DELTAS = (1e-2, 1e-4)
@@ -94,17 +95,13 @@ def pointeval_bound(p: float, Z) -> np.ndarray:
 
 
 def little_bloch_gap(f: HoloFunction, p: float, m: int,
-                     plan: SamplingPlan | None = None,
-                     truncation: Series | None = None) -> float:
-    """Measured p-Bloch distance from f to its degree-m truncation.
-
-    Uses f.taylor(m) unless an explicit polynomial is supplied; raises
-    TruncationUnavailableError for representations without one.
+                     plan: SamplingPlan | None = None) -> float:
+    """Measured p-Bloch distance from f to its degree-m Taylor polynomial f.taylor(m);
+    raises TruncationUnavailableError for representations without one.
     """
     if m < 0:
         raise ValueError("truncation degree must be nonnegative")
-    poly = truncation if truncation is not None else f.taylor(m)
-    return bloch_norm_estimate(subtract(f, poly), p, plan).value
+    return bloch_norm_estimate(subtract(f, f.taylor(m)), p, plan).value
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +191,7 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
         if cl2.size:
             batches_l.append(cl2)
             batches_r.append(cr2)
-        box *= plan.shrink
+        box *= REFINE_SHRINK
         return np.concatenate(batches_l), np.concatenate(batches_r)
 
     base = abs(f.value(np.zeros(dim, dtype=complex)))

@@ -22,6 +22,7 @@ import numpy as np
 from .polydisk import complex_pairs
 
 PLATEAU_RTOL = 1e-3
+REFINE_SHRINK = 0.5
 _TINY = 1e-300
 
 
@@ -31,7 +32,7 @@ class SamplingPlan:
 
     radial_levels: radii r_i = 1 - 2^{-i} for i = 0..radial_levels.
     angular_count: target points per torus circle / per radial stratum.
-    max_rounds / shrink: local refinement rounds and box shrink factor.
+    max_rounds: local refinement rounds (each shrinks the box by REFINE_SHRINK).
     budget: overall cap on density evaluations for one estimate.
     seed: jitter seed; fixed seed means reproducible estimates.
     """
@@ -39,15 +40,12 @@ class SamplingPlan:
     radial_levels: int = 14
     angular_count: int = 64
     max_rounds: int = 12
-    shrink: float = 0.5
     budget: int = 60_000
     seed: int = 0
 
     def __post_init__(self):
         if self.radial_levels < 0 or self.angular_count < 1:
             raise ValueError("radial_levels must be >= 0 and angular_count >= 1")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink factor must lie in (0, 1)")
         if self.budget < 1:
             raise ValueError("budget must be positive")
 
@@ -66,7 +64,7 @@ class SamplingPlan:
 
     def to_json(self) -> dict:
         return {"radial_levels": self.radial_levels, "angular_count": self.angular_count,
-                "max_rounds": self.max_rounds, "shrink": self.shrink,
+                "max_rounds": self.max_rounds,
                 "budget": self.budget, "seed": self.seed}
 
 
@@ -226,8 +224,8 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
         r = w_r[None, :] + dr[None, :] * (2.0 * rng.random((n_refine, dim)) - 1.0)
         np.clip(r, 0.0, r_cap, out=r)
         t = w_t[None, :] + dt[None, :] * (2.0 * rng.random((n_refine, dim)) - 1.0)
-        dr *= plan.shrink
-        dt *= plan.shrink
+        dr *= REFINE_SHRINK
+        dt *= REFINE_SHRINK
         return (r * np.exp(1j * t),)
 
     return maximise(density_fn, [((Z,), levels)], propose, plan, base=base)

@@ -30,7 +30,7 @@ from .norms import (
 from .oracle import derivative_results, uniform_points
 from .polydisk import Direction, PolydiskPoint, bergman_metric, boundary_distance, segment_point
 from .sampling import SamplingPlan
-from .testfuncs import family_norm_bound, make_f, make_g, make_h, tail_bound, truncate_test
+from .testfuncs import family_norm_bound, make_f, make_g, make_h, tail_bound
 
 
 @dataclass
@@ -289,7 +289,7 @@ def family_truncation_tails(dim: int = 2, plan: SamplingPlan | None = None) -> S
     worst, witness = -np.inf, ""
     for m in (2, 4, 8, 16):
         t = make_g(0, w, p, dim)
-        gap = little_bloch_gap(t, p, m, plan, truncation=truncate_test(t, m))
+        gap = little_bloch_gap(t, p, m, plan)
         excess = gap - tail_bound(p, w, m) - 1e-6
         if excess > worst:
             worst, witness = excess, f"m={m}"

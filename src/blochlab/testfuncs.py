@@ -6,11 +6,13 @@ For an exponent p > 0, a coordinate axis l, and a disk parameter |w| < 1:
   family 'g': the kernel power    (1 - |w|^2) / (1 - z_l conj(w))^p,
   family 'h': the weighted kernel (z_0 + 2) (1 - |w|^2)^{p-1} g  (l != 0).
 
-Each carries exact closed-form first partials, a uniform-in-w p-Bloch norm
-bound, a degree-indexed polynomial truncation, and an explicit bound on the
-truncation tail.  The family-'f' value is computed from its power series
-(adaptive truncation to relative 1e-14); the closed-form antiderivative is
-reserved for the independent oracle.
+Each member holds one `holo.ScaledKernel`, scale / (1 - conj(w) z_l)^p, and
+takes its exact partials and its degree-indexed Taylor polynomial from that
+kernel's; the module adds a uniform-in-w p-Bloch norm bound and an explicit
+bound on the truncation tail.  The 'g' and 'h' values are the kernel's value
+(times z_0 + 2 for 'h').  The family-'f' value is computed from its power
+series (adaptive truncation to relative 1e-14); the closed-form
+antiderivative is reserved for the independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .holo import (
     Product,
     ScaledKernel,
     Series,
-    rising_factorial_coeffs,
 )
 from .polydisk import complex_pair
 
@@ -34,13 +35,11 @@ _SERIES_MAX_TERMS = 200_000
 FAMILIES = ("f", "g", "h")
 
 
-def _check_params(family: str, axis: int, w: complex, p: float, dim: int):
+def _check_params(family: str, axis: int, p: float, dim: int):
     if family not in FAMILIES:
         raise ValueError(f"unknown test-function family {family!r}")
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
-    if abs(w) >= 1.0:
-        raise EvaluationDomainError(f"parameter must satisfy |w| < 1, got |w| = {abs(w)}")
     if not 0 <= axis < dim:
         raise ValueError(f"axis must lie in [0, {dim - 1}], got {axis}")
     if family == "h":
@@ -70,54 +69,65 @@ def _antiderivative_series(zl: np.ndarray, w: complex, p: float) -> np.ndarray:
 
 
 class TestFunction(HoloFunction):
-    """One member of the three extremal families, with stored exact partials."""
+    """One member of the three extremal families, built on the kernel
+    scale / (1 - conj(w) z_l)^p: 'g' is the kernel (scale 1 - |w|^2), 'h' is
+    z_0 + 2 times it (scale (1 - |w|^2)^p), 'f' its antiderivative (scale 1)."""
 
     __test__ = False  # not a pytest collectible despite the name
 
     def __init__(self, family: str, axis: int, w: complex, p: float, dim: int):
-        _check_params(family, axis, w, p, dim)
+        _check_params(family, axis, p, dim)
         self.family = family
         self.axis = int(axis)
         self.w = complex(w)
         self.p = float(p)
         self.dim = int(dim)
-        self._stored = self._build_partials()
-
-    def _build_partials(self) -> list:
-        n, l, w, p = self.dim, self.axis, self.w, self.p
-        one_minus_w2 = 1.0 - abs(w) ** 2
-        parts: list[HoloFunction] = [Const(0.0, n) for _ in range(n)]
-        if self.family == "f":
-            parts[l] = ScaledKernel(n, l, w, p, 1.0)
-        elif self.family == "g":
-            parts[l] = ScaledKernel(n, l, w, p + 1.0, p * np.conj(w) * one_minus_w2)
-        else:
-            front = one_minus_w2 ** p
-            parts[0] = ScaledKernel(n, l, w, p, front)
-            affine = Series({(0,) * n: 2.0, _unit(n, 0): 1.0}, n)
-            parts[l] = Product(affine, ScaledKernel(n, l, w, p + 1.0, p * np.conj(w) * front))
-        return parts
+        one_minus_w2 = 1.0 - abs(self.w) ** 2
+        scale = {"f": 1.0, "g": one_minus_w2, "h": one_minus_w2 ** self.p}[family]
+        self.kernel = ScaledKernel(self.dim, self.axis, self.w, self.p, scale)
+        if family == "h":
+            self.affine = Series({(0,) * self.dim: 2.0}, self.dim).add(
+                Series.coordinate(0, self.dim))
 
     def val(self, Z):
         Z = np.asarray(Z, dtype=complex)
-        zl = Z[..., self.axis]
         if self.family == "f":
-            return _antiderivative_series(zl, self.w, self.p)
-        den = 1.0 - zl * np.conj(self.w)
-        if np.any(np.abs(den) < 1e-12):
-            raise EvaluationDomainError(
-                "test function evaluated too close to its kernel singularity")
-        one_minus_w2 = 1.0 - abs(self.w) ** 2
+            return _antiderivative_series(Z[..., self.axis], self.w, self.p)
         if self.family == "g":
-            return one_minus_w2 * den ** (-self.p)
-        return (Z[..., 0] + 2.0) * one_minus_w2 ** self.p * den ** (-self.p)
+            return self.kernel.val(Z)
+        return (Z[..., 0] + 2.0) * self.kernel.val(Z)
 
     def partial(self, axis):
         self._check_axis(axis)
-        return self._stored[axis]
+        if self.family == "g":
+            return self.kernel.partial(axis)
+        if self.family == "f":
+            return self.kernel if axis == self.axis else Const(0.0, self.dim)
+        if axis == 0:
+            return self.kernel
+        if axis == self.axis:
+            return Product(self.affine, self.kernel.partial(axis))
+        return Const(0.0, self.dim)
 
     def taylor(self, m):
-        return truncate_test(self, m)
+        """The degree-indexed polynomial partial sum of the family's expansion.
+
+        family 'f': sum_{j<=m} c_j conj(w)^j z_l^{j+1} / (j+1)
+        family 'g': (1-|w|^2)     sum_{j<=m} c_j (conj(w) z_l)^j
+        family 'h': (z_0+2) (1-|w|^2)^p sum_{j<=m} c_j (conj(w) z_l)^j
+        """
+        if m < 0:
+            raise ValueError("truncation index must be nonnegative")
+        poly = self.kernel.taylor(m)
+        if self.family == "g":
+            return poly
+        if self.family == "h":
+            return self.affine.mul(poly)
+        l = self.axis
+        out = {}
+        for e, c in poly.coeffs.items():
+            out[e[:l] + (e[l] + 1,) + e[l + 1:]] = c / (e[l] + 1)
+        return Series(out, self.dim)
 
     def to_json(self) -> dict:
         return {"type": "testfn", "family": self.family, "l": self.axis,
@@ -126,12 +136,6 @@ class TestFunction(HoloFunction):
     def __repr__(self):
         return (f"TestFunction({self.family!r}, axis={self.axis}, "
                 f"w={self.w}, p={self.p}, dim={self.dim})")
-
-
-def _unit(dim: int, axis: int) -> tuple:
-    e = [0] * dim
-    e[axis] = 1
-    return tuple(e)
 
 
 def make_f(axis: int, w: complex, p: float, dim: int) -> TestFunction:
@@ -157,37 +161,6 @@ def family_norm_bound(family: str, p: float) -> float:
     if family == "h":
         return 2.0 + 2.0 ** p + 3.0 * p * 2.0 ** (p + 1.0)
     raise ValueError(f"unknown test-function family {family!r}")
-
-
-def truncate_test(t: TestFunction, m: int) -> Series:
-    """The degree-indexed polynomial partial sum of the family's expansion.
-
-    family 'f': sum_{j<=m} c_j conj(w)^j z_l^{j+1} / (j+1)
-    family 'g': (1-|w|^2)     sum_{j<=m} c_j (conj(w) z_l)^j
-    family 'h': (z_0+2) (1-|w|^2)^p sum_{j<=m} c_j (conj(w) z_l)^j
-    """
-    if m < 0:
-        raise ValueError("truncation index must be nonnegative")
-    n, l, w, p = t.dim, t.axis, t.w, t.p
-    c = rising_factorial_coeffs(p, m + 1)
-    wbar = np.conj(w)
-    coeffs: dict = {}
-    if t.family == "f":
-        for j in range(m + 1):
-            e = [0] * n
-            e[l] = j + 1
-            coeffs[tuple(e)] = c[j] * wbar ** j / (j + 1)
-        return Series(coeffs, n)
-    front = (1.0 - abs(w) ** 2) ** (p if t.family == "h" else 1.0)
-    for j in range(m + 1):
-        e = [0] * n
-        e[l] = j
-        coeffs[tuple(e)] = front * c[j] * wbar ** j
-    base = Series(coeffs, n)
-    if t.family == "g":
-        return base
-    affine = Series({(0,) * n: 2.0, _unit(n, 0): 1.0}, n)
-    return affine.mul(base)
 
 
 def tail_bound(p: float, w: complex, m: int) -> float:

@@ -220,6 +220,13 @@ class TestClassify:
         assert report.compact.verdict == "fails"
         assert report.routes["metric-expansion"].verdict == "fails"
 
+    def test_metric_expansion_samples_whole_grid(self):
+        # the squared top singular value nears 2 by the torus (a dense uniform
+        # grid reaches 1.9997); the first 2048 points of the level-ordered
+        # grid all have |z_1| <= 0.75 and stop at 1.5625
+        report = classify(product_map(), 1.0, 1.0, PLAN)
+        assert report.routes["metric-expansion"].detail["max_expansion"] > 1.9
+
     def test_constant_map_compact(self):
         report = classify(constant_map([0.2, 0.1]), 1.0, 1.0, PLAN)
         assert report.bounded.verdict == "holds"

@@ -1,5 +1,7 @@
 """Holomorphic representations: evaluation, exact partials, composition, certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,19 @@ class TestPartial:
         # cross-check by test-local finite differences at a second point
         z = [0.2 + 0.1j]
         assert m.partial(0).value(z) == pytest.approx(fd_partial(m, z, 0), rel=1e-7)
+
+    def test_moebius_factor_higher_derivatives_closed_form(self):
+        # order-m derivative: e^{i theta} (1-|a|^2) m! conj(a)^{m-1} / (1 - conj(a) z)^{m+1}
+        a, theta = 0.45 - 0.3j, 0.8
+        m = MoebiusFactor(2, 1, a, theta)
+        d2 = m.partial(1).partial(1)
+        d3 = d2.partial(1)
+        for z in ([0.1, 0.0], [0.3j, -0.5 + 0.2j], [0.0, 0.9 * np.exp(0.4j)]):
+            for order, d in ((2, d2), (3, d3)):
+                closed = (np.exp(1j * theta) * (1 - abs(a) ** 2) * math.factorial(order)
+                          * np.conj(a) ** (order - 1) / (1 - np.conj(a) * z[1]) ** (order + 1))
+                assert d.value(z) == pytest.approx(closed, rel=1e-13)
+        assert d2.partial(0).value([0.1, 0.2]) == 0
 
     def test_gradient(self):
         def gradient(f, z):

@@ -3,7 +3,8 @@
 Walks the syntax trees of src/blochlab and fails on an import a module never
 uses, or on a defaulted parameter of a public function that no call in src/,
 tests/ or bench/ passes: such an option is fixed by construction and belongs
-in the code as a constant.  Calls are matched by the callee's name, so a
+in the code as a constant.  The defaulted fields of a public @dataclass count
+as parameters of the class call.  Calls are matched by the callee's name, so a
 parameter counts as passed when any call of that name passes it.
 """
 
@@ -45,6 +46,32 @@ def _public_functions(tree):
                     yield node.name, item, 1
                 elif not item.name.startswith("_"):
                     yield item.name, item, 0 if static else 1
+
+
+def _is_dataclass(cls):
+    for d in cls.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if isinstance(d, ast.Name) and d.id == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree):
+    """(class name, field, positional index) of each defaulted field of a public
+    @dataclass with no __init__ of its own, whose generated __init__ takes
+    every field as a parameter, in order."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                and _is_dataclass(node)):
+            continue
+        if any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+               for item in node.body):
+            continue
+        fields = [item for item in node.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        for i, item in enumerate(fields):
+            if item.value is not None:
+                yield node.name, item.target.id, i
 
 
 def _defaulted(fn, skip):
@@ -92,12 +119,14 @@ def test_every_defaulted_parameter_is_passed():
     calls = _calls()
     never = []
     for module, tree in _modules().items():
-        for call_name, fn, skip in _public_functions(tree):
-            for param, index in _defaulted(fn, skip):
-                passed = any(
-                    param in keywords or star_kw
-                    or (index is not None and (n_pos > index or star))
-                    for n_pos, star, keywords, star_kw in calls.get(call_name, []))
-                if not passed:
-                    never.append(f"{module}: {call_name}({param})")
+        params = [(call_name, param, index)
+                  for call_name, fn, skip in _public_functions(tree)
+                  for param, index in _defaulted(fn, skip)]
+        for call_name, param, index in params + list(_dataclass_fields(tree)):
+            passed = any(
+                param in keywords or star_kw
+                or (index is not None and (n_pos > index or star))
+                for n_pos, star, keywords, star_kw in calls.get(call_name, []))
+            if not passed:
+                never.append(f"{module}: {call_name}({param})")
     assert not never, "defaulted parameters no call passes: " + ", ".join(never)

@@ -1,4 +1,6 @@
-"""The three extremal families: values, stored partials, bounds, truncations, tails."""
+"""The three extremal families: values, kernel partials, bounds, truncations, tails."""
+
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from blochlab.testfuncs import (
     make_g,
     make_h,
     tail_bound,
-    truncate_test,
 )
 
 PLAN = SamplingPlan(seed=11)
@@ -144,23 +145,36 @@ class TestTruncation:
     def test_antiderivative_zero_parameter(self):
         t = make_f(1, 0.0, 1.0, 2)
         for m in (1, 3, 7):
-            poly = truncate_test(t, m)
+            poly = t.taylor(m)
             assert poly.coeffs == {(0, 1): 1.0 + 0j}
 
     def test_kernel_order_zero(self):
         t = make_g(0, 0.5, 1.0, 1)
-        poly = truncate_test(t, 0)
+        poly = t.taylor(0)
         assert poly.coeffs == {(0,): 0.75 + 0j}
 
     def test_weighted_kernel_order_zero(self):
         t = make_h(1, 0.0, 1.0, 2)
-        poly = truncate_test(t, 0)
+        poly = t.taylor(0)
         assert poly.coeffs == {(0, 0): 2.0 + 0j, (1, 0): 1.0 + 0j}
+
+    def test_kernel_taylor_coefficients(self):
+        # (1-|w|^2) / (1 - conj(w) z)^p = (1-|w|^2) sum_j Gamma(p+j)/(Gamma(p) j!) conj(w)^j z^j
+        w, p = 0.6 - 0.3j, 1.5
+        t = make_g(1, w, p, 2)
+        for m in (0, 3):
+            expected = {(0, j): (1 - abs(w) ** 2) * math.gamma(p + j)
+                        / (math.gamma(p) * math.factorial(j)) * np.conj(w) ** j
+                        for j in range(m + 1)}
+            poly = t.taylor(m)
+            assert poly.coeffs.keys() == expected.keys()
+            for e, c in expected.items():
+                assert poly.coeffs[e] == pytest.approx(c, rel=1e-14)
 
     def test_truncation_converges_to_member(self):
         t = make_g(0, 0.5, 1.0, 1)
         z = [0.4 - 0.3j]
-        errs = [abs(truncate_test(t, m).value(z) - t.value(z)) for m in (2, 6, 14)]
+        errs = [abs(t.taylor(m).value(z) - t.value(z)) for m in (2, 6, 14)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-6
 
@@ -197,7 +211,7 @@ class TestTailBound:
     def test_gap_below_tail(self):
         t = make_g(0, 0.5, 1.0, 2)
         for m in (2, 4, 8):
-            gap = little_bloch_gap(t, 1.0, m, PLAN, truncation=truncate_test(t, m))
+            gap = little_bloch_gap(t, 1.0, m, PLAN)
             assert gap <= tail_bound(1.0, 0.5, m) + 1e-6
 
 
