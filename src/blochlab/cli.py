@@ -28,15 +28,15 @@ from .testfuncs import TestFunction
 
 
 def _plan_options(fn):
-    fn = click.option("--levels", type=int, default=14, show_default=True,
-                      help="Radial levels (radii 1 - 2^-i).")(fn)
-    fn = click.option("--angles", type=int, default=64, show_default=True,
-                      help="Points per torus circle / stratum.")(fn)
-    fn = click.option("--rounds", type=int, default=12, show_default=True,
-                      help="Local refinement rounds.")(fn)
-    fn = click.option("--budget", type=int, default=60_000, show_default=True,
-                      help="Evaluation budget per estimate.")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
+    fn = click.option("--levels", type=int, default=SamplingPlan.radial_levels,
+                      show_default=True, help="Radial levels (radii 1 - 2^-i).")(fn)
+    fn = click.option("--angles", type=int, default=SamplingPlan.angular_count,
+                      show_default=True, help="Points per torus circle / stratum.")(fn)
+    fn = click.option("--rounds", type=int, default=SamplingPlan.max_rounds,
+                      show_default=True, help="Local refinement rounds.")(fn)
+    fn = click.option("--budget", type=int, default=SamplingPlan.budget,
+                      show_default=True, help="Evaluation budget per estimate.")(fn)
+    fn = click.option("--seed", type=int, default=SamplingPlan.seed, show_default=True)(fn)
     return fn
 
 

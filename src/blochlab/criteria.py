@@ -41,9 +41,9 @@ from .norms import (
     lipschitz_norm_estimate,
     little_bloch_gap,
 )
-from .polydisk import complex_pair, complex_pairs, one_minus_sq
+from .polydisk import complex_pair, complex_pairs, multi_indices_up_to, one_minus_sq
 from .reports import SCHEMA_VERSION
-from .sampling import NormEstimate, SamplingPlan, estimate_supremum
+from .sampling import NormEstimate, SamplingPlan, estimate_supremum, stratified_grid
 from .testfuncs import make_f, make_g, make_h
 
 PLATEAU_RTOL = 1e-3
@@ -471,8 +471,6 @@ def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
     supremum plateaus.  The degree cap is a finite surrogate for the full
     multi-index family and is recorded as such.
     """
-    from .polydisk import multi_indices_up_to
-
     _require_certified(phi)
     plan = plan if plan is not None else SamplingPlan()
     m0 = max(4 * degree_cap, 1)
@@ -678,10 +676,7 @@ def _coordinate_paths(phi: HoloSelfMap, seed: int) -> list[BoundaryPath]:
 def _metric_expansion_route(phi: HoloSelfMap, plan: SamplingPlan) -> Verdict:
     """Sample the smallest squared singular value of the weighted Jacobian; a
     uniform positive floor is non-compactness evidence for p >= 1, q <= 1."""
-    rng = np.random.default_rng(plan.seed)
-    from .sampling import stratified_grid
-
-    Z, _ = stratified_grid(phi.dim, plan, rng)
+    Z, _ = stratified_grid(phi.dim, plan, np.random.default_rng(plan.seed))
     # an even stride: the grid is ordered by radial-level combination
     s = weighted_jacobian_singular_values(phi, Z[::max(1, len(Z) // 2048)])
     smin = float(np.min(s[..., -1] ** 2))

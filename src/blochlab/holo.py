@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polydisk import as_coords
+from .sampling import SamplingPlan, stratified_grid
 
 # compose normalizes a polynomial composite to a Series only up to this degree
 DEGREE_CAP = 64
@@ -539,8 +540,6 @@ def certify_self_map(phi: HoloSelfMap, plan=None) -> SelfMapCertificate:
             cert = SelfMapCertificate("coefficients", evidence=float(max(sums, default=0.0)))
             phi.certificate = cert
             return cert
-
-    from .sampling import SamplingPlan, stratified_grid
 
     plan = plan if plan is not None else SamplingPlan()
     Z, _ = stratified_grid(phi.dim, plan)

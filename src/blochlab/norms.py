@@ -118,22 +118,18 @@ def _pair_quotients(f: HoloFunction, p: float, Zl: np.ndarray, Zr: np.ndarray) -
 
 
 def _coordinate_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Short-separation partners z + delta * phase * e_k, kept inside the closed polydisk."""
-    dim = points.shape[-1]
+    """Short-separation partners z + delta * phase * e_k, kept inside the closed polydisk.
+
+    Pairs come in (point, axis, delta, phase) order.
+    """
     phases = np.exp(1j * np.pi / 2.0 * np.arange(4))
-    left, right = [], []
-    for z in points:
-        for k in range(dim):
-            for delta in _SHORT_DELTAS:
-                for ph in phases:
-                    w = z.copy()
-                    w[k] = w[k] + delta * ph
-                    if abs(w[k]) < 1.0:
-                        left.append(z)
-                        right.append(w)
-    if not left:
-        return (np.empty((0, dim), dtype=complex),) * 2
-    return np.array(left), np.array(right)
+    steps = (np.asarray(_SHORT_DELTAS)[:, None] * phases).ravel()
+    moved = points[:, :, None] + steps
+    row, axis, step = np.nonzero(np.abs(moved) < 1.0)
+    left = points[row]
+    right = left.copy()
+    right[np.arange(row.size), axis] = moved[row, axis, step]
+    return left, right
 
 
 def _grid_pairs(dim: int, plan: SamplingPlan, rng: np.random.Generator):

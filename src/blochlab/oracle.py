@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .holo import HoloFunction
+from .norms import bloch_norm_estimate, timoney_q_fn
 from .polydisk import one_minus_sq
+from .sampling import SamplingPlan
 from .testfuncs import TestFunction
 
 FD_STEP = 1e-5
@@ -140,8 +142,6 @@ def sup_results(fns: list, p: float, plan, count: int = 20_000,
                 seed: int = 0) -> list[OracleResult]:
     """Uniform-grid norm vs the refined primary estimate.  The refined value
     must contain the plain one from above (refinement only adds candidates)."""
-    from .norms import bloch_norm_estimate
-
     out = []
     for i, f in enumerate(fns):
         primary = bloch_norm_estimate(f, p, plan).value
@@ -157,8 +157,6 @@ def sup_results(fns: list, p: float, plan, count: int = 20_000,
 def q_seminorm_results(fns: list, count: int = 200, seed: int = 0) -> list[OracleResult]:
     """Closed-form Q seminorm vs direct maximization over random directions.
     The direct value can only undershoot; it must never exceed the closed form."""
-    from .norms import timoney_q_fn
-
     out = []
     for i, f in enumerate(fns):
         Z = uniform_points(f.dim, count, seed + i, rmax=0.8)
@@ -190,8 +188,6 @@ def antiderivative_results(members: list, count: int = 500,
 
 def run_oracle(fns: list, p: float = 1.0, plan=None, seed: int = 0,
                derivative_count: int = 1000, sup_count: int = 20_000) -> list[OracleResult]:
-    from .sampling import SamplingPlan
-
     plan = plan if plan is not None else SamplingPlan(seed=seed)
     results = derivative_results(fns, count=derivative_count, seed=seed)
     results += sup_results(fns, p, plan, count=sup_count, seed=seed)

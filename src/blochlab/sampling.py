@@ -14,7 +14,6 @@ plateaued.  Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,35 +108,31 @@ def stratified_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator | Non
     """Sample points of U^dim stratified over radial-level combinations.
 
     Returns (Z, levels): Z of shape (N, dim) complex, levels of shape (N,)
-    holding each point's outermost radial level index.
+    holding each point's outermost radial level index.  Every combination of
+    radial levels (in lexicographic order, last axis fastest) gets
+    per = min(angular_count, budget // combinations) points; the first
+    coordinate's angles are stratified into per equal arcs.  When the
+    combinations outnumber plan.budget, plan.budget combinations are drawn at
+    random first, one point each (per = 1).  The angles come from one draw
+    of shape (combinations, per * (dim + 1)): per combination, the per * dim
+    angles in row-major (point, axis) order, then the per first-coordinate
+    jitters.  Seeded reports depend on this layout.
     """
     rng = rng if rng is not None else np.random.default_rng(plan.seed)
     radii = plan.radii()
     nlev = radii.size
-    n_combos = nlev ** dim
-
-    if n_combos > plan.budget:
-        combo = rng.integers(0, nlev, size=(plan.budget, dim))
-        r = radii[combo]
-        theta = 2.0 * np.pi * rng.random((plan.budget, dim))
-        Z = r * np.exp(1j * theta)
-        levels = combo.max(axis=1)
-        return Z, levels
-
-    per = max(1, min(plan.angular_count, plan.budget // n_combos))
-    combos = np.array(list(itertools.product(range(nlev), repeat=dim)), dtype=int)
-    blocks = []
-    level_blocks = []
-    for combo in combos:
-        r = radii[combo]
-        theta = 2.0 * np.pi * rng.random((per, dim))
-        # stratify the first coordinate's angle so circles get even coverage
-        theta[:, 0] = 2.0 * np.pi * (np.arange(per) + rng.random(per)) / per
-        blocks.append(r[None, :] * np.exp(1j * theta))
-        level_blocks.append(np.full(per, combo.max(), dtype=int))
-    Z = np.concatenate(blocks, axis=0)
-    levels = np.concatenate(level_blocks, axis=0)
-    return Z, levels
+    if nlev ** dim > plan.budget:
+        combos = rng.integers(0, nlev, size=(plan.budget, dim))
+        per = 1
+    else:
+        combos = np.indices((nlev,) * dim).reshape(dim, -1).T
+        per = min(plan.angular_count, plan.budget // len(combos))
+    n = len(combos)
+    u = rng.random((n, per * (dim + 1)))
+    theta = 2.0 * np.pi * u[:, :per * dim].reshape(n, per, dim)
+    theta[:, :, 0] = 2.0 * np.pi * (np.arange(per) + u[:, per * dim:]) / per
+    Z = (radii[combos][:, None, :] * np.exp(1j * theta)).reshape(n * per, dim)
+    return Z, np.repeat(combos.max(axis=1), per)
 
 
 def maximise(score, batches, propose, plan: SamplingPlan,
@@ -163,16 +158,13 @@ def maximise(score, batches, propose, plan: SamplingPlan,
         if witness is None or float(vals[i]) > best:
             best, witness = float(vals[i]), tuple(a[i].copy() for a in cand)
 
-    level_max = [0.0] * (plan.radial_levels + 1)
+    level_max = np.zeros(plan.radial_levels + 1)
     for cand, levels in batches:
         vals = np.asarray(score(*cand), dtype=float)
         offer(cand, vals)
         if levels is not None:
-            for i in range(len(level_max)):
-                mask = levels == i
-                if np.any(mask):
-                    level_max[i] = max(level_max[i], float(vals[mask].max()))
-    level_trace = list(itertools.accumulate(level_max, max))
+            np.maximum.at(level_max, levels, vals)
+    level_trace = np.maximum.accumulate(level_max).tolist()
 
     trace = [best]
     for _ in range(plan.max_rounds):
@@ -212,14 +204,12 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
         w_r = np.abs(w)
         w_t = np.angle(w)
         if dr is None:
-            # initial polar box: bracket of neighboring radial levels around the witness
-            dr = np.empty(dim)
-            for k in range(dim):
-                below = radii[radii < w_r[k] - 1e-15]
-                above = radii[radii > w_r[k] + 1e-15]
-                lo = below.max() if below.size else 0.0
-                hi = above.min() if above.size else r_cap
-                dr[k] = max(hi - w_r[k], w_r[k] - lo, 1e-6)
+            # initial polar box: bracket of neighboring radial levels around the
+            # witness; radii[0] == 0 and radii[-1] == r_cap close the bracket at the ends
+            lo = radii[np.maximum(np.searchsorted(radii, w_r - 1e-15) - 1, 0)]
+            hi = radii[np.minimum(np.searchsorted(radii, w_r + 1e-15, side="right"),
+                                  radii.size - 1)]
+            dr = np.maximum(np.maximum(hi - w_r, w_r - lo), 1e-6)
             dt = np.full(dim, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
         r = w_r[None, :] + dr[None, :] * (2.0 * rng.random((n_refine, dim)) - 1.0)
         np.clip(r, 0.0, r_cap, out=r)

@@ -24,10 +24,11 @@ from .norms import (
     bloch_density_fn,
     bloch_norm_estimate,
     lipschitz_norm_estimate,
+    little_bloch_gap,
     pointeval_bound,
     timoney_q_fn,
 )
-from .oracle import derivative_results, uniform_points
+from .oracle import derivative_results, fd_gradient, uniform_points
 from .polydisk import Direction, PolydiskPoint, bergman_metric, boundary_distance, segment_point
 from .sampling import SamplingPlan
 from .testfuncs import family_norm_bound, make_f, make_g, make_h, tail_bound
@@ -121,8 +122,6 @@ def chain_rule_identity(phi_corpus, fns) -> SuiteRow:
     """Structural partials of f o phi match the explicit chain-rule sum (to
     tol) and finite differences of the composed values (to fd_tol; this
     second route catches a corrupted stored derivative)."""
-    from .oracle import fd_gradient
-
     tol, fd_tol = 1e-12, 1e-6
     worst, witness = 0.0, ""
     for name, phi in phi_corpus:
@@ -282,8 +281,6 @@ def family_f_density_identity(dim: int = 2) -> SuiteRow:
 
 
 def family_truncation_tails(dim: int = 2, plan: SamplingPlan | None = None) -> SuiteRow:
-    from .norms import little_bloch_gap
-
     plan = plan if plan is not None else SamplingPlan()
     p, w = 1.0, 0.5
     worst, witness = -np.inf, ""

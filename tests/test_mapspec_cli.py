@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from blochlab import mapspec
 from blochlab.cli import main
+from blochlab.sampling import SamplingPlan
 from blochlab.testfuncs import make_g
 
 IDENTITY_2 = {
@@ -107,8 +108,7 @@ class TestCLI:
         out = tmp_path / "c.json"
         csv_out = tmp_path / "c.csv"
         res = self.run("classify", "--spec", str(spec), "--p", "1.0", "--q", "1.0",
-                       "--out-json", str(out), "--out-csv", str(csv_out),
-                       "--budget", "20000")
+                       "--out-json", str(out), "--out-csv", str(csv_out))
         assert res.exit_code == 0
         assert "bounded: holds" in res.output
         assert "compact: fails" in res.output
@@ -116,6 +116,7 @@ class TestCLI:
         assert data["schema_version"] == 2
         run = data["payload"]["runs"][0]["report"]
         assert run["sup_estimate"]["sup"] == pytest.approx(2.0, abs=1e-9)
+        assert run["plan"] == SamplingPlan().to_json()
         header = csv_out.read_text().splitlines()[0]
         assert header == "sample_index,z,density,path_id,verdict"
 

@@ -1,0 +1,125 @@
+"""The broadcast sampler against its loop references.
+
+`stratified_grid`, `norms._coordinate_pairs` and the per-level trace of
+`maximise` are array expressions; the loops below are the per-combination,
+per-pair and per-level versions they replace.  The grid must match its
+reference bit for bit and leave the generator in the same state, because
+estimators keep drawing from it after the grid.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from blochlab.norms import _SHORT_DELTAS, _coordinate_pairs
+from blochlab.sampling import SamplingPlan, maximise, stratified_grid
+
+PLANS = [SamplingPlan(), SamplingPlan().doubled(),
+         SamplingPlan(radial_levels=6, angular_count=16, budget=4000, seed=3)]
+
+
+def loop_grid(dim, plan, rng):
+    """Reference: one draw of angles and one of first-coordinate jitters per combination."""
+    radii = plan.radii()
+    nlev = radii.size
+    per = max(1, min(plan.angular_count, plan.budget // nlev ** dim))
+    blocks, level_blocks = [], []
+    for combo in itertools.product(range(nlev), repeat=dim):
+        r = radii[list(combo)]
+        theta = 2.0 * np.pi * rng.random((per, dim))
+        theta[:, 0] = 2.0 * np.pi * (np.arange(per) + rng.random(per)) / per
+        blocks.append(r[None, :] * np.exp(1j * theta))
+        level_blocks.append(np.full(per, max(combo), dtype=int))
+    return np.concatenate(blocks, axis=0), np.concatenate(level_blocks, axis=0)
+
+
+def loop_coordinate_pairs(points):
+    """Reference: every (point, axis, delta, phase) partner that stays inside."""
+    dim = points.shape[-1]
+    phases = np.exp(1j * np.pi / 2.0 * np.arange(4))
+    left, right = [], []
+    for z in points:
+        for k in range(dim):
+            for delta in _SHORT_DELTAS:
+                for ph in phases:
+                    w = z.copy()
+                    w[k] = w[k] + delta * ph
+                    if abs(w[k]) < 1.0:
+                        left.append(z)
+                        right.append(w)
+    if not left:
+        return (np.empty((0, dim), dtype=complex),) * 2
+    return np.array(left), np.array(right)
+
+
+def assert_grid_matches_loop(dim, plan):
+    rng, ref_rng = np.random.default_rng(plan.seed), np.random.default_rng(plan.seed)
+    Z, levels = stratified_grid(dim, plan, rng)
+    Z_ref, levels_ref = loop_grid(dim, plan, ref_rng)
+    assert Z.shape == Z_ref.shape
+    np.testing.assert_array_equal(Z.view(float), Z_ref.view(float))
+    np.testing.assert_array_equal(levels, levels_ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=["default", "doubled", "small"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_grid_is_bit_equal_to_loop(dim, plan):
+    assert_grid_matches_loop(dim, plan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.integers(0, 5), angles=st.integers(1, 8), dim=st.integers(1, 3),
+       budget=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1))
+def test_small_grids_are_bit_equal_to_loop(levels, angles, dim, budget, seed):
+    assume((levels + 1) ** dim <= budget)
+    assert_grid_matches_loop(dim, SamplingPlan(radial_levels=levels, angular_count=angles,
+                                               budget=budget, seed=seed))
+
+
+def test_budget_capped_grid():
+    plan = SamplingPlan(radial_levels=3, budget=20)
+    dim = 3
+    assert (plan.radial_levels + 1) ** dim > plan.budget
+    Z, levels = stratified_grid(dim, plan)
+    assert Z.shape == (plan.budget, dim) and levels.shape == (plan.budget,)
+    radii = plan.radii()
+    index = np.abs(np.abs(Z)[..., None] - radii).argmin(axis=-1)
+    np.testing.assert_allclose(np.abs(Z), radii[index], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(levels, index.max(axis=1))
+    Z2, levels2 = stratified_grid(dim, plan)
+    np.testing.assert_array_equal(Z.view(float), Z2.view(float))
+    np.testing.assert_array_equal(levels, levels2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coordinate_pairs_equal_loop(dim):
+    Z, _ = stratified_grid(dim, SamplingPlan(radial_levels=8, angular_count=8, seed=5))
+    for points in (Z, Z[::7], Z[:1], Z[:0]):
+        left, right = _coordinate_pairs(points)
+        left_ref, right_ref = loop_coordinate_pairs(points)
+        assert left.shape == left_ref.shape == right.shape
+        np.testing.assert_array_equal(left.view(float), left_ref.view(float))
+        np.testing.assert_array_equal(right.view(float), right_ref.view(float))
+
+
+def test_level_trace_equals_loop():
+    rng = np.random.default_rng(1)
+    plan = SamplingPlan(radial_levels=6, max_rounds=0)
+    # levels 4..6 stay empty, so the cumulative maximum carries over them
+    batches = [((rng.random((n, 2)) + 0j,), rng.integers(0, 4, n)) for n in (50, 7)]
+    batches.append(((rng.random((5, 2)) + 3.0 + 0j,), None))
+    score = lambda Z: Z.real.sum(axis=-1)  # noqa: E731
+    est = maximise(score, batches, None, plan)
+    level_max = [0.0] * (plan.radial_levels + 1)
+    for (Z,), levels in batches[:2]:
+        vals = score(Z)
+        for i in range(len(level_max)):
+            mask = levels == i
+            if np.any(mask):
+                level_max[i] = max(level_max[i], float(vals[mask].max()))
+    assert est.level_trace == list(itertools.accumulate(level_max, max))
+    assert est.sup > est.level_trace[-1]  # the levelless batch is scored, not traced

@@ -1,11 +1,13 @@
 """The package's public surface carries nothing unused.
 
 Walks the syntax trees of src/blochlab and fails on an import a module never
-uses, or on a defaulted parameter of a public function that no call in src/,
-tests/ or bench/ passes: such an option is fixed by construction and belongs
-in the code as a constant.  The defaulted fields of a public @dataclass count
-as parameters of the class call.  Calls are matched by the callee's name, so a
-parameter counts as passed when any call of that name passes it.
+uses, on an import inside a function (no module needs one to break an import
+cycle, and a call-time import hides a dependency), or on a defaulted
+parameter of a public function that no call in src/, tests/ or bench/ passes:
+such an option is fixed by construction and belongs in the code as a
+constant.  The defaulted fields of a public @dataclass count as parameters of
+the class call.  Calls are matched by the callee's name, so a parameter
+counts as passed when any call of that name passes it.
 """
 
 import ast
@@ -113,6 +115,16 @@ def test_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{name}: {imp}" for imp in _imported_names(tree) if imp not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_no_call_time_imports():
+    nested = sorted({f"{name}:{node.lineno}"
+                     for name, tree in _modules().items()
+                     for fn in ast.walk(tree)
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for node in ast.walk(fn)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert not nested, "imports inside functions: " + ", ".join(nested)
 
 
 def test_every_defaulted_parameter_is_passed():
