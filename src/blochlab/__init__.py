@@ -10,7 +10,6 @@ finite-difference / uniform-grid oracle.
 from .polydisk import (
     PolydiskPoint,
     Direction,
-    MultiIndex,
     bergman_metric,
     boundary_distance,
     segment_point,

@@ -2,7 +2,8 @@
 
 All commands accept plan overrides (--levels, --angles, --rounds, --budget,
 --seed) and write versioned JSON / fixed-column CSV reports.  Exit code 0
-means no suite failure and no oracle breach.
+means no suite failure and no oracle breach; exit code 2 means bad input (an
+invalid option, spec or parameter), reported in one line.
 """
 
 from __future__ import annotations
@@ -20,11 +21,28 @@ from .criteria import (
     little_bloch_operator_check,
     operator_norm_lower_bound,
 )
+from .holo import EvaluationDomainError
 from .norms import bloch_norm_estimate, lipschitz_norm_estimate
 from .oracle import run_oracle
 from .sampling import SamplingPlan
 from .suites import run_all
 from .testfuncs import TestFunction
+
+THEOREMS = ("bounded", "compact", "little-bloch", "lip1", "opnorm")
+
+
+class InputError(click.ClickException):
+    """Bad input from the command line or a spec file: one line on stderr, exit 2."""
+
+    exit_code = 2
+
+
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (mapspec.SpecError, EvaluationDomainError) as exc:
+            raise InputError(str(exc)) from exc
 
 
 def _plan_options(fn):
@@ -45,7 +63,7 @@ def _mk_plan(levels, angles, rounds, budget, seed) -> SamplingPlan:
                         max_rounds=rounds, budget=budget, seed=seed)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Bloch-space norms and composition-operator detectors on the polydisk."""
 
@@ -118,22 +136,25 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec,
 @click.option("--p", "ps", type=float, multiple=True, default=(1.0,), show_default=True)
 @click.option("--q", "qs", type=float, multiple=True, default=(1.0,), show_default=True)
 @click.option("--theorems", type=str, default="bounded,compact", show_default=True,
-              help="Comma list from: bounded, compact, little-bloch, lip1, opnorm.")
-@click.option("--degree-cap", type=int, default=2, show_default=True,
-              help="Multi-index degree cap for the little-space detector.")
+              help="Comma list from: " + ", ".join(THEOREMS) + ".  little-bloch judges "
+                   "each component's q-Bloch Taylor gap plus boundedness.")
 @click.option("--out-json", type=click.Path(), default=None)
 @click.option("--out-csv", type=click.Path(), default=None)
 @_plan_options
-def classify_cmd(spec, ps, qs, theorems, degree_cap, out_json, out_csv,
+def classify_cmd(spec, ps, qs, theorems, out_json, out_csv,
                  levels, angles, rounds, budget, seed):
     """Run boundedness/compactness detectors for a self-map."""
+    selected = {t.strip() for t in theorems.split(",") if t.strip()}
+    unknown = selected.difference(THEOREMS)
+    if unknown:
+        raise click.UsageError(f"unknown theorem name(s) {', '.join(sorted(unknown))}; "
+                               f"choose from {', '.join(THEOREMS)}")
     plan = _mk_plan(levels, angles, rounds, budget, seed)
     phi = mapspec.load_map(spec, plan=plan)
     if not phi.certificate.is_certified():
         click.echo(f"refusing: map is not certified as a self-map "
                    f"(sampled sup {phi.certificate.evidence:.6g})", err=True)
         sys.exit(2)
-    selected = {t.strip() for t in theorems.split(",") if t.strip()}
     if len(ps) != len(qs):
         raise click.UsageError("--p and --q must be given the same number of times")
 
@@ -150,7 +171,7 @@ def classify_cmd(spec, ps, qs, theorems, degree_cap, out_json, out_csv,
                        f"[{report.compact.rule}]")
             rows.extend(report.csv_rows())
         if "little-bloch" in selected:
-            v = little_bloch_operator_check(phi, p, q, degree_cap, plan)
+            v = little_bloch_operator_check(phi, p, q, plan)
             entry["little_bloch"] = v.to_json()
             click.echo(f"(p={p}, q={q}) little-space: {v.verdict} [{v.rule}]")
         if "lip1" in selected:

@@ -9,7 +9,8 @@ Representations:
   * Series        -- finite multivariate power series (polynomials),
   * ScaledKernel  -- c / (1 - conj(w) z_axis)^e, closed under d/dz; the one closed
                      form of the kernel, reused by Moebius derivatives and `testfuncs`,
-  * MoebiusFactor -- one-coordinate disk automorphism factor (partials: ScaledKernels),
+  * MoebiusFactor -- one-coordinate disk automorphism factor (partials: ScaledKernels;
+                     Taylor polynomial: the integral of theirs),
   * Const / Scaled / Sum / Product / Composition nodes over these.
 
 Self-maps of U^n carry a certificate recording why they are believed to map
@@ -158,6 +159,14 @@ class Series(HoloFunction):
     def taylor(self, m):
         return Series({e: c for e, c in self.coeffs.items() if sum(e) <= m}, self.dim)
 
+    def antiderivative(self, axis: int) -> "Series":
+        """The antiderivative in z_axis that vanishes at z_axis = 0."""
+        self._check_axis(axis)
+        out = {}
+        for e, c in self.coeffs.items():
+            out[e[:axis] + (e[axis] + 1,) + e[axis + 1:]] = c / (e[axis] + 1)
+        return Series(out, self.dim)
+
     # polynomial algebra used by composition normalization and truncations
 
     def add(self, other: "Series") -> "Series":
@@ -300,17 +309,12 @@ class MoebiusFactor(HoloFunction):
                             self.phase * (1.0 - abs(self.a) ** 2))
 
     def taylor(self, m):
-        # (z - a)/(1 - conj(a) z) = -a + (1 - |a|^2) sum_{j>=1} conj(a)^{j-1} z^j
-        out = {}
-        zero = [0] * self.dim
-        out[tuple(zero)] = -self.phase * self.a
-        lead = self.phase * (1.0 - abs(self.a) ** 2)
-        abar = np.conj(self.a)
-        for j in range(1, m + 1):
-            exps = [0] * self.dim
-            exps[self.axis] = j
-            out[tuple(exps)] = lead * abar ** (j - 1)
-        return Series(out, self.dim)
+        # the value at 0 plus the term-by-term integral of the kernel partial
+        value_at_zero = Series({(0,) * self.dim: -self.phase * self.a}, self.dim)
+        if m == 0:
+            return value_at_zero
+        rest = self.partial(self.axis).taylor(m - 1).antiderivative(self.axis)
+        return value_at_zero.add(rest)
 
     def __repr__(self):
         return f"MoebiusFactor(axis={self.axis}, a={self.a}, theta={self.theta})"
@@ -566,15 +570,6 @@ def compose(f: HoloFunction, phi: HoloSelfMap) -> HoloFunction:
         if bound <= DEGREE_CAP:
             return f.substitute(list(phi.components))
     return Composition(f, list(phi.components))
-
-
-def power_map_monomial(phi: HoloSelfMap, gamma) -> HoloFunction:
-    """phi^gamma = prod_l phi_l^{gamma_l}, built by composing the monomial z^gamma with phi."""
-    if hasattr(gamma, "exponents"):
-        gamma = gamma.exponents
-    exps = tuple(int(g) for g in gamma)
-    mono = Series.monomial(exps, phi.dim)
-    return compose(mono, phi)
 
 
 def compose_map(phi: HoloSelfMap, psi: HoloSelfMap) -> HoloSelfMap:

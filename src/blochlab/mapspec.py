@@ -77,17 +77,21 @@ def _dump_component(f: HoloFunction) -> dict:
     raise SpecError(f"cannot serialize a {type(f).__name__} component")
 
 
-def _read(spec) -> dict:
+def _read(spec) -> tuple[dict, int]:
+    """The spec as a dict, and its dimension."""
     if isinstance(spec, (str, Path)):
         with open(spec, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return dict(spec)
+            data = json.load(fh)
+    else:
+        data = dict(spec)
+    if "dimension" not in data:
+        raise SpecError("the spec has no 'dimension' key")
+    return data, int(data["dimension"])
 
 
 def load_function(spec) -> HoloFunction:
     """Read a single-function spec (the "function" key, or a one-component map)."""
-    data = _read(spec)
-    dim = int(data["dimension"])
+    data, dim = _read(spec)
     if "function" in data:
         return _load_component(data["function"], dim)
     comps = data.get("components", [])
@@ -98,8 +102,7 @@ def load_function(spec) -> HoloFunction:
 
 def load_map(spec, certify: bool = True, plan=None) -> HoloSelfMap:
     """Read a self-map spec; optionally attach the strongest certificate."""
-    data = _read(spec)
-    dim = int(data["dimension"])
+    data, dim = _read(spec)
     comps_raw = data.get("components")
     if not comps_raw or len(comps_raw) != dim:
         raise SpecError(f"a map spec needs exactly {dim} components")

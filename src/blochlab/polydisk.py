@@ -1,8 +1,8 @@
 """Geometry of the open unit polydisk U^n in C^n.
 
-Points, directions, multi-indices, the product Bergman metric, distance to
-the boundary, and the coordinate-interpolation points used when telescoping a
-difference f(z) - f(w) one coordinate at a time.  Also the one [re, im] JSON
+Points, directions, the product Bergman metric, distance to the boundary,
+and the coordinate-interpolation points used when telescoping a difference
+f(z) - f(w) one coordinate at a time.  Also the one [re, im] JSON
 codec for complex values and the one coercion of points to coordinate arrays.
 """
 
@@ -103,41 +103,6 @@ class Direction:
     @property
     def dim(self) -> int:
         return self.components.size
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A vector of nonnegative integer exponents; z**gamma means prod z_k**gamma_k."""
-
-    exponents: tuple
-
-    def __init__(self, exponents):
-        exps = tuple(int(e) for e in exponents)
-        if len(exps) < 1 or any(e < 0 for e in exps):
-            raise ValueError(f"multi-index entries must be nonnegative integers, got {exponents}")
-        object.__setattr__(self, "exponents", exps)
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-
-def multi_indices_up_to(dim: int, max_degree: int):
-    """Yield every multi-index of the given dimension with degree <= max_degree."""
-    def rec(prefix, remaining, budget):
-        if remaining == 1:
-            for d in range(budget + 1):
-                yield prefix + (d,)
-            return
-        for d in range(budget + 1):
-            yield from rec(prefix + (d,), remaining - 1, budget - d)
-
-    for exps in rec((), dim, max_degree):
-        yield MultiIndex(exps)
 
 
 def _check_same_dim(a, b):

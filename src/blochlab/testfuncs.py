@@ -26,6 +26,7 @@ from .holo import (
     Product,
     ScaledKernel,
     Series,
+    rising_factorial_coeffs,
 )
 from .polydisk import complex_pair
 
@@ -123,11 +124,7 @@ class TestFunction(HoloFunction):
             return poly
         if self.family == "h":
             return self.affine.mul(poly)
-        l = self.axis
-        out = {}
-        for e, c in poly.coeffs.items():
-            out[e[:l] + (e[l] + 1,) + e[l + 1:]] = c / (e[l] + 1)
-        return Series(out, self.dim)
+        return poly.antiderivative(self.axis)
 
     def to_json(self) -> dict:
         return {"type": "testfn", "family": self.family, "l": self.axis,
@@ -164,12 +161,16 @@ def family_norm_bound(family: str, p: float) -> float:
 
 
 def tail_bound(p: float, w: complex, m: int) -> float:
-    """sum_{j > m} c_j |w|^j with c_j = p(p+1)...(p+j-1)/j!, summed until the
-    terms drop below 1e-16 of the running sum.
+    """An upper bound on the tail sum_{j > m} t_j, t_j = c_j |w|^j with
+    c_j = p(p+1)...(p+j-1)/j!: the smaller of two bounds.
 
-    Near |w| = 1 the sum can stop at the term cap instead; the rest is then
-    bounded by a geometric series, since the term ratio (p+j)|w|/(j+1) moves
-    monotonically toward |w| and so never exceeds the larger of the two.
+    The whole series sums to (1 - |w|)^-p, so the tail is that total minus the
+    head sum_{j <= m} t_j, plus a margin of (p + 2m + 8) rounding units of the
+    total for the rounding of both; this one is tight near |w| = 1.  The term
+    ratio (p+j)|w|/(j+1) moves monotonically toward |w|, so past t_{m+1} it
+    never exceeds the larger of its value at j = m + 1 and |w|; the tail is
+    then at most t_{m+1} over one minus that (infinite when it reaches 1),
+    which is tight when the tail is tiny against the total.
     """
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
@@ -178,19 +179,9 @@ def tail_bound(p: float, w: complex, m: int) -> float:
     if m < 0:
         raise ValueError("truncation index must be nonnegative")
     aw = abs(w)
-    if aw == 0.0:
-        return 0.0
-    # walk t_{j+1} = t_j (p+j) |w| / (j+1) from t_0 = 1 up to t_{m+1}
-    term = 1.0
-    for j in range(m + 1):
-        term *= (p + j) * aw / (j + 1)
-    j = m + 1
-    total = 0.0
-    while term > 1e-16 * max(total, 1e-300):
-        total += term
-        term *= (p + j) * aw / (j + 1)
-        j += 1
-        if j - m > _SERIES_MAX_TERMS:
-            ratio = max((p + j) * aw / (j + 1), aw)
-            return total + term / (1.0 - ratio) if ratio < 1.0 else float("inf")
-    return total
+    terms = rising_factorial_coeffs(p, m + 2) * aw ** np.arange(m + 2)
+    total = (1.0 - aw) ** -p
+    by_total = total - float(np.sum(terms[:-1])) + (p + 2 * m + 8) * np.finfo(float).eps * total
+    ratio = max((p + m + 1) * aw / (m + 2), aw)
+    by_ratio = terms[-1] / (1.0 - ratio) if ratio < 1.0 else float("inf")
+    return float(min(by_total, by_ratio))

@@ -271,23 +271,22 @@ class TestClassify:
 
 class TestLittleBlochOperatorCheck:
     def test_identity_holds(self):
-        v = little_bloch_operator_check(identity_map(1), 1.0, 1.0, 2, PLAN)
+        v = little_bloch_operator_check(identity_map(1), 1.0, 1.0, PLAN)
         assert v.verdict == "holds"
+        assert len(v.detail["gaps"]) == 1
         assert all(g < 1e-12 for g in v.detail["gaps"].values())
 
     def test_polynomial_map_gaps_zero(self):
-        v = little_bloch_operator_check(product_map(), 1.0, 1.0, 2, PLAN)
+        phi = product_map()
+        v = little_bloch_operator_check(phi, 1.0, 1.0, PLAN)
         assert v.verdict == "holds"
-
-    def test_degree_cap_zero_trivial(self):
-        v = little_bloch_operator_check(identity_map(1), 1.0, 1.0, 0, PLAN)
-        assert v.verdict == "holds"
-        assert list(v.detail["gaps"].keys()) == ["[0]"]
+        assert len(v.detail["gaps"]) == phi.dim
 
     def test_moebius_map_with_truncatable_powers(self):
         phi = moebius_automorphism([0.4], [0.0])
-        v = little_bloch_operator_check(phi, 1.0, 1.0, 2, PLAN)
+        v = little_bloch_operator_check(phi, 1.0, 1.0, PLAN)
         assert v.verdict in ("holds", "inconclusive")
+        assert len(v.detail["gaps"]) == phi.dim
         assert not v.detail["skipped"]
 
 

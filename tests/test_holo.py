@@ -16,7 +16,6 @@ from blochlab.holo import (
     constant_map,
     identity_map,
     moebius_automorphism,
-    power_map_monomial,
 )
 
 
@@ -214,7 +213,7 @@ class TestTaylor:
 
     def test_power_map_taylor_matches_value(self):
         phi = moebius_automorphism([0.4], [0.0])
-        f = power_map_monomial(phi, (3,))
+        f = compose(Series.monomial((3,), 1), phi)
         t = f.taylor(60)
         z = [0.25]
         assert t.value(z) == pytest.approx(f.value(z), rel=1e-10)

@@ -74,6 +74,11 @@ class TestMapSpec:
         with pytest.raises(mapspec.SpecError):
             mapspec.load_function({"dimension": 1, "function": {"type": "mystery"}})
 
+    def test_missing_dimension_named(self):
+        for load in (mapspec.load_function, mapspec.load_map):
+            with pytest.raises(mapspec.SpecError, match="'dimension'"):
+                load({"components": IDENTITY_2["components"]})
+
 
 class TestCLI:
     def run(self, *args):
@@ -113,7 +118,7 @@ class TestCLI:
         assert "bounded: holds" in res.output
         assert "compact: fails" in res.output
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         run = data["payload"]["runs"][0]["report"]
         assert run["sup_estimate"]["sup"] == pytest.approx(2.0, abs=1e-9)
         assert run["plan"] == SamplingPlan().to_json()
@@ -136,10 +141,32 @@ class TestCLI:
         spec.write_text(json.dumps(HALVING_1))
         res = self.run("classify", "--spec", str(spec), "--p", "1.0", "--q", "1.0",
                        "--theorems", "bounded,compact,little-bloch,lip1",
-                       "--budget", "20000", "--degree-cap", "1")
+                       "--budget", "20000")
         assert res.exit_code == 0
         assert "little-space: holds" in res.output
         assert "lip1: holds" in res.output
+
+    def test_classify_rejects_unknown_theorem(self, tmp_path):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps(HALVING_1))
+        res = CliRunner().invoke(main, ["classify", "--spec", str(spec),
+                                        "--theorems", "bounded,little_bloch"])
+        assert res.exit_code == 2
+        assert "little_bloch" in res.output
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"components": HALVING_1["components"]}, "'dimension'"),
+        ({"dimension": 1, "components": [
+            {"type": "moebius", "a": [1.0, 0.0], "theta": 0.0, "source": 0}]}, "|a| < 1"),
+    ], ids=["no-dimension", "moebius-parameter-on-circle"])
+    def test_bad_spec_is_one_line_exit_2(self, tmp_path, spec, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        res = CliRunner().invoke(main, ["classify", "--spec", str(path)])
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
     def test_sweep_writes_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from blochlab.holo import Series
 from blochlab.polydisk import (
     Direction,
     DomainError,
-    MultiIndex,
     PolydiskPoint,
     bergman_metric,
     boundary_distance,
-    multi_indices_up_to,
     segment_point,
 )
 
@@ -82,20 +79,6 @@ class TestSegmentPoint:
             segment_point(z, z, 2)
 
 
-class TestMultiIndex:
-    def test_degree_and_power(self):
-        gamma = MultiIndex((2, 0, 1))
-        assert gamma.degree == 3
-        z = PolydiskPoint([0.5, 0.9, 0.2])
-        assert Series.monomial(gamma.exponents, 3).value(z) == pytest.approx((0.5 ** 2) * 0.2)
-
-    def test_enumeration_count(self):
-        # multi-indices of dim 2 with degree <= 3: C(3+2,2) = 10
-        assert len(list(multi_indices_up_to(2, 3))) == 10
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MultiIndex((1, -1))
 
 
 class TestPointValidation:

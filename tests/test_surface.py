@@ -2,15 +2,18 @@
 
 Walks the syntax trees of src/blochlab and fails on an import a module never
 uses, on an import inside a function (no module needs one to break an import
-cycle, and a call-time import hides a dependency), or on a defaulted
-parameter of a public function that no call in src/, tests/ or bench/ passes:
-such an option is fixed by construction and belongs in the code as a
-constant.  The defaulted fields of a public @dataclass count as parameters of
-the class call.  Calls are matched by the callee's name, so a parameter
-counts as passed when any call of that name passes it.
+cycle, and a call-time import hides a dependency), on a public function,
+class or method that nothing in src/, tests/ or bench/ refers to (the
+package's own exports do not count), or on a defaulted parameter of a public
+function that no call there passes: such an option is fixed by construction
+and belongs in the code as a constant.  The defaulted fields of a public
+@dataclass count as parameters of the class call.  Calls and references are
+matched by name, so a parameter counts as passed when any call of that name
+passes it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,3 +145,52 @@ def test_every_defaulted_parameter_is_passed():
             if not passed:
                 never.append(f"{module}: {call_name}({param})")
     assert not never, "defaulted parameters no call passes: " + ", ".join(never)
+
+
+def _is_click_command(node):
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if isinstance(d, ast.Attribute) and d.attr in ("command", "group"):
+            return True
+    return False
+
+
+def _public_definitions(tree):
+    """(name, node) of each public top-level function or class and each public
+    method of a public class; click commands are entry points, not API."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if not _is_click_command(node):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+
+
+def _referenced_names(tree):
+    """Names a tree refers to: bare names, attributes, and identifier strings
+    (the bench binds its probes by name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_public_name_is_referenced():
+    exports = PACKAGE / "__init__.py"
+    references = Counter()
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path != exports:
+                references.update(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = [f"{module}: {name}"
+              for module, tree in _modules().items() if module != "__init__.py"
+              for name, node in _public_definitions(tree)
+              if references[name] <= sum(n == name for n in _referenced_names(node))]
+    assert not unused, "public names nothing refers to: " + ", ".join(unused)

@@ -208,6 +208,11 @@ class TestTailBound:
                 assert np.isfinite(tail)
                 assert tail >= exact * (1.0 - 1e-9)
 
+    def test_exact_near_unit_parameter(self):
+        # the tail at m = 0 is the closed form minus the head c_0 = 1
+        exact = (1.0 - 0.99999) ** -3 - 1.0
+        assert tail_bound(3.0, 0.99999, 0) == pytest.approx(exact, rel=1e-9)
+
     def test_gap_below_tail(self):
         t = make_g(0, 0.5, 1.0, 2)
         for m in (2, 4, 8):
