@@ -6,7 +6,8 @@ derivative formulas, composite nodes by sum/product/chain rules.  Finite
 differences never appear here; they live in the independent oracle module.
 
 Representations:
-  * Series        -- finite multivariate power series (polynomials),
+  * Series        -- finite multivariate power series (polynomials), evaluated by
+                     nested Horner over the axes on blocks of HORNER_BLOCK points,
   * ScaledKernel  -- c / (1 - conj(w) z_axis)^e, closed under d/dz; the one closed
                      form of the kernel, reused by Moebius derivatives and `testfuncs`,
   * MoebiusFactor -- one-coordinate disk automorphism factor (partials: ScaledKernels;
@@ -28,6 +29,9 @@ from .sampling import SamplingPlan, stratified_grid
 
 # compose normalizes a polynomial composite to a Series only up to this degree
 DEGREE_CAP = 64
+
+# Series.val runs its Horner scheme on blocks of at most this many points
+HORNER_BLOCK = 16_384
 
 # a sampling certificate needs the sampled sup of max_l |phi_l| to stay this far below 1
 SELF_MAP_MARGIN = 1e-6
@@ -137,14 +141,21 @@ class Series(HoloFunction):
 
     def val(self, Z):
         Z = np.asarray(Z, dtype=complex)
-        out = np.zeros(Z.shape[:-1], dtype=complex)
-        for exps, c in self.coeffs.items():
-            term = np.full(Z.shape[:-1], c, dtype=complex)
-            for k, e in enumerate(exps):
-                if e:
-                    term = term * Z[..., k] ** e
-            out += term
-        return out
+        plan = getattr(self, "_horner", None)
+        if plan is None:
+            plan = self._horner = _horner_plan(self.coeffs, 0, self.dim)
+        node, buffers = plan
+        if type(node) is complex:
+            return np.full(Z.shape[:-1], node)
+        flat = Z.reshape(-1, self.dim)
+        n = flat.shape[0]
+        out = np.empty(n, dtype=complex)
+        scratch = [np.empty(min(n, HORNER_BLOCK), dtype=complex) for _ in range(buffers - 1)]
+        for start in range(0, n, HORNER_BLOCK):
+            cols = flat[start:start + HORNER_BLOCK].T
+            m = cols.shape[1]
+            _horner(node, cols, [out[start:start + m]] + [s[:m] for s in scratch], 0)
+        return out.reshape(Z.shape[:-1])
 
     def partial(self, axis):
         self._check_axis(axis)
@@ -220,6 +231,59 @@ class Series(HoloFunction):
 
     def __repr__(self):
         return f"Series({self.coeffs!r}, dim={self.dim})"
+
+
+def _horner_plan(coeffs: dict, axis: int, dim: int):
+    """(node, buffers) for sum c_e z^e over the axes from `axis` on.
+
+    A node is a complex constant when no exponent there is nonzero, else
+    (k, steps): k is the first axis with a nonzero exponent, and steps holds
+    (child, gap) per distinct exponent of z_k in descending order, the child
+    being the node of that exponent's cofactor over the axes after k and gap
+    the drop to the next exponent (to 0 for the last).  `buffers` counts the
+    point arrays that `_horner` fills at once.
+    """
+    while axis < dim and all(e[axis] == 0 for e in coeffs):
+        axis += 1
+    if axis == dim:
+        return complex(sum(coeffs.values())), 0
+    groups = {}
+    for e, c in coeffs.items():
+        groups.setdefault(e[axis], {})[e] = c
+    exps = sorted(groups, reverse=True) + [0]
+    steps, buffers = [], 1
+    for i, e in enumerate(exps[:-1]):
+        child, need = _horner_plan(groups[e], axis + 1, dim)
+        # the first cofactor accumulates in this node's own array, the others in deeper ones
+        buffers = max(buffers, need + (i > 0))
+        steps.append((child, e - exps[i + 1]))
+    return (axis, tuple(steps)), buffers
+
+
+def _horner(node, cols, bufs, depth):
+    """Evaluate a `_horner_plan` node at the points cols[k] = z_k into bufs[depth].
+
+    Horner in z_k: acc = ((c_1 z_k^g_1 + c_2) z_k^g_2 + ...) z_k^g_m, with each
+    cofactor c_i evaluated likewise into bufs[depth + 1], all in place.
+    """
+    axis, steps = node
+    z = cols[axis]
+    acc = bufs[depth]
+    for i, (child, gap) in enumerate(steps):
+        if i == 0:
+            if type(child) is complex:
+                np.multiply(z if gap == 1 else z ** gap, child, out=acc)
+                continue
+            _horner(child, cols, bufs, depth)
+        elif type(child) is complex:
+            acc += child
+        else:
+            acc += _horner(child, cols, bufs, depth + 1)
+        if gap == 1:
+            acc *= z
+        elif gap:
+            acc *= z ** gap
+    return acc
 
 
 def rising_factorial_coeffs(p: float, count: int) -> np.ndarray:

@@ -9,11 +9,16 @@ forms, all complex scalars as [re, im] pairs and coordinate indices 0-based:
   {"type": "moebius",  "a": [re, im], "theta": t, "source": k}
   {"type": "testfn",   "family": "f"|"g"|"h", "l": k, "w": [re, im], "p": p}
   {"type": "constant", "value": [re, im]}
+
+"theta" and "source" default to 0; every other key shown is required.  A spec
+that breaks the format raises SpecError naming the JSON path of the fault,
+such as components[0].a or compose[1].components[0].terms[2].coeff.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
 
 from .holo import (
@@ -31,7 +36,25 @@ from .testfuncs import TestFunction
 
 
 class SpecError(ValueError):
-    pass
+    """A spec that does not follow the format; the message names the JSON path."""
+
+
+_REQUIRED = object()
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _field(obj, key: str, path: str, default=_REQUIRED):
+    """obj[key] of the JSON object at `path`; `default` when given and the key is absent."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"{path or 'spec'}: expected a JSON object, got {obj!r}")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise SpecError(f"{_at(path, key)}: missing required key {key!r}")
+    return default
 
 
 def _complex(pair) -> complex:
@@ -41,25 +64,64 @@ def _complex(pair) -> complex:
     return complex(re, im)
 
 
-def _load_component(comp: dict, dim: int) -> HoloFunction:
-    kind = comp.get("type")
-    if kind == "series":
-        coeffs = {}
-        for term in comp.get("terms", []):
-            exps = tuple(int(e) for e in term["exponents"])
-            if len(exps) != dim:
-                raise SpecError(f"exponent tuple {exps} does not match dimension {dim}")
-            coeffs[exps] = coeffs.get(exps, 0) + _complex(term["coeff"])
-        return Series(coeffs, dim)
-    if kind == "moebius":
-        return MoebiusFactor(dim, int(comp.get("source", 0)),
-                             _complex(comp["a"]), float(comp.get("theta", 0.0)))
-    if kind == "testfn":
-        return TestFunction(comp["family"], int(comp["l"]),
-                            _complex(comp["w"]), float(comp["p"]), dim)
-    if kind == "constant":
-        return Const(_complex(comp["value"]), dim)
-    raise SpecError(f"unknown component type {kind!r}")
+def _integer(value) -> int:
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return operator.index(value)
+
+
+_EXPECTED = {_complex: "a number or an [re, im] pair", float: "a number", _integer: "an integer"}
+
+
+def _number(obj, key: str, path: str, kind, default=_REQUIRED):
+    """obj[key] converted by `kind` (one of _EXPECTED), or SpecError naming its path."""
+    value = _field(obj, key, path, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{_at(path, key)}: expected {_EXPECTED[kind]}, got {value!r}") from None
+
+
+def _load_series(comp: dict, dim: int, path: str) -> Series:
+    terms = _field(comp, "terms", path)
+    if not isinstance(terms, list):
+        raise SpecError(f"{_at(path, 'terms')}: expected a list of terms, got {terms!r}")
+    coeffs = {}
+    for i, term in enumerate(terms):
+        term_path = f"{path}.terms[{i}]"
+        raw = _field(term, "exponents", term_path)
+        try:
+            exps = tuple(_integer(e) for e in raw)
+        except (TypeError, ValueError):
+            exps = ()
+        if len(exps) != dim or any(e < 0 for e in exps):
+            raise SpecError(f"{term_path}.exponents: expected {dim} nonnegative integers, "
+                            f"got {raw!r}")
+        coeffs[exps] = coeffs.get(exps, 0) + _number(term, "coeff", term_path, _complex)
+    return Series(coeffs, dim)
+
+
+def _load_component(comp, dim: int, path: str) -> HoloFunction:
+    kind = _field(comp, "type", path)
+    try:
+        if kind == "series":
+            return _load_series(comp, dim, path)
+        if kind == "moebius":
+            return MoebiusFactor(dim, _number(comp, "source", path, _integer, 0),
+                                 _number(comp, "a", path, _complex),
+                                 _number(comp, "theta", path, float, 0.0))
+        if kind == "testfn":
+            return TestFunction(_field(comp, "family", path), _number(comp, "l", path, _integer),
+                                _number(comp, "w", path, _complex),
+                                _number(comp, "p", path, float), dim)
+        if kind == "constant":
+            return Const(_number(comp, "value", path, _complex), dim)
+    except SpecError:
+        raise
+    except ValueError as exc:
+        # a parameter the constructor rejects, such as |a| >= 1
+        raise SpecError(f"{path}: {exc}") from None
+    raise SpecError(f"{_at(path, 'type')}: unknown component type {kind!r}")
 
 
 def _dump_component(f: HoloFunction) -> dict:
@@ -81,32 +143,39 @@ def _read(spec) -> tuple[dict, int]:
     """The spec as a dict, and its dimension."""
     if isinstance(spec, (str, Path)):
         with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SpecError(f"{spec}: not valid JSON ({exc})") from None
     else:
-        data = dict(spec)
-    if "dimension" not in data:
-        raise SpecError("the spec has no 'dimension' key")
-    return data, int(data["dimension"])
+        data = spec
+    return data, _dimension(data, "", _REQUIRED)
+
+
+def _dimension(data, path: str, default) -> int:
+    dim = _number(data, "dimension", path, _integer, default)
+    if dim < 1:
+        raise SpecError(f"{_at(path, 'dimension')}: expected a positive integer, got {dim}")
+    return dim
 
 
 def load_function(spec) -> HoloFunction:
     """Read a single-function spec (the "function" key, or a one-component map)."""
     data, dim = _read(spec)
     if "function" in data:
-        return _load_component(data["function"], dim)
+        return _load_component(data["function"], dim, "function")
     comps = data.get("components", [])
-    if len(comps) == 1:
-        return _load_component(comps[0], dim)
+    if isinstance(comps, list) and len(comps) == 1:
+        return _load_component(comps[0], dim, "components[0]")
     raise SpecError("a function spec needs a 'function' entry or exactly one component")
 
 
-def load_map(spec, certify: bool = True, plan=None) -> HoloSelfMap:
-    """Read a self-map spec; optionally attach the strongest certificate."""
-    data, dim = _read(spec)
-    comps_raw = data.get("components")
-    if not comps_raw or len(comps_raw) != dim:
-        raise SpecError(f"a map spec needs exactly {dim} components")
-    comps = [_load_component(c, dim) for c in comps_raw]
+def _load_map(data: dict, dim: int, path: str) -> HoloSelfMap:
+    comps_raw = _field(data, "components", path)
+    comps_path = _at(path, "components")
+    if not isinstance(comps_raw, list) or len(comps_raw) != dim:
+        raise SpecError(f"{comps_path}: a map spec needs exactly {dim} components")
+    comps = [_load_component(c, dim, f"{comps_path}[{i}]") for i, c in enumerate(comps_raw)]
 
     # all-Moebius components whose sources permute the coordinates form an
     # automorphism, certified exactly
@@ -117,10 +186,21 @@ def load_map(spec, certify: bool = True, plan=None) -> HoloSelfMap:
     else:
         phi = HoloSelfMap(comps)
 
-    for sub in data.get("compose", []):
-        inner = load_map({**sub, "dimension": sub.get("dimension", dim)}, certify=False)
-        phi = compose_map(phi, inner)
+    subs = _field(data, "compose", path, [])
+    if not isinstance(subs, list):
+        raise SpecError(f"{_at(path, 'compose')}: expected a list of map specs, got {subs!r}")
+    for i, sub in enumerate(subs):
+        sub_path = f"{_at(path, 'compose')}[{i}]"
+        if _dimension(sub, sub_path, dim) != dim:
+            raise SpecError(f"{sub_path}.dimension: expected {dim}, the outer dimension")
+        phi = compose_map(phi, _load_map(sub, dim, sub_path))
+    return phi
 
+
+def load_map(spec, certify: bool = True, plan=None) -> HoloSelfMap:
+    """Read a self-map spec; optionally attach the strongest certificate."""
+    data, dim = _read(spec)
+    phi = _load_map(data, dim, "")
     if certify:
         certify_self_map(phi, plan=plan)
     return phi

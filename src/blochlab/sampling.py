@@ -10,6 +10,15 @@ angles) and refines in a shrinking polar box; the Lipschitz estimator in
 `norms` feeds it pairs of points.  Estimates are lower bounds of the true
 supremum by construction; `converged` reports whether the refinement trace
 plateaued.  Everything is deterministic for a fixed seed.
+
+Estimators redraw the same seeded grid many times, so `stratified_grid` keeps
+one: the last grid drawn from a freshly seeded generator, keyed on (dim, plan),
+with the generator state the draw ends in.  A repeat call returns the kept
+arrays and sets the caller's generator to that end state, so every later draw
+is as if the grid had been drawn again.  Grids are returned read-only, which
+lets callers share them.  A fresh draw of another (dim, plan) frees the kept
+grid before it draws; a draw from an already advanced generator (the Lipschitz
+estimator's second grid) is never kept and leaves the kept grid in place.
 """
 
 from __future__ import annotations
@@ -104,6 +113,11 @@ class NormEstimate:
         return out
 
 
+# The one grid kept for reuse, as ((dim, plan), Z, levels, generator end state):
+# the last grid drawn from a freshly seeded default_rng(plan.seed), or None.
+_kept_grid = None
+
+
 def stratified_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator | None = None):
     """Sample points of U^dim stratified over radial-level combinations.
 
@@ -117,8 +131,26 @@ def stratified_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator | Non
     of shape (combinations, per * (dim + 1)): per combination, the per * dim
     angles in row-major (point, axis) order, then the per first-coordinate
     jitters.  Seeded reports depend on this layout.
+
+    Z and levels are read-only.  A generator is freshly seeded when rng is
+    None or in the state of default_rng(plan.seed); such draws are kept and
+    reused as the module docstring describes.
     """
-    rng = rng if rng is not None else np.random.default_rng(plan.seed)
+    global _kept_grid
+    seeded = np.random.default_rng(plan.seed)
+    if rng is not None and rng.bit_generator.state != seeded.bit_generator.state:
+        return _draw_grid(dim, plan, rng)
+    rng = rng if rng is not None else seeded
+    if _kept_grid is None or _kept_grid[0] != (dim, plan):
+        _kept_grid = None  # freed before the new draw
+        Z, levels = _draw_grid(dim, plan, rng)
+        _kept_grid = ((dim, plan), Z, levels, rng.bit_generator.state)
+    _, Z, levels, end_state = _kept_grid
+    rng.bit_generator.state = end_state
+    return Z, levels
+
+
+def _draw_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator):
     radii = plan.radii()
     nlev = radii.size
     if nlev ** dim > plan.budget:
@@ -128,11 +160,18 @@ def stratified_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator | Non
         combos = np.indices((nlev,) * dim).reshape(dim, -1).T
         per = min(plan.angular_count, plan.budget // len(combos))
     n = len(combos)
+    # the returned arrays are allocated before the temporaries and filled in
+    # place, so that a kept grid sits below the memory the draw frees
+    levels = np.repeat(combos.max(axis=1), per)
+    Z = np.empty((n, per, dim), dtype=complex)
     u = rng.random((n, per * (dim + 1)))
     theta = 2.0 * np.pi * u[:, :per * dim].reshape(n, per, dim)
     theta[:, :, 0] = 2.0 * np.pi * (np.arange(per) + u[:, per * dim:]) / per
-    Z = (radii[combos][:, None, :] * np.exp(1j * theta)).reshape(n * per, dim)
-    return Z, np.repeat(combos.max(axis=1), per)
+    np.multiply(1j, theta, out=Z)
+    np.exp(Z, out=Z)
+    Z *= radii[combos][:, None, :]
+    Z.flags.writeable = levels.flags.writeable = False
+    return Z.reshape(n * per, dim), levels
 
 
 def maximise(score, batches, propose, plan: SamplingPlan,

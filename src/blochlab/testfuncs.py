@@ -61,8 +61,9 @@ def _antiderivative_series(zl: np.ndarray, w: complex, p: float) -> np.ndarray:
     term = zl.copy()
     total = zl.copy()
     for j in range(_SERIES_MAX_TERMS):
-        term = term * ratio_base * ((p + j) / (j + 2))
-        total = total + term
+        term *= ratio_base
+        term *= (p + j) / (j + 2)
+        total += term
         tmax = float(np.max(np.abs(term))) if term.size else 0.0
         if tmax <= _SERIES_RTOL * max(float(np.max(np.abs(total))) if total.size else 0.0, 1e-30):
             break

@@ -1,11 +1,20 @@
-"""Holomorphic representations: evaluation, exact partials, composition, certificates."""
+"""Holomorphic representations: evaluation, exact partials, composition, certificates.
+
+`Series.val` evaluates by nested Horner over the axes in blocks of
+HORNER_BLOCK points; `loop_series_val` below is the per-term loop it
+replaces, kept as the reference.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blochlab.corpus import polynomial_corpus
 from blochlab.holo import (
+    HORNER_BLOCK,
     Composition,
     Const,
     HoloSelfMap,
@@ -49,6 +58,78 @@ class TestEval:
         vals = f.val(Z)
         for i in range(20):
             assert vals[i] == pytest.approx(f.value(Z[i]), rel=1e-14)
+
+
+def loop_series_val(f, Z):
+    """Reference: each term c z^e as its own array, summed term by term."""
+    Z = np.asarray(Z, dtype=complex)
+    out = np.zeros(Z.shape[:-1], dtype=complex)
+    for exps, c in f.coeffs.items():
+        term = np.full(Z.shape[:-1], c, dtype=complex)
+        for k, e in enumerate(exps):
+            if e:
+                term = term * Z[..., k] ** e
+        out += term
+    return out
+
+
+def assert_horner_matches_loop(f, Z):
+    """Agreement to 1e-14 relative to the term majorant sum |c| |z^e| at each point."""
+    got, ref = f.val(Z), loop_series_val(f, Z)
+    assert got.shape == ref.shape == np.shape(Z)[:-1]
+    majorant = loop_series_val(Series({e: abs(c) for e, c in f.coeffs.items()}, f.dim),
+                               np.abs(Z)).real
+    assert np.all(np.abs(got - ref) <= 1e-14 * majorant)
+
+
+def disk_points(rng, shape, dim):
+    r = np.sqrt(rng.random(shape + (dim,)))
+    return r * np.exp(2j * np.pi * rng.random(shape + (dim,)))
+
+
+class TestHornerAgainstLoop:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_corpus_polynomials_and_partials(self, dim):
+        Z = disk_points(np.random.default_rng(dim), (2000,), dim)
+        for f in polynomial_corpus(dim, count=4, seed=dim):
+            for g in [f] + f.partials():
+                assert_horner_matches_loop(g, Z)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (0,)], ids=["point", "N", "a-b", "empty"])
+    def test_point_shapes(self, dim, shape):
+        f = polynomial_corpus(dim, count=1, seed=7)[0]
+        assert_horner_matches_loop(f, disk_points(np.random.default_rng(0), shape, dim))
+
+    @pytest.mark.parametrize("coeffs", [{}, {(0, 0, 0): 2.5 - 1j}], ids=["zero", "constant"])
+    def test_zero_and_constant(self, coeffs):
+        f = Series(coeffs, 3)
+        for shape in [(), (4,), (2, 3), (0,)]:
+            Z = disk_points(np.random.default_rng(1), shape, 3)
+            got = f.val(Z)
+            assert got.shape == shape and got.dtype == complex
+            np.testing.assert_array_equal(got, loop_series_val(f, Z))
+
+    @pytest.mark.parametrize("n", [HORNER_BLOCK - 1, HORNER_BLOCK, HORNER_BLOCK + 1])
+    def test_block_edges(self, n):
+        assert HORNER_BLOCK == 16_384
+        Z = disk_points(np.random.default_rng(n), (n,), 2)
+        f = polynomial_corpus(2, count=1, seed=3)[0]
+        assert_horner_matches_loop(f, Z)
+
+    def test_sparse_high_gaps(self):
+        f = Series({(9, 0, 4): 1.5j, (2, 7, 0): -0.5, (0, 0, 11): 0.25, (0, 0, 0): 1.0}, 3)
+        assert_horner_matches_loop(f, disk_points(np.random.default_rng(2), (300,), 3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(1, 4), data=st.data())
+    def test_random_small_series(self, dim, data):
+        exps = st.tuples(*[st.integers(0, 5)] * dim)
+        coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+        coeffs = data.draw(st.dictionaries(exps, coeff, max_size=12))
+        n = data.draw(st.integers(0, 40))
+        Z = disk_points(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), (n,), dim)
+        assert_horner_matches_loop(Series(coeffs, dim), Z)
 
 
 class TestPartial:

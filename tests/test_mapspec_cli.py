@@ -1,6 +1,7 @@
 """The JSON spec format and the command-line surface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,33 @@ SHIFTED_HALF_1 = {
         {"exponents": [1], "coeff": [0.5, 0]},
     ]}],
 }
+
+# One valid component of each type, at dimension 2, and the keys it cannot do without.
+COMPONENTS = {
+    "series": {"type": "series", "terms": [{"exponents": [1, 0], "coeff": [0.5, 0]}]},
+    "moebius": {"type": "moebius", "a": [0.3, 0.0], "theta": 0.0, "source": 0},
+    "testfn": {"type": "testfn", "family": "g", "l": 0, "w": [0.5, 0.0], "p": 1.0},
+    "constant": {"type": "constant", "value": [0.25, 0.0]},
+}
+REQUIRED = {"series": ["type", "terms"], "moebius": ["type", "a"],
+            "testfn": ["type", "family", "l", "w", "p"], "constant": ["type", "value"]}
+MISSING_KEY_CASES = (
+    [(kind, (key,)) for kind, keys in REQUIRED.items() for key in keys]
+    + [("series", ("terms", 0, "exponents")), ("series", ("terms", 0, "coeff"))])
+
+
+def _without(component, key_path):
+    """A deep copy of the component with the key at key_path removed."""
+    out = json.loads(json.dumps(component))
+    node = out
+    for key in key_path[:-1]:
+        node = node[key]
+    del node[key_path[-1]]
+    return out
+
+
+def _json_path(prefix, key_path):
+    return prefix + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in key_path)
 
 
 class TestMapSpec:
@@ -73,6 +101,46 @@ class TestMapSpec:
     def test_bad_component_rejected(self):
         with pytest.raises(mapspec.SpecError):
             mapspec.load_function({"dimension": 1, "function": {"type": "mystery"}})
+
+    @pytest.mark.parametrize("kind, key_path", MISSING_KEY_CASES,
+                             ids=[".".join(map(str, (k,) + p)) for k, p in MISSING_KEY_CASES])
+    def test_missing_required_key_names_its_path(self, kind, key_path):
+        comp = _without(COMPONENTS[kind], key_path)
+        where = _json_path("components[1]", key_path)
+        spec = {"dimension": 2, "components": [COMPONENTS["constant"], comp]}
+        with pytest.raises(mapspec.SpecError, match=re.escape(where)):
+            mapspec.load_map(spec, certify=False)
+        with pytest.raises(mapspec.SpecError, match=re.escape(_json_path("function", key_path))):
+            mapspec.load_function({"dimension": 2, "function": comp})
+
+    def test_every_component_form_loads(self):
+        for comp in COMPONENTS.values():
+            assert mapspec.load_function({"dimension": 2, "function": comp}).dim == 2
+
+    @pytest.mark.parametrize("dimension", ["two", 2.5, True, None, [2], 0])
+    def test_non_integer_dimension_rejected(self, dimension):
+        with pytest.raises(mapspec.SpecError, match="dimension"):
+            mapspec.load_map({**IDENTITY_2, "dimension": dimension})
+
+    @pytest.mark.parametrize("spec, where", [
+        ({"dimension": 1, "components": [{"type": "series", "terms": [
+            {"exponents": [1, 0], "coeff": 1}]}]}, "components[0].terms[0].exponents"),
+        ({"dimension": 1, "components": [{"type": "moebius", "a": "x"}]}, "components[0].a"),
+        ({"dimension": 1, "components": [{"type": "moebius", "a": 0.1, "source": 3}]},
+         "components[0]"),
+        ({**HALVING_1, "compose": [{"components": [{"type": "constant"}]}]},
+         "compose[0].components[0].value"),
+        ({**HALVING_1, "compose": [IDENTITY_2]}, "compose[0].dimension"),
+        ([HALVING_1], "spec"),
+    ], ids=["exponent-count", "pair-type", "source-axis", "nested-compose",
+            "compose-dimension", "not-an-object"])
+    def test_bad_value_names_its_path(self, spec, where):
+        with pytest.raises(mapspec.SpecError, match=re.escape(where)):
+            mapspec.load_map(spec)
+
+    def test_empty_terms_list_is_the_zero_series(self):
+        spec = {"dimension": 1, "function": {"type": "series", "terms": []}}
+        assert mapspec.load_function(spec).value([0.5]) == 0
 
     def test_missing_dimension_named(self):
         for load in (mapspec.load_function, mapspec.load_map):
@@ -158,7 +226,14 @@ class TestCLI:
         ({"components": HALVING_1["components"]}, "'dimension'"),
         ({"dimension": 1, "components": [
             {"type": "moebius", "a": [1.0, 0.0], "theta": 0.0, "source": 0}]}, "|a| < 1"),
-    ], ids=["no-dimension", "moebius-parameter-on-circle"])
+        ({"dimension": 1, "components": [{"type": "moebius", "theta": 0.0}]},
+         "components[0].a"),
+        ({"dimension": 1, "components": [{"type": "series", "terms": [
+            {"exponents": [1]}]}]}, "components[0].terms[0].coeff"),
+        ({**HALVING_1, "dimension": "two"}, "dimension"),
+        ({"dimension": 1, "components": [{"type": "series"}]}, "components[0].terms"),
+    ], ids=["no-dimension", "moebius-parameter-on-circle", "moebius-without-a",
+            "term-without-coeff", "dimension-not-integer", "series-without-terms"])
     def test_bad_spec_is_one_line_exit_2(self, tmp_path, spec, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))

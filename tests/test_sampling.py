@@ -4,10 +4,12 @@
 `maximise` are array expressions; the loops below are the per-combination,
 per-pair and per-level versions they replace.  The grid must match its
 reference bit for bit and leave the generator in the same state, because
-estimators keep drawing from it after the grid.
+estimators keep drawing from it after the grid.  That holds as well when
+`stratified_grid` returns its kept grid instead of drawing one.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +95,74 @@ def test_budget_capped_grid():
     Z2, levels2 = stratified_grid(dim, plan)
     np.testing.assert_array_equal(Z.view(float), Z2.view(float))
     np.testing.assert_array_equal(levels, levels2)
+
+
+def assert_same_grid(grid, ref):
+    np.testing.assert_array_equal(grid[0].view(float), ref[0].view(float))
+    np.testing.assert_array_equal(grid[1], ref[1])
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=["default", "doubled", "small"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kept_grid_is_bit_equal_to_loop(dim, plan):
+    stratified_grid(dim, replace(plan, seed=plan.seed + 1))  # so that the next call draws
+    kept = stratified_grid(dim, plan, np.random.default_rng(plan.seed))
+    rng, ref_rng = np.random.default_rng(plan.seed), np.random.default_rng(plan.seed)
+    Z, levels = stratified_grid(dim, plan, rng)
+    assert Z is kept[0] and levels is kept[1]
+    assert_same_grid((Z, levels), loop_grid(dim, plan, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    np.testing.assert_array_equal(rng.random(5), ref_rng.random(5))
+    assert stratified_grid(dim, plan)[0] is kept[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_draw_from_advanced_generator_is_not_the_kept_grid(dim):
+    plan = PLANS[2]
+    kept = stratified_grid(dim, plan)
+    rng, ref_rng = np.random.default_rng(plan.seed), np.random.default_rng(plan.seed)
+    for g in (rng, ref_rng):
+        g.random(3)
+    Z, levels = stratified_grid(dim, plan, rng)
+    assert_same_grid((Z, levels), loop_grid(dim, plan, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the advanced draw is not kept and leaves the kept grid in place
+    again = stratified_grid(dim, plan)
+    assert again[0] is kept[0] and again[0] is not Z
+    # nor is a draw from a fresh generator of another seed
+    other = np.random.default_rng(plan.seed + 7)
+    assert_same_grid(stratified_grid(dim, plan, other),
+                     loop_grid(dim, plan, np.random.default_rng(plan.seed + 7)))
+
+
+def test_alternating_plans_and_dims_get_their_own_grid():
+    keys = [(2, PLANS[0]), (2, PLANS[2]), (3, PLANS[2]), (2, PLANS[0]), (1, PLANS[1])]
+    refs = {}
+    for dim, plan in keys:
+        ref_rng = np.random.default_rng(plan.seed)
+        refs[dim, plan] = loop_grid(dim, plan, ref_rng), ref_rng.bit_generator.state
+    for _ in range(2):
+        for dim, plan in keys:
+            rng = np.random.default_rng(plan.seed)
+            grid_ref, state_ref = refs[dim, plan]
+            assert_same_grid(stratified_grid(dim, plan, rng), grid_ref)
+            assert rng.bit_generator.state == state_ref
+
+
+@pytest.mark.parametrize("advanced", [False, True], ids=["kept", "advanced"])
+def test_returned_grid_is_read_only(advanced):
+    plan = PLANS[2]
+    rng = np.random.default_rng(plan.seed)
+    if advanced:
+        rng.random()
+    for _ in range(2):
+        Z, levels = stratified_grid(2, plan, rng)
+        with pytest.raises(ValueError):
+            Z[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            levels[0] = 1
+        with pytest.raises(ValueError):
+            Z *= 2.0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -10,11 +10,18 @@ and belongs in the code as a constant.  The defaulted fields of a public
 @dataclass count as parameters of the class call.  Calls and references are
 matched by name, so a parameter counts as passed when any call of that name
 passes it.
+
+The benchmark's tracer binds a few call signatures by name, so those are
+pinned here as well.
 """
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
+
+from blochlab.holo import Series
+from blochlab.sampling import stratified_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "blochlab"
@@ -194,3 +201,16 @@ def test_every_public_name_is_referenced():
               for name, node in _public_definitions(tree)
               if references[name] <= sum(n == name for n in _referenced_names(node))]
     assert not unused, "public names nothing refers to: " + ", ".join(unused)
+
+
+def test_benchmark_binding_contract():
+    """bench/tracing.py binds stratified_grid's arguments by name (dim, plan, and
+    rng, None for a fresh seeded generator) and counts term points of
+    Series.val(Z) as len(self.coeffs) times the points."""
+    grid = inspect.signature(stratified_grid).parameters
+    assert list(grid) == ["dim", "plan", "rng"] and grid["rng"].default is None
+    assert list(inspect.signature(Series.val).parameters) == ["self", "Z"]
+    f = Series({(2, 0, 1): 1.0, (0, 1, 0): -0.5j, (0, 0, 0): 0.25}, 3)
+    assert type(f.coeffs) is dict and len(f.coeffs) == 3
+    assert all(type(e) is tuple and len(e) == 3 and all(type(k) is int for k in e)
+               for e in f.coeffs)
