@@ -16,6 +16,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import mapspec, reports
 from .criteria import (
+    UncertifiedMapError,
     classify as classify_map,
     lip1_boundedness_check,
     little_bloch_operator_check,
@@ -41,7 +42,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (mapspec.SpecError, EvaluationDomainError) as exc:
+        except (mapspec.SpecError, EvaluationDomainError, UncertifiedMapError) as exc:
             raise InputError(str(exc)) from exc
 
 
@@ -151,10 +152,6 @@ def classify_cmd(spec, ps, qs, theorems, out_json, out_csv,
                                f"choose from {', '.join(THEOREMS)}")
     plan = _mk_plan(levels, angles, rounds, budget, seed)
     phi = mapspec.load_map(spec, plan=plan)
-    if not phi.certificate.is_certified():
-        click.echo(f"refusing: map is not certified as a self-map "
-                   f"(sampled sup {phi.certificate.evidence:.6g})", err=True)
-        sys.exit(2)
     if len(ps) != len(qs):
         raise click.UsageError("--p and --q must be given the same number of times")
 

@@ -30,7 +30,7 @@ Rule names used in reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,11 +42,10 @@ from .norms import (
     little_bloch_gap,
 )
 from .polydisk import complex_pair, complex_pairs, one_minus_sq
-from .reports import SCHEMA_VERSION
-from .sampling import NormEstimate, SamplingPlan, estimate_supremum, stratified_grid
+from .reports import SCHEMA_VERSION, format_point
+from .sampling import PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum, stratified_grid
 from .testfuncs import make_f, make_g, make_h
 
-PLATEAU_RTOL = 1e-3
 DECAY_TOL = 1e-3
 STAY_FLOOR = 1e-3
 STAY_RATIO = 0.9
@@ -102,7 +101,8 @@ def _jsonable(obj):
 def _require_certified(phi: HoloSelfMap):
     if not phi.certificate.is_certified():
         raise UncertifiedMapError(
-            "the map is not certified as a self-map; run certify_self_map first")
+            "refusing: the map is not certified as a self-map (certificate.evidence = "
+            f"{phi.certificate.evidence:.6g}); run certify_self_map first")
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +225,6 @@ class BoundaryPath:
                 f"path {self.path_id!r} final approach {m[-1]:.3g} exceeds {PATH_REQUIRED_FINAL}")
         return m
 
-    def to_json(self) -> dict:
-        return {
-            "path_id": self.path_id,
-            "mode": self.mode,
-            "axis": self.axis,
-            "points": [complex_pairs(row) for row in self.points],
-            "approach": None if self.approach is None else [float(v) for v in self.approach],
-        }
-
 
 def _approach(W: np.ndarray, mode: str, axis: int | None) -> np.ndarray:
     """Approach measure of image points W (..., n): min_k (1 - |W_k|) in mode
@@ -258,13 +249,16 @@ def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
     """Construct approach paths along straight radial rays by bisection.
 
     A pool of ray directions z(t) = t * u (|u_k| = 1) is probed at a deep
-    radius; the `count` rays along which the approach measure gets smallest
-    are kept, and for halving targets delta (at most PATH_MAX_TARGETS, down
-    to PATH_FINAL_TARGET) the parameter t is bisected so the measure crosses
-    delta.  Rays that cannot push the measure below 1e-4
-    (or that stall far above the deepest ray) are dropped; an empty list
-    states that the requested approach is unrealizable (the map stays away
-    from the boundary).
+    radius t_max, and the `count` rays along which the approach measure gets
+    smallest are kept.  The targets delta halve from min(g0/2, 0.25), where
+    g0 is the measure at the origin, down to PATH_FINAL_TARGET (at most
+    PATH_MAX_TARGETS of them).  One 48-step bisection over every (ray,
+    target) pair, each bracket starting from [0, t_max], finds a t at which
+    the measure is <= delta.  A ray keeps the targets its deep measure
+    reaches, a prefix since the targets descend.  Rays that cannot push the
+    measure below 1e-4 (or that stall far above the deepest ray) are dropped;
+    an empty list states that the requested approach is unrealizable (the
+    map stays away from the boundary).
     """
     n = phi.dim
     if mode not in ("image", "coordinate"):
@@ -277,68 +271,42 @@ def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
     t_max = 1.0 - 1e-12
 
     def measures_for(U: np.ndarray, T: np.ndarray) -> np.ndarray:
-        return _approach(phi.val(T[:, None] * U), mode, axis)
+        # rays U (m, n), parameters T (m, J) -> measures (m, J)
+        return _approach(phi.val(T[..., None] * U[:, None, :]), mode, axis)
 
     pool = _ray_pool(n, count, rng)
-    deep_pool = measures_for(pool, np.full(pool.shape[0], t_max))
+    deep_pool = measures_for(pool, np.full((pool.shape[0], 1), t_max))[:, 0]
     order = np.argsort(deep_pool, kind="stable")
     U = pool[order[:count]]
     deep = deep_pool[order[:count]]
 
-    def measures(T: np.ndarray) -> np.ndarray:
-        return measures_for(U, T)
-
-    g0 = float(measures(np.zeros(count))[0])
+    g0 = float(measures_for(U, np.zeros((count, 1)))[0, 0])
     if g0 <= 0:
         return []
 
-    delta = min(g0 / 2.0, 0.25)
-    targets = []
-    while delta >= PATH_FINAL_TARGET and len(targets) < PATH_MAX_TARGETS:
-        targets.append(delta)
-        delta /= 2.0
-
-    pts = [[] for _ in range(count)]
-    meas = [[] for _ in range(count)]
-    t_prev = np.zeros(count)
-    alive = np.ones(count, dtype=bool)
-    for tgt in targets:
-        alive = alive & (deep <= tgt)
-        if not np.any(alive):
-            break
-        lo = t_prev.copy()
-        hi = np.full(count, t_max)
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            gm = measures(mid)
-            above = gm > tgt
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        tj = hi
-        gj = measures(tj)
-        for i in range(count):
-            if alive[i]:
-                pts[i].append(tj[i] * U[i])
-                meas[i].append(gj[i])
-        t_prev = np.where(alive, tj, t_prev)
-
-    finals = [m[-1] for m in meas if m]
-    if not finals:
+    targets = min(g0 / 2.0, 0.25) * 0.5 ** np.arange(PATH_MAX_TARGETS)
+    targets = targets[targets >= PATH_FINAL_TARGET]
+    kept = (deep[:, None] <= targets).sum(axis=1)
+    if not kept.any():
         return []
-    best_final = min(finals)
-    stall_cutoff = max(best_final * 16.0, PATH_FINAL_TARGET * 4.0)
+    targets = targets[:kept.max()]  # no ray reaches the later ones
 
-    paths = []
-    for i in range(count):
-        if len(pts[i]) < PATH_MIN_POINTS:
-            continue
-        approach = np.array(meas[i])
-        if approach[-1] > PATH_REQUIRED_FINAL or approach[-1] > stall_cutoff:
-            continue
-        tag = f"{mode}" + (f"{axis}" if mode == "coordinate" else "")
-        paths.append(BoundaryPath(points=np.array(pts[i]), mode=mode, axis=axis,
-                                  approach=approach, path_id=f"{tag}-ray{i}"))
-    return paths
+    lo = np.zeros((count, targets.size))
+    hi = np.full_like(lo, t_max)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        above = measures_for(U, mid) > targets
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    approach = measures_for(U, hi)
+
+    final = approach[np.arange(count), kept - 1]  # meaningless where kept is 0
+    stall_cutoff = max(final[kept > 0].min() * 16.0, PATH_FINAL_TARGET * 4.0)
+    keep = (kept >= PATH_MIN_POINTS) & (final <= PATH_REQUIRED_FINAL) & (final <= stall_cutoff)
+    tag = f"{mode}" + (f"{axis}" if mode == "coordinate" else "")
+    return [BoundaryPath(points=hi[i, :kept[i], None] * U[i], mode=mode, axis=axis,
+                         approach=approach[i, :kept[i]], path_id=f"{tag}-ray{i}")
+            for i in np.flatnonzero(keep)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +315,14 @@ def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
 
 @dataclass
 class PathProfile:
-    path_id: str
-    mode: str
-    axis: int | None
-    approach: np.ndarray
+    path: BoundaryPath
     values: np.ndarray
     status: str  # 'decayed' | 'stays' | 'undecided'
 
     def to_json(self) -> dict:
-        return {"path_id": self.path_id, "mode": self.mode, "axis": self.axis,
-                "approach": [float(v) for v in self.approach],
+        path = self.path
+        return {"path_id": path.path_id, "mode": path.mode, "axis": path.axis,
+                "approach": [float(v) for v in path.approach],
                 "values": [float(v) for v in self.values],
                 "status": self.status}
 
@@ -395,17 +361,17 @@ def compactness_profile(phi: HoloSelfMap, p: float, q: float,
         if path.mode != mode:
             raise PathValidationError(
                 f"path {path.path_id!r} has mode {path.mode!r}; profile expects {mode!r}")
-        approach = path.validate(phi)
         fn = densities[path.axis if mode == "coordinate" else None]
         values = np.asarray(fn(path.points), dtype=float)
-        profiles.append(PathProfile(path.path_id, path.mode, path.axis,
-                                    approach, values, _judge_tail(values)))
+        # the profile records the re-measured approach, also for a hand-built path
+        profiles.append(PathProfile(replace(path, approach=path.validate(phi)),
+                                    values, _judge_tail(values)))
 
     statuses = [pr.status for pr in profiles]
     if any(s == "stays" for s in statuses):
         worst = next(pr for pr in profiles if pr.status == "stays")
         verdict = Verdict("fails", rule, margin=float(worst.values[-1]),
-                          detail={"witness_path": worst.path_id,
+                          detail={"witness_path": worst.path.path_id,
                                   "tail_value": float(worst.values[-1])})
     elif all(s == "decayed" for s in statuses):
         final = max(float(pr.values[-1]) for pr in profiles)
@@ -581,18 +547,13 @@ class CriterionReport:
             for j in range(pr.values.size):
                 rows.append({
                     "sample_index": idx,
-                    "z": _format_point(pr, j),
+                    "z": format_point(pr.path.points[j]),
                     "density": float(pr.values[j]),
-                    "path_id": pr.path_id,
+                    "path_id": pr.path.path_id,
                     "verdict": self.compact.verdict,
                 })
                 idx += 1
         return rows
-
-
-def _format_point(profile: PathProfile, j: int) -> str:
-    # profiles only carry approach/values; point storage lives in the JSON report
-    return f"approach={profile.approach[j]:.6g}"
 
 
 def classify(phi: HoloSelfMap, p: float, q: float,

@@ -8,7 +8,7 @@ import time
 
 from .polydisk import complex_pairs
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Fixed CSV column order; one row per sample or path point.
 CSV_COLUMNS = ["sample_index", "z", "density", "path_id", "verdict"]

@@ -193,7 +193,7 @@ def point_evaluation_bound(polys, plan: SamplingPlan | None = None) -> SuiteRow:
 
 
 def lipschitz_band_stability(dim: int = 2, count: int = 10,
-                             plan: SamplingPlan | None = None) -> tuple[SuiteRow, dict]:
+                             plan: SamplingPlan | None = None) -> SuiteRow:
     """Ratios of Lipschitz to (1-p)-exponent Bloch norms, p = 1/2, sit in a
     positive band whose endpoints move by at most 10% when the plan doubles."""
     plan = plan if plan is not None else SamplingPlan()
@@ -212,10 +212,9 @@ def lipschitz_band_stability(dim: int = 2, count: int = 10,
     lo2, hi2, _ = band(plan.doubled())
     move = max(abs(lo2 - lo1) / max(lo2, 1e-300), abs(hi2 - hi1) / max(hi2, 1e-300))
     passed = lo1 > 0 and move <= 0.10
-    row = _row("lipschitz-band-stability", passed, move,
-               f"band [{lo1:.4g}, {hi1:.4g}] -> [{lo2:.4g}, {hi2:.4g}]",
-               band=[lo1, hi1], doubled_band=[lo2, hi2], n=dim, p=p)
-    return row, {"band": (lo1, hi1), "doubled": (lo2, hi2)}
+    return _row("lipschitz-band-stability", passed, move,
+                f"band [{lo1:.4g}, {hi1:.4g}] -> [{lo2:.4g}, {hi2:.4g}]",
+                band=[lo1, hi1], doubled_band=[lo2, hi2], n=dim, p=p)
 
 
 def norm_trace_monotone(fns, plan: SamplingPlan | None = None) -> SuiteRow:
@@ -439,7 +438,7 @@ def run_all(dim: int = 2, seed: int = 0, plan: SamplingPlan | None = None,
         moebius_interior_mapping(dim=dim),
         q_density_sandwich(fns),
         point_evaluation_bound(polys, plan=plan),
-        lipschitz_band_stability(dim=dim, count=band_count, plan=plan)[0],
+        lipschitz_band_stability(dim=dim, count=band_count, plan=plan),
         norm_trace_monotone(fns, plan=plan),
         family_uniform_bound(dim=dim, plan=plan),
         family_f_density_identity(dim=dim),

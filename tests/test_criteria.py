@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from blochlab.corpus import default_selfmap_corpus
 from blochlab.criteria import (
+    PATH_FINAL_TARGET,
+    PATH_MAX_TARGETS,
+    PATH_MIN_POINTS,
+    PATH_REQUIRED_FINAL,
     BoundaryPath,
     PathValidationError,
+    _approach,
+    _ray_pool,
     UncertifiedMapError,
     boundedness_check,
     classify,
@@ -152,6 +159,92 @@ class TestBoundaryPaths:
             bad.validate(identity_map(1))
 
 
+def loop_boundary_paths(phi, mode, axis=None, count=None, seed=0):
+    """Reference for make_boundary_paths: one bisection per halving target,
+    each bracket starting at the previous target's t, rays filled one by one."""
+    n = phi.dim
+    if count is None:
+        count = 16 * n if mode == "image" else 16
+    rng = np.random.default_rng(seed)
+    t_max = 1.0 - 1e-12
+
+    def measures_for(U, T):
+        return _approach(phi.val(T[:, None] * U), mode, axis)
+
+    pool = _ray_pool(n, count, rng)
+    deep_pool = measures_for(pool, np.full(pool.shape[0], t_max))
+    order = np.argsort(deep_pool, kind="stable")
+    U = pool[order[:count]]
+    deep = deep_pool[order[:count]]
+    g0 = float(measures_for(U, np.zeros(count))[0])
+    if g0 <= 0:
+        return []
+
+    delta = min(g0 / 2.0, 0.25)
+    targets = []
+    while delta >= PATH_FINAL_TARGET and len(targets) < PATH_MAX_TARGETS:
+        targets.append(delta)
+        delta /= 2.0
+
+    pts = [[] for _ in range(count)]
+    meas = [[] for _ in range(count)]
+    t_prev = np.zeros(count)
+    alive = np.ones(count, dtype=bool)
+    for tgt in targets:
+        alive = alive & (deep <= tgt)
+        if not np.any(alive):
+            break
+        lo = t_prev.copy()
+        hi = np.full(count, t_max)
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            above = measures_for(U, mid) > tgt
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        gj = measures_for(U, hi)
+        for i in range(count):
+            if alive[i]:
+                pts[i].append(hi[i] * U[i])
+                meas[i].append(gj[i])
+        t_prev = np.where(alive, hi, t_prev)
+
+    finals = [m[-1] for m in meas if m]
+    if not finals:
+        return []
+    stall_cutoff = max(min(finals) * 16.0, PATH_FINAL_TARGET * 4.0)
+    paths = []
+    for i in range(count):
+        if len(pts[i]) < PATH_MIN_POINTS:
+            continue
+        approach = np.array(meas[i])
+        if approach[-1] > PATH_REQUIRED_FINAL or approach[-1] > stall_cutoff:
+            continue
+        tag = f"{mode}" + (f"{axis}" if mode == "coordinate" else "")
+        paths.append(BoundaryPath(points=np.array(pts[i]), mode=mode, axis=axis,
+                                  approach=approach, path_id=f"{tag}-ray{i}"))
+    return paths
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bisection_matches_loop_reference(dim, seed):
+    # the brackets start at 0 rather than at the previous target's t, so
+    # points agree to the 2^-48 resolution in t, not bit for bit
+    for name, phi in default_selfmap_corpus(dim, seed=seed):
+        for mode, axis in [("image", None)] + [("coordinate", a) for a in range(dim)]:
+            got = make_boundary_paths(phi, mode, axis=axis, seed=seed)
+            ref = loop_boundary_paths(phi, mode, axis=axis, seed=seed)
+            assert [p.path_id for p in got] == [p.path_id for p in ref], (name, mode, axis)
+            targets = min(float(_approach(phi.val(np.zeros(dim)), mode, axis)) / 2.0, 0.25) \
+                * 0.5 ** np.arange(PATH_MAX_TARGETS)
+            for g, r in zip(got, ref):
+                assert g.points.shape == r.points.shape
+                np.testing.assert_allclose(g.points, r.points, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(g.approach, r.approach, rtol=1e-6)
+                assert np.all(g.approach <= targets[:g.approach.size])
+                g.validate(phi)
+
+
 class TestCompactnessProfile:
     def test_identity_constant_density_stays(self):
         phi = identity_map(1)
@@ -160,6 +253,14 @@ class TestCompactnessProfile:
         assert v.verdict == "fails"
         for pr in profiles:
             np.testing.assert_allclose(pr.values, 1.0, atol=1e-9)
+
+    def test_hand_built_path_records_measured_approach(self):
+        t = 1.0 - 2.0 ** -np.arange(1, 15)
+        path = BoundaryPath(points=t[:, None].astype(complex), mode="image", path_id="hand")
+        profiles, v = compactness_profile(identity_map(1), 1.0, 1.0, [path], "image")
+        assert v.verdict == "fails"
+        assert profiles[0].path.points is path.points
+        np.testing.assert_allclose(profiles[0].to_json()["approach"], 1.0 - t, rtol=1e-12)
 
     def test_halving_vacuous_holds(self):
         profiles, v = compactness_profile(halving_map(1), 1.0, 1.0, [], "image")

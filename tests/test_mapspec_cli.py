@@ -1,5 +1,6 @@
 """The JSON spec format and the command-line surface."""
 
+import csv
 import json
 import re
 
@@ -186,12 +187,19 @@ class TestCLI:
         assert "bounded: holds" in res.output
         assert "compact: fails" in res.output
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 3
+        assert data["schema_version"] == 4
         run = data["payload"]["runs"][0]["report"]
         assert run["sup_estimate"]["sup"] == pytest.approx(2.0, abs=1e-9)
         assert run["plan"] == SamplingPlan().to_json()
         header = csv_out.read_text().splitlines()[0]
         assert header == "sample_index,z,density,path_id,verdict"
+        # each path row's z is the path point: dim [re, im] pairs inside U^2
+        rows = list(csv.DictReader(csv_out.read_text().splitlines()))
+        assert rows
+        for row in rows:
+            z = np.array(json.loads(row["z"]), dtype=float)
+            assert z.shape == (2, 2)
+            assert np.all(np.hypot(z[:, 0], z[:, 1]) < 1.0)
 
     def test_classify_refuses_uncertified(self, tmp_path):
         spec = tmp_path / "bad.json"
@@ -203,6 +211,9 @@ class TestCLI:
         res = CliRunner().invoke(main, ["classify", "--spec", str(spec)])
         assert res.exit_code == 2
         assert "refusing" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in res.output
 
     def test_classify_extra_detectors(self, tmp_path):
         spec = tmp_path / "m.json"

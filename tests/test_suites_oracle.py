@@ -137,7 +137,7 @@ class TestSuites:
         assert suites.norm_trace_monotone([], plan=QUICK_PLAN).passed
 
     def test_band_stability_row(self):
-        row, info = suites.lipschitz_band_stability(count=6, plan=QUICK_PLAN)
+        row = suites.lipschitz_band_stability(count=6, plan=QUICK_PLAN)
         assert row.passed
-        lo, hi = info["band"]
+        lo, hi = row.detail["band"]
         assert 0 < lo <= hi

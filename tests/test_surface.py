@@ -20,6 +20,7 @@ import inspect
 from collections import Counter
 from pathlib import Path
 
+from blochlab.criteria import make_boundary_paths
 from blochlab.holo import Series
 from blochlab.sampling import stratified_grid
 
@@ -205,10 +206,15 @@ def test_every_public_name_is_referenced():
 
 def test_benchmark_binding_contract():
     """bench/tracing.py binds stratified_grid's arguments by name (dim, plan, and
-    rng, None for a fresh seeded generator) and counts term points of
-    Series.val(Z) as len(self.coeffs) times the points."""
+    rng, None for a fresh seeded generator), binds make_boundary_paths's phi,
+    mode and count by name (count None for 16n image rays or 16 coordinate
+    rays), and counts term points of Series.val(Z) as len(self.coeffs) times
+    the points."""
     grid = inspect.signature(stratified_grid).parameters
     assert list(grid) == ["dim", "plan", "rng"] and grid["rng"].default is None
+    paths = inspect.signature(make_boundary_paths).parameters
+    assert list(paths) == ["phi", "mode", "axis", "count", "seed"]
+    assert paths["count"].default is None
     assert list(inspect.signature(Series.val).parameters) == ["self", "Z"]
     f = Series({(2, 0, 1): 1.0, (0, 1, 0): -0.5j, (0, 0, 0): 0.25}, 3)
     assert type(f.coeffs) is dict and len(f.coeffs) == 3
