@@ -21,6 +21,7 @@ from .criteria import (
     lip1_boundedness_check,
     little_bloch_operator_check,
     operator_norm_lower_bound,
+    require_certified,
 )
 from .holo import EvaluationDomainError
 from .norms import bloch_norm_estimate, lipschitz_norm_estimate
@@ -245,7 +246,8 @@ def oracle_cmd(dimension, p, derivative_count, sup_count, out_json,
 
 @main.command("sweep")
 @click.option("--spec", type=click.Path(exists=True), multiple=True,
-              help="Additional map specs to include beside the built-in corpus.")
+              help="Additional map specs to include beside the built-in corpus; "
+                   "an uncertified one is refused before any cell runs.")
 @click.option("--dimension", type=int, default=1, show_default=True)
 @click.option("--p", "ps", type=float, multiple=True, default=(0.3, 0.5, 0.7),
               show_default=True)
@@ -262,14 +264,14 @@ def sweep(spec, dimension, ps, qs, out_csv, out_json,
     plan = _mk_plan(levels, angles, rounds, budget, seed)
     maps = corpus_mod.default_selfmap_corpus(dimension, seed=seed)
     for i, path in enumerate(spec):
-        maps.append((f"spec{i}", mapspec.load_map(path, plan=plan)))
+        phi = mapspec.load_map(path, plan=plan)
+        require_certified(phi)
+        maps.append((f"spec{i}", phi))
 
     rows = []
     payload = {"cells": []}
     idx = 0
     for name, phi in maps:
-        if not phi.certificate.is_certified():
-            continue
         for p in ps:
             for q in qs:
                 report = classify_map(phi, p, q, plan)

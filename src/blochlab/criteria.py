@@ -98,7 +98,7 @@ def _jsonable(obj):
     return obj
 
 
-def _require_certified(phi: HoloSelfMap):
+def require_certified(phi: HoloSelfMap):
     if not phi.certificate.is_certified():
         raise UncertifiedMapError(
             "refusing: the map is not certified as a self-map (certificate.evidence = "
@@ -154,7 +154,7 @@ def boundedness_check(phi: HoloSelfMap, p: float, q: float,
     across the last two boundary levels).  fails: the trace keeps growing by a
     factor >= 2 over the last 4 levels, or a singular escape was hit.
     """
-    _require_certified(phi)
+    require_certified(phi)
     plan = plan if plan is not None else SamplingPlan()
     est = estimate_supremum(criterion_density_fn(phi, p, q), phi.dim, plan)
     lt = est.level_trace
@@ -280,7 +280,7 @@ def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
     U = pool[order[:count]]
     deep = deep_pool[order[:count]]
 
-    g0 = float(measures_for(U, np.zeros((count, 1)))[0, 0])
+    g0 = float(measures_for(U[:1], np.zeros((1, 1)))[0, 0])
     if g0 <= 0:
         return []
 
@@ -346,7 +346,7 @@ def compactness_profile(phi: HoloSelfMap, p: float, q: float,
     p < 1 criterion).  With no realizable path the approach is vacuous and
     the verdict holds by the small-components rule.
     """
-    _require_certified(phi)
+    require_certified(phi)
     rule = "image-boundary-decay" if mode == "image" else "coordinate-boundary-decay"
     if not paths:
         return [], Verdict("holds", "small-components",
@@ -415,7 +415,7 @@ def component_sup_estimates(phi: HoloSelfMap, plan: SamplingPlan) -> list[NormEs
 def lip1_boundedness_check(phi: HoloSelfMap, plan: SamplingPlan | None = None) -> Verdict:
     """Unit-exponent Lipschitz norms of the components: all plateauing finite
     estimates certify the unit-exponent boundedness criterion."""
-    _require_certified(phi)
+    require_certified(phi)
     plan = plan if plan is not None else SamplingPlan()
     values, converged = [], []
     for comp in phi.components:
@@ -442,7 +442,7 @@ def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
     and phi^gamma lies in the little q-Bloch space for every gamma iff each
     phi_l does.
     """
-    _require_certified(phi)
+    require_certified(phi)
     plan = plan if plan is not None else SamplingPlan()
     gaps, gap_index, skipped = {}, {}, []
     for l, comp in enumerate(phi.components):
@@ -481,7 +481,7 @@ def operator_norm_lower_bound(phi: HoloSelfMap, p: float, q: float,
     The denominator is guarded from below by closed-form floors (norm values
     forced at explicit points), so degenerate members cannot inflate the ratio.
     """
-    _require_certified(phi)
+    require_certified(phi)
     plan = plan if plan is not None else SamplingPlan()
     n = phi.dim
     best = 0.0
@@ -568,7 +568,7 @@ def classify(phi: HoloSelfMap, p: float, q: float,
     With p < 1 a global-profile 'stays' is never converted into a failure
     verdict; only the per-coordinate criterion decides there.
     """
-    _require_certified(phi)
+    require_certified(phi)
     plan = plan if plan is not None else SamplingPlan()
     if not (p > 0 and q > 0):
         raise ValueError("exponents p and q must be positive")

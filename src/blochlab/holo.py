@@ -5,6 +5,10 @@ structurally: series by the degree-shift rule, closed forms by stored
 derivative formulas, composite nodes by sum/product/chain rules.  Finite
 differences never appear here; they live in the independent oracle module.
 
+`abs_val` gives moduli, np.abs(val) by default; the densities in `norms` need
+no more.  A kernel overrides it with a real power of |1 - conj(w) z| (no complex
+power), and Const / Scaled / Product with the moduli of their parts.
+
 Representations:
   * Series        -- finite multivariate power series (polynomials), evaluated by
                      nested Horner over the axes on blocks of HORNER_BLOCK points,
@@ -58,6 +62,10 @@ class HoloFunction:
         """Evaluate at Z of shape (..., dim); returns shape (...)."""
         raise NotImplementedError
 
+    def abs_val(self, Z: np.ndarray) -> np.ndarray:
+        """|f| at Z of shape (..., dim); real, shape (...)."""
+        return np.abs(self.val(Z))
+
     def partial(self, axis: int) -> "HoloFunction":
         """Exact partial derivative d/dz_axis as a new function."""
         raise NotImplementedError
@@ -105,6 +113,9 @@ class Const(HoloFunction):
     def val(self, Z):
         Z = np.asarray(Z, dtype=complex)
         return np.full(Z.shape[:-1], self.c, dtype=complex)
+
+    def abs_val(self, Z):
+        return np.full(np.shape(Z)[:-1], abs(self.c))
 
     def partial(self, axis):
         self._check_axis(axis)
@@ -312,13 +323,22 @@ class ScaledKernel(HoloFunction):
         self.scale = complex(scale)
         self._check_axis(self.axis)
 
-    def val(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        den = 1.0 - np.conj(self.w) * Z[..., self.axis]
-        if np.any(np.abs(den) < KERNEL_SINGULARITY_FLOOR):
+    def _denominator(self, Z):
+        """1 - conj(w) z_axis and its modulus; refuses points near the singularity."""
+        den = 1.0 - np.conj(self.w) * np.asarray(Z, dtype=complex)[..., self.axis]
+        mod = np.abs(den)
+        if np.any(mod < KERNEL_SINGULARITY_FLOOR):
             raise EvaluationDomainError(
                 "kernel evaluated too close to its singularity: |1 - conj(w) z| < 1e-12")
+        return den, mod
+
+    def val(self, Z):
+        den, _ = self._denominator(Z)
         return self.scale * den ** (-self.exponent)
+
+    def abs_val(self, Z):
+        _, mod = self._denominator(Z)
+        return abs(self.scale) * mod ** (-self.exponent)
 
     def partial(self, axis):
         self._check_axis(axis)
@@ -397,6 +417,9 @@ class Scaled(HoloFunction):
     def val(self, Z):
         return self.scale * self.inner.val(Z)
 
+    def abs_val(self, Z):
+        return abs(self.scale) * self.inner.abs_val(Z)
+
     def partial(self, axis):
         return Scaled(self.scale, self.inner.partial(axis))
 
@@ -442,6 +465,9 @@ class Product(HoloFunction):
 
     def val(self, Z):
         return self.left.val(Z) * self.right.val(Z)
+
+    def abs_val(self, Z):
+        return self.left.abs_val(Z) * self.right.abs_val(Z)
 
     def partial(self, axis):
         terms = []

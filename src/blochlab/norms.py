@@ -8,13 +8,17 @@ refinement, over points for the density and over pairs for the quotient.  The
 module also provides the direction-optimized Bergman-metric seminorm,
 closed-form point-evaluation bound factors, and the measured distance to a
 degree-m Taylor polynomial.
+
+The density evaluators work from moduli: they drop the structurally zero
+partials once, when built, and take |df/dz_k| from `HoloFunction.abs_val` (a
+real power for a kernel partial) times the weight of column k alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .holo import HoloFunction, subtract
+from .holo import HoloFunction, is_zero, subtract
 from .polydisk import one_minus_sq
 from .sampling import (REFINE_SHRINK, NormEstimate, SamplingPlan, estimate_supremum,
                        maximise, stratified_grid)
@@ -28,17 +32,21 @@ def _check_p(p: float):
         raise ValueError(f"exponent p must be positive, got {p}")
 
 
+def _nonzero_partials(f: HoloFunction) -> list:
+    """(axis, partial) for the partials of f that are not structurally zero."""
+    return [(k, pk) for k, pk in enumerate(f.partials()) if not is_zero(pk)]
+
+
 def bloch_density_fn(f: HoloFunction, p: float):
     """Batched evaluator of the p-Bloch density of f."""
     _check_p(p)
-    parts = f.partials()
+    parts = _nonzero_partials(f)
 
     def density(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        weights = one_minus_sq(np.abs(Z)) ** p
         out = np.zeros(Z.shape[:-1], dtype=float)
-        for k, pk in enumerate(parts):
-            out += np.abs(pk.val(Z)) * weights[..., k]
+        for k, pk in parts:
+            out += pk.abs_val(Z) * one_minus_sq(np.abs(Z[..., k])) ** p
         return out
 
     return density
@@ -59,14 +67,13 @@ def timoney_q_fn(f: HoloFunction):
     sqrt(sum_k |df/dz_k|^2 (1-|z_k|^2)^2), with equality at u_k proportional
     to conj(df/dz_k) (1-|z_k|^2)^2.
     """
-    parts = f.partials()
+    parts = _nonzero_partials(f)
 
     def q(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        weights = one_minus_sq(np.abs(Z)) ** 2
         acc = np.zeros(Z.shape[:-1], dtype=float)
-        for k, pk in enumerate(parts):
-            acc += np.abs(pk.val(Z)) ** 2 * weights[..., k]
+        for k, pk in parts:
+            acc += pk.abs_val(Z) ** 2 * one_minus_sq(np.abs(Z[..., k])) ** 2
         return np.sqrt(acc)
 
     return q

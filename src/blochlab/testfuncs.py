@@ -12,7 +12,10 @@ kernel's; the module adds a uniform-in-w p-Bloch norm bound and an explicit
 bound on the truncation tail.  The 'g' and 'h' values are the kernel's value
 (times z_0 + 2 for 'h').  The family-'f' value is computed from its power
 series (adaptive truncation to relative 1e-14); the closed-form
-antiderivative is reserved for the independent oracle.
+antiderivative is reserved for the independent oracle.  The truncation test
+reduces over all points, so it runs only once it may pass by a bound from |w|
+and rho = max |z_l|: term j is at most c_j |w|^j rho^(j+1) / (j+1), with
+equality where |z_l| = rho, and the sum of those bounds caps the partial sum.
 """
 
 from __future__ import annotations
@@ -54,16 +57,23 @@ def _antiderivative_series(zl: np.ndarray, w: complex, p: float) -> np.ndarray:
     """sum_j c_j conj(w)^j z^{j+1}/(j+1) with c_j = p(p+1)...(p+j-1)/j!.
 
     Term ratio a_{j+1}/a_j = (p+j) conj(w) z / (j+2); converges for |w| < 1
-    on the closed disk in z.
+    on the closed disk in z.  The stop test is skipped while `bound` (= max|a_j|)
+    exceeds `head` (>= max|total|) times 1.01 _SERIES_RTOL, 1% over for rounding.
     """
     zl = np.asarray(zl, dtype=complex)
     ratio_base = np.conj(w) * zl
     term = zl.copy()
     total = zl.copy()
+    rho = float(np.max(np.abs(zl))) if zl.size else 0.0
+    bound = head = rho
     for j in range(_SERIES_MAX_TERMS):
         term *= ratio_base
         term *= (p + j) / (j + 2)
         total += term
+        bound *= abs(w) * rho * (p + j) / (j + 2)
+        head += bound
+        if bound > 1.01 * _SERIES_RTOL * max(head, 1e-30):
+            continue
         tmax = float(np.max(np.abs(term))) if term.size else 0.0
         if tmax <= _SERIES_RTOL * max(float(np.max(np.abs(total))) if total.size else 0.0, 1e-30):
             break

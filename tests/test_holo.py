@@ -2,7 +2,7 @@
 
 `Series.val` evaluates by nested Horner over the axes in blocks of
 HORNER_BLOCK points; `loop_series_val` below is the per-term loop it
-replaces, kept as the reference.
+replaces, kept as the reference.  `abs_val` is checked against np.abs(val).
 """
 
 import math
@@ -13,12 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochlab.corpus import polynomial_corpus
+from blochlab.testfuncs import make_h
 from blochlab.holo import (
     HORNER_BLOCK,
     Composition,
     Const,
+    EvaluationDomainError,
     HoloSelfMap,
     MoebiusFactor,
+    Product,
+    Scaled,
+    ScaledKernel,
     Series,
     certify_self_map,
     compose,
@@ -130,6 +135,64 @@ class TestHornerAgainstLoop:
         n = data.draw(st.integers(0, 40))
         Z = disk_points(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), (n,), dim)
         assert_horner_matches_loop(Series(coeffs, dim), Z)
+
+
+def assert_abs_val_matches(f, Z):
+    """abs_val agrees with np.abs(val) to 4e-15 relative, in shape and dtype too."""
+    got, ref = f.abs_val(Z), np.abs(f.val(Z))
+    assert got.shape == ref.shape and got.dtype == float
+    assert np.all(np.abs(got - ref) <= 4e-15 * ref)
+
+
+def raises_domain_error(evaluate, Z) -> bool:
+    try:
+        evaluate(Z)
+    except EvaluationDomainError:
+        return True
+    return False
+
+
+class TestAbsVal:
+    Z = np.concatenate([disk_points(np.random.default_rng(5), (400,), 2),
+                        np.exp(2j * np.pi * np.random.default_rng(6).random((40, 2))),
+                        np.zeros((1, 2))])
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("w", [0.0, 0.5j, 0.99])
+    def test_scaled_kernel(self, exponent, w):
+        for axis in (0, 1):
+            assert_abs_val_matches(ScaledKernel(2, axis, w, exponent, 0.3 - 0.4j), self.Z)
+
+    def test_moebius_partials(self):
+        f = MoebiusFactor(2, 1, 0.6 - 0.3j, 0.7)
+        for g in f.partials() + [f.partials()[1].partial(1)]:
+            assert_abs_val_matches(g, self.Z)
+
+    def test_composite_nodes(self):
+        kernel = ScaledKernel(2, 1, 0.9j, 1.5, 2.0)
+        outer = Series({(2, 0): 1.0, (1, 1): 0.5j, (0, 3): -0.25}, 2)
+        nodes = [Scaled(-0.5 + 2j, kernel), Product(outer, kernel), Const(0.0, 2),
+                 Const(3 - 4j, 2), outer, outer.partial(0),
+                 Composition(outer, [MoebiusFactor(2, 0, 0.3), Series.coordinate(1, 2)]),
+                 make_h(1, 0.6 - 0.5j, 2.0, 2).partial(1)]
+        assert isinstance(nodes[-1], Product)
+        for f in nodes:
+            assert_abs_val_matches(f, self.Z)
+        for shape in [(), (3, 4), (0,)]:
+            Z = disk_points(np.random.default_rng(7), shape, 2)
+            for f in nodes:
+                assert f.abs_val(Z).shape == shape
+
+    def test_raises_wherever_val_does(self):
+        kernel = ScaledKernel(2, 0, 1 - 1e-13, 2.0)
+        near = np.array([[1.0, 0.5], [0.2, 0.1]])
+        far = np.array([[0.99, 0.5], [0.2, 0.1]])
+        for f in [kernel, Scaled(2.0, kernel), Product(Series.coordinate(1, 2), kernel),
+                  Composition(Series.coordinate(0, 2), [kernel, Series.coordinate(1, 2)])]:
+            for Z in (near, far):
+                assert raises_domain_error(f.abs_val, Z) == raises_domain_error(f.val, Z)
+            assert raises_domain_error(f.abs_val, near)
+            assert not raises_domain_error(f.abs_val, far)
 
 
 class TestPartial:

@@ -215,6 +215,22 @@ class TestCLI:
         assert len(res.stderr.strip().splitlines()) == 1
         assert "Traceback" not in res.output
 
+    def test_sweep_refuses_uncertified(self, tmp_path):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({
+            "dimension": 1,
+            "components": [{"type": "series",
+                            "terms": [{"exponents": [1], "coeff": [2, 0]}]}],
+        }))
+        out_csv = tmp_path / "sweep.csv"
+        res = CliRunner().invoke(main, ["sweep", "--dimension", "1", "--p", "1", "--q", "1",
+                                        "--spec", str(spec), "--out-csv", str(out_csv)])
+        assert res.exit_code == 2
+        assert "refusing" in res.output
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in res.output
+        assert not out_csv.exists()
+
     def test_classify_extra_detectors(self, tmp_path):
         spec = tmp_path / "m.json"
         spec.write_text(json.dumps(HALVING_1))

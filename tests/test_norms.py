@@ -4,7 +4,7 @@ seminorm closed form, point-evaluation bound factors, truncation gaps."""
 import numpy as np
 import pytest
 
-from blochlab.holo import Const, MoebiusFactor, Series
+from blochlab.holo import Const, MoebiusFactor, ScaledKernel, Series
 from blochlab.norms import (
     _pair_quotients,
     bloch_density_fn,
@@ -14,7 +14,9 @@ from blochlab.norms import (
     pointeval_bound,
     timoney_q_fn,
 )
+from blochlab.polydisk import one_minus_sq
 from blochlab.sampling import SamplingPlan, estimate_supremum
+from blochlab.testfuncs import make_f, make_g, make_h
 
 PLAN = SamplingPlan(seed=7)
 
@@ -31,6 +33,30 @@ class TestBlochDensity:
     def test_constant_zero(self):
         f = Const(3.0, 2)
         assert bloch_density_fn(f, 1.0)([0.4, -0.2j]) == 0.0
+
+
+class TestDensityFromModuli:
+    """The densities take |df/dz_k| from abs_val: no complex kernel power."""
+
+    def test_no_complex_kernel_power(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        Z = np.sqrt(rng.random((300, 3))) * np.exp(2j * np.pi * rng.random((300, 3)))
+        members = [make_f(1, 0.6 - 0.5j, 1.5, 3), make_g(2, 0.9, 2.0, 3),
+                   make_h(1, 0.3j, 0.5, 3)]
+        weights = one_minus_sq(np.abs(Z))
+        refs = []
+        for t in members:
+            moduli = np.stack([np.abs(pk.val(Z)) for pk in t.partials()], axis=-1)
+            refs.append((np.sum(moduli * weights ** t.p, axis=-1),
+                         np.sqrt(np.sum(moduli ** 2 * weights ** 2, axis=-1))))
+
+        def refuse(self, Z):
+            raise AssertionError("a density evaluated a complex kernel power")
+
+        monkeypatch.setattr(ScaledKernel, "val", refuse)
+        for t, (dens, q) in zip(members, refs):
+            np.testing.assert_allclose(bloch_density_fn(t, t.p)(Z), dens, rtol=4e-15)
+            np.testing.assert_allclose(timoney_q_fn(t)(Z), q, rtol=4e-15)
 
 
 class TestBlochNormEstimate:

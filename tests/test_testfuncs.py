@@ -1,4 +1,9 @@
-"""The three extremal families: values, kernel partials, bounds, truncations, tails."""
+"""The three extremal families: values, kernel partials, bounds, truncations, tails.
+
+`testfuncs._antiderivative_series` skips its stop test while a bound from |w|
+and max |z| says the test cannot pass; `loop_antiderivative_series` below is
+the loop that tests every term, kept as the bit-equal reference.
+"""
 
 import math
 
@@ -9,7 +14,10 @@ from blochlab.holo import EvaluationDomainError, rising_factorial_coeffs
 from blochlab.norms import bloch_density_fn, bloch_norm_estimate, little_bloch_gap
 from blochlab.sampling import SamplingPlan
 from blochlab.testfuncs import (
+    _SERIES_MAX_TERMS,
+    _SERIES_RTOL,
     TestFunction,
+    _antiderivative_series,
     family_norm_bound,
     make_f,
     make_g,
@@ -54,6 +62,42 @@ class TestAntiderivativeFamily:
         t = make_f(0, 1 - 1e-13, 1.0, 1)
         with pytest.raises(EvaluationDomainError):
             t.partial(0).value([1.0])
+
+
+def loop_antiderivative_series(zl, w, p):
+    """Reference: the family-f series with the stop test on every term."""
+    zl = np.asarray(zl, dtype=complex)
+    ratio_base = np.conj(w) * zl
+    term = zl.copy()
+    total = zl.copy()
+    for j in range(_SERIES_MAX_TERMS):
+        term *= ratio_base
+        term *= (p + j) / (j + 2)
+        total += term
+        tmax = float(np.max(np.abs(term))) if term.size else 0.0
+        if tmax <= _SERIES_RTOL * max(float(np.max(np.abs(total))) if total.size else 0.0, 1e-30):
+            break
+    return total
+
+
+class TestSeriesAgainstLoop:
+    rng = np.random.default_rng(12)
+    POINTS = {
+        "empty": np.zeros(0, dtype=complex),
+        "zeros": np.zeros(5, dtype=complex),
+        "unit-circle": np.exp(2j * np.pi * rng.random(16)),
+        "disk": 0.97 * np.sqrt(rng.random(48)) * np.exp(2j * np.pi * rng.random(48)),
+        "small": 1e-3 * (rng.random(8) + 1j * rng.random(8)),
+        "grid": np.array([[0.5, -0.5j], [1.0, 0.0]]),
+    }
+
+    @pytest.mark.parametrize("w", [0.0, 0.3, 0.6 - 0.5j, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    def test_bit_equal(self, w, p):
+        for name, zl in self.POINTS.items():
+            got = _antiderivative_series(zl, w, p)
+            assert got.shape == zl.shape, name
+            assert np.array_equal(got, loop_antiderivative_series(zl, w, p)), name
 
 
 class TestKernelFamily:
