@@ -14,7 +14,7 @@ from .holo import (
     identity_map,
     moebius_automorphism,
 )
-from .testfuncs import make_f, make_g, make_h
+from .testfuncs import members
 
 
 def polynomial_corpus(dim: int, count: int = 50, seed: int = 0) -> list[Series]:
@@ -39,10 +39,7 @@ def testfn_corpus(dim: int, ps=(0.5, 1.0, 2.0), ws=None) -> list:
     for p in ps:
         for w in ws:
             for axis in range(dim):
-                out.append(make_f(axis, w, p, dim))
-                out.append(make_g(axis, w, p, dim))
-                if axis != 0 and dim >= 2:
-                    out.append(make_h(axis, w, p, dim))
+                out += members(axis, w, p, dim)
     return out
 
 

@@ -44,7 +44,7 @@ from .norms import (
 from .polydisk import complex_pair, complex_pairs, one_minus_sq
 from .reports import SCHEMA_VERSION, format_point
 from .sampling import PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum, stratified_grid
-from .testfuncs import make_f, make_g, make_h
+from .testfuncs import family_norm_floor, members
 
 DECAY_TOL = 1e-3
 STAY_FLOOR = 1e-3
@@ -483,22 +483,12 @@ def operator_norm_lower_bound(phi: HoloSelfMap, p: float, q: float,
     """
     require_certified(phi)
     plan = plan if plan is not None else SamplingPlan()
-    n = phi.dim
     best = 0.0
     for w in np.asarray(w_grid, dtype=complex):
-        aw = abs(w)
-        for axis in range(n):
-            members = [make_f(axis, w, p, n), make_g(axis, w, p, n)]
-            if axis != 0 and n >= 2:
-                members.append(make_h(axis, w, p, n))
-            for nu in members:
-                floors = {
-                    "f": 1.0,
-                    "g": max(1.0 - aw ** 2, p * aw),
-                    "h": 3.0 * (1.0 - aw ** 2) ** p,
-                }
+        for axis in range(phi.dim):
+            for nu in members(axis, w, p, phi.dim):
                 den_est = bloch_norm_estimate(nu, p, plan).value
-                den = max(den_est, floors[nu.family], 1e-300)
+                den = max(den_est, family_norm_floor(nu.family, p, w), 1e-300)
                 num = bloch_norm_estimate(compose(nu, phi), q, plan).value
                 best = max(best, num / den)
     return best

@@ -7,7 +7,7 @@ differences never appear here; they live in the independent oracle module.
 
 `abs_val` gives moduli, np.abs(val) by default; the densities in `norms` need
 no more.  A kernel overrides it with a real power of |1 - conj(w) z| (no complex
-power), and Const / Scaled / Product with the moduli of their parts.
+power), Const its |c|, and Product the product of its factors' moduli.
 
 Representations:
   * Series        -- finite multivariate power series (polynomials), evaluated by
@@ -16,7 +16,7 @@ Representations:
                      form of the kernel, reused by Moebius derivatives and `testfuncs`,
   * MoebiusFactor -- one-coordinate disk automorphism factor (partials: ScaledKernels;
                      Taylor polynomial: the integral of theirs),
-  * Const / Scaled / Sum / Product / Composition nodes over these.
+  * Const / Sum / Product / Composition nodes over these.
 
 Self-maps of U^n carry a certificate recording why they are believed to map
 into the closed polydisk (coefficient test, sampling, or exact construction).
@@ -96,8 +96,6 @@ def is_zero(f: HoloFunction) -> bool:
         return f.c == 0
     if isinstance(f, Series):
         return not f.coeffs
-    if isinstance(f, Scaled):
-        return f.scale == 0 or is_zero(f.inner)
     return False
 
 
@@ -408,25 +406,6 @@ class MoebiusFactor(HoloFunction):
 # composite nodes
 
 
-class Scaled(HoloFunction):
-    def __init__(self, scale: complex, inner: HoloFunction):
-        self.scale = complex(scale)
-        self.inner = inner
-        self.dim = inner.dim
-
-    def val(self, Z):
-        return self.scale * self.inner.val(Z)
-
-    def abs_val(self, Z):
-        return abs(self.scale) * self.inner.abs_val(Z)
-
-    def partial(self, axis):
-        return Scaled(self.scale, self.inner.partial(axis))
-
-    def taylor(self, m):
-        return self.inner.taylor(m).scale(self.scale)
-
-
 class Sum(HoloFunction):
     def __init__(self, parts: list):
         parts = [p for p in parts if not is_zero(p)]
@@ -447,12 +426,6 @@ class Sum(HoloFunction):
         parts = [p.partial(axis) for p in self.parts]
         parts = [p for p in parts if not is_zero(p)]
         return Sum(parts) if parts else Const(0.0, self.dim)
-
-    def taylor(self, m):
-        acc = Series({}, self.dim)
-        for p in self.parts:
-            acc = acc.add(p.taylor(m))
-        return acc
 
 
 class Product(HoloFunction):
@@ -478,13 +451,6 @@ class Product(HoloFunction):
         if not is_zero(dr):
             terms.append(Product(self.left, dr))
         return Sum(terms) if terms else Const(0.0, self.dim)
-
-    def taylor(self, m):
-        return self.left.taylor(m).mul(self.right.taylor(m), max_degree=m)
-
-
-def subtract(f: HoloFunction, g: HoloFunction) -> HoloFunction:
-    return Sum([f, Scaled(-1.0, g)])
 
 
 class Composition(HoloFunction):
@@ -519,8 +485,6 @@ class Composition(HoloFunction):
     def taylor(self, m):
         # Exact only for polynomial outer: low-order output coefficients then
         # depend on inner coefficients of order <= m alone.
-        if isinstance(self.outer, Const):
-            return Const(self.outer.c, self.dim).taylor(m)
         if not isinstance(self.outer, Series):
             raise TruncationUnavailableError(
                 "Taylor truncation of a composition needs a polynomial outer function")

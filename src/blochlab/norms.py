@@ -7,7 +7,7 @@ by the one maximiser, `sampling.maximise`: stratified sampling plus
 refinement, over points for the density and over pairs for the quotient.  The
 module also provides the direction-optimized Bergman-metric seminorm,
 closed-form point-evaluation bound factors, and the measured distance to a
-degree-m Taylor polynomial.
+degree-m Taylor polynomial T, as the norm of f plus T negated (exactly -T).
 
 The density evaluators work from moduli: they drop the structurally zero
 partials once, when built, and take |df/dz_k| from `HoloFunction.abs_val` (a
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .holo import HoloFunction, is_zero, subtract
+from .holo import HoloFunction, Sum, is_zero
 from .polydisk import one_minus_sq
 from .sampling import (REFINE_SHRINK, NormEstimate, SamplingPlan, estimate_supremum,
                        maximise, stratified_grid)
@@ -103,12 +103,13 @@ def pointeval_bound(p: float, Z) -> np.ndarray:
 
 def little_bloch_gap(f: HoloFunction, p: float, m: int,
                      plan: SamplingPlan | None = None) -> float:
-    """Measured p-Bloch distance from f to its degree-m Taylor polynomial f.taylor(m);
-    raises TruncationUnavailableError for representations without one.
-    """
+    """Measured p-Bloch distance from f to its degree-m Taylor polynomial f.taylor(m),
+    0 when f is structurally zero; raises TruncationUnavailableError without one."""
     if m < 0:
         raise ValueError("truncation degree must be nonnegative")
-    return bloch_norm_estimate(subtract(f, f.taylor(m)), p, plan).value
+    if is_zero(f):
+        return 0.0
+    return bloch_norm_estimate(Sum([f, f.taylor(m).scale(-1.0)]), p, plan).value
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .norms import (
 from .oracle import derivative_results, fd_gradient, uniform_points
 from .polydisk import Direction, PolydiskPoint, bergman_metric, boundary_distance, segment_point
 from .sampling import SamplingPlan
-from .testfuncs import family_norm_bound, make_f, make_g, make_h, tail_bound
+from .testfuncs import TestFunction, family_norm_bound, members, tail_bound
 
 
 @dataclass
@@ -247,15 +247,11 @@ def family_uniform_bound(dim: int = 2, n_w: int = 8,
     for p in (0.5, 1.0, 2.0):
         for w in ws:
             for axis in range(dim):
-                members = [("f", make_f(axis, w, p, dim)),
-                           ("g", make_g(axis, w, p, dim))]
-                if axis != 0:
-                    members.append(("h", make_h(axis, w, p, dim)))
-                for fam, t in members:
+                for t in members(axis, w, p, dim):
                     est = bloch_norm_estimate(t, p, plan).value
-                    excess = est - family_norm_bound(fam, p) - 1e-9
+                    excess = est - family_norm_bound(t.family, p) - 1e-9
                     if excess > worst:
-                        worst, witness = excess, f"family {fam}, p={p}, w={w:.3g}, axis={axis}"
+                        worst, witness = excess, f"family {t.family}, p={p}, w={w:.3g}, axis={axis}"
     return _row("family-uniform-bound", worst <= 0.0, worst, witness)
 
 
@@ -267,7 +263,7 @@ def family_f_density_identity(dim: int = 2) -> SuiteRow:
     for p in (0.5, 1.0, 2.0):
         for w in (0.0, 0.3, 0.6 - 0.5j, 0.9):
             for axis in range(dim):
-                t = make_f(axis, w, p, dim)
+                t = TestFunction("f", axis, w, p, dim)
                 Z = uniform_points(dim, 400, 10, rmax=0.99)
                 dens = bloch_density_fn(t, p)(Z)
                 zl = Z[..., axis]
@@ -284,7 +280,7 @@ def family_truncation_tails(dim: int = 2, plan: SamplingPlan | None = None) -> S
     p, w = 1.0, 0.5
     worst, witness = -np.inf, ""
     for m in (2, 4, 8, 16):
-        t = make_g(0, w, p, dim)
+        t = TestFunction("g", 0, w, p, dim)
         gap = little_bloch_gap(t, p, m, plan)
         excess = gap - tail_bound(p, w, m) - 1e-6
         if excess > worst:
@@ -300,7 +296,7 @@ def kernel_local_decay(dim: int = 2) -> SuiteRow:
     for p in (0.5, 1.0, 2.0):
         for aw in (0.9, 0.99, 0.999):
             w = aw * np.exp(2j * np.pi * rng.random())
-            g = make_g(0, w, p, dim)
+            g = TestFunction("g", 0, w, p, dim)
             Z = r * np.sqrt(rng.random((2000, dim))) * np.exp(2j * np.pi * rng.random((2000, dim)))
             sup = float(np.max(np.abs(g.val(Z))))
             bound = (1.0 - aw ** 2) / (1.0 - r) ** p

@@ -8,14 +8,15 @@ For an exponent p > 0, a coordinate axis l, and a disk parameter |w| < 1:
 
 Each member holds one `holo.ScaledKernel`, scale / (1 - conj(w) z_l)^p, and
 takes its exact partials and its degree-indexed Taylor polynomial from that
-kernel's; the module adds a uniform-in-w p-Bloch norm bound and an explicit
-bound on the truncation tail.  The 'g' and 'h' values are the kernel's value
-(times z_0 + 2 for 'h').  The family-'f' value is computed from its power
-series (adaptive truncation to relative 1e-14); the closed-form
-antiderivative is reserved for the independent oracle.  The truncation test
-reduces over all points, so it runs only once it may pass by a bound from |w|
-and rho = max |z_l|: term j is at most c_j |w|^j rho^(j+1) / (j+1), with
-equality where |z_l| = rho, and the sum of those bounds caps the partial sum.
+kernel's.  `members` lists one axis's members in family order; the module adds
+p-Bloch norm bounds uniform in w, floors (`family_norm_floor`) and a bound on
+the truncation tail.  The 'g' and 'h' values are the kernel's value (times
+z_0 + 2 for 'h').  The family-'f' value is computed from its power series
+(adaptive truncation to relative 1e-14); the closed-form antiderivative is
+reserved for the independent oracle.  The truncation test reduces over all
+points, so it runs only once it may pass by a bound from |w| and rho = max
+|z_l|: term j is at most c_j |w|^j rho^(j+1) / (j+1), with equality where
+|z_l| = rho, and the sum of those bounds caps the partial sum.
 """
 
 from __future__ import annotations
@@ -146,16 +147,9 @@ class TestFunction(HoloFunction):
                 f"w={self.w}, p={self.p}, dim={self.dim})")
 
 
-def make_f(axis: int, w: complex, p: float, dim: int) -> TestFunction:
-    return TestFunction("f", axis, w, p, dim)
-
-
-def make_g(axis: int, w: complex, p: float, dim: int) -> TestFunction:
-    return TestFunction("g", axis, w, p, dim)
-
-
-def make_h(axis: int, w: complex, p: float, dim: int) -> TestFunction:
-    return TestFunction("h", axis, w, p, dim)
+def members(axis: int, w: complex, p: float, dim: int) -> list[TestFunction]:
+    """The members on one axis in family order: f, g, and h off axis 0."""
+    return [TestFunction(fam, axis, w, p, dim) for fam in FAMILIES if fam != "h" or axis]
 
 
 def family_norm_bound(family: str, p: float) -> float:
@@ -169,6 +163,15 @@ def family_norm_bound(family: str, p: float) -> float:
     if family == "h":
         return 2.0 + 2.0 ** p + 3.0 * p * 2.0 ** (p + 1.0)
     raise ValueError(f"unknown test-function family {family!r}")
+
+
+def family_norm_floor(family: str, p: float, w: complex) -> float:
+    """A lower bound on the member's p-Bloch norm: |nu(0)| plus the density at 0
+    for 'f' and 'h', the larger of |g(0)| and the density at z_l = w for 'g'."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown test-function family {family!r}")
+    aw = abs(w)
+    return {"f": 1.0, "g": max(1.0 - aw ** 2, p * aw), "h": 3.0 * (1.0 - aw ** 2) ** p}[family]
 
 
 def tail_bound(p: float, w: complex, m: int) -> float:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochlab.corpus import polynomial_corpus
-from blochlab.testfuncs import make_h
+from blochlab.testfuncs import TestFunction
 from blochlab.holo import (
     HORNER_BLOCK,
     Composition,
@@ -22,7 +22,6 @@ from blochlab.holo import (
     HoloSelfMap,
     MoebiusFactor,
     Product,
-    Scaled,
     ScaledKernel,
     Series,
     certify_self_map,
@@ -79,17 +78,29 @@ def loop_series_val(f, Z):
 
 
 def assert_horner_matches_loop(f, Z):
-    """Agreement to 1e-14 relative to the term majorant sum |c| |z^e| at each point."""
+    """Agreement to 1e-14 relative to the term majorant sum |c| |z^e| at each point,
+    plus 4 subnormal units per term: rounding below the normal range is absolute."""
     got, ref = f.val(Z), loop_series_val(f, Z)
     assert got.shape == ref.shape == np.shape(Z)[:-1]
     majorant = loop_series_val(Series({e: abs(c) for e, c in f.coeffs.items()}, f.dim),
                                np.abs(Z)).real
-    assert np.all(np.abs(got - ref) <= 1e-14 * majorant)
+    slack = 4 * len(f.coeffs) * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - ref) <= 1e-14 * majorant + slack)
 
 
 def disk_points(rng, shape, dim):
     r = np.sqrt(rng.random(shape + (dim,)))
     return r * np.exp(2j * np.pi * rng.random(shape + (dim,)))
+
+
+def draw_series_and_points(dim, data):
+    """A random Series of up to 12 terms of degree <= 5 per axis, and up to 40 disk points."""
+    exps = st.tuples(*[st.integers(0, 5)] * dim)
+    coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    coeffs = data.draw(st.dictionaries(exps, coeff, max_size=12))
+    n = data.draw(st.integers(0, 40))
+    Z = disk_points(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), (n,), dim)
+    return Series(coeffs, dim), Z
 
 
 class TestHornerAgainstLoop:
@@ -122,6 +133,11 @@ class TestHornerAgainstLoop:
         f = polynomial_corpus(2, count=1, seed=3)[0]
         assert_horner_matches_loop(f, Z)
 
+    def test_subnormal_outputs(self):
+        # Horner and the loop round differently once values fall below the normal range
+        f = Series({(0, 1, 1): 1.1125369292536007e-308}, 3)
+        assert_horner_matches_loop(f, disk_points(np.random.default_rng(0), (26,), 3))
+
     def test_sparse_high_gaps(self):
         f = Series({(9, 0, 4): 1.5j, (2, 7, 0): -0.5, (0, 0, 11): 0.25, (0, 0, 0): 1.0}, 3)
         assert_horner_matches_loop(f, disk_points(np.random.default_rng(2), (300,), 3))
@@ -129,12 +145,34 @@ class TestHornerAgainstLoop:
     @settings(max_examples=80, deadline=None)
     @given(dim=st.integers(1, 4), data=st.data())
     def test_random_small_series(self, dim, data):
-        exps = st.tuples(*[st.integers(0, 5)] * dim)
-        coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
-        coeffs = data.draw(st.dictionaries(exps, coeff, max_size=12))
-        n = data.draw(st.integers(0, 40))
-        Z = disk_points(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), (n,), dim)
-        assert_horner_matches_loop(Series(coeffs, dim), Z)
+        assert_horner_matches_loop(*draw_series_and_points(dim, data))
+
+
+def assert_negation_exact(s, Z):
+    """s.scale(-1.0) evaluates to exactly -s (== equates signed zeros), with the
+    moduli of s and of its partials: the Taylor gap adds the negated polynomial
+    instead of subtracting it."""
+    neg = s.scale(-1.0)
+    assert np.all(neg.val(Z) == -s.val(Z))
+    assert np.array_equal(neg.abs_val(Z), s.abs_val(Z))
+    for dneg, ds in zip(neg.partials(), s.partials()):
+        assert np.array_equal(dneg.abs_val(Z), ds.abs_val(Z))
+
+
+class TestNegationExact:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_corpus_polynomials_and_partials(self, dim):
+        Z = disk_points(np.random.default_rng(dim + 10), (2000,), dim)
+        for f in polynomial_corpus(dim, count=4, seed=dim):
+            for g in [f] + f.partials():
+                assert_negation_exact(g, Z)
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(1, 4), data=st.data())
+    def test_random_small_series(self, dim, data):
+        s, Z = draw_series_and_points(dim, data)
+        for g in [s] + s.partials():
+            assert_negation_exact(g, Z)
 
 
 def assert_abs_val_matches(f, Z):
@@ -171,10 +209,10 @@ class TestAbsVal:
     def test_composite_nodes(self):
         kernel = ScaledKernel(2, 1, 0.9j, 1.5, 2.0)
         outer = Series({(2, 0): 1.0, (1, 1): 0.5j, (0, 3): -0.25}, 2)
-        nodes = [Scaled(-0.5 + 2j, kernel), Product(outer, kernel), Const(0.0, 2),
+        nodes = [Product(outer, kernel), Const(0.0, 2),
                  Const(3 - 4j, 2), outer, outer.partial(0),
                  Composition(outer, [MoebiusFactor(2, 0, 0.3), Series.coordinate(1, 2)]),
-                 make_h(1, 0.6 - 0.5j, 2.0, 2).partial(1)]
+                 TestFunction("h", 1, 0.6 - 0.5j, 2.0, 2).partial(1)]
         assert isinstance(nodes[-1], Product)
         for f in nodes:
             assert_abs_val_matches(f, self.Z)
@@ -187,7 +225,7 @@ class TestAbsVal:
         kernel = ScaledKernel(2, 0, 1 - 1e-13, 2.0)
         near = np.array([[1.0, 0.5], [0.2, 0.1]])
         far = np.array([[0.99, 0.5], [0.2, 0.1]])
-        for f in [kernel, Scaled(2.0, kernel), Product(Series.coordinate(1, 2), kernel),
+        for f in [kernel, Product(Series.coordinate(1, 2), kernel),
                   Composition(Series.coordinate(0, 2), [kernel, Series.coordinate(1, 2)])]:
             for Z in (near, far):
                 assert raises_domain_error(f.abs_val, Z) == raises_domain_error(f.val, Z)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from blochlab import mapspec
 from blochlab.cli import main
 from blochlab.sampling import SamplingPlan
-from blochlab.testfuncs import make_g
+from blochlab.testfuncs import TestFunction
 
 IDENTITY_2 = {
     "dimension": 2,
@@ -83,7 +83,7 @@ class TestMapSpec:
                 "function": {"type": "testfn", "family": "g", "l": 0,
                              "w": [0.5, 0.0], "p": 1.0}}
         f = mapspec.load_function(spec)
-        ref = make_g(0, 0.5, 1.0, 2)
+        ref = TestFunction("g", 0, 0.5, 1.0, 2)
         z = [0.2, 0.7j]
         assert f.value(z) == pytest.approx(ref.value(z), rel=1e-14)
 
@@ -93,7 +93,7 @@ class TestMapSpec:
         assert phi.components[0].value([0.8]) == pytest.approx(0.2)
 
     def test_function_dump_for_testfn(self):
-        f = make_g(1, 0.25j, 2.0, 2)
+        f = TestFunction("g", 1, 0.25j, 2.0, 2)
         d = mapspec.dump_function(f)
         again = mapspec.load_function(d)
         z = [0.1, 0.6]
@@ -240,6 +240,18 @@ class TestCLI:
         assert res.exit_code == 0
         assert "little-space: holds" in res.output
         assert "lip1: holds" in res.output
+
+    @pytest.mark.parametrize("zero", [
+        {"type": "constant", "value": [0, 0]},
+        {"type": "series", "terms": [{"exponents": [1, 0], "coeff": [0, 0]}]},
+    ], ids=["constant", "series"])
+    def test_little_bloch_with_a_zero_component(self, tmp_path, zero):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({"dimension": 2, "components": [
+            zero, {"type": "series", "terms": [{"exponents": [0, 1], "coeff": [0.5, 0]}]}]}))
+        res = self.run("classify", "--spec", str(spec), "--theorems", "little-bloch")
+        assert res.exit_code == 0
+        assert "little-space: holds" in res.output
 
     def test_classify_rejects_unknown_theorem(self, tmp_path):
         spec = tmp_path / "m.json"

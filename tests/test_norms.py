@@ -16,7 +16,7 @@ from blochlab.norms import (
 )
 from blochlab.polydisk import one_minus_sq
 from blochlab.sampling import SamplingPlan, estimate_supremum
-from blochlab.testfuncs import make_f, make_g, make_h
+from blochlab.testfuncs import TestFunction
 
 PLAN = SamplingPlan(seed=7)
 
@@ -41,8 +41,8 @@ class TestDensityFromModuli:
     def test_no_complex_kernel_power(self, monkeypatch):
         rng = np.random.default_rng(4)
         Z = np.sqrt(rng.random((300, 3))) * np.exp(2j * np.pi * rng.random((300, 3)))
-        members = [make_f(1, 0.6 - 0.5j, 1.5, 3), make_g(2, 0.9, 2.0, 3),
-                   make_h(1, 0.3j, 0.5, 3)]
+        members = [TestFunction("f", 1, 0.6 - 0.5j, 1.5, 3), TestFunction("g", 2, 0.9, 2.0, 3),
+                   TestFunction("h", 1, 0.3j, 0.5, 3)]
         weights = one_minus_sq(np.abs(Z))
         refs = []
         for t in members:
@@ -229,6 +229,11 @@ class TestLittleBlochGap:
     def test_monomial_gap_zero_at_degree(self):
         f = Series({(1,): 1.0}, 1)
         assert little_bloch_gap(f, 0.5, 1, PLAN) == 0.0
+
+    @pytest.mark.parametrize("f", [Const(0.0, 2), Series({}, 2)], ids=["const", "series"])
+    def test_zero_function_is_its_own_polynomial(self, f):
+        for m in (0, 3):
+            assert little_bloch_gap(f, 1.0, m, PLAN) == 0.0
 
     def test_moebius_factor_gap_decreases(self):
         m = MoebiusFactor(1, 0, 0.6)

@@ -17,7 +17,7 @@ from blochlab.oracle import (
     uniform_points,
 )
 from blochlab.sampling import SamplingPlan
-from blochlab.testfuncs import make_f
+from blochlab.testfuncs import TestFunction
 
 PLAN = SamplingPlan(seed=1)
 QUICK_PLAN = SamplingPlan(seed=1, radial_levels=10, angular_count=24,
@@ -70,7 +70,8 @@ class TestOracle:
         assert all(not r.breach for r in rows)
 
     def test_antiderivative_closed_form_agreement(self):
-        members = [make_f(0, w, p, 1) for w in (0.3, 0.8, -0.6j) for p in (0.5, 1.0, 2.0)]
+        members = [TestFunction("f", 0, w, p, 1)
+                   for w in (0.3, 0.8, -0.6j) for p in (0.5, 1.0, 2.0)]
         rows = antiderivative_results(members, count=200, seed=0)
         assert rows
         assert all(not r.breach for r in rows)

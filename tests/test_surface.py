@@ -3,8 +3,9 @@
 Walks the syntax trees of src/blochlab and fails on an import a module never
 uses, on an import inside a function (no module needs one to break an import
 cycle, and a call-time import hides a dependency), on a public function,
-class or method that nothing in src/, tests/ or bench/ refers to (the
-package's own exports do not count), or on a defaulted parameter of a public
+class or method that nothing in src/, tests/ or bench/ refers to, on a
+name the package's top level exports beside its submodules (a re-export list
+would let every name count as referred to), or on a defaulted parameter of a public
 function that no call there passes: such an option is fixed by construction
 and belongs in the code as a constant.  The defaulted fields of a public
 @dataclass count as parameters of the class call.  Calls and references are
@@ -16,10 +17,13 @@ pinned here as well.
 """
 
 import ast
+import importlib
 import inspect
+import types
 from collections import Counter
 from pathlib import Path
 
+import blochlab
 from blochlab.criteria import make_boundary_paths
 from blochlab.holo import Series
 from blochlab.sampling import stratified_grid
@@ -121,8 +125,6 @@ def _calls():
 def test_no_unused_imports():
     unused = []
     for name, tree in _modules().items():
-        if name == "__init__.py":  # its imports are the package's exports
-            continue
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{name}: {imp}" for imp in _imported_names(tree) if imp not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
@@ -191,17 +193,26 @@ def _referenced_names(tree):
 
 
 def test_every_public_name_is_referenced():
-    exports = PACKAGE / "__init__.py"
     references = Counter()
     for folder in CALLER_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            if path != exports:
-                references.update(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+            references.update(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
     unused = [f"{module}: {name}"
-              for module, tree in _modules().items() if module != "__init__.py"
+              for module, tree in _modules().items()
               for name, node in _public_definitions(tree)
               if references[name] <= sum(n == name for n in _referenced_names(node))]
     assert not unused, "public names nothing refers to: " + ", ".join(unused)
+
+
+def test_package_top_level_holds_only_modules():
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"blochlab.{path.stem}")
+    stray = sorted(name for name, value in vars(blochlab).items()
+                   if not name.startswith("_")
+                   and not (isinstance(value, types.ModuleType)
+                            and value.__name__ == f"blochlab.{name}"))
+    assert not stray, "blochlab exports non-module names: " + ", ".join(stray)
 
 
 def test_benchmark_binding_contract():

@@ -19,9 +19,8 @@ from blochlab.testfuncs import (
     TestFunction,
     _antiderivative_series,
     family_norm_bound,
-    make_f,
-    make_g,
-    make_h,
+    family_norm_floor,
+    members,
     tail_bound,
 )
 
@@ -38,28 +37,28 @@ def fd_partial(f, z, axis, h=1e-6):
 
 class TestAntiderivativeFamily:
     def test_zero_parameter_is_monomial(self):
-        t = make_f(0, 0.0, 1.0, 2)
+        t = TestFunction("f", 0, 0.0, 1.0, 2)
         rng = np.random.default_rng(0)
         Z = 0.9 * (rng.random((30, 2)) - 0.5) + 0.4j * rng.random((30, 2))
         np.testing.assert_allclose(t.val(Z), Z[..., 0], rtol=1e-14)
 
     def test_other_partials_vanish(self):
-        t = make_f(0, 0.3 + 0.2j, 1.5, 3)
+        t = TestFunction("f", 0, 0.3 + 0.2j, 1.5, 3)
         for k in (1, 2):
             assert t.partial(k).value([0.1, 0.2, 0.3]) == 0
 
     def test_stored_partial_hand_value(self):
         # 1/(1 - conj(w) z)^p at p=1, w=0.5, z=0.5 -> 1/0.75 = 4/3
-        t = make_f(0, 0.5, 1.0, 1)
+        t = TestFunction("f", 0, 0.5, 1.0, 1)
         assert t.partial(0).value([0.5]) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     def test_value_agrees_with_fd_of_series(self):
-        t = make_f(0, 0.6 - 0.2j, 2.0, 2)
+        t = TestFunction("f", 0, 0.6 - 0.2j, 2.0, 2)
         z = [0.4 + 0.3j, 0.1]
         assert t.partial(0).value(z) == pytest.approx(fd_partial(t, z, 0), rel=1e-7)
 
     def test_flags_near_singular_kernel(self):
-        t = make_f(0, 1 - 1e-13, 1.0, 1)
+        t = TestFunction("f", 0, 1 - 1e-13, 1.0, 1)
         with pytest.raises(EvaluationDomainError):
             t.partial(0).value([1.0])
 
@@ -102,21 +101,21 @@ class TestSeriesAgainstLoop:
 
 class TestKernelFamily:
     def test_zero_parameter_constant_one(self):
-        t = make_g(1, 0.0, 1.3, 2)
+        t = TestFunction("g", 1, 0.0, 1.3, 2)
         assert t.value([0.5, -0.7j]) == pytest.approx(1.0)
 
     def test_value_hand_substitution(self):
         # (1 - 0.25)/(1 - 0)^1 = 0.75
-        t = make_g(0, 0.5, 1.0, 1)
+        t = TestFunction("g", 0, 0.5, 1.0, 1)
         assert t.value([0.0]) == pytest.approx(0.75)
 
     def test_partial_hand_substitution(self):
         # p conj(w) (1-|w|^2)/(1 - z conj(w))^{p+1} = 1 * 0.5 * 0.75 = 0.375 at z = 0
-        t = make_g(0, 0.5, 1.0, 1)
+        t = TestFunction("g", 0, 0.5, 1.0, 1)
         assert t.partial(0).value([0.0]) == pytest.approx(0.375, rel=1e-14)
 
     def test_partial_matches_fd(self):
-        t = make_g(1, 0.7j, 0.5, 2)
+        t = TestFunction("g", 1, 0.7j, 0.5, 2)
         z = [0.2, 0.3 - 0.4j]
         assert t.partial(1).value(z) == pytest.approx(fd_partial(t, z, 1), rel=1e-7)
 
@@ -124,27 +123,27 @@ class TestKernelFamily:
 class TestWeightedKernelFamily:
     def test_requires_axis_not_zero(self):
         with pytest.raises(ValueError):
-            make_h(0, 0.5, 1.0, 2)
+            TestFunction("h", 0, 0.5, 1.0, 2)
         with pytest.raises(ValueError):
-            make_h(1, 0.5, 1.0, 1)
+            TestFunction("h", 1, 0.5, 1.0, 1)
 
     def test_zero_parameter_affine(self):
-        t = make_h(1, 0.0, 1.0, 2)
+        t = TestFunction("h", 1, 0.0, 1.0, 2)
         assert t.value([0.3, 0.9]) == pytest.approx(2.3)
         assert t.partial(0).value([0.3, 0.9]) == pytest.approx(1.0)
         assert t.partial(1).value([0.3, 0.9]) == pytest.approx(0.0, abs=1e-15)
 
     def test_other_partials_vanish(self):
-        t = make_h(1, 0.4, 1.0, 3)
+        t = TestFunction("h", 1, 0.4, 1.0, 3)
         assert t.partial(2).value([0.1, 0.2, 0.3]) == 0
 
     def test_partial_hand_substitution(self):
         # p (z_0+2) conj(w) (1-|w|^2)^p / (1 - z conj(w))^{p+1} at 0: 1*2*0.5*0.75 = 0.75
-        t = make_h(1, 0.5, 1.0, 2)
+        t = TestFunction("h", 1, 0.5, 1.0, 2)
         assert t.partial(1).value([0.0, 0.0]) == pytest.approx(0.75, rel=1e-14)
 
     def test_both_partials_match_fd(self):
-        t = make_h(1, 0.3 - 0.5j, 2.0, 2)
+        t = TestFunction("h", 1, 0.3 - 0.5j, 2.0, 2)
         z = [0.25 - 0.1j, 0.4 + 0.2j]
         for k in (0, 1):
             assert t.partial(k).value(z) == pytest.approx(fd_partial(t, z, k), rel=1e-6)
@@ -165,10 +164,39 @@ class TestFamilyNormBound:
     def test_estimates_stay_below_bounds(self):
         for p in (0.5, 1.0, 2.0):
             for w in (0.0, 0.5, 0.9, -0.8j):
-                for fam, t in (("f", make_f(0, w, p, 2)), ("g", make_g(0, w, p, 2)),
-                               ("h", make_h(1, w, p, 2))):
-                    est = bloch_norm_estimate(t, p, PLAN)
+                for fam, axis in (("f", 0), ("g", 0), ("h", 1)):
+                    est = bloch_norm_estimate(TestFunction(fam, axis, w, p, 2), p, PLAN)
                     assert est.value <= family_norm_bound(fam, p) + 1e-9
+
+
+class TestMembers:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_per_family_loops(self, dim):
+        w, p = 0.6 - 0.5j, 1.5
+        want = []
+        for axis in range(dim):
+            want += [("f", axis), ("g", axis)]
+            if axis != 0 and dim >= 2:
+                want.append(("h", axis))
+        got = [t for axis in range(dim) for t in members(axis, w, p, dim)]
+        assert [(t.family, t.axis) for t in got] == want
+        assert all((t.w, t.p, t.dim) == (w, p, dim) for t in got)
+
+    @pytest.mark.parametrize("fam, axis", [("f", 0), ("g", 1), ("h", 1)])
+    def test_norm_floor_is_forced_at_its_points(self, fam, axis):
+        origin = np.zeros(2, dtype=complex)
+        for p in (0.5, 1.0, 2.0):
+            for w in (0.0, 0.3, 0.6 - 0.5j, 0.9):
+                t = TestFunction(fam, axis, w, p, 2)
+                at_w = origin.copy()
+                at_w[axis] = w
+                density = bloch_density_fn(t, p)
+                forced = abs(t.value(origin)) + max(density(origin), density(at_w))
+                assert family_norm_floor(fam, p, w) <= forced * (1.0 + 1e-12)
+
+    def test_norm_floor_rejects_unknown_family(self):
+        with pytest.raises(ValueError):
+            family_norm_floor("k", 1.0, 0.5)
 
 
 class TestDensityIdentity:
@@ -176,7 +204,7 @@ class TestDensityIdentity:
         # |f(0)| + density = (1 - |z_l|^2)^p / |1 - conj(w) z_l|^p pointwise
         rng = np.random.default_rng(1)
         for p in (0.5, 1.0, 2.0):
-            t = make_f(0, 0.6 + 0.3j, p, 2)
+            t = TestFunction("f", 0, 0.6 + 0.3j, p, 2)
             Z = 0.95 * np.sqrt(rng.random((200, 2))) * np.exp(2j * np.pi * rng.random((200, 2)))
             for z in Z[:50]:
                 lhs = abs(t.value([0.0, 0.0])) + bloch_density_fn(t, p)(z)
@@ -187,25 +215,25 @@ class TestDensityIdentity:
 
 class TestTruncation:
     def test_antiderivative_zero_parameter(self):
-        t = make_f(1, 0.0, 1.0, 2)
+        t = TestFunction("f", 1, 0.0, 1.0, 2)
         for m in (1, 3, 7):
             poly = t.taylor(m)
             assert poly.coeffs == {(0, 1): 1.0 + 0j}
 
     def test_kernel_order_zero(self):
-        t = make_g(0, 0.5, 1.0, 1)
+        t = TestFunction("g", 0, 0.5, 1.0, 1)
         poly = t.taylor(0)
         assert poly.coeffs == {(0,): 0.75 + 0j}
 
     def test_weighted_kernel_order_zero(self):
-        t = make_h(1, 0.0, 1.0, 2)
+        t = TestFunction("h", 1, 0.0, 1.0, 2)
         poly = t.taylor(0)
         assert poly.coeffs == {(0, 0): 2.0 + 0j, (1, 0): 1.0 + 0j}
 
     def test_kernel_taylor_coefficients(self):
         # (1-|w|^2) / (1 - conj(w) z)^p = (1-|w|^2) sum_j Gamma(p+j)/(Gamma(p) j!) conj(w)^j z^j
         w, p = 0.6 - 0.3j, 1.5
-        t = make_g(1, w, p, 2)
+        t = TestFunction("g", 1, w, p, 2)
         for m in (0, 3):
             expected = {(0, j): (1 - abs(w) ** 2) * math.gamma(p + j)
                         / (math.gamma(p) * math.factorial(j)) * np.conj(w) ** j
@@ -216,7 +244,7 @@ class TestTruncation:
                 assert poly.coeffs[e] == pytest.approx(c, rel=1e-14)
 
     def test_truncation_converges_to_member(self):
-        t = make_g(0, 0.5, 1.0, 1)
+        t = TestFunction("g", 0, 0.5, 1.0, 1)
         z = [0.4 - 0.3j]
         errs = [abs(t.taylor(m).value(z) - t.value(z)) for m in (2, 6, 14)]
         assert errs[0] > errs[1] > errs[2]
@@ -258,7 +286,7 @@ class TestTailBound:
         assert tail_bound(3.0, 0.99999, 0) == pytest.approx(exact, rel=1e-9)
 
     def test_gap_below_tail(self):
-        t = make_g(0, 0.5, 1.0, 2)
+        t = TestFunction("g", 0, 0.5, 1.0, 2)
         for m in (2, 4, 8):
             gap = little_bloch_gap(t, 1.0, m, PLAN)
             assert gap <= tail_bound(1.0, 0.5, m) + 1e-6
@@ -272,7 +300,7 @@ class TestLocalDecay:
         Z = r * np.sqrt(rng.random((500, 2))) * np.exp(2j * np.pi * rng.random((500, 2)))
         sups = []
         for aw in (0.9, 0.99, 0.999):
-            t = make_g(0, aw, 1.5, 2)
+            t = TestFunction("g", 0, aw, 1.5, 2)
             sup = float(np.max(np.abs(t.val(Z))))
             assert sup <= (1 - aw ** 2) / (1 - r) ** 1.5 + 1e-12
             sups.append(sup)
@@ -281,7 +309,7 @@ class TestLocalDecay:
 
 class TestSerialization:
     def test_json_round_trip_fields(self):
-        t = make_h(1, 0.25 - 0.5j, 2.0, 2)
+        t = TestFunction("h", 1, 0.25 - 0.5j, 2.0, 2)
         d = t.to_json()
         again = TestFunction(d["family"], d["l"], complex(*d["w"]), d["p"], 2)
         z = [0.2, 0.4j]
