@@ -31,6 +31,9 @@ from .suites import run_all
 from .testfuncs import TestFunction
 
 THEOREMS = ("bounded", "compact", "little-bloch", "lip1", "opnorm")
+POSITIVE = click.FloatRange(min=0.0, min_open=True)
+NATURAL = click.IntRange(min=0)
+COUNT = click.IntRange(min=1)
 
 
 class InputError(click.ClickException):
@@ -47,16 +50,24 @@ class _Main(click.Group):
             raise InputError(str(exc)) from exc
 
 
+def _parse_w(ctx, param, value) -> complex:
+    try:
+        re, im = (float(x) for x in value.split(","))
+    except ValueError:
+        raise click.BadParameter(f"expected re,im, got {value!r}") from None
+    return complex(re, im)
+
+
 def _plan_options(fn):
-    fn = click.option("--levels", type=int, default=SamplingPlan.radial_levels,
+    fn = click.option("--levels", type=NATURAL, default=SamplingPlan.radial_levels,
                       show_default=True, help="Radial levels (radii 1 - 2^-i).")(fn)
-    fn = click.option("--angles", type=int, default=SamplingPlan.angular_count,
+    fn = click.option("--angles", type=COUNT, default=SamplingPlan.angular_count,
                       show_default=True, help="Points per torus circle / stratum.")(fn)
-    fn = click.option("--rounds", type=int, default=SamplingPlan.max_rounds,
+    fn = click.option("--rounds", type=NATURAL, default=SamplingPlan.max_rounds,
                       show_default=True, help="Local refinement rounds.")(fn)
-    fn = click.option("--budget", type=int, default=SamplingPlan.budget,
+    fn = click.option("--budget", type=COUNT, default=SamplingPlan.budget,
                       show_default=True, help="Evaluation budget per estimate.")(fn)
-    fn = click.option("--seed", type=int, default=SamplingPlan.seed, show_default=True)(fn)
+    fn = click.option("--seed", type=NATURAL, default=SamplingPlan.seed, show_default=True)(fn)
     return fn
 
 
@@ -77,11 +88,11 @@ def main():
               help="Use a built-in test-family member instead of --spec.")
 @click.option("--tf-axis", type=int, default=0, show_default=True,
               help="Coordinate axis of the test function (0-based).")
-@click.option("--tf-w", type=str, default="0.5,0", show_default=True,
+@click.option("--tf-w", type=str, default="0.5,0", show_default=True, callback=_parse_w,
               help="Test-function parameter w as re,im.")
-@click.option("--dimension", type=int, default=1, show_default=True,
+@click.option("--dimension", type=COUNT, default=1, show_default=True,
               help="Ambient dimension for --testfn.")
-@click.option("--p", "ps", type=float, multiple=True, default=(1.0,), show_default=True)
+@click.option("--p", "ps", type=POSITIVE, multiple=True, default=(1.0,), show_default=True)
 @click.option("--kind", type=click.Choice(["bloch", "lipschitz", "both"]),
               default="bloch", show_default=True)
 @click.option("--emit-spec", type=click.Path(), default=None,
@@ -98,8 +109,10 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec,
     if spec is not None:
         f = mapspec.load_function(spec)
     else:
-        re, im = (float(x) for x in tf_w.split(","))
-        f = TestFunction(testfn, tf_axis, complex(re, im), ps[0], dimension)
+        try:
+            f = TestFunction(testfn, tf_axis, tf_w, ps[0], dimension)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     if emit_spec is not None:
         mapspec.write_spec(emit_spec, mapspec.dump_function(f))
         click.echo(f"spec written to {emit_spec}")
@@ -135,8 +148,8 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec,
 @main.command("classify")
 @click.option("--spec", type=click.Path(exists=True), required=True,
               help="Map spec JSON.")
-@click.option("--p", "ps", type=float, multiple=True, default=(1.0,), show_default=True)
-@click.option("--q", "qs", type=float, multiple=True, default=(1.0,), show_default=True)
+@click.option("--p", "ps", type=POSITIVE, multiple=True, default=(1.0,), show_default=True)
+@click.option("--q", "qs", type=POSITIVE, multiple=True, default=(1.0,), show_default=True)
 @click.option("--theorems", type=str, default="bounded,compact", show_default=True,
               help="Comma list from: " + ", ".join(THEOREMS) + ".  little-bloch judges "
                    "each component's q-Bloch Taylor gap plus boundedness.")
@@ -190,8 +203,8 @@ def classify_cmd(spec, ps, qs, theorems, out_json, out_csv,
 
 
 @main.command("verify-lemmas")
-@click.option("--dimension", type=int, default=2, show_default=True)
-@click.option("--band-count", type=int, default=10, show_default=True,
+@click.option("--dimension", type=COUNT, default=2, show_default=True)
+@click.option("--band-count", type=COUNT, default=10, show_default=True,
               help="Polynomial corpus size for the norm-ratio band suite.")
 @click.option("--out-json", type=click.Path(), default=None)
 @click.option("--out-csv", type=click.Path(), default=None)
@@ -219,10 +232,10 @@ def verify_lemmas(dimension, band_count, out_json, out_csv,
 
 
 @main.command("oracle")
-@click.option("--dimension", type=int, default=2, show_default=True)
-@click.option("--p", type=float, default=1.0, show_default=True)
-@click.option("--derivative-count", type=int, default=1000, show_default=True)
-@click.option("--sup-count", type=int, default=20_000, show_default=True)
+@click.option("--dimension", type=COUNT, default=2, show_default=True)
+@click.option("--p", type=POSITIVE, default=1.0, show_default=True)
+@click.option("--derivative-count", type=COUNT, default=1000, show_default=True)
+@click.option("--sup-count", type=COUNT, default=20_000, show_default=True)
 @click.option("--out-json", type=click.Path(), default=None)
 @_plan_options
 def oracle_cmd(dimension, p, derivative_count, sup_count, out_json,
@@ -248,10 +261,10 @@ def oracle_cmd(dimension, p, derivative_count, sup_count, out_json,
 @click.option("--spec", type=click.Path(exists=True), multiple=True,
               help="Additional map specs to include beside the built-in corpus; "
                    "an uncertified one is refused before any cell runs.")
-@click.option("--dimension", type=int, default=1, show_default=True)
-@click.option("--p", "ps", type=float, multiple=True, default=(0.3, 0.5, 0.7),
+@click.option("--dimension", type=COUNT, default=1, show_default=True)
+@click.option("--p", "ps", type=POSITIVE, multiple=True, default=(0.3, 0.5, 0.7),
               show_default=True)
-@click.option("--q", "qs", type=float, multiple=True, default=(0.3, 0.5, 0.7),
+@click.option("--q", "qs", type=POSITIVE, multiple=True, default=(0.3, 0.5, 0.7),
               show_default=True)
 @click.option("--out-csv", type=click.Path(), required=True)
 @click.option("--out-json", type=click.Path(), default=None)

@@ -21,9 +21,8 @@ Rule names used in reports:
   sup-density-plateau      boundedness via a plateauing supremum trace
   image-boundary-decay     global density decay along image-to-boundary paths
   coordinate-boundary-decay  per-coordinate decay (the p < 1 criterion)
-  small-components         every |phi_l| bounded away from 1 (vacuous decay)
+  small-components         no ray's deep probe reaches within 1e-4 of the boundary
   exponent-gap             p < 1 <= q, decay guaranteed and validated
-  metric-expansion         weighted-Jacobian singular values bounded below
   component-gaps           little-space membership of the components phi_l
   coordinate-lipschitz     unit-exponent Lipschitz norms of the components
 """
@@ -43,7 +42,7 @@ from .norms import (
 )
 from .polydisk import complex_pair, complex_pairs, one_minus_sq
 from .reports import SCHEMA_VERSION, format_point
-from .sampling import PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum, stratified_grid
+from .sampling import PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum
 from .testfuncs import family_norm_floor, members
 
 DECAY_TOL = 1e-3
@@ -51,7 +50,6 @@ STAY_FLOOR = 1e-3
 STAY_RATIO = 0.9
 GROWTH_FACTOR = 2.0
 GROWTH_WINDOW = 4
-SMALL_COMPONENT_MARGIN = 1e-3
 PATH_MIN_POINTS = 8
 PATH_REQUIRED_FINAL = 1e-4
 PATH_FINAL_TARGET = 1e-8
@@ -509,7 +507,6 @@ class CriterionReport:
     bounded: Verdict
     sup_estimate: NormEstimate
     compact: Verdict
-    routes: dict
     profiles: list
     component_sups: list
     plan: SamplingPlan
@@ -524,7 +521,6 @@ class CriterionReport:
             "bounded": self.bounded.to_json(),
             "sup_estimate": self.sup_estimate.to_json(),
             "compact": self.compact.to_json(),
-            "routes": {k: v.to_json() for k, v in self.routes.items()},
             "profiles": [pr.to_json() for pr in self.profiles],
             "component_sups": [float(v) for v in self.component_sups],
             "plan": self.plan.to_json(),
@@ -548,15 +544,16 @@ class CriterionReport:
 
 def classify(phi: HoloSelfMap, p: float, q: float,
              plan: SamplingPlan | None = None) -> CriterionReport:
-    """Run the boundedness detector, pick the applicable compactness route,
+    """Run the boundedness detector, judge compactness along boundary paths,
     and assemble a full report.
 
-    Route order: unbounded maps are immediately non-compact; maps whose every
-    component supremum stays below 1 - 1e-3 hold vacuously (small-components);
-    p < 1 <= q holds by the exponent gap (validated by per-coordinate decay);
-    p >= 1 uses global image-boundary decay; p < 1 uses per-coordinate decay.
-    With p < 1 a global-profile 'stays' is never converted into a failure
-    verdict; only the per-coordinate criterion decides there.
+    Route order: unbounded maps are immediately non-compact.  Otherwise the
+    density is tabulated along bisected boundary paths: image paths and the
+    full density for p >= 1, coordinate paths on every axis and the single-row
+    density for p < 1.  No realizable path holds vacuously (small-components).
+    For p < 1 <= q a profile verdict is wrapped as the exponent gap: it holds
+    unless the profile fails, which makes it inconclusive.  A decay verdict
+    that holds while boundedness is inconclusive becomes inconclusive.
     """
     require_certified(phi)
     plan = plan if plan is not None else SamplingPlan()
@@ -564,44 +561,28 @@ def classify(phi: HoloSelfMap, p: float, q: float,
         raise ValueError("exponents p and q must be positive")
 
     bounded, sup_est = boundedness_check(phi, p, q, plan)
-    comp_sups = component_sup_estimates(phi, plan)
-    comp_sup_values = [est.sup for est in comp_sups]
-    routes: dict[str, Verdict] = {"bounded": bounded}
-    profiles: list[PathProfile] = []
-
-    small = all(est.converged and est.sup <= 1.0 - SMALL_COMPONENT_MARGIN
-                for est in comp_sups)
+    comp_sup_values = [est.sup for est in component_sup_estimates(phi, plan)]
 
     if bounded.verdict == "fails":
-        compact = Verdict("fails", "sup-density-plateau",
-                          detail={"reason": "criterion supremum diverges; "
-                                            "an unbounded operator cannot be compact"})
-    elif small:
-        norms_q = [bloch_norm_estimate(c, q, plan) for c in phi.components]
-        compact = Verdict("holds", "small-components",
-                          margin=1.0 - max(comp_sup_values),
-                          detail={"component_sups": comp_sup_values,
-                                  "component_q_norms": [e.value for e in norms_q]})
-    elif p < 1.0 and q >= 1.0:
-        paths = _coordinate_paths(phi, plan.seed)
-        profiles, prof_verdict = compactness_profile(phi, p, q, paths, "coordinate")
-        routes["coordinate-boundary-decay"] = prof_verdict
-        if prof_verdict.verdict == "fails":
-            compact = Verdict("inconclusive", "exponent-gap",
-                              detail={"note": "profile contradicted the exponent-gap rule",
-                                      "profile": prof_verdict.to_json()})
-        else:
-            compact = Verdict("holds", "exponent-gap", margin=prof_verdict.margin,
-                              detail={"profile": prof_verdict.to_json()})
+        profiles, compact = [], Verdict("fails", "sup-density-plateau",
+                                        detail={"reason": "criterion supremum diverges; an "
+                                                          "unbounded operator cannot be compact"})
     elif p >= 1.0:
         paths = make_boundary_paths(phi, "image", seed=plan.seed)
         profiles, compact = compactness_profile(phi, p, q, paths, "image")
-        if q <= 1.0:
-            sv = _metric_expansion_route(phi, plan)
-            routes["metric-expansion"] = sv
     else:
-        paths = _coordinate_paths(phi, plan.seed)
+        paths = [path for axis in range(phi.dim)
+                 for path in make_boundary_paths(phi, "coordinate", axis=axis,
+                                                 seed=plan.seed + axis)]
         profiles, compact = compactness_profile(phi, p, q, paths, "coordinate")
+        if q >= 1.0 and compact.rule != "small-components":
+            if compact.verdict == "fails":
+                compact = Verdict("inconclusive", "exponent-gap",
+                                  detail={"note": "profile contradicted the exponent-gap rule",
+                                          "profile": compact.to_json()})
+            else:
+                compact = Verdict("holds", "exponent-gap", margin=compact.margin,
+                                  detail={"profile": compact.to_json()})
 
     if bounded.verdict == "inconclusive" and compact.verdict == "holds" \
             and compact.rule in ("image-boundary-decay", "coordinate-boundary-decay"):
@@ -609,33 +590,9 @@ def classify(phi: HoloSelfMap, p: float, q: float,
                           detail={"reason": "decay observed but boundedness unresolved",
                                   "decay": compact.to_json()})
 
-    routes["compact"] = compact
     return CriterionReport(
         dimension=phi.dim, p=p, q=q,
         certificate=phi.certificate.to_json(),
         bounded=bounded, sup_estimate=sup_est, compact=compact,
-        routes=routes, profiles=profiles,
-        component_sups=comp_sup_values, plan=plan,
+        profiles=profiles, component_sups=comp_sup_values, plan=plan,
     )
-
-
-def _coordinate_paths(phi: HoloSelfMap, seed: int) -> list[BoundaryPath]:
-    paths = []
-    for axis in range(phi.dim):
-        paths.extend(make_boundary_paths(phi, "coordinate", axis=axis, seed=seed + axis))
-    return paths
-
-
-def _metric_expansion_route(phi: HoloSelfMap, plan: SamplingPlan) -> Verdict:
-    """Sample the smallest squared singular value of the weighted Jacobian; a
-    uniform positive floor is non-compactness evidence for p >= 1, q <= 1."""
-    Z, _ = stratified_grid(phi.dim, plan, np.random.default_rng(plan.seed))
-    # an even stride: the grid is ordered by radial-level combination
-    s = weighted_jacobian_singular_values(phi, Z[::max(1, len(Z) // 2048)])
-    smin = float(np.min(s[..., -1] ** 2))
-    smax = float(np.max(s[..., 0] ** 2))
-    if smin >= DECAY_TOL:
-        return Verdict("fails", "metric-expansion", margin=smin,
-                       detail={"min_expansion": smin, "max_expansion": smax})
-    return Verdict("inconclusive", "metric-expansion", margin=smin,
-                   detail={"min_expansion": smin, "max_expansion": smax})

@@ -550,15 +550,6 @@ def identity_map(dim: int) -> HoloSelfMap:
     return HoloSelfMap(comps, SelfMapCertificate("coefficients", evidence=1.0))
 
 
-def constant_map(values) -> HoloSelfMap:
-    v = np.asarray(values, dtype=complex)
-    dim = v.size
-    if np.any(np.abs(v) >= 1.0):
-        raise EvaluationDomainError("constant map values must lie inside the polydisk")
-    comps = [Const(c, dim) for c in v]
-    return HoloSelfMap(comps, SelfMapCertificate("coefficients", evidence=float(np.max(np.abs(v)))))
-
-
 def moebius_automorphism(a, theta, sigma=None) -> HoloSelfMap:
     """Automorphism of U^n: component k is e^{i theta_k} (z_{sigma(k)} - a_k) / (1 - conj(a_k) z_{sigma(k)}).
 

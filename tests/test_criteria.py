@@ -1,4 +1,4 @@
-"""Operator detectors: densities, boundedness, paths, compactness, routes."""
+"""Operator detectors: densities, boundedness, paths, compactness, classification."""
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from blochlab.holo import (
     HoloSelfMap,
     Series,
     certify_self_map,
-    constant_map,
     identity_map,
     moebius_automorphism,
 )
@@ -47,6 +46,21 @@ def halving_map(dim=1):
 
 def shifted_half_map():
     phi = HoloSelfMap([Series({(0,): 0.5, (1,): 0.5}, 1)])
+    certify_self_map(phi)
+    return phi
+
+
+def constant_series_map(values):
+    # constant Series components: the coefficient test certifies them
+    dim = len(values)
+    phi = HoloSelfMap([Series({(0,) * dim: c}, dim) for c in values])
+    certify_self_map(phi)
+    return phi
+
+
+def steep_map(N):
+    # ((1+z)/2)^N touches the boundary at z = 1 only, with angular derivative N/2
+    phi = HoloSelfMap([Series({(0,): 0.5, (1,): 0.5}, 1).pow(N)])
     certify_self_map(phi)
     return phi
 
@@ -122,7 +136,7 @@ class TestBoundednessCheck:
         assert abs(est.witness[0]) < 1e-6
 
     def test_constant_map_zero_density(self):
-        v, est = boundedness_check(constant_map([0.3, 0.1j]), 1.0, 1.0, PLAN)
+        v, est = boundedness_check(constant_series_map([0.3, 0.1j]), 1.0, 1.0, PLAN)
         assert v.verdict == "holds"
         assert est.sup == 0.0
 
@@ -319,24 +333,21 @@ class TestClassify:
         report = classify(phi, 1.0, 1.0, PLAN)
         assert report.bounded.verdict == "holds"
         assert report.compact.verdict == "fails"
-        assert report.routes["metric-expansion"].verdict == "fails"
-
-    def test_metric_expansion_samples_whole_grid(self):
-        # the squared top singular value nears 2 by the torus (a dense uniform
-        # grid reaches 1.9997); the first 2048 points of the level-ordered
-        # grid all have |z_1| <= 0.75 and stop at 1.5625
-        report = classify(product_map(), 1.0, 1.0, PLAN)
-        assert report.routes["metric-expansion"].detail["max_expansion"] > 1.9
 
     def test_constant_map_compact(self):
-        report = classify(constant_map([0.2, 0.1]), 1.0, 1.0, PLAN)
+        report = classify(constant_series_map([0.2, 0.1]), 1.0, 1.0, PLAN)
         assert report.bounded.verdict == "holds"
         assert report.compact.verdict == "holds"
 
     def test_halving_small_component_route(self):
-        report = classify(halving_map(1), 1.0, 1.0, PLAN)
-        assert report.compact.verdict == "holds"
-        assert report.compact.rule == "small-components"
+        # no path is realizable, and the exponent gap does not rewrap that
+        for p, q in ((1.0, 1.0), (0.5, 1.0), (0.5, 0.5), (2.0, 0.5)):
+            report = classify(halving_map(1), p, q, PLAN)
+            assert report.compact.verdict == "holds", (p, q)
+            assert report.compact.rule == "small-components", (p, q)
+            assert report.compact.margin is None
+            assert report.compact.detail == {"reason": "no realizable boundary approach"}
+            assert report.profiles == []
 
     def test_identity_exponent_gap_route(self):
         report = classify(identity_map(1), 0.5, 1.0, PLAN)
@@ -370,6 +381,30 @@ class TestClassify:
         assert "schema_version" in blob
 
 
+class TestSteepContact:
+    """phi = ((1+z)/2)^N reaches |phi| = 1 at z = 1 only, with a finite angular
+    derivative, so C_phi is compact exactly when p < q (Madigan-Matheson); the
+    sampled sup |phi| stops short of 1 and must not make it look compact."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("N", [8, 40, 80])
+    def test_compact_iff_p_below_q(self, N, seed):
+        phi, plan = steep_map(N), SamplingPlan(seed=seed)
+        for p, q in ((1.0, 1.0), (0.5, 0.5), (2.0, 1.0)):
+            assert classify(phi, p, q, plan).compact.verdict != "holds", (p, q)
+        for p, q in ((1.0, 2.0), (0.5, 1.0)):
+            assert classify(phi, p, q, plan).compact.verdict == "holds", (p, q)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_steep_coordinate_in_dim_2(self, seed):
+        steep = Series({(0, 0): 0.5, (1, 0): 0.5}, 2).pow(40)
+        phi = HoloSelfMap([steep, Series.coordinate(1, 2).scale(0.5)])
+        certify_self_map(phi)
+        plan = SamplingPlan(seed=seed)
+        for p, q in ((1.0, 1.0), (0.5, 0.5)):
+            assert classify(phi, p, q, plan).compact.verdict != "holds", (p, q)
+
+
 class TestLittleBlochOperatorCheck:
     def test_identity_holds(self):
         v = little_bloch_operator_check(identity_map(1), 1.0, 1.0, PLAN)
@@ -398,7 +433,7 @@ class TestLip1Boundedness:
         assert v.margin <= 1.0 + 1e-9
 
     def test_constant_holds(self):
-        v = lip1_boundedness_check(constant_map([0.3]), PLAN)
+        v = lip1_boundedness_check(constant_series_map([0.3]), PLAN)
         assert v.verdict == "holds"
 
     def test_moebius_larger_plateau(self):
@@ -421,5 +456,5 @@ class TestOperatorNormLowerBound:
         assert lb <= 1.0 + 1e-6
 
     def test_constant_map_bounded_by_pointeval(self):
-        lb = operator_norm_lower_bound(constant_map([0.2]), 1.0, 1.0, [0.0, 0.4], PLAN)
+        lb = operator_norm_lower_bound(constant_series_map([0.2]), 1.0, 1.0, [0.0, 0.4], PLAN)
         assert 0.0 < lb <= 3.0

@@ -26,7 +26,6 @@ from blochlab.holo import (
     Series,
     certify_self_map,
     compose,
-    constant_map,
     identity_map,
     moebius_automorphism,
 )
@@ -306,7 +305,7 @@ class TestCompose:
 
     def test_constant_inner(self):
         f = Series.coordinate(0, 2)
-        phi = constant_map([0.3 + 0.1j, 0.2])
+        phi = HoloSelfMap([Const(0.3 + 0.1j, 2), Const(0.2, 2)])
         comp = compose(f, phi)
         assert comp.value([0.9, -0.9]) == pytest.approx(0.3 + 0.1j)
 

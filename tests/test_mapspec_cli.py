@@ -187,7 +187,8 @@ class TestCLI:
         assert "bounded: holds" in res.output
         assert "compact: fails" in res.output
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 4
+        assert data["schema_version"] == 5
+        assert "routes" not in data["payload"]["runs"][0]["report"]
         run = data["payload"]["runs"][0]["report"]
         assert run["sup_estimate"]["sup"] == pytest.approx(2.0, abs=1e-9)
         assert run["plan"] == SamplingPlan().to_json()
@@ -281,6 +282,34 @@ class TestCLI:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and message in lines[0]
+
+    @pytest.mark.parametrize("args", [
+        ["norm", "--testfn", "g", "--tf-w", "abc"],
+        ["norm", "--testfn", "g", "--tf-w", "0.5"],
+        ["norm", "--testfn", "h", "--dimension", "1"],
+        ["norm", "--testfn", "g", "--tf-axis", "3"],
+        ["norm", "--testfn", "g", "--p", "-1"],
+        ["classify", "--spec", "SPEC", "--p", "-1", "--q", "1"],
+        ["classify", "--spec", "SPEC", "--budget", "0"],
+        ["norm", "--testfn", "g", "--levels", "-1"],
+        ["norm", "--testfn", "g", "--seed", "-1"],
+        ["classify", "--spec", "SPEC", "--levels", "-1"],
+        ["verify-lemmas", "--levels", "-1"],
+        ["verify-lemmas", "--dimension", "0"],
+        ["oracle", "--dimension", "0"],
+        ["sweep", "--dimension", "0", "--out-csv", "OUT"],
+    ], ids=lambda args: " ".join(args))
+    def test_bad_option_is_one_error_line_exit_2(self, tmp_path, args):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps(HALVING_1))
+        out = tmp_path / "sweep.csv"
+        args = [{"SPEC": str(spec), "OUT": str(out)}.get(a, a) for a in args]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
+        assert not out.exists()
 
     def test_sweep_writes_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

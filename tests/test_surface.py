@@ -5,7 +5,8 @@ uses, on an import inside a function (no module needs one to break an import
 cycle, and a call-time import hides a dependency), on a public function,
 class or method that nothing in src/, tests/ or bench/ refers to, on a
 name the package's top level exports beside its submodules (a re-export list
-would let every name count as referred to), or on a defaulted parameter of a public
+would let every name count as referred to), on a module constant that
+nothing reads, or on a defaulted parameter of a public
 function that no call there passes: such an option is fixed by construction
 and belongs in the code as a constant.  The defaulted fields of a public
 @dataclass count as parameters of the class call.  Calls and references are
@@ -19,6 +20,7 @@ pinned here as well.
 import ast
 import importlib
 import inspect
+import re
 import types
 from collections import Counter
 from pathlib import Path
@@ -202,6 +204,36 @@ def test_every_public_name_is_referenced():
               for name, node in _public_definitions(tree)
               if references[name] <= sum(n == name for n in _referenced_names(node))]
     assert not unused, "public names nothing refers to: " + ", ".join(unused)
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _module_constants(tree):
+    """Names bound by the module's top-level assignments that are spelled as
+    constants (UPPER_CASE, with or without a leading underscore)."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                    yield name.id
+
+
+def test_every_module_constant_is_read():
+    reads = Counter()
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    reads[node.attr] += 1
+    unread = [f"{module}: {name}"
+              for module, tree in _modules().items()
+              for name in _module_constants(tree) if not reads[name]]
+    assert not unread, "module constants nothing reads: " + ", ".join(unread)
 
 
 def test_package_top_level_holds_only_modules():
