@@ -8,6 +8,7 @@ invalid option, spec or parameter), reported in one line.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -31,7 +32,17 @@ from .suites import run_all
 from .testfuncs import TestFunction
 
 THEOREMS = ("bounded", "compact", "little-bloch", "lip1", "opnorm")
-POSITIVE = click.FloatRange(min=0.0, min_open=True)
+
+
+class _Positive(click.FloatRange):
+    """Finite floats > 0 (FloatRange alone lets nan through)."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        return value if math.isfinite(value) else self.fail(f"{value} is not finite.", param, ctx)
+
+
+POSITIVE = _Positive(min=0.0, min_open=True)
 NATURAL = click.IntRange(min=0)
 COUNT = click.IntRange(min=1)
 
@@ -54,7 +65,9 @@ def _parse_w(ctx, param, value) -> complex:
     try:
         re, im = (float(x) for x in value.split(","))
     except ValueError:
-        raise click.BadParameter(f"expected re,im, got {value!r}") from None
+        re = im = math.nan
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise click.BadParameter(f"expected finite re,im, got {value!r}")
     return complex(re, im)
 
 
@@ -165,7 +178,7 @@ def classify_cmd(spec, ps, qs, theorems, out_json, out_csv,
         raise click.UsageError(f"unknown theorem name(s) {', '.join(sorted(unknown))}; "
                                f"choose from {', '.join(THEOREMS)}")
     plan = _mk_plan(levels, angles, rounds, budget, seed)
-    phi = mapspec.load_map(spec, plan=plan)
+    phi = mapspec.load_map(spec)
     if len(ps) != len(qs):
         raise click.UsageError("--p and --q must be given the same number of times")
 
@@ -273,11 +286,13 @@ def sweep(spec, dimension, ps, qs, out_csv, out_json,
           levels, angles, rounds, budget, seed):
     """Tabulate verdicts and suprema over a (p, q) grid and a map corpus.
 
-    Emits plot-ready rows only; no aggregate conclusion is drawn."""
+    Emits plot-ready rows only; no aggregate conclusion is drawn.  A cell's
+    component_sups are certified upper bounds on sup |phi_l|, from the map's
+    self-map certificate."""
     plan = _mk_plan(levels, angles, rounds, budget, seed)
     maps = corpus_mod.default_selfmap_corpus(dimension, seed=seed)
     for i, path in enumerate(spec):
-        phi = mapspec.load_map(path, plan=plan)
+        phi = mapspec.load_map(path)
         require_certified(phi)
         maps.append((f"spec{i}", phi))
 

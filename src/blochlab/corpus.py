@@ -10,7 +10,6 @@ from .holo import (
     HoloSelfMap,
     MoebiusFactor,
     Series,
-    certify_self_map,
     identity_map,
     moebius_automorphism,
 )
@@ -57,14 +56,10 @@ def default_selfmap_corpus(dim: int, seed: int = 0) -> list[tuple[str, HoloSelfM
     rng = np.random.default_rng(seed)
     maps: list[tuple[str, HoloSelfMap]] = [("identity", identity_map(dim))]
 
-    half = HoloSelfMap([Series.coordinate(k, dim).scale(0.5) for k in range(dim)])
-    certify_self_map(half)
-    maps.append(("halving", half))
-
+    maps.append(("halving", HoloSelfMap([Series.coordinate(k, dim).scale(0.5)
+                                         for k in range(dim)])))
     if dim == 1:
-        shifted = HoloSelfMap([Series({(0,): 0.5, (1,): 0.5}, 1)])
-        certify_self_map(shifted)
-        maps.append(("shifted-half", shifted))
+        maps.append(("shifted-half", HoloSelfMap([Series({(0,): 0.5, (1,): 0.5}, 1)])))
 
     a = 0.6 * (rng.random(dim) - 0.5) + 0.6j * (rng.random(dim) - 0.5)
     theta = 2.0 * np.pi * rng.random(dim)
@@ -77,7 +72,5 @@ def default_selfmap_corpus(dim: int, seed: int = 0) -> list[tuple[str, HoloSelfM
         comps = [Series({tuple(np.eye(dim, dtype=int)[k] + np.eye(dim, dtype=int)[(k + 1) % dim]): 1.0}, dim)
                  for k in range(dim - 1)]
         comps.append(Series.coordinate(dim - 1, dim))
-        prod_map = HoloSelfMap(comps)
-        certify_self_map(prod_map)
-        maps.append(("product-map", prod_map))
+        maps.append(("product-map", HoloSelfMap(comps)))
     return maps

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .holo import HoloSelfMap, TruncationUnavailableError, compose
+from .holo import SELF_MAP_CEILING, HoloSelfMap, TruncationUnavailableError, compose
 from .norms import (
     bloch_density_fn,
     bloch_norm_estimate,
@@ -98,9 +98,11 @@ def _jsonable(obj):
 
 def require_certified(phi: HoloSelfMap):
     if not phi.certificate.is_certified():
+        l, (lo, hi) = next((l, b) for l, b in enumerate(phi.certificate.brackets)
+                           if not b[1] <= SELF_MAP_CEILING)
         raise UncertifiedMapError(
-            "refusing: the map is not certified as a self-map (certificate.evidence = "
-            f"{phi.certificate.evidence:.6g}); run certify_self_map first")
+            f"refusing: the map is not certified as a self-map: sup |phi_{l}| lies in "
+            f"[{lo:.6g}, {hi:.6g}], whose upper end exceeds 1")
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +403,9 @@ def weighted_jacobian_singular_values(phi: HoloSelfMap, Z: np.ndarray) -> np.nda
 # auxiliary detectors
 
 
-def component_sup_estimates(phi: HoloSelfMap, plan: SamplingPlan) -> list[NormEstimate]:
-    """Estimated sup |phi_l| for each component (lower bounds)."""
-    out = []
-    for comp in phi.components:
-        fn = lambda Z, c=comp: np.abs(c.val(Z))
-        out.append(estimate_supremum(fn, phi.dim, plan))
-    return out
+def component_sup_estimates(phi: HoloSelfMap) -> list[float]:
+    """Certified upper bounds on sup |phi_l|, the upper ends of phi's certificate."""
+    return [hi for _, hi in phi.certificate.brackets]
 
 
 def lip1_boundedness_check(phi: HoloSelfMap, plan: SamplingPlan | None = None) -> Verdict:
@@ -498,7 +496,8 @@ def operator_norm_lower_bound(phi: HoloSelfMap, p: float, q: float,
 
 @dataclass
 class CriterionReport:
-    """Full record of one (phi, p, q) classification run."""
+    """Full record of one (phi, p, q) classification run; `component_sups` are
+    the certified upper bounds on sup |phi_l| from phi's self-map certificate."""
 
     dimension: int
     p: float
@@ -561,7 +560,7 @@ def classify(phi: HoloSelfMap, p: float, q: float,
         raise ValueError("exponents p and q must be positive")
 
     bounded, sup_est = boundedness_check(phi, p, q, plan)
-    comp_sup_values = [est.sup for est in component_sup_estimates(phi, plan)]
+    comp_sup_values = component_sup_estimates(phi)
 
     if bounded.verdict == "fails":
         profiles, compact = [], Verdict("fails", "sup-density-plateau",

@@ -18,8 +18,9 @@ Representations:
                      Taylor polynomial: the integral of theirs),
   * Const / Sum / Product / Composition nodes over these.
 
-Self-maps of U^n carry a certificate recording why they are believed to map
-into the closed polydisk (coefficient test, sampling, or exact construction).
+A self-map of U^n is certified when it is built: each component gets an
+exact bracket around sup |phi_l| (`_sup_bracket`), and the map counts as a
+self-map when every upper end is at most 1 (up to SELF_MAP_CEILING).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polydisk import as_coords
-from .sampling import SamplingPlan, stratified_grid
 
 # compose normalizes a polynomial composite to a Series only up to this degree
 DEGREE_CAP = 64
@@ -37,8 +37,12 @@ DEGREE_CAP = 64
 # Series.val runs its Horner scheme on blocks of at most this many points
 HORNER_BLOCK = 16_384
 
-# a sampling certificate needs the sampled sup of max_l |phi_l| to stay this far below 1
-SELF_MAP_MARGIN = 1e-6
+# A component whose certified sup |phi_l| is at most this maps into the closed
+# disk; the allowance absorbs rounding, as in ((1+z)/2)^80's coefficient sum.
+SELF_MAP_CEILING = 1.0 + 1e-12
+
+# the torus branch and bound of a Series gives up past this many cubes
+TORUS_BOX_CAP = 1 << 20
 
 # A kernel 1/(1 - conj(w) z)^e is evaluated only where |1 - conj(w) z| stays
 # above this floor; nearer points are degenerate and get flagged.
@@ -144,9 +148,6 @@ class Series(HoloFunction):
     @property
     def max_degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
-
-    def coefficient_abs_sum(self) -> float:
-        return float(sum(abs(c) for c in self.coeffs.values()))
 
     def val(self, Z):
         Z = np.asarray(Z, dtype=complex)
@@ -312,7 +313,7 @@ class ScaledKernel(HoloFunction):
     """
 
     def __init__(self, dim: int, axis: int, w: complex, exponent: float, scale: complex = 1.0):
-        if abs(w) >= 1.0:
+        if not abs(w) < 1.0:
             raise EvaluationDomainError(f"kernel parameter must satisfy |w| < 1, got {abs(w)}")
         self.dim = int(dim)
         self.axis = int(axis)
@@ -365,7 +366,7 @@ class MoebiusFactor(HoloFunction):
     """e^{i theta} (z_axis - a) / (1 - conj(a) z_axis), a one-coordinate automorphism."""
 
     def __init__(self, dim: int, axis: int, a: complex, theta: float = 0.0):
-        if abs(a) >= 1.0:
+        if not abs(a) < 1.0:
             raise EvaluationDomainError(f"automorphism parameter must satisfy |a| < 1, got {abs(a)}")
         self.dim = int(dim)
         self.axis = int(axis)
@@ -498,31 +499,24 @@ class Composition(HoloFunction):
 
 @dataclass(frozen=True)
 class SelfMapCertificate:
-    """Why the map is believed to send U^n into the closed polydisk.
+    """One bracket lo <= sup over U^n of |phi_l| <= hi per component: hi is the
+    certified bound (inf if none), lo the largest |phi_l| known (0 if none).
+    The map is certified when every hi is within SELF_MAP_CEILING."""
 
-    kind: 'coefficients' (each component's absolute coefficient sum <= 1,
-    exact and conservative), 'sampling' (sampled sup of max_l |phi_l| stayed
-    <= 1 - margin), 'automorphism' (exact by construction), or 'unverified'.
-    """
-
-    kind: str
-    margin: float = 0.0
-    evidence: float = float("nan")
+    brackets: tuple
 
     def is_certified(self) -> bool:
-        return self.kind != "unverified"
+        # all(), not max(): max((0.5, nan)) is 0.5
+        return all(hi <= SELF_MAP_CEILING for _, hi in self.brackets)
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "margin": self.margin, "evidence": self.evidence}
-
-
-UNVERIFIED = SelfMapCertificate("unverified")
+        return {"brackets": [list(b) for b in self.brackets]}
 
 
 class HoloSelfMap:
-    """An n-tuple of holomorphic component functions with a self-map certificate."""
+    """An n-tuple of holomorphic component functions, certified when built."""
 
-    def __init__(self, components: list, certificate: SelfMapCertificate = UNVERIFIED):
+    def __init__(self, components: list):
         if not components:
             raise ValueError("a self-map needs at least one component")
         dim = components[0].dim
@@ -530,7 +524,7 @@ class HoloSelfMap:
             raise ValueError("component count must equal the ambient dimension")
         self.components = list(components)
         self.dim = dim
-        self.certificate = certificate
+        certify_self_map(self)
 
     def val(self, Z) -> np.ndarray:
         """Map points (..., n) -> image points (..., n)."""
@@ -546,59 +540,81 @@ class HoloSelfMap:
 
 
 def identity_map(dim: int) -> HoloSelfMap:
-    comps = [Series.coordinate(k, dim) for k in range(dim)]
-    return HoloSelfMap(comps, SelfMapCertificate("coefficients", evidence=1.0))
+    return HoloSelfMap([Series.coordinate(k, dim) for k in range(dim)])
 
 
 def moebius_automorphism(a, theta, sigma=None) -> HoloSelfMap:
     """Automorphism of U^n: component k is e^{i theta_k} (z_{sigma(k)} - a_k) / (1 - conj(a_k) z_{sigma(k)}).
 
-    sigma is a 0-based permutation (identity when omitted).  The certificate
-    is exact: automorphisms map the polydisk onto itself.
+    sigma is a 0-based permutation (identity when omitted).
     """
     a = np.asarray(a, dtype=complex)
     theta = np.asarray(theta, dtype=float)
     n = a.size
     if theta.size != n:
         raise ValueError("a and theta must have the same length")
-    if np.any(np.abs(a) >= 1.0):
+    if not np.all(np.abs(a) < 1.0):
         raise EvaluationDomainError("automorphism parameters must satisfy |a_k| < 1")
     if sigma is None:
         sigma = tuple(range(n))
     sigma = tuple(int(s) for s in sigma)
     if sorted(sigma) != list(range(n)):
         raise ValueError(f"sigma must be a permutation of 0..{n - 1}, got {sigma}")
-    comps = [MoebiusFactor(n, sigma[k], a[k], theta[k]) for k in range(n)]
-    return HoloSelfMap(comps, SelfMapCertificate("automorphism", evidence=1.0))
+    return HoloSelfMap([MoebiusFactor(n, sigma[k], a[k], theta[k]) for k in range(n)])
 
 
-def certify_self_map(phi: HoloSelfMap, plan=None) -> SelfMapCertificate:
-    """Attach the strongest certificate available and return it.
+def certify_self_map(phi: HoloSelfMap) -> SelfMapCertificate:
+    """Attach phi's certificate, the brackets of its components, and return it."""
+    phi.certificate = SelfMapCertificate(tuple(_sup_bracket(c) for c in phi.components))
+    return phi.certificate
 
-    Order: keep an exact 'automorphism' certificate; else the coefficient test
-    (sum of |a_gamma| <= 1 per component, which never accepts a non-self-map);
-    else sampled sup of max_l |phi_l| over the plan's grid, accepted when it
-    stays <= 1 - SELF_MAP_MARGIN.
-    """
-    if phi.certificate.kind == "automorphism":
-        return phi.certificate
 
-    if all(isinstance(c, Series) for c in phi.components):
-        sums = [c.coefficient_abs_sum() for c in phi.components]
-        if max(sums, default=0.0) <= 1.0 + 1e-12:
-            cert = SelfMapCertificate("coefficients", evidence=float(max(sums, default=0.0)))
-            phi.certificate = cert
-            return cert
+def _sup_bracket(f: HoloFunction) -> tuple[float, float]:
+    """(lo, hi) around sup over U^n of |f|; hi is inf where no bound is implemented."""
+    if isinstance(f, Const):
+        return abs(f.c), abs(f.c)
+    if isinstance(f, MoebiusFactor):
+        return 1.0, 1.0
+    if isinstance(f, Series):
+        return _torus_bracket(f)
+    if isinstance(f, Composition) and all(_sup_bracket(g)[1] <= SELF_MAP_CEILING
+                                          for g in f.inner):
+        return 0.0, _sup_bracket(f.outer)[1]
+    return 0.0, np.inf
 
-    plan = plan if plan is not None else SamplingPlan()
-    Z, _ = stratified_grid(phi.dim, plan)
-    sup = float(np.max(np.abs(phi.val(Z)))) if Z.size else 0.0
-    if sup <= 1.0 - SELF_MAP_MARGIN:
-        cert = SelfMapCertificate("sampling", margin=SELF_MAP_MARGIN, evidence=sup)
-    else:
-        cert = SelfMapCertificate("unverified", evidence=sup)
-    phi.certificate = cert
-    return cert
+
+def _torus_bracket(f: Series) -> tuple[float, float]:
+    """(lo, hi) around max over T^n of |f|, which is sup over U^n of |f| (maximum
+    modulus, one variable at a time; Rudin, Function Theory in Polydiscs, 1969).
+
+    hi is the absolute coefficient sum if that is within SELF_MAP_CEILING.  Else
+    cubes of angles theta_c +- h, from 0 +- pi, bound |f| by |f(e^{i theta_c})| +
+    h sum_gamma |gamma| |c_gamma|; a cube whose bound exceeds the ceiling splits
+    in 2^n.  Stops when lo exceeds it (refuted: hi = inf), when no cube is left
+    (hi: the largest pruned bound), or past TORUS_BOX_CAP cubes (hi = inf)."""
+    coeffs = np.abs(np.fromiter(f.coeffs.values(), complex, len(f.coeffs)))
+    slope = float(coeffs @ np.array([sum(e) for e in f.coeffs], dtype=float))
+    total = float(coeffs.sum())
+    halves = np.indices((2,) * f.dim).reshape(f.dim, -1).T - 0.5
+    centres, h, lo, hi, boxes = np.zeros((1, f.dim)), np.pi, 0.0, 0.0, 1
+    while True:
+        values = f.abs_val(np.exp(1j * centres))
+        lo = max(float(values.max()), lo)  # in this order, a NaN value sticks
+        if total <= SELF_MAP_CEILING:
+            return lo, total
+        if not lo <= SELF_MAP_CEILING:
+            return lo, np.inf
+        bounds = values + h * slope
+        pruned = bounds <= SELF_MAP_CEILING
+        hi = max(hi, float(bounds[pruned].max(initial=0.0)))
+        centres = centres[~pruned]
+        if not centres.size:
+            return lo, hi
+        boxes += centres.shape[0] * halves.shape[0]
+        if boxes > TORUS_BOX_CAP:
+            return lo, np.inf
+        centres = (centres[:, None, :] + h * halves).reshape(-1, f.dim)
+        h /= 2.0
 
 
 def compose(f: HoloFunction, phi: HoloSelfMap) -> HoloFunction:
@@ -619,5 +635,4 @@ def compose(f: HoloFunction, phi: HoloSelfMap) -> HoloFunction:
 
 def compose_map(phi: HoloSelfMap, psi: HoloSelfMap) -> HoloSelfMap:
     """The self-map phi o psi (components phi_l o psi)."""
-    comps = [compose(c, psi) for c in phi.components]
-    return HoloSelfMap(comps, UNVERIFIED)
+    return HoloSelfMap([compose(c, psi) for c in phi.components])

@@ -10,13 +10,15 @@ forms, all complex scalars as [re, im] pairs and coordinate indices 0-based:
   {"type": "testfn",   "family": "f"|"g"|"h", "l": k, "w": [re, im], "p": p}
   {"type": "constant", "value": [re, im]}
 
-"theta" and "source" default to 0; every other key shown is required.  A spec
-that breaks the format raises SpecError naming the JSON path of the fault,
-such as components[0].a or compose[1].components[0].terms[2].coeff.
+"theta" and "source" default to 0; every other key shown is required, and
+numbers must be finite (JSON's NaN and Infinity are refused).  A spec that
+breaks the format raises SpecError naming the JSON path of the fault, such as
+components[0].a or compose[1].components[0].terms[2].coeff.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import operator
 from pathlib import Path
@@ -27,9 +29,7 @@ from .holo import (
     HoloSelfMap,
     MoebiusFactor,
     Series,
-    certify_self_map,
     compose_map,
-    moebius_automorphism,
 )
 from .polydisk import complex_pair
 from .testfuncs import TestFunction
@@ -70,16 +70,20 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
-_EXPECTED = {_complex: "a number or an [re, im] pair", float: "a number", _integer: "an integer"}
+_EXPECTED = {_complex: "a finite number or an [re, im] pair of them", float: "a finite number",
+             _integer: "an integer"}
 
 
 def _number(obj, key: str, path: str, kind, default=_REQUIRED):
-    """obj[key] converted by `kind` (one of _EXPECTED), or SpecError naming its path."""
+    """obj[key] converted by `kind` (one of _EXPECTED) if finite, else SpecError naming its path."""
     value = _field(obj, key, path, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise SpecError(f"{_at(path, key)}: expected {_EXPECTED[kind]}, got {value!r}") from None
+        number = kind(value)
+        if isinstance(number, int) or cmath.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SpecError(f"{_at(path, key)}: expected {_EXPECTED[kind]}, got {value!r}")
 
 
 def _load_series(comp: dict, dim: int, path: str) -> Series:
@@ -175,16 +179,8 @@ def _load_map(data: dict, dim: int, path: str) -> HoloSelfMap:
     comps_path = _at(path, "components")
     if not isinstance(comps_raw, list) or len(comps_raw) != dim:
         raise SpecError(f"{comps_path}: a map spec needs exactly {dim} components")
-    comps = [_load_component(c, dim, f"{comps_path}[{i}]") for i, c in enumerate(comps_raw)]
-
-    # all-Moebius components whose sources permute the coordinates form an
-    # automorphism, certified exactly
-    if all(isinstance(c, MoebiusFactor) for c in comps) \
-            and sorted(c.axis for c in comps) == list(range(dim)):
-        phi = moebius_automorphism([c.a for c in comps], [c.theta for c in comps],
-                                   sigma=[c.axis for c in comps])
-    else:
-        phi = HoloSelfMap(comps)
+    phi = HoloSelfMap([_load_component(c, dim, f"{comps_path}[{i}]")
+                       for i, c in enumerate(comps_raw)])
 
     subs = _field(data, "compose", path, [])
     if not isinstance(subs, list):
@@ -197,13 +193,10 @@ def _load_map(data: dict, dim: int, path: str) -> HoloSelfMap:
     return phi
 
 
-def load_map(spec, certify: bool = True, plan=None) -> HoloSelfMap:
-    """Read a self-map spec; optionally attach the strongest certificate."""
+def load_map(spec) -> HoloSelfMap:
+    """Read a self-map spec; the map carries its certificate from construction."""
     data, dim = _read(spec)
-    phi = _load_map(data, dim, "")
-    if certify:
-        certify_self_map(phi, plan=plan)
-    return phi
+    return _load_map(data, dim, "")
 
 
 def dump_function(f: HoloFunction) -> dict:

@@ -1,5 +1,7 @@
 """Operator detectors: densities, boundedness, paths, compactness, classification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,8 @@ from blochlab.criteria import (
 )
 from blochlab.holo import (
     HoloSelfMap,
+    SelfMapCertificate,
     Series,
-    certify_self_map,
     identity_map,
     moebius_automorphism,
 )
@@ -39,37 +41,27 @@ PLAN = SamplingPlan(seed=5)
 
 
 def halving_map(dim=1):
-    phi = HoloSelfMap([Series.coordinate(k, dim).scale(0.5) for k in range(dim)])
-    certify_self_map(phi)
-    return phi
+    return HoloSelfMap([Series.coordinate(k, dim).scale(0.5) for k in range(dim)])
 
 
 def shifted_half_map():
-    phi = HoloSelfMap([Series({(0,): 0.5, (1,): 0.5}, 1)])
-    certify_self_map(phi)
-    return phi
+    return HoloSelfMap([Series({(0,): 0.5, (1,): 0.5}, 1)])
 
 
 def constant_series_map(values):
     # constant Series components: the coefficient test certifies them
     dim = len(values)
-    phi = HoloSelfMap([Series({(0,) * dim: c}, dim) for c in values])
-    certify_self_map(phi)
-    return phi
+    return HoloSelfMap([Series({(0,) * dim: c}, dim) for c in values])
 
 
 def steep_map(N):
     # ((1+z)/2)^N touches the boundary at z = 1 only, with angular derivative N/2
-    phi = HoloSelfMap([Series({(0,): 0.5, (1,): 0.5}, 1).pow(N)])
-    certify_self_map(phi)
-    return phi
+    return HoloSelfMap([Series({(0,): 0.5, (1,): 0.5}, 1).pow(N)])
 
 
 def product_map():
     # (z_1 z_2, z_2) on U^2
-    phi = HoloSelfMap([Series({(1, 1): 1.0}, 2), Series.coordinate(1, 2)])
-    certify_self_map(phi)
-    return phi
+    return HoloSelfMap([Series({(1, 1): 1.0}, 2), Series.coordinate(1, 2)])
 
 
 class TestCriterionDensity:
@@ -111,10 +103,8 @@ class TestCriterionDensity:
 
     def test_singular_escape_is_inf(self):
         # a falsely-certified map whose image leaves the disk at an interior point
-        from blochlab.holo import SelfMapCertificate
-
-        phi = HoloSelfMap([Series({(0,): 0.999, (1,): 0.1}, 1)],
-                          certificate=SelfMapCertificate("sampling", 1e-6, 0.9))
+        phi = HoloSelfMap([Series({(0,): 0.999, (1,): 0.1}, 1)])
+        phi.certificate = SelfMapCertificate(((0.9, 0.9),))
         assert criterion_density_fn(phi, 1.0, 1.0)(np.array([0.5])) == np.inf
 
 
@@ -142,7 +132,6 @@ class TestBoundednessCheck:
 
     def test_uncertified_refusal(self):
         phi = HoloSelfMap([Series({(1,): 2.0}, 1)])
-        certify_self_map(phi)
         with pytest.raises(UncertifiedMapError):
             boundedness_check(phi, 1.0, 1.0, PLAN)
 
@@ -369,9 +358,19 @@ class TestClassify:
 
     def test_uncertified_refusal(self):
         phi = HoloSelfMap([Series({(1,): 2.0}, 1)])
-        certify_self_map(phi)
         with pytest.raises(UncertifiedMapError):
             classify(phi, 1.0, 1.0, PLAN)
+
+    def test_refusal_names_the_component_and_its_bracket(self):
+        phi = HoloSelfMap([Series.coordinate(0, 2), Series({(1, 0): 0.5, (0, 1): 0.75}, 2)])
+        with pytest.raises(UncertifiedMapError, match=re.escape("|phi_1| lies in [1.25, inf]")):
+            classify(phi, 1.0, 1.0, PLAN)
+
+    def test_component_sups_are_the_certified_upper_ends(self):
+        report = classify(product_map(), 1.0, 1.0, PLAN)
+        assert report.component_sups == [1.0, 1.0]
+        assert report.to_json()["certificate"] == {"brackets": [[1.0, 1.0], [1.0, 1.0]]}
+        assert classify(halving_map(2), 1.0, 1.0, PLAN).component_sups == [0.5, 0.5]
 
     def test_report_serializes(self):
         import json
@@ -399,7 +398,6 @@ class TestSteepContact:
     def test_one_steep_coordinate_in_dim_2(self, seed):
         steep = Series({(0, 0): 0.5, (1, 0): 0.5}, 2).pow(40)
         phi = HoloSelfMap([steep, Series.coordinate(1, 2).scale(0.5)])
-        certify_self_map(phi)
         plan = SamplingPlan(seed=seed)
         for p, q in ((1.0, 1.0), (0.5, 0.5)):
             assert classify(phi, p, q, plan).compact.verdict != "holds", (p, q)

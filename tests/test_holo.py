@@ -26,6 +26,7 @@ from blochlab.holo import (
     Series,
     certify_self_map,
     compose,
+    compose_map,
     identity_map,
     moebius_automorphism,
 )
@@ -331,29 +332,96 @@ class TestCompose:
         assert comp.value(z) == pytest.approx((0.3 * 0.7 ** 3) ** 40, rel=1e-12)
 
 
+def steep_factor(N, axis=0, dim=1):
+    """((1 + z_axis)/2)^N: coefficient sum 1, touching |.| = 1 at z_axis = 1 only."""
+    one = [0] * dim
+    one[axis] = 1
+    return Series({(0,) * dim: 0.5, tuple(one): 0.5}, dim).pow(N)
+
+
+def torus_sample_max(f, count=100_000, seed=0):
+    rng = np.random.default_rng(seed)
+    return float(np.max(f.abs_val(np.exp(2j * np.pi * rng.random((count, f.dim))))))
+
+
 class TestCertification:
+    """Maps are certified when built: one exact bracket per component, and a
+    polynomial's bracket comes from its torus maximum (maximum modulus)."""
+
     def test_coefficient_sum_certificate(self):
         phi = HoloSelfMap([Series({(1, 0): 0.5, (0, 1): 0.5}, 2), Series.coordinate(1, 2)])
-        cert = certify_self_map(phi)
-        assert cert.kind == "coefficients"
+        assert phi.certificate.brackets == ((1.0, 1.0), (1.0, 1.0))
+        assert phi.certificate.is_certified()
 
     def test_identity_certificate(self):
-        cert = certify_self_map(identity_map(2))
-        assert cert.kind == "coefficients"
+        phi = identity_map(2)
+        assert phi.certificate.brackets == ((1.0, 1.0), (1.0, 1.0))
+        assert certify_self_map(phi) == phi.certificate
 
     def test_expanding_map_unverified(self):
         phi = HoloSelfMap([Series({(1, 0): 2.0}, 2), Series.coordinate(1, 2)])
-        cert = certify_self_map(phi)
-        assert cert.kind == "unverified"
-        assert cert.evidence > 1.0  # sampling found the escape
+        assert not phi.certificate.is_certified()
+        assert phi.certificate.brackets[0] == (2.0, np.inf)
 
-    def test_sampling_certificate_for_moebius_component(self):
+    def test_moebius_components_on_one_axis_certified_exactly(self):
         # same factor in both components: a genuine self-map but not an automorphism
-        comps = [MoebiusFactor(2, 0, 0.3), MoebiusFactor(2, 0, 0.3)]
-        phi = HoloSelfMap(comps)
-        cert = certify_self_map(phi)
-        assert cert.kind == "sampling"
-        assert cert.evidence < 1.0
+        phi = HoloSelfMap([MoebiusFactor(2, 0, 0.3), MoebiusFactor(2, 0, 0.3)])
+        assert phi.certificate.brackets == ((1.0, 1.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("N, factor", [(40, 1.02), (60, 1.02), (80, 1.01)])
+    def test_non_self_map_refused(self, N, factor):
+        # factor * ((1+z_1)/2)^N ((1+z_2)/2)^N equals factor at (1, 1)
+        lead = steep_factor(N, 0, 2).mul(steep_factor(N, 1, 2)).scale(factor)
+        phi = HoloSelfMap([lead, Series.coordinate(1, 2).scale(0.5)])
+        assert not phi.certificate.is_certified()
+        lo, hi = phi.certificate.brackets[0]
+        assert lo >= factor - 1e-12 and hi == np.inf
+
+    @pytest.mark.parametrize("N", [1, 8, 40, 80])
+    def test_steep_family_certified(self, N):
+        assert HoloSelfMap([steep_factor(N)]).certificate.is_certified()
+
+    def test_torus_search_beats_the_coefficient_sum(self):
+        # coefficient sum 1.2, torus maximum 0.4 |2 + i| = 0.8944 at z = i
+        phi = HoloSelfMap([Series({(0,): 0.4, (1,): 0.4, (2,): -0.4}, 1)])
+        assert phi.certificate.is_certified()
+        lo, hi = phi.certificate.brackets[0]
+        assert 0.4 * math.sqrt(5) - 1e-12 <= lo <= 0.4 * math.sqrt(5) + 1e-12
+        assert 0.8944 <= hi <= 1.0
+
+    def test_constant_beside_series_certified_exactly(self):
+        phi = HoloSelfMap([Const(0.25j, 2), Series({(1, 0): 0.5, (1, 1): -0.25}, 2)])
+        assert phi.certificate.brackets == ((0.25, 0.25), (0.25, 0.75))
+
+    def test_testfn_component_unverified(self):
+        phi = HoloSelfMap([TestFunction("g", 0, 0.5, 1.0, 1)])
+        assert phi.certificate.brackets == ((0.0, np.inf),)
+        assert not phi.certificate.is_certified()
+
+    def test_composition_takes_its_outer_bound(self):
+        psi = moebius_automorphism([0.4], [0.0])
+        phi = compose_map(HoloSelfMap([Series({(2,): 0.5}, 1)]), psi)
+        assert isinstance(phi.components[0], Composition)
+        assert phi.certificate.brackets == ((0.0, 0.5),)
+        # an inner component with no bound leaves the composition without one
+        escape = compose_map(moebius_automorphism([0.3], [0.0]),
+                             HoloSelfMap([Series({(1,): 2.0}, 1)]))
+        assert not escape.certificate.is_certified()
+
+    def test_nan_component_never_certified(self):
+        for comp in (Const(complex("nan"), 1), Series({(1,): complex("nan")}, 1)):
+            phi = HoloSelfMap([comp])
+            assert not phi.certificate.is_certified()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("target", [0.9, 0.99])
+    def test_polynomial_bracket_contains_torus_samples(self, dim, index, target):
+        f = polynomial_corpus(dim)[index]
+        f = f.scale(target / torus_sample_max(f, seed=1))
+        lo, hi = HoloSelfMap([f] * dim).certificate.brackets[0]
+        assert lo <= hi
+        assert hi >= torus_sample_max(f)
 
 
 class TestMoebiusAutomorphism:
@@ -367,7 +435,14 @@ class TestMoebiusAutomorphism:
         assert phi.components[0].value([0.5]) == pytest.approx(0.0, abs=1e-15)
 
     def test_certificate_exact(self):
-        assert moebius_automorphism([0.5], [0.0]).certificate.kind == "automorphism"
+        assert moebius_automorphism([0.5], [0.0]).certificate.brackets == ((1.0, 1.0),)
+
+    @pytest.mark.parametrize("a", [complex("nan"), complex(0.0, float("inf"))])
+    def test_rejects_non_finite_parameter(self, a):
+        for build in (lambda: moebius_automorphism([a], [0.0]),
+                      lambda: MoebiusFactor(1, 0, a), lambda: ScaledKernel(1, 0, a, 1.0)):
+            with pytest.raises(EvaluationDomainError):
+                build()
 
     def test_interior_points_stay_interior(self):
         rng = np.random.default_rng(11)

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from blochlab import mapspec
 from blochlab.cli import main
+from blochlab.holo import HoloSelfMap, Series
 from blochlab.sampling import SamplingPlan
 from blochlab.testfuncs import TestFunction
 
@@ -76,7 +77,7 @@ class TestMapSpec:
             {"type": "moebius", "a": [0.0, -0.2], "theta": 1.0, "source": 0},
         ]}
         phi = mapspec.load_map(spec)
-        assert phi.certificate.kind == "automorphism"
+        assert phi.certificate.brackets == ((1.0, 1.0), (1.0, 1.0))
 
     def test_testfn_component(self):
         spec = {"dimension": 2,
@@ -110,7 +111,7 @@ class TestMapSpec:
         where = _json_path("components[1]", key_path)
         spec = {"dimension": 2, "components": [COMPONENTS["constant"], comp]}
         with pytest.raises(mapspec.SpecError, match=re.escape(where)):
-            mapspec.load_map(spec, certify=False)
+            mapspec.load_map(spec)
         with pytest.raises(mapspec.SpecError, match=re.escape(_json_path("function", key_path))):
             mapspec.load_function({"dimension": 2, "function": comp})
 
@@ -187,7 +188,7 @@ class TestCLI:
         assert "bounded: holds" in res.output
         assert "compact: fails" in res.output
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 5
+        assert data["schema_version"] == 6
         assert "routes" not in data["payload"]["runs"][0]["report"]
         run = data["payload"]["runs"][0]["report"]
         assert run["sup_estimate"]["sup"] == pytest.approx(2.0, abs=1e-9)
@@ -232,6 +233,18 @@ class TestCLI:
         assert "Traceback" not in res.output
         assert not out_csv.exists()
 
+    def test_classify_refuses_non_self_map(self, tmp_path):
+        # 1.02 ((1+z_1)/2)^40 ((1+z_2)/2)^40 equals 1.02 at (1, 1)
+        steep = Series({(0, 0): 0.5, (1, 0): 0.5}, 2).pow(40).mul(
+            Series({(0, 0): 0.5, (0, 1): 0.5}, 2).pow(40)).scale(1.02)
+        spec = tmp_path / "steep.json"
+        mapspec.write_spec(spec, mapspec.dump_map(
+            HoloSelfMap([steep, Series.coordinate(1, 2).scale(0.5)])))
+        res = CliRunner().invoke(main, ["classify", "--spec", str(spec)])
+        assert res.exit_code == 2
+        assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
+        assert "|phi_0| lies in [1.02, inf]" in res.output
+
     def test_classify_extra_detectors(self, tmp_path):
         spec = tmp_path / "m.json"
         spec.write_text(json.dumps(HALVING_1))
@@ -272,8 +285,16 @@ class TestCLI:
             {"exponents": [1]}]}]}, "components[0].terms[0].coeff"),
         ({**HALVING_1, "dimension": "two"}, "dimension"),
         ({"dimension": 1, "components": [{"type": "series"}]}, "components[0].terms"),
+        ({"dimension": 1, "components": [{"type": "moebius", "a": [float("nan"), 0]}]},
+         "components[0].a"),
+        ({"dimension": 2, "components": [
+            COMPONENTS["series"], {"type": "moebius", "a": float("nan"), "source": 1}]},
+         "components[1].a"),
+        ({"dimension": 1, "components": [{"type": "series", "terms": [
+            {"exponents": [1], "coeff": [float("inf"), 0]}]}]}, "components[0].terms[0].coeff"),
     ], ids=["no-dimension", "moebius-parameter-on-circle", "moebius-without-a",
-            "term-without-coeff", "dimension-not-integer", "series-without-terms"])
+            "term-without-coeff", "dimension-not-integer", "series-without-terms",
+            "moebius-nan-parameter", "nan-moebius-beside-bounded", "infinite-coefficient"])
     def test_bad_spec_is_one_line_exit_2(self, tmp_path, spec, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
@@ -298,6 +319,11 @@ class TestCLI:
         ["verify-lemmas", "--dimension", "0"],
         ["oracle", "--dimension", "0"],
         ["sweep", "--dimension", "0", "--out-csv", "OUT"],
+        ["classify", "--spec", "SPEC", "--p", "nan", "--q", "1"],
+        ["classify", "--spec", "SPEC", "--p", "inf", "--q", "1"],
+        ["norm", "--testfn", "g", "--tf-w", "nan,0"],
+        ["oracle", "--p", "nan"],
+        ["sweep", "--p", "nan", "--q", "1", "--out-csv", "OUT"],
     ], ids=lambda args: " ".join(args))
     def test_bad_option_is_one_error_line_exit_2(self, tmp_path, args):
         spec = tmp_path / "m.json"

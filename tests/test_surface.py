@@ -5,7 +5,8 @@ uses, on an import inside a function (no module needs one to break an import
 cycle, and a call-time import hides a dependency), on a public function,
 class or method that nothing in src/, tests/ or bench/ refers to, on a
 name the package's top level exports beside its submodules (a re-export list
-would let every name count as referred to), on a module constant that
+would let every name count as referred to), on `holo` or `polydisk`
+importing from an estimator module, on a module constant that
 nothing reads, or on a defaulted parameter of a public
 function that no call there passes: such an option is fixed by construction
 and belongs in the code as a constant.  The defaulted fields of a public
@@ -234,6 +235,30 @@ def test_every_module_constant_is_read():
               for module, tree in _modules().items()
               for name in _module_constants(tree) if not reads[name]]
     assert not unread, "module constants nothing reads: " + ", ".join(unread)
+
+
+# the representation layer sits below the estimators that use it
+LOWER_LAYER = ("holo.py", "polydisk.py")
+UPPER_LAYER = {"sampling", "norms", "criteria", "suites", "oracle"}
+
+
+def _imported_modules(tree):
+    """Last dotted part of every module a tree imports from, or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.rsplit(".", 1)[-1]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+
+
+def test_lower_layer_imports_no_estimator():
+    modules = _modules()
+    upward = [f"{name}: {imported}" for name in LOWER_LAYER
+              for imported in _imported_modules(modules[name]) if imported in UPPER_LAYER]
+    assert not upward, "lower-layer modules import estimators: " + ", ".join(upward)
 
 
 def test_package_top_level_holds_only_modules():
