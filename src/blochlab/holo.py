@@ -159,13 +159,20 @@ class Series(HoloFunction):
             return np.full(Z.shape[:-1], node)
         flat = Z.reshape(-1, self.dim)
         n = flat.shape[0]
-        out = np.empty(n, dtype=complex)
-        scratch = [np.empty(min(n, HORNER_BLOCK), dtype=complex) for _ in range(buffers - 1)]
-        for start in range(0, n, HORNER_BLOCK):
+        if n % HORNER_BLOCK == 1:
+            # numpy multiplies a one-element complex array in place through a
+            # non-FMA loop, whose last bits differ from the loop it runs on
+            # longer arrays; a one-point block is evaluated as two copies of
+            # its point, so that a point gets the same value alone as in a batch
+            flat = np.concatenate([flat, flat[-1:]])
+        out = np.empty(flat.shape[0], dtype=complex)
+        scratch = [np.empty(min(out.size, HORNER_BLOCK), dtype=complex)
+                   for _ in range(buffers - 1)]
+        for start in range(0, out.size, HORNER_BLOCK):
             cols = flat[start:start + HORNER_BLOCK].T
             m = cols.shape[1]
             _horner(node, cols, [out[start:start + m]] + [s[:m] for s in scratch], 0)
-        return out.reshape(Z.shape[:-1])
+        return out[:n].reshape(Z.shape[:-1])
 
     def partial(self, axis):
         self._check_axis(axis)

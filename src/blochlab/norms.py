@@ -4,10 +4,14 @@ The p-Bloch density of f at z is sum_k |df/dz_k(z)| (1 - |z_k|^2)^p; the norm
 adds |f(0)| to its supremum.  The Lipschitz-quotient norm sups the difference
 quotient |f(z) - f(w)| / |z - w|^p over pairs.  Both are estimated from below
 by the one maximiser, `sampling.maximise`: stratified sampling plus
-refinement, over points for the density and over pairs for the quotient.  The
-module also provides the direction-optimized Bergman-metric seminorm,
-closed-form point-evaluation bound factors, and the measured distance to a
-degree-m Taylor polynomial T, as the norm of f plus T negated (exactly -T).
+refinement, over points for the density and over pairs for the quotient.
+Both start from the one kept stratified grid and evaluate f once per point of
+it: the Bloch estimates weight the partial moduli on the grid, computed once,
+for each of their exponents, and the Lipschitz pairs join each grid point to
+its image under a seeded permutation of the grid.  The module also provides
+the direction-optimized Bergman-metric seminorm, closed-form point-evaluation
+bound factors, and the measured distance to a degree-m Taylor polynomial T, as
+the norm of f plus T negated (exactly -T).
 
 The density evaluators work from moduli: they drop the structurally zero
 partials once, when built, and take |df/dz_k| from `HoloFunction.abs_val` (a
@@ -37,6 +41,19 @@ def _nonzero_partials(f: HoloFunction) -> list:
     return [(k, pk) for k, pk in enumerate(f.partials()) if not is_zero(pk)]
 
 
+def _partial_moduli(parts: list, Z: np.ndarray) -> list:
+    """(|df/dz_k|, 1 - |z_k|^2) at Z for each nonzero partial, the factors of the
+    density that do not depend on the exponent."""
+    return [(pk.abs_val(Z), one_minus_sq(np.abs(Z[..., k]))) for k, pk in parts]
+
+
+def _weighted_density(moduli: list, p: float, shape) -> np.ndarray:
+    out = np.zeros(shape, dtype=float)
+    for modulus, weight in moduli:
+        out += modulus * weight ** p
+    return out
+
+
 def bloch_density_fn(f: HoloFunction, p: float):
     """Batched evaluator of the p-Bloch density of f."""
     _check_p(p)
@@ -44,19 +61,29 @@ def bloch_density_fn(f: HoloFunction, p: float):
 
     def density(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        out = np.zeros(Z.shape[:-1], dtype=float)
-        for k, pk in parts:
-            out += pk.abs_val(Z) * one_minus_sq(np.abs(Z[..., k])) ** p
-        return out
+        return _weighted_density(_partial_moduli(parts, Z), p, Z.shape[:-1])
 
     return density
 
 
+def bloch_norm_estimates(f: HoloFunction, ps, plan: SamplingPlan | None = None) -> list:
+    """`bloch_norm_estimate` at each exponent of ps, in order.
+
+    The partial moduli on the grid are computed once and weighted for each
+    exponent; each estimate then refines on its own.
+    """
+    plan = plan if plan is not None else SamplingPlan()
+    Z, _ = stratified_grid(f.dim, plan)
+    moduli = _partial_moduli(_nonzero_partials(f), Z)
+    base = abs(f.value(np.zeros(f.dim, dtype=complex)))
+    return [estimate_supremum(bloch_density_fn(f, p), f.dim, plan, base=base,
+                              grid_values=_weighted_density(moduli, p, Z.shape[0]))
+            for p in ps]
+
+
 def bloch_norm_estimate(f: HoloFunction, p: float, plan: SamplingPlan | None = None) -> NormEstimate:
     """|f(0)| plus an estimated supremum of the p-Bloch density (a lower bound)."""
-    plan = plan if plan is not None else SamplingPlan()
-    base = abs(f.value(np.zeros(f.dim, dtype=complex)))
-    return estimate_supremum(bloch_density_fn(f, p), f.dim, plan, base=base)
+    return bloch_norm_estimates(f, (p,), plan)[0]
 
 
 def timoney_q_fn(f: HoloFunction):
@@ -116,13 +143,29 @@ def little_bloch_gap(f: HoloFunction, p: float, m: int,
 # Lipschitz-quotient norm
 
 
-def _pair_quotients(f: HoloFunction, p: float, Zl: np.ndarray, Zr: np.ndarray) -> np.ndarray:
-    num = np.abs(f.val(Zl) - f.val(Zr))
-    sep = np.sqrt(np.sum(np.abs(Zl - Zr) ** 2, axis=-1))
+def _quotients(num: np.ndarray, left_cols, right_cols, p: float) -> np.ndarray:
+    """num / |z - w|^p for pairs (z, w) given by their coordinate columns, taken
+    one at a time; 0 for pairs closer than the separation floor."""
+    sq_sep = np.zeros(num.shape)
+    for zl, zr in zip(left_cols, right_cols):
+        sq_sep += np.abs(zl - zr) ** 2
+    sep = np.sqrt(sq_sep)
     out = np.zeros_like(sep)
     ok = sep > _PAIR_SEPARATION_FLOOR
     out[ok] = num[ok] / sep[ok] ** p
     return out
+
+
+def _pair_quotients(f: HoloFunction, p: float, Zl: np.ndarray, Zr: np.ndarray) -> np.ndarray:
+    return _quotients(np.abs(f.val(Zl) - f.val(Zr)), Zl.T, Zr.T, p)
+
+
+def _grid_pair_quotients(f: HoloFunction, p: float, Z: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """_pair_quotients(f, p, Z, Z[perm]) from one value of f per point of Z, with
+    the partner column gathered for one coordinate at a time."""
+    vals = f.val(Z)
+    partner_cols = (Z[perm, k] for k in range(Z.shape[1]))
+    return _quotients(np.abs(vals - vals[perm]), Z.T, partner_cols, p)
 
 
 def _coordinate_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,22 +184,23 @@ def _coordinate_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_pairs(dim: int, plan: SamplingPlan, rng: np.random.Generator):
-    """Stratified random pairs: a grid against a shuffled second grid.
+    """Stratified random pairs inside the kept grid: (Z[i], Z[perm[i]]).
 
-    Returns (Zl, Zr, levels) with each pair's outermost radial level; the
-    per-grid levels and the shuffle are dropped before the pairs are scored.
+    Returns (Z, perm, levels) with each pair's outermost radial level; perm is
+    drawn from rng after the grid, so a fresh rng gets the kept grid.  A point
+    that perm fixes pairs with itself and scores 0.
     """
-    Zl, levl = stratified_grid(dim, plan, rng)
-    Zr, levr = stratified_grid(dim, plan, rng)
-    perm = rng.permutation(Zr.shape[0])
-    return Zl, Zr[perm], np.maximum(levl, levr[perm])
+    Z, levels = stratified_grid(dim, plan, rng)
+    perm = rng.permutation(Z.shape[0])
+    return Z, perm, np.maximum(levels, levels[perm])
 
 
 def lipschitz_norm_estimate(f: HoloFunction, p: float,
                             plan: SamplingPlan | None = None) -> NormEstimate:
     """|f(0)| plus an estimated sup of |f(z) - f(w)| / |z - w|^p over z != w.
 
-    Requires 0 < p <= 1.  Samples stratified random pairs, adds coordinate
+    Requires 0 < p <= 1.  Pairs each point of the stratified grid with its
+    image under a seeded permutation of the grid, adds coordinate
     short-separation pairs (where coordinate-direction quotients peak), then
     refines around the best pair.  A lower bound of the true norm.
     """
@@ -166,17 +210,17 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
     dim = f.dim
     rng = np.random.default_rng(plan.seed)
 
-    Zl, Zr, levels = _grid_pairs(dim, plan, rng)
+    Z, perm, levels = _grid_pairs(dim, plan, rng)
     n_refine = max(8, plan.angular_count)
     box = 0.2
     r_cap = plan.max_radius()
 
-    batches = [((Zl, Zr), levels)]
+    batches = [(_grid_pair_quotients(f, p, Z, perm), levels, lambda i: (Z[i], Z[perm[i]]))]
     # coordinate-direction pairs on a stratified subsample, outside the level trace
-    stride = max(1, Zl.shape[0] // 256)
-    cl, cr = _coordinate_pairs(Zl[::stride])
+    stride = max(1, Z.shape[0] // 256)
+    cl, cr = _coordinate_pairs(Z[::stride])
     if cl.size:
-        batches.append(((cl, cr), None))
+        batches.append((_pair_quotients(f, p, cl, cr), None, lambda i: (cl[i], cr[i])))
 
     def propose(witness):
         nonlocal box

@@ -1,13 +1,13 @@
 """Supremum estimation over the polydisk by boundary-refined sampling.
 
-One maximiser, `maximise`, serves every estimator: it scores initial candidate
-batches, records the cumulative maximum per radial level, then runs local
-refinement rounds around the running maximum until the rounds or the
-evaluation budget run out.  `estimate_supremum` feeds it a pointwise density
-over a radially stratified grid (radii r_i = 1 - 2^{-i}, where
-weighted-derivative densities fight their weights, crossed with jittered
-angles) and refines in a shrinking polar box; the Lipschitz estimator in
-`norms` feeds it pairs of points.  Estimates are lower bounds of the true
+One maximiser, `maximise`, serves every estimator: it takes initial candidate
+batches that their estimator has scored, records the cumulative maximum per
+radial level, then runs local refinement rounds around the running maximum
+until the rounds or the evaluation budget run out.  `estimate_supremum` feeds
+it a pointwise density over a radially stratified grid (radii
+r_i = 1 - 2^{-i}, where weighted-derivative densities fight their weights,
+crossed with jittered angles) and refines in a shrinking polar box; the
+Lipschitz estimator in `norms` feeds it pairs of points.  Estimates are lower bounds of the true
 supremum by construction; `converged` reports whether the refinement trace
 plateaued.  Everything is deterministic for a fixed seed.
 
@@ -17,8 +17,10 @@ with the generator state the draw ends in.  A repeat call returns the kept
 arrays and sets the caller's generator to that end state, so every later draw
 is as if the grid had been drawn again.  Grids are returned read-only, which
 lets callers share them.  A fresh draw of another (dim, plan) frees the kept
-grid before it draws; a draw from an already advanced generator (the Lipschitz
-estimator's second grid) is never kept and leaves the kept grid in place.
+grid before it draws; a draw from an already advanced generator is never kept
+and leaves the kept grid in place.  Every estimator draws from a fresh
+generator, so every estimate of one (dim, plan) reuses the kept grid: the
+Lipschitz estimator pairs its points with a permutation of the same grid.
 """
 
 from __future__ import annotations
@@ -178,29 +180,31 @@ def maximise(score, batches, propose, plan: SamplingPlan,
              base: float = 0.0) -> NormEstimate:
     """Estimate base + sup of `score` from initial batches plus refinement rounds.
 
-    A candidate batch is a tuple of (N, dim) arrays, (Z,) for points or
-    (Zl, Zr) for pairs, that score(*batch) maps to N floats.  `batches` holds
-    the initial (batch, levels) pairs, each scored in its own call; levels
-    gives each candidate's outermost radial level, or is None for a batch kept
-    out of the per-level trace.  Each round proposes propose(witness), a batch
-    around the best candidate so far, and is charged the batch's length
-    against plan.budget; rounds stop at plan.max_rounds or before a batch
-    that would exceed the budget.  The best candidate's rows are the witness
-    and, for pairs, its partner.
+    A candidate is a tuple of points, (z,) or a pair (z, w).  `batches` holds
+    the initial (vals, levels, row) triples: vals holds the N scores of a
+    batch, row(i) gives its candidate i, and levels each candidate's outermost
+    radial level, or is None for a batch kept out of the per-level trace.  The
+    estimator scores these batches itself, so that it can share work across
+    one (the Lipschitz grid pairs take one value of f per grid point).  Each
+    round proposes propose(witness), a tuple of (N, dim) arrays around the best
+    candidate so far that score(*batch) maps to N floats, and is charged the
+    batch's length against plan.budget; rounds stop at plan.max_rounds or
+    before a batch that would exceed the budget.  The best candidate is the
+    witness and, for pairs, its partner.
     """
     best, witness, evaluations = 0.0, None, 0
 
-    def offer(cand, vals):
+    def offer(vals, row):
         nonlocal best, witness, evaluations
-        evaluations += cand[0].shape[0]
+        evaluations += vals.shape[0]
         i = int(np.argmax(vals))
         if witness is None or float(vals[i]) > best:
-            best, witness = float(vals[i]), tuple(a[i].copy() for a in cand)
+            best, witness = float(vals[i]), tuple(a.copy() for a in row(i))
 
     level_max = np.zeros(plan.radial_levels + 1)
-    for cand, levels in batches:
-        vals = np.asarray(score(*cand), dtype=float)
-        offer(cand, vals)
+    for vals, levels, row in batches:
+        vals = np.asarray(vals, dtype=float)
+        offer(vals, row)
         if levels is not None:
             np.maximum.at(level_max, levels, vals)
     level_trace = np.maximum.accumulate(level_max).tolist()
@@ -210,7 +214,7 @@ def maximise(score, batches, propose, plan: SamplingPlan,
         cand = propose(witness)
         if evaluations + cand[0].shape[0] > plan.budget:
             break
-        offer(cand, np.asarray(score(*cand), dtype=float))
+        offer(np.asarray(score(*cand), dtype=float), lambda i: tuple(a[i] for a in cand))
         trace.append(best)
 
     converged = (len(trace) >= 2
@@ -222,16 +226,20 @@ def maximise(score, batches, propose, plan: SamplingPlan,
 
 
 def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
-                      base: float = 0.0) -> NormEstimate:
+                      base: float = 0.0, grid_values=None) -> NormEstimate:
     """Estimate base + sup of a pointwise density over U^dim.
 
     density_fn maps an (N, dim) complex array to (N,) nonnegative floats.
     The initial stratified grid fixes the per-level trace; refinement rounds
     then shrink a polar box around the best point (never past the outermost
-    grid radius, so the estimate stays a resolved lower bound).
+    grid radius, so the estimate stays a resolved lower bound).  grid_values,
+    when given, are the density on stratified_grid(dim, plan), computed by a
+    caller that shares work across densities; density_fn then scores the
+    refinement rounds alone.
     """
     rng = np.random.default_rng(plan.seed)
     Z, levels = stratified_grid(dim, plan, rng)
+    vals = density_fn(Z) if grid_values is None else grid_values
     r_cap = plan.max_radius()
     radii = plan.radii()
     n_refine = max(8, plan.angular_count)
@@ -257,4 +265,5 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
         dt *= REFINE_SHRINK
         return (r * np.exp(1j * t),)
 
-    return maximise(density_fn, [((Z,), levels)], propose, plan, base=base)
+    return maximise(density_fn, [(vals, levels, lambda i: (Z[i],))], propose, plan,
+                    base=base)

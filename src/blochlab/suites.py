@@ -23,6 +23,7 @@ from .holo import compose, moebius_automorphism
 from .norms import (
     bloch_density_fn,
     bloch_norm_estimate,
+    bloch_norm_estimates,
     lipschitz_norm_estimate,
     little_bloch_gap,
     pointeval_bound,
@@ -76,18 +77,23 @@ def segment_telescoping(dim: int = 3) -> SuiteRow:
     """The coordinate-interpolation differences of f telescope to f(z) - f(w)."""
     rng = np.random.default_rng(1)
     polys = corpus_mod.polynomial_corpus(dim, count=5, seed=1)
-    worst, witness = 0.0, ""
+    starts, mixed = [], []
     for _ in range(50):
         z = PolydiskPoint(0.9 * np.sqrt(rng.random(dim)) * np.exp(2j * np.pi * rng.random(dim)))
         w = PolydiskPoint(0.9 * np.sqrt(rng.random(dim)) * np.exp(2j * np.pi * rng.random(dim)))
-        for f in polys:
+        starts.append(z)
+        # segment_point j = 0 is z and j = dim is w
+        mixed.append([segment_point(z, w, j).coords for j in range(dim + 1)])
+    mixed = np.array(mixed)
+    worst, witness = 0.0, ""
+    for t, row in enumerate(np.stack([f.val(mixed) for f in polys], axis=1)):
+        for v in row:
             total = 0.0 + 0.0j
             for j in range(1, dim + 1):
-                total += (f.value(segment_point(z, w, dim - j))
-                          - f.value(segment_point(z, w, dim - j + 1)))
-            err = abs(total - (f.value(z) - f.value(w)))
+                total += v[dim - j] - v[dim - j + 1]
+            err = abs(total - (v[0] - v[dim]))
             if err > worst:
-                worst, witness = err, f"z={z.coords}"
+                worst, witness = err, f"z={starts[t].coords}"
     return _row("segment-telescoping", worst <= 1e-12, worst, witness)
 
 
@@ -180,15 +186,19 @@ def q_density_sandwich(fns) -> SuiteRow:
 def point_evaluation_bound(polys, plan: SamplingPlan | None = None) -> SuiteRow:
     """|f(z)| <= bound-factor(p, n, z) * (estimated norm) * (1 + 1e-3)."""
     plan = plan if plan is not None else SamplingPlan()
+    ps = (0.5, 1.0, 2.0)
+    excess = {}
+    for i, f in enumerate(polys):
+        Z = uniform_points(f.dim, 2000, 7 + i, rmax=0.995)
+        moduli = np.abs(f.val(Z))
+        for p, est in zip(ps, bloch_norm_estimates(f, ps, plan)):
+            bound = pointeval_bound(p, Z) * est.value * (1.0 + 1e-3)
+            excess[p, i] = float(np.max(moduli - bound))
     worst, witness = -np.inf, ""
-    for p in (0.5, 1.0, 2.0):
-        for i, f in enumerate(polys):
-            Z = uniform_points(f.dim, 2000, 7 + i, rmax=0.995)
-            norm = bloch_norm_estimate(f, p, plan).value
-            bound = pointeval_bound(p, Z) * norm * (1.0 + 1e-3)
-            excess = float(np.max(np.abs(f.val(Z)) - bound))
-            if excess > worst:
-                worst, witness = excess, f"poly {i}, p={p}"
+    for p in ps:
+        for i in range(len(polys)):
+            if excess[p, i] > worst:
+                worst, witness = excess[p, i], f"poly {i}, p={p}"
     return _row("point-evaluation-bound", worst <= 0.0, worst, witness)
 
 

@@ -63,6 +63,23 @@ class TestEval:
         for i in range(20):
             assert vals[i] == pytest.approx(f.value(Z[i]), rel=1e-14)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_single_point_equals_batch_bitwise(self, dim):
+        # numpy multiplies a one-element complex array through another loop than
+        # a longer one; a point's value must not depend on the batch it is in
+        Z = disk_points(np.random.default_rng(dim), (200,), dim)
+        for f in polynomial_corpus(dim, count=5, seed=1):
+            batch = f.val(Z)
+            single = np.array([f.value(z) for z in Z])
+            np.testing.assert_array_equal(single.view(float), batch.view(float))
+
+    def test_one_point_last_block_equals_batch_bitwise(self):
+        Z = disk_points(np.random.default_rng(5), (HORNER_BLOCK + 1,), 2)
+        f = polynomial_corpus(2, count=1, seed=1)[0]
+        last = f.val(Z)[-1]
+        assert f.val(Z[-2:])[-1] == last
+        assert f.value(Z[-1]) == last
+
 
 def loop_series_val(f, Z):
     """Reference: each term c z^e as its own array, summed term by term."""

@@ -4,18 +4,23 @@ seminorm closed form, point-evaluation bound factors, truncation gaps."""
 import numpy as np
 import pytest
 
+from blochlab import sampling
+from blochlab.corpus import default_function_corpus, polynomial_corpus
 from blochlab.holo import Const, MoebiusFactor, ScaledKernel, Series
 from blochlab.norms import (
+    _grid_pair_quotients,
+    _grid_pairs,
     _pair_quotients,
     bloch_density_fn,
     bloch_norm_estimate,
+    bloch_norm_estimates,
     lipschitz_norm_estimate,
     little_bloch_gap,
     pointeval_bound,
     timoney_q_fn,
 )
 from blochlab.polydisk import one_minus_sq
-from blochlab.sampling import SamplingPlan, estimate_supremum
+from blochlab.sampling import SamplingPlan, estimate_supremum, stratified_grid
 from blochlab.testfuncs import TestFunction
 
 PLAN = SamplingPlan(seed=7)
@@ -107,6 +112,41 @@ class TestBlochNormEstimate:
         assert len(est.trace) > 1
 
 
+def assert_same_estimate(est, ref):
+    assert est.value == ref.value and est.sup == ref.sup
+    np.testing.assert_array_equal(est.witness.view(float), ref.witness.view(float))
+    assert est.trace == ref.trace and est.level_trace == ref.level_trace
+    assert est.evaluations == ref.evaluations and est.converged == ref.converged
+
+
+class TestBlochNormEstimates:
+    """One pass of the partial moduli over the grid serves several exponents."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_multi_exponent_equals_one_exponent(self, dim):
+        ps = (0.5, 1.0, 2.0)
+        plan = SamplingPlan(radial_levels=10, angular_count=24, budget=20_000, seed=dim)
+        for f in default_function_corpus(dim, seed=dim):
+            base = abs(f.value(np.zeros(dim, dtype=complex)))
+            for p, est in zip(ps, bloch_norm_estimates(f, ps, plan)):
+                # the reference: the density closure itself scores the grid
+                assert_same_estimate(est, estimate_supremum(bloch_density_fn(f, p), dim, plan,
+                                                            base=base))
+                assert_same_estimate(est, bloch_norm_estimate(f, p, plan))
+
+    def test_default_plan_dim3_polynomial(self):
+        ps = (0.5, 1.0, 2.0)
+        plan = SamplingPlan()
+        f = polynomial_corpus(3, count=1, seed=0)[0]
+        for p, est in zip(ps, bloch_norm_estimates(f, ps, plan)):
+            assert_same_estimate(est, estimate_supremum(bloch_density_fn(f, p), 3, plan,
+                                                        base=abs(f.value([0, 0, 0]))))
+
+    def test_rejects_nonpositive_exponent(self):
+        with pytest.raises(ValueError):
+            bloch_norm_estimates(Series({(1,): 1.0}, 1), (1.0, 0.0), PLAN)
+
+
 class TestTimoneyQ:
     def test_linear_two_vars(self):
         f = Series({(1, 0): 1.0, (0, 1): 1.0}, 2)
@@ -195,6 +235,38 @@ class TestLipschitzNorm:
             quotient = _pair_quotients(f, p, est.witness[None, :],
                                        est.witness_partner[None, :])
             assert quotient[0] == est.sup
+
+    def test_dim3_witness_pair_rescores_to_sup(self):
+        # members 1 and 3 need a one-point value bit-equal to the batch value
+        for f in polynomial_corpus(3, count=4, seed=8):
+            est = lipschitz_norm_estimate(f, 0.5, SamplingPlan(seed=1))
+            quotient = _pair_quotients(f, 0.5, est.witness[None, :],
+                                       est.witness_partner[None, :])
+            assert quotient[0] == est.sup
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_grid_pair_scores_equal_pair_quotients(self, dim):
+        plan = SamplingPlan(radial_levels=8, angular_count=16, seed=dim)
+        Z, perm, levels = _grid_pairs(dim, plan, np.random.default_rng(plan.seed))
+        grid, grid_levels = stratified_grid(dim, plan)
+        assert Z is grid
+        np.testing.assert_array_equal(levels, np.maximum(grid_levels, grid_levels[perm]))
+        for f in default_function_corpus(dim, seed=dim)[::4]:
+            for p in (0.5, 1.0):
+                np.testing.assert_array_equal(_grid_pair_quotients(f, p, Z, perm),
+                                              _pair_quotients(f, p, Z, Z[perm]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_kept_grid_draws_no_grid(self, dim, monkeypatch):
+        plan = SamplingPlan(radial_levels=8, angular_count=16, seed=dim)
+        stratified_grid(dim, plan)  # keeps the grid of (dim, plan)
+        draws = []
+        draw = sampling._draw_grid
+        monkeypatch.setattr(sampling, "_draw_grid", lambda *a: draws.append(a) or draw(*a))
+        f = polynomial_corpus(dim, count=1, seed=0)[0]
+        lipschitz_norm_estimate(f, 0.5, plan)
+        bloch_norm_estimates(f, (0.5, 2.0), plan)
+        assert draws == []
 
     def test_traces_nondecreasing(self):
         f = Series({(2, 1): 1.0, (0, 1): -0.5j, (3, 0): 0.25}, 2)

@@ -180,12 +180,13 @@ def test_level_trace_equals_loop():
     rng = np.random.default_rng(1)
     plan = SamplingPlan(radial_levels=6, max_rounds=0)
     # levels 4..6 stay empty, so the cumulative maximum carries over them
-    batches = [((rng.random((n, 2)) + 0j,), rng.integers(0, 4, n)) for n in (50, 7)]
-    batches.append(((rng.random((5, 2)) + 3.0 + 0j,), None))
+    points = [(rng.random((n, 2)) + 0j, rng.integers(0, 4, n)) for n in (50, 7)]
+    points.append((rng.random((5, 2)) + 3.0 + 0j, None))
     score = lambda Z: Z.real.sum(axis=-1)  # noqa: E731
+    batches = [(score(Z), levels, lambda i, Z=Z: (Z[i],)) for Z, levels in points]
     est = maximise(score, batches, None, plan)
     level_max = [0.0] * (plan.radial_levels + 1)
-    for (Z,), levels in batches[:2]:
+    for Z, levels in points[:2]:
         vals = score(Z)
         for i in range(len(level_max)):
             mask = levels == i

@@ -1,9 +1,11 @@
 """Verification suites and the independent oracle path."""
 
+import json
+
 import numpy as np
 import pytest
 
-from blochlab import suites
+from blochlab import sampling, suites
 from blochlab.corpus import default_function_corpus, default_selfmap_corpus, polynomial_corpus
 from blochlab.holo import HoloFunction, Series
 from blochlab.oracle import (
@@ -136,6 +138,15 @@ class TestSuites:
         assert suites.q_density_sandwich([]).passed
         assert suites.chain_rule_identity([], []).passed
         assert suites.norm_trace_monotone([], plan=QUICK_PLAN).passed
+
+    def test_run_all_is_the_same_with_or_without_a_kept_grid(self, monkeypatch):
+        # estimates reuse the grid an earlier run kept; that must never change a row
+        def rows():
+            return json.dumps([r.to_json() for r in suites.run_all(dim=2)], sort_keys=True)
+        first = rows()
+        assert rows() == first
+        monkeypatch.setattr(sampling, "_kept_grid", None)
+        assert rows() == first
 
     def test_band_stability_row(self):
         row = suites.lipschitz_band_stability(count=6, plan=QUICK_PLAN)
