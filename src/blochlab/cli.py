@@ -127,7 +127,7 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec,
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if emit_spec is not None:
-        mapspec.write_spec(emit_spec, mapspec.dump_function(f))
+        reports.write_json(emit_spec, mapspec.dump_function(f))
         click.echo(f"spec written to {emit_spec}")
 
     payload = {"estimates": []}
@@ -164,8 +164,8 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec,
 @click.option("--p", "ps", type=POSITIVE, multiple=True, default=(1.0,), show_default=True)
 @click.option("--q", "qs", type=POSITIVE, multiple=True, default=(1.0,), show_default=True)
 @click.option("--theorems", type=str, default="bounded,compact", show_default=True,
-              help="Comma list from: " + ", ".join(THEOREMS) + ".  little-bloch judges "
-                   "each component's q-Bloch Taylor gap plus boundedness.")
+              help="Comma list from: " + ", ".join(THEOREMS) + ".  little-bloch gives the "
+                   "bounded verdict: every certified component lies in the little space.")
 @click.option("--out-json", type=click.Path(), default=None)
 @click.option("--out-csv", type=click.Path(), default=None)
 @_plan_options

@@ -23,7 +23,8 @@ Rule names used in reports:
   coordinate-boundary-decay  per-coordinate decay (the p < 1 criterion)
   small-components         no ray's deep probe reaches within 1e-4 of the boundary
   exponent-gap             p < 1 <= q, decay guaranteed and validated
-  component-gaps           little-space membership of the components phi_l
+  holomorphic-components   little space: components holomorphic across the closed
+                           polydisk (a theorem), plus sup-density-plateau
   coordinate-lipschitz     unit-exponent Lipschitz norms of the components
 """
 
@@ -33,13 +34,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .holo import SELF_MAP_CEILING, HoloSelfMap, TruncationUnavailableError, compose
-from .norms import (
-    bloch_density_fn,
-    bloch_norm_estimate,
-    lipschitz_norm_estimate,
-    little_bloch_gap,
-)
+from .holo import SELF_MAP_CEILING, HoloSelfMap, compose
+from .norms import bloch_density_fn, bloch_norm_estimate, lipschitz_norm_estimate
 from .polydisk import complex_pair, complex_pairs, one_minus_sq
 from .reports import SCHEMA_VERSION, format_point
 from .sampling import PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum
@@ -54,8 +50,6 @@ PATH_MIN_POINTS = 8
 PATH_REQUIRED_FINAL = 1e-4
 PATH_FINAL_TARGET = 1e-8
 PATH_MAX_TARGETS = 64
-# Taylor indices at which a component's little-space gap is measured, in order
-LITTLE_BLOCH_LADDER = (8, 16, 32)
 
 
 class UncertifiedMapError(ValueError):
@@ -147,7 +141,7 @@ def criterion_density_fn(phi: HoloSelfMap, p: float, q: float):
 
 
 def boundedness_check(phi: HoloSelfMap, p: float, q: float,
-                      plan: SamplingPlan | None = None) -> tuple[Verdict, NormEstimate]:
+                      plan: SamplingPlan = SamplingPlan()) -> tuple[Verdict, NormEstimate]:
     """Estimate sup_z of the criterion density and judge its boundary trace.
 
     holds: the cumulative per-level suprema plateau (relative change < 1e-3
@@ -155,7 +149,6 @@ def boundedness_check(phi: HoloSelfMap, p: float, q: float,
     factor >= 2 over the last 4 levels, or a singular escape was hit.
     """
     require_certified(phi)
-    plan = plan if plan is not None else SamplingPlan()
     est = estimate_supremum(criterion_density_fn(phi, p, q), phi.dim, plan)
     lt = est.level_trace
 
@@ -408,11 +401,10 @@ def component_sup_estimates(phi: HoloSelfMap) -> list[float]:
     return [hi for _, hi in phi.certificate.brackets]
 
 
-def lip1_boundedness_check(phi: HoloSelfMap, plan: SamplingPlan | None = None) -> Verdict:
+def lip1_boundedness_check(phi: HoloSelfMap, plan: SamplingPlan = SamplingPlan()) -> Verdict:
     """Unit-exponent Lipschitz norms of the components: all plateauing finite
     estimates certify the unit-exponent boundedness criterion."""
     require_certified(phi)
-    plan = plan if plan is not None else SamplingPlan()
     values, converged = [], []
     for comp in phi.components:
         est = lipschitz_norm_estimate(comp, 1.0, plan)
@@ -426,51 +418,30 @@ def lip1_boundedness_check(phi: HoloSelfMap, plan: SamplingPlan | None = None) -
 
 
 def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
-                                plan: SamplingPlan | None = None) -> Verdict:
-    """Little-space detector: (a) every component phi_l stays close to
-    polynomials in the q-Bloch norm (its Taylor gap, measured at the indices
-    of LITTLE_BLOCH_LADDER until one falls below DECAY_TOL), and (b) the
-    (p, q) criterion supremum plateaus.
+                                plan: SamplingPlan = SamplingPlan()) -> Verdict:
+    """Little-space detector: C_phi maps the little p-Bloch space into the
+    little q-Bloch space when (a) every component phi_l lies in the little
+    q-Bloch space and (b) the (p, q) criterion supremum is finite.  Only (b) is
+    measured: the verdict is `boundedness_check`'s.
 
-    The components decide every power phi^gamma: d_k phi^gamma =
-    sum_l gamma_l phi^{gamma - e_l} d_k phi_l with |phi^{gamma - e_l}| < 1, so
-    the q-density of phi^gamma is at most sum_l gamma_l times that of phi_l,
-    and phi^gamma lies in the little q-Bloch space for every gamma iff each
-    phi_l does.
+    (a) is a theorem for every certified map.  Each component this library can
+    certify is holomorphic on a neighbourhood of the closed polydisk: a Series
+    or Const is entire, a MoebiusFactor is singular only at 1/conj(a) with
+    |a| < 1, and a certified Composition puts such an outer function after such
+    inners, which the certificate bounds by 1 on the closed polydisk.  A
+    function holomorphic there is the q-Bloch limit of its Taylor polynomials
+    for every q > 0, so it lies in the little q-Bloch space.  The components
+    decide every power phi^gamma: d_k phi^gamma = sum_l gamma_l
+    phi^{gamma - e_l} d_k phi_l with |phi^{gamma - e_l}| < 1, so the q-density
+    of phi^gamma is at most sum_l gamma_l times that of phi_l.
     """
-    require_certified(phi)
-    plan = plan if plan is not None else SamplingPlan()
-    gaps, gap_index, skipped = {}, {}, []
-    for l, comp in enumerate(phi.components):
-        key = str(l)
-        try:
-            # a gap only upper-bounds the distance to polynomials, so a large
-            # value at one index proves nothing; escalate the index instead
-            for m in LITTLE_BLOCH_LADDER:
-                gap = little_bloch_gap(comp, q, m, plan)
-                gaps[key], gap_index[key] = gap, m
-                if gap < DECAY_TOL:
-                    break
-        except TruncationUnavailableError:
-            skipped.append(key)
     bounded, est = boundedness_check(phi, p, q, plan)
-    detail = {
-        "gaps": gaps,
-        "gap_truncation_index": gap_index,
-        "skipped": skipped,
-        "bounded": bounded.to_json(),
-        "sup": est.sup,
-    }
-    worst = max(gaps.values(), default=0.0)
-    if bounded.verdict == "fails":
-        return Verdict("fails", "component-gaps", margin=worst, detail=detail)
-    if not skipped and worst < DECAY_TOL and bounded.verdict == "holds":
-        return Verdict("holds", "component-gaps", margin=worst, detail=detail)
-    return Verdict("inconclusive", "component-gaps", margin=worst, detail=detail)
+    return Verdict(bounded.verdict, "holomorphic-components", margin=bounded.margin,
+                   detail={"bounded": bounded.to_json(), "sup": est.sup})
 
 
 def operator_norm_lower_bound(phi: HoloSelfMap, p: float, q: float,
-                              w_grid, plan: SamplingPlan | None = None) -> float:
+                              w_grid, plan: SamplingPlan = SamplingPlan()) -> float:
     """Best ratio ||nu o phi||_q / ||nu||_p over the sampled test families:
     a lower bound for the operator norm up to estimator undershoot.
 
@@ -478,7 +449,6 @@ def operator_norm_lower_bound(phi: HoloSelfMap, p: float, q: float,
     forced at explicit points), so degenerate members cannot inflate the ratio.
     """
     require_certified(phi)
-    plan = plan if plan is not None else SamplingPlan()
     best = 0.0
     for w in np.asarray(w_grid, dtype=complex):
         for axis in range(phi.dim):
@@ -542,7 +512,7 @@ class CriterionReport:
 
 
 def classify(phi: HoloSelfMap, p: float, q: float,
-             plan: SamplingPlan | None = None) -> CriterionReport:
+             plan: SamplingPlan = SamplingPlan()) -> CriterionReport:
     """Run the boundedness detector, judge compactness along boundary paths,
     and assemble a full report.
 
@@ -555,7 +525,6 @@ def classify(phi: HoloSelfMap, p: float, q: float,
     that holds while boundedness is inconclusive becomes inconclusive.
     """
     require_certified(phi)
-    plan = plan if plan is not None else SamplingPlan()
     if not (p > 0 and q > 0):
         raise ValueError("exponents p and q must be positive")
 

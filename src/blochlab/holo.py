@@ -14,8 +14,7 @@ Representations:
                      nested Horner over the axes on blocks of HORNER_BLOCK points,
   * ScaledKernel  -- c / (1 - conj(w) z_axis)^e, closed under d/dz; the one closed
                      form of the kernel, reused by Moebius derivatives and `testfuncs`,
-  * MoebiusFactor -- one-coordinate disk automorphism factor (partials: ScaledKernels;
-                     Taylor polynomial: the integral of theirs),
+  * MoebiusFactor -- one-coordinate disk automorphism factor (partials: ScaledKernels),
   * Const / Sum / Product / Composition nodes over these.
 
 A self-map of U^n is certified when it is built: each component gets an
@@ -53,10 +52,6 @@ class EvaluationDomainError(ValueError):
     """Evaluation requested outside the representable / stable domain."""
 
 
-class TruncationUnavailableError(TypeError):
-    """The representation carries no Taylor truncation of the requested kind."""
-
-
 class HoloFunction:
     """Base class; subclasses implement `val` (batched) and `partial`."""
 
@@ -73,10 +68,6 @@ class HoloFunction:
     def partial(self, axis: int) -> "HoloFunction":
         """Exact partial derivative d/dz_axis as a new function."""
         raise NotImplementedError
-
-    def taylor(self, m: int) -> "Series":
-        """Degree-m Taylor polynomial, when the representation supports one."""
-        raise TruncationUnavailableError(f"{type(self).__name__} has no Taylor truncation")
 
     # -- conveniences ------------------------------------------------------
 
@@ -122,9 +113,6 @@ class Const(HoloFunction):
     def partial(self, axis):
         self._check_axis(axis)
         return Const(0.0, self.dim)
-
-    def taylor(self, m):
-        return Series({(0,) * self.dim: self.c} if self.c != 0 else {}, self.dim)
 
     def __repr__(self):
         return f"Const({self.c})"
@@ -184,9 +172,6 @@ class Series(HoloFunction):
                 out[shifted] = out.get(shifted, 0) + e * c
         return Series(out, self.dim)
 
-    def taylor(self, m):
-        return Series({e: c for e, c in self.coeffs.items() if sum(e) <= m}, self.dim)
-
     def antiderivative(self, axis: int) -> "Series":
         """The antiderivative in z_axis that vanishes at z_axis = 0."""
         self._check_axis(axis)
@@ -195,7 +180,7 @@ class Series(HoloFunction):
             out[e[:axis] + (e[axis] + 1,) + e[axis + 1:]] = c / (e[axis] + 1)
         return Series(out, self.dim)
 
-    # polynomial algebra used by composition normalization and truncations
+    # polynomial algebra used by composition normalization
 
     def add(self, other: "Series") -> "Series":
         out = dict(self.coeffs)
@@ -206,24 +191,22 @@ class Series(HoloFunction):
     def scale(self, c: complex) -> "Series":
         return Series({e: c * v for e, v in self.coeffs.items()}, self.dim)
 
-    def mul(self, other: "Series", max_degree: int | None = None) -> "Series":
+    def mul(self, other: "Series") -> "Series":
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if max_degree is not None and sum(e) > max_degree:
-                    continue
                 out[e] = out.get(e, 0) + c1 * c2
         return Series(out, self.dim)
 
-    def pow(self, k: int, max_degree: int | None = None) -> "Series":
+    def pow(self, k: int) -> "Series":
         result = Series({(0,) * self.dim: 1.0}, self.dim)
         for _ in range(k):
-            result = result.mul(self, max_degree=max_degree)
+            result = result.mul(self)
         return result
 
-    def substitute(self, inners: list, max_degree: int | None = None) -> "Series":
-        """self(g_1(z), ..., g_n(z)) for polynomial inners, optionally degree-filtered."""
+    def substitute(self, inners: list) -> "Series":
+        """self(g_1(z), ..., g_n(z)) for polynomial inners."""
         if len(inners) != self.dim:
             raise ValueError("component count must match dimension")
         out_dim = inners[0].dim
@@ -232,7 +215,7 @@ class Series(HoloFunction):
             term = Series({(0,) * out_dim: c}, out_dim)
             for g, e in zip(inners, exps):
                 if e:
-                    term = term.mul(g.pow(e, max_degree=max_degree), max_degree=max_degree)
+                    term = term.mul(g.pow(e))
             acc = acc.add(term)
         return acc
 
@@ -398,14 +381,6 @@ class MoebiusFactor(HoloFunction):
         return ScaledKernel(self.dim, self.axis, self.a, 2.0,
                             self.phase * (1.0 - abs(self.a) ** 2))
 
-    def taylor(self, m):
-        # the value at 0 plus the term-by-term integral of the kernel partial
-        value_at_zero = Series({(0,) * self.dim: -self.phase * self.a}, self.dim)
-        if m == 0:
-            return value_at_zero
-        rest = self.partial(self.axis).taylor(m - 1).antiderivative(self.axis)
-        return value_at_zero.add(rest)
-
     def __repr__(self):
         return f"MoebiusFactor(axis={self.axis}, a={self.a}, theta={self.theta})"
 
@@ -490,15 +465,6 @@ class Composition(HoloFunction):
             terms.append(Product(Composition(df, self.inner), dg))
         return Sum(terms) if terms else Const(0.0, self.dim)
 
-    def taylor(self, m):
-        # Exact only for polynomial outer: low-order output coefficients then
-        # depend on inner coefficients of order <= m alone.
-        if not isinstance(self.outer, Series):
-            raise TruncationUnavailableError(
-                "Taylor truncation of a composition needs a polynomial outer function")
-        inner_polys = [g.taylor(m) for g in self.inner]
-        return self.outer.substitute(inner_polys, max_degree=m)
-
 
 # ---------------------------------------------------------------------------
 # self-maps
@@ -577,7 +543,10 @@ def certify_self_map(phi: HoloSelfMap) -> SelfMapCertificate:
 
 
 def _sup_bracket(f: HoloFunction) -> tuple[float, float]:
-    """(lo, hi) around sup over U^n of |f|; hi is inf where no bound is implemented."""
+    """(lo, hi) around sup over U^n of |f|; hi is inf where no bound is implemented.
+
+    A finite hi is given only to functions holomorphic on a neighbourhood of
+    the closed polydisk: `criteria.little_bloch_operator_check` relies on it."""
     if isinstance(f, Const):
         return abs(f.c), abs(f.c)
     if isinstance(f, MoebiusFactor):

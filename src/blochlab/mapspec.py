@@ -206,9 +206,3 @@ def dump_function(f: HoloFunction) -> dict:
 def dump_map(phi: HoloSelfMap) -> dict:
     return {"dimension": phi.dim,
             "components": [_dump_component(c) for c in phi.components]}
-
-
-def write_spec(path, spec: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec, fh, indent=2, sort_keys=True)
-        fh.write("\n")

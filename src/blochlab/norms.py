@@ -10,8 +10,8 @@ it: the Bloch estimates weight the partial moduli on the grid, computed once,
 for each of their exponents, and the Lipschitz pairs join each grid point to
 its image under a seeded permutation of the grid.  The module also provides
 the direction-optimized Bergman-metric seminorm, closed-form point-evaluation
-bound factors, and the measured distance to a degree-m Taylor polynomial T, as
-the norm of f plus T negated (exactly -T).
+bound factors, and the measured distance from a test-family member to its
+degree-m Taylor polynomial T, as the norm of f plus T negated (exactly -T).
 
 The density evaluators work from moduli: they drop the structurally zero
 partials once, when built, and take |df/dz_k| from `HoloFunction.abs_val` (a
@@ -66,13 +66,12 @@ def bloch_density_fn(f: HoloFunction, p: float):
     return density
 
 
-def bloch_norm_estimates(f: HoloFunction, ps, plan: SamplingPlan | None = None) -> list:
+def bloch_norm_estimates(f: HoloFunction, ps, plan: SamplingPlan = SamplingPlan()) -> list:
     """`bloch_norm_estimate` at each exponent of ps, in order.
 
     The partial moduli on the grid are computed once and weighted for each
     exponent; each estimate then refines on its own.
     """
-    plan = plan if plan is not None else SamplingPlan()
     Z, _ = stratified_grid(f.dim, plan)
     moduli = _partial_moduli(_nonzero_partials(f), Z)
     base = abs(f.value(np.zeros(f.dim, dtype=complex)))
@@ -81,7 +80,8 @@ def bloch_norm_estimates(f: HoloFunction, ps, plan: SamplingPlan | None = None) 
             for p in ps]
 
 
-def bloch_norm_estimate(f: HoloFunction, p: float, plan: SamplingPlan | None = None) -> NormEstimate:
+def bloch_norm_estimate(f: HoloFunction, p: float,
+                        plan: SamplingPlan = SamplingPlan()) -> NormEstimate:
     """|f(0)| plus an estimated supremum of the p-Bloch density (a lower bound)."""
     return bloch_norm_estimates(f, (p,), plan)[0]
 
@@ -129,13 +129,12 @@ def pointeval_bound(p: float, Z) -> np.ndarray:
 
 
 def little_bloch_gap(f: HoloFunction, p: float, m: int,
-                     plan: SamplingPlan | None = None) -> float:
-    """Measured p-Bloch distance from f to its degree-m Taylor polynomial f.taylor(m),
-    0 when f is structurally zero; raises TruncationUnavailableError without one."""
+                     plan: SamplingPlan = SamplingPlan()) -> float:
+    """Measured p-Bloch distance from f to its degree-m Taylor polynomial f.taylor(m);
+    f is a `testfuncs.TestFunction` or a `holo.ScaledKernel`, the representations
+    that carry one."""
     if m < 0:
         raise ValueError("truncation degree must be nonnegative")
-    if is_zero(f):
-        return 0.0
     return bloch_norm_estimate(Sum([f, f.taylor(m).scale(-1.0)]), p, plan).value
 
 
@@ -196,7 +195,7 @@ def _grid_pairs(dim: int, plan: SamplingPlan, rng: np.random.Generator):
 
 
 def lipschitz_norm_estimate(f: HoloFunction, p: float,
-                            plan: SamplingPlan | None = None) -> NormEstimate:
+                            plan: SamplingPlan = SamplingPlan()) -> NormEstimate:
     """|f(0)| plus an estimated sup of |f(z) - f(w)| / |z - w|^p over z != w.
 
     Requires 0 < p <= 1.  Pairs each point of the stratified grid with its
@@ -206,7 +205,6 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"the Lipschitz exponent must lie in (0, 1], got {p}")
-    plan = plan if plan is not None else SamplingPlan()
     dim = f.dim
     rng = np.random.default_rng(plan.seed)
 

@@ -8,7 +8,7 @@ import time
 
 from .polydisk import complex_pairs
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 # Fixed CSV column order; one row per sample or path point.
 CSV_COLUMNS = ["sample_index", "z", "density", "path_id", "verdict"]

@@ -183,9 +183,8 @@ def q_density_sandwich(fns) -> SuiteRow:
     return _row("q-density-sandwich", worst <= tol, worst, witness, tol=tol)
 
 
-def point_evaluation_bound(polys, plan: SamplingPlan | None = None) -> SuiteRow:
+def point_evaluation_bound(polys, plan: SamplingPlan = SamplingPlan()) -> SuiteRow:
     """|f(z)| <= bound-factor(p, n, z) * (estimated norm) * (1 + 1e-3)."""
-    plan = plan if plan is not None else SamplingPlan()
     ps = (0.5, 1.0, 2.0)
     excess = {}
     for i, f in enumerate(polys):
@@ -203,10 +202,9 @@ def point_evaluation_bound(polys, plan: SamplingPlan | None = None) -> SuiteRow:
 
 
 def lipschitz_band_stability(dim: int = 2, count: int = 10,
-                             plan: SamplingPlan | None = None) -> SuiteRow:
+                             plan: SamplingPlan = SamplingPlan()) -> SuiteRow:
     """Ratios of Lipschitz to (1-p)-exponent Bloch norms, p = 1/2, sit in a
     positive band whose endpoints move by at most 10% when the plan doubles."""
-    plan = plan if plan is not None else SamplingPlan()
     p = 0.5
     polys = corpus_mod.polynomial_corpus(dim, count=count, seed=8)
 
@@ -227,8 +225,7 @@ def lipschitz_band_stability(dim: int = 2, count: int = 10,
                 band=[lo1, hi1], doubled_band=[lo2, hi2], n=dim, p=p)
 
 
-def norm_trace_monotone(fns, plan: SamplingPlan | None = None) -> SuiteRow:
-    plan = plan if plan is not None else SamplingPlan()
+def norm_trace_monotone(fns, plan: SamplingPlan = SamplingPlan()) -> SuiteRow:
     worst, witness = 0.0, ""
     for i, f in enumerate(fns[:10]):
         est = bloch_norm_estimate(f, 1.0, plan)
@@ -248,8 +245,7 @@ def norm_trace_monotone(fns, plan: SamplingPlan | None = None) -> SuiteRow:
 
 
 def family_uniform_bound(dim: int = 2, n_w: int = 8,
-                         plan: SamplingPlan | None = None) -> SuiteRow:
-    plan = plan if plan is not None else SamplingPlan()
+                         plan: SamplingPlan = SamplingPlan()) -> SuiteRow:
     rng = np.random.default_rng(9)
     ws = [0.0] + [0.99 * r * np.exp(2j * np.pi * t)
                   for r, t in zip(rng.random(n_w - 1), rng.random(n_w - 1))]
@@ -285,8 +281,7 @@ def family_f_density_identity(dim: int = 2) -> SuiteRow:
     return _row("family-f-density-identity", worst <= tol, worst, witness, tol=tol)
 
 
-def family_truncation_tails(dim: int = 2, plan: SamplingPlan | None = None) -> SuiteRow:
-    plan = plan if plan is not None else SamplingPlan()
+def family_truncation_tails(dim: int = 2, plan: SamplingPlan = SamplingPlan()) -> SuiteRow:
     p, w = 1.0, 0.5
     worst, witness = -np.inf, ""
     for m in (2, 4, 8, 16):
@@ -333,10 +328,9 @@ def density_row_decomposition(phi_corpus) -> SuiteRow:
     return _row("density-row-decomposition", worst <= tol, worst, witness, tol=tol)
 
 
-def chain_rule_domination(phi_corpus, fns, plan: SamplingPlan | None = None) -> SuiteRow:
+def chain_rule_domination(phi_corpus, fns, plan: SamplingPlan = SamplingPlan()) -> SuiteRow:
     """density(f o phi, q, z) <= (estimated p-norm of f) * criterion density * (1 + 1e-3)
     at p = q = 1."""
-    plan = plan if plan is not None else SamplingPlan()
     p, q = 1.0, 1.0
     members = fns[:8]
     norms = [bloch_norm_estimate(f, p, plan).value for f in members]

@@ -404,24 +404,36 @@ class TestSteepContact:
 
 
 class TestLittleBlochOperatorCheck:
+    # every certified component is holomorphic across the closed polydisk, so
+    # the detector measures boundedness alone
+
     def test_identity_holds(self):
         v = little_bloch_operator_check(identity_map(1), 1.0, 1.0, PLAN)
         assert v.verdict == "holds"
-        assert len(v.detail["gaps"]) == 1
-        assert all(g < 1e-12 for g in v.detail["gaps"].values())
+        assert v.rule == "holomorphic-components"
+        assert set(v.detail) == {"bounded", "sup"}
+        assert v.detail["sup"] == pytest.approx(1.0, rel=1e-9)
 
     def test_polynomial_map_gaps_zero(self):
         phi = product_map()
         v = little_bloch_operator_check(phi, 1.0, 1.0, PLAN)
+        bounded, est = boundedness_check(phi, 1.0, 1.0, PLAN)
         assert v.verdict == "holds"
-        assert len(v.detail["gaps"]) == phi.dim
+        assert v.detail == {"bounded": bounded.to_json(), "sup": est.sup}
 
     def test_moebius_map_with_truncatable_powers(self):
-        phi = moebius_automorphism([0.4], [0.0])
-        v = little_bloch_operator_check(phi, 1.0, 1.0, PLAN)
-        assert v.verdict in ("holds", "inconclusive")
-        assert len(v.detail["gaps"]) == phi.dim
-        assert not v.detail["skipped"]
+        v = little_bloch_operator_check(moebius_automorphism([0.4], [0.0]), 1.0, 1.0, PLAN)
+        assert v.verdict == "holds"
+        assert v.detail["bounded"]["rule"] == "sup-density-plateau"
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_verdict_is_the_bounded_verdict_on_the_corpus(self, dim):
+        plan = SamplingPlan(seed=0)
+        for name, phi in default_selfmap_corpus(dim, seed=0):
+            for p in (0.5, 1.0, 2.0):
+                for q in (0.5, 1.0, 2.0):
+                    v = little_bloch_operator_check(phi, p, q, plan)
+                    assert v.verdict == classify(phi, p, q, plan).bounded.verdict, (name, p, q)
 
 
 class TestLip1Boundedness:

@@ -470,23 +470,3 @@ class TestMoebiusAutomorphism:
     def test_rejects_bad_parameter(self):
         with pytest.raises(Exception):
             moebius_automorphism([1.0], [0.0])
-
-
-class TestTaylor:
-    def test_series_filter(self):
-        f = Series({(3,): 1.0, (1,): 2.0}, 1)
-        t = f.taylor(2)
-        assert t.coeffs == {(1,): 2.0 + 0j}
-
-    def test_moebius_factor_taylor_matches_value(self):
-        m = MoebiusFactor(1, 0, 0.4, theta=0.7)
-        t = m.taylor(40)
-        z = [0.3 - 0.2j]
-        assert t.value(z) == pytest.approx(m.value(z), rel=1e-10)
-
-    def test_power_map_taylor_matches_value(self):
-        phi = moebius_automorphism([0.4], [0.0])
-        f = compose(Series.monomial((3,), 1), phi)
-        t = f.taylor(60)
-        z = [0.25]
-        assert t.value(z) == pytest.approx(f.value(z), rel=1e-10)

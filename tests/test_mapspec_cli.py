@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from blochlab import mapspec
+from blochlab import mapspec, reports
 from blochlab.cli import main
 from blochlab.holo import HoloSelfMap, Series
 from blochlab.sampling import SamplingPlan
@@ -188,7 +188,7 @@ class TestCLI:
         assert "bounded: holds" in res.output
         assert "compact: fails" in res.output
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 6
+        assert data["schema_version"] == 7
         assert "routes" not in data["payload"]["runs"][0]["report"]
         run = data["payload"]["runs"][0]["report"]
         assert run["sup_estimate"]["sup"] == pytest.approx(2.0, abs=1e-9)
@@ -238,7 +238,7 @@ class TestCLI:
         steep = Series({(0, 0): 0.5, (1, 0): 0.5}, 2).pow(40).mul(
             Series({(0, 0): 0.5, (0, 1): 0.5}, 2).pow(40)).scale(1.02)
         spec = tmp_path / "steep.json"
-        mapspec.write_spec(spec, mapspec.dump_map(
+        reports.write_json(spec, mapspec.dump_map(
             HoloSelfMap([steep, Series.coordinate(1, 2).scale(0.5)])))
         res = CliRunner().invoke(main, ["classify", "--spec", str(spec)])
         assert res.exit_code == 2
@@ -254,6 +254,24 @@ class TestCLI:
         assert res.exit_code == 0
         assert "little-space: holds" in res.output
         assert "lip1: holds" in res.output
+
+    def test_little_bloch_holds_through_a_moebius_outer(self, tmp_path):
+        # [series, Moebius] after [Moebius, series]: the second component is a
+        # Composition whose outer is a MoebiusFactor
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({"dimension": 2, "components": [
+            {"type": "series", "terms": [{"exponents": [1, 0], "coeff": [0.5, 0]},
+                                         {"exponents": [0, 1], "coeff": [0.25, 0]}]},
+            {"type": "moebius", "a": [0.3, 0], "source": 1}],
+            "compose": [{"components": [
+                {"type": "moebius", "a": [0.2, 0.1], "source": 0},
+                {"type": "series", "terms": [{"exponents": [0, 1], "coeff": [0.5, 0]}]}]}]}))
+        res = self.run("classify", "--spec", str(spec), "--theorems", "bounded,little-bloch",
+                       "--p", "0.5", "--q", "1", "--p", "1", "--q", "1", "--p", "2", "--q", "0.5")
+        assert res.exit_code == 0
+        for p, q in (("0.5", "1.0"), ("1.0", "1.0"), ("2.0", "0.5")):
+            assert f"(p={p}, q={q}) bounded: holds" in res.output
+            assert f"(p={p}, q={q}) little-space: holds [holomorphic-components]" in res.output
 
     @pytest.mark.parametrize("zero", [
         {"type": "constant", "value": [0, 0]},

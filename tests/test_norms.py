@@ -1,5 +1,5 @@
 """Norm estimation: densities, supremum estimates vs independent oracles,
-seminorm closed form, point-evaluation bound factors, truncation gaps."""
+seminorm closed form, point-evaluation bound factors."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from blochlab.norms import (
     bloch_norm_estimate,
     bloch_norm_estimates,
     lipschitz_norm_estimate,
-    little_bloch_gap,
     pointeval_bound,
     timoney_q_fn,
 )
@@ -291,24 +290,3 @@ class TestLipschitzNorm:
     def test_rejects_exponent_above_one(self):
         with pytest.raises(ValueError):
             lipschitz_norm_estimate(Const(1.0, 1), 1.5, PLAN)
-
-
-class TestLittleBlochGap:
-    def test_polynomial_gap_zero(self):
-        f = Series({(2, 1): 1.0, (1, 0): 2.0}, 2)
-        assert little_bloch_gap(f, 1.0, 3, PLAN) == pytest.approx(0.0, abs=1e-15)
-
-    def test_monomial_gap_zero_at_degree(self):
-        f = Series({(1,): 1.0}, 1)
-        assert little_bloch_gap(f, 0.5, 1, PLAN) == 0.0
-
-    @pytest.mark.parametrize("f", [Const(0.0, 2), Series({}, 2)], ids=["const", "series"])
-    def test_zero_function_is_its_own_polynomial(self, f):
-        for m in (0, 3):
-            assert little_bloch_gap(f, 1.0, m, PLAN) == 0.0
-
-    def test_moebius_factor_gap_decreases(self):
-        m = MoebiusFactor(1, 0, 0.6)
-        gaps = [little_bloch_gap(m, 1.0, k, PLAN) for k in (2, 6, 12)]
-        assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2] < 0.05
