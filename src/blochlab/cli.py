@@ -21,6 +21,7 @@ from .criteria import (
     classify as classify_map,
     lip1_boundedness_check,
     little_bloch_operator_check,
+    little_bloch_verdict,
     operator_norm_lower_bound,
     require_certified,
 )
@@ -186,6 +187,7 @@ def classify_cmd(spec, ps, qs, theorems, out_json, out_csv,
     rows = []
     for p, q in zip(ps, qs):
         entry: dict = {"p": p, "q": q}
+        report = None
         if selected & {"bounded", "compact"}:
             report = classify_map(phi, p, q, plan)
             entry["report"] = report.to_json()
@@ -195,7 +197,9 @@ def classify_cmd(spec, ps, qs, theorems, out_json, out_csv,
                        f"[{report.compact.rule}]")
             rows.extend(report.csv_rows())
         if "little-bloch" in selected:
-            v = little_bloch_operator_check(phi, p, q, plan)
+            # a report already holds the one criterion estimate the verdict needs
+            v = (little_bloch_operator_check(phi, p, q, plan) if report is None
+                 else little_bloch_verdict(report.bounded, report.sup_estimate))
             entry["little_bloch"] = v.to_json()
             click.echo(f"(p={p}, q={q}) little-space: {v.verdict} [{v.rule}]")
         if "lip1" in selected:

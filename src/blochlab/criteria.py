@@ -13,9 +13,15 @@ every record names the detector rule that produced it and carries witnesses.
 
 The densities have batched evaluators only, mapping points (..., n) to
 values (...): `criterion_density_fn` sums the rows `coordinate_density_fn`,
-and row l is the q-Bloch density of phi_l (`norms.bloch_density_fn`) over
-(1 - |phi_l|^2)^p.  A row is +inf where |phi_l| >= 1 and its numerator is
-nonzero (a numerical escape from the polydisk).
+and row l is the q-Bloch density of phi_l (`norms.weighted_density_fn`) over
+(1 - |phi_l|^2)^p.  The rows share the per-axis weights (1 - |z_k|^2)^q,
+computed once per call.  A row is +inf where |phi_l| >= 1 and its numerator
+is nonzero (a numerical escape from the polydisk).
+
+A compactness profile evaluates each density once: it merges the paths that
+share one (all paths in mode 'image', the paths of one axis in mode
+'coordinate'), evaluates and measures the merged points in one call each, and
+splits the results by path.  Coordinate-mode measures evaluate phi_axis alone.
 
 Rule names used in reports:
   sup-density-plateau      boundedness via a plateauing supremum trace
@@ -35,7 +41,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .holo import SELF_MAP_CEILING, HoloSelfMap, compose
-from .norms import bloch_density_fn, bloch_norm_estimate, lipschitz_norm_estimate
+from .norms import (bloch_norm_estimate, column_weights, lipschitz_norm_estimate,
+                    weighted_density_fn)
 from .polydisk import complex_pair, complex_pairs, one_minus_sq
 from .reports import SCHEMA_VERSION, format_point
 from .sampling import PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum
@@ -103,37 +110,43 @@ def require_certified(phi: HoloSelfMap):
 # densities
 
 
+def _density_rows(phi: HoloSelfMap, p: float, q: float, axes):
+    """Batched sum of the criterion-density rows l in axes.  Each call
+    computes the weights (1 - |z_k|^2)^q once and shares them across rows."""
+    comps = [phi.components[l] for l in axes]
+    numerators = [weighted_density_fn(comp, q) for comp in comps]
+    columns = sorted({k for cols, _ in numerators for k in cols})
+
+    def density(Z: np.ndarray) -> np.ndarray:
+        Z = np.asarray(Z, dtype=complex)
+        weights = column_weights(Z, q, columns)
+        nums = [numerator(Z, weights) for _, numerator in numerators]
+        del weights  # before the denominators, whose temporaries peak in memory
+        out = None
+        for comp in comps:
+            num = nums.pop(0)
+            om = one_minus_sq(np.abs(comp.val(Z)))
+            escaped = om <= 0.0
+            om = np.where(escaped, 1.0, om)
+            row = np.where(escaped & (num > 0), np.inf, num / om ** p)
+            out = row if out is None else out + row
+        return out
+
+    return density
+
+
 def coordinate_density_fn(phi: HoloSelfMap, p: float, q: float, axis: int):
     """Batched single-row density: sum_k |d phi_axis/d z_k| (1-|z_k|^2)^q / (1-|phi_axis|^2)^p,
     i.e. the q-Bloch density of phi_axis over (1-|phi_axis|^2)^p.
 
     Points where |phi_axis| >= 1 numerically evaluate to +inf (flagged escape).
     """
-    comp = phi.components[axis]
-    numerator = bloch_density_fn(comp, q)
-
-    def density(Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
-        num = numerator(Z)
-        om = one_minus_sq(np.abs(comp.val(Z)))
-        escaped = om <= 0.0
-        om = np.where(escaped, 1.0, om)
-        return np.where(escaped & (num > 0), np.inf, num / om ** p)
-
-    return density
+    return _density_rows(phi, p, q, [axis])
 
 
 def criterion_density_fn(phi: HoloSelfMap, p: float, q: float):
     """Batched full criterion density (sum of the coordinate rows)."""
-    rows = [coordinate_density_fn(phi, p, q, l) for l in range(phi.dim)]
-
-    def density(Z: np.ndarray) -> np.ndarray:
-        out = rows[0](Z)
-        for r in rows[1:]:
-            out = out + r(Z)
-        return out
-
-    return density
+    return _density_rows(phi, p, q, range(phi.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +217,12 @@ class BoundaryPath:
             raise PathValidationError(f"unknown path mode {self.mode!r}")
         if self.mode == "coordinate" and self.axis is None:
             raise PathValidationError("coordinate mode needs an axis")
-        return _approach(phi.val(self.points), self.mode, self.axis)
+        return _approach(phi, self.points, self.mode, self.axis)
 
-    def validate(self, phi: HoloSelfMap) -> np.ndarray:
-        m = self.measure(phi)
+    def validate(self, phi: HoloSelfMap, measure: np.ndarray | None = None) -> np.ndarray:
+        """Check the approach, self.measure(phi) or the given measure of it:
+        >= PATH_MIN_POINTS points, monotone, final value <= PATH_REQUIRED_FINAL."""
+        m = self.measure(phi) if measure is None else measure
         if m.size < PATH_MIN_POINTS:
             raise PathValidationError(
                 f"path {self.path_id!r} has {m.size} points; need >= {PATH_MIN_POINTS}")
@@ -219,12 +234,13 @@ class BoundaryPath:
         return m
 
 
-def _approach(W: np.ndarray, mode: str, axis: int | None) -> np.ndarray:
-    """Approach measure of image points W (..., n): min_k (1 - |W_k|) in mode
-    'image', 1 - |W_axis| in mode 'coordinate'."""
+def _approach(phi: HoloSelfMap, Z: np.ndarray, mode: str, axis: int | None) -> np.ndarray:
+    """Approach measure at points Z (..., n): min_k (1 - |phi_k(z)|) in mode
+    'image', 1 - |phi_axis(z)| in mode 'coordinate', which evaluates phi_axis
+    alone."""
     if mode == "image":
-        return np.min(1.0 - np.abs(W), axis=-1)
-    return 1.0 - np.abs(W[..., axis])
+        return np.min(1.0 - np.abs(phi.val(Z)), axis=-1)
+    return 1.0 - np.abs(phi.components[axis].val(Z))
 
 
 def _ray_pool(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -265,7 +281,7 @@ def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
 
     def measures_for(U: np.ndarray, T: np.ndarray) -> np.ndarray:
         # rays U (m, n), parameters T (m, J) -> measures (m, J)
-        return _approach(phi.val(T[..., None] * U[:, None, :]), mode, axis)
+        return _approach(phi, T[..., None] * U[:, None, :], mode, axis)
 
     pool = _ray_pool(n, count, rng)
     deep_pool = measures_for(pool, np.full((pool.shape[0], 1), t_max))[:, 0]
@@ -345,20 +361,27 @@ def compactness_profile(phi: HoloSelfMap, p: float, q: float,
         return [], Verdict("holds", "small-components",
                            detail={"reason": "no realizable boundary approach"})
 
-    if mode == "image":
-        densities = {None: criterion_density_fn(phi, p, q)}
-    else:
-        densities = {l: coordinate_density_fn(phi, p, q, l) for l in range(phi.dim)}
-    profiles = []
     for path in paths:
         if path.mode != mode:
             raise PathValidationError(
                 f"path {path.path_id!r} has mode {path.mode!r}; profile expects {mode!r}")
-        fn = densities[path.axis if mode == "coordinate" else None]
-        values = np.asarray(fn(path.points), dtype=float)
-        # the profile records the re-measured approach, also for a hand-built path
-        profiles.append(PathProfile(replace(path, approach=path.validate(phi)),
-                                    values, _judge_tail(values)))
+    # the paths that share a density (all of them in mode 'image', those of one
+    # axis in mode 'coordinate') are evaluated and measured as one merged path
+    groups: dict = {}
+    for i, path in enumerate(paths):
+        groups.setdefault(path.axis if mode == "coordinate" else None, []).append(i)
+    measures, values = [None] * len(paths), [None] * len(paths)
+    for axis, members in groups.items():
+        merged = BoundaryPath(np.concatenate([paths[i].points for i in members]), mode, axis)
+        cuts = np.cumsum([len(paths[i].points) for i in members])[:-1]
+        fn = criterion_density_fn(phi, p, q) if axis is None \
+            else coordinate_density_fn(phi, p, q, axis)
+        for i, m, v in zip(members, np.split(merged.measure(phi), cuts),
+                           np.split(np.asarray(fn(merged.points), dtype=float), cuts)):
+            measures[i], values[i] = m, v
+    # the profile records the re-measured approach, also for a hand-built path
+    profiles = [PathProfile(replace(path, approach=path.validate(phi, m)), v, _judge_tail(v))
+                for path, m, v in zip(paths, measures, values)]
 
     statuses = [pr.status for pr in profiles]
     if any(s == "stays" for s in statuses):
@@ -435,7 +458,12 @@ def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
     phi^{gamma - e_l} d_k phi_l with |phi^{gamma - e_l}| < 1, so the q-density
     of phi^gamma is at most sum_l gamma_l times that of phi_l.
     """
-    bounded, est = boundedness_check(phi, p, q, plan)
+    return little_bloch_verdict(*boundedness_check(phi, p, q, plan))
+
+
+def little_bloch_verdict(bounded: Verdict, est: NormEstimate) -> Verdict:
+    """The little-space verdict from a boundedness verdict and its estimate,
+    as `boundedness_check` returns them (or a `CriterionReport` records them)."""
     return Verdict(bounded.verdict, "holomorphic-components", margin=bounded.margin,
                    detail={"bounded": bounded.to_json(), "sup": est.sup})
 

@@ -15,7 +15,8 @@ degree-m Taylor polynomial T, as the norm of f plus T negated (exactly -T).
 
 The density evaluators work from moduli: they drop the structurally zero
 partials once, when built, and take |df/dz_k| from `HoloFunction.abs_val` (a
-real power for a kernel partial) times the weight of column k alone.
+real power for a kernel partial) times the weight of column k alone, which
+`weighted_density_fn` lets callers share across functions at one point set.
 """
 
 from __future__ import annotations
@@ -54,14 +55,34 @@ def _weighted_density(moduli: list, p: float, shape) -> np.ndarray:
     return out
 
 
-def bloch_density_fn(f: HoloFunction, p: float):
-    """Batched evaluator of the p-Bloch density of f."""
+def column_weights(Z: np.ndarray, p: float, columns) -> dict:
+    """The weights (1 - |z_k|^2)^p at Z for each axis k of columns."""
+    return {k: one_minus_sq(np.abs(Z[..., k])) ** p for k in columns}
+
+
+def weighted_density_fn(f: HoloFunction, p: float):
+    """(columns, density): density(Z, weights) is the p-Bloch density of f at
+    Z, given the weights = column_weights(Z, p, columns) of the axes of f's
+    nonzero partials, which may be shared with other functions."""
     _check_p(p)
     parts = _nonzero_partials(f)
 
+    def density(Z: np.ndarray, weights: dict) -> np.ndarray:
+        out = np.zeros(Z.shape[:-1], dtype=float)
+        for k, pk in parts:
+            out += pk.abs_val(Z) * weights[k]
+        return out
+
+    return [k for k, _ in parts], density
+
+
+def bloch_density_fn(f: HoloFunction, p: float):
+    """Batched evaluator of the p-Bloch density of f."""
+    columns, weighted = weighted_density_fn(f, p)
+
     def density(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        return _weighted_density(_partial_moduli(parts, Z), p, Z.shape[:-1])
+        return weighted(Z, column_weights(Z, p, columns))
 
     return density
 
@@ -225,8 +246,8 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
         wl, wr = witness
         batches_l, batches_r = [], []
         for anchor_l, anchor_r in ((wl, wr), (wr, wl)):
-            jitter = box * (rng.random((n_refine, dim)) - 0.5) \
-                + 1j * box * (rng.random((n_refine, dim)) - 0.5)
+            u = rng.random((2, n_refine, dim)) - 0.5
+            jitter = box * u[0] + 1j * box * u[1]
             cand = anchor_l[None, :] + jitter
             mods = np.abs(cand)
             scale = np.minimum(1.0, r_cap / np.maximum(mods, 1e-15))

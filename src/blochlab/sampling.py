@@ -258,9 +258,9 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
                                   radii.size - 1)]
             dr = np.maximum(np.maximum(hi - w_r, w_r - lo), 1e-6)
             dt = np.full(dim, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
-        r = w_r[None, :] + dr[None, :] * (2.0 * rng.random((n_refine, dim)) - 1.0)
-        np.clip(r, 0.0, r_cap, out=r)
-        t = w_t[None, :] + dt[None, :] * (2.0 * rng.random((n_refine, dim)) - 1.0)
+        u = 2.0 * rng.random((2, n_refine, dim)) - 1.0
+        r = np.minimum(np.maximum(w_r[None, :] + dr[None, :] * u[0], 0.0), r_cap)
+        t = w_t[None, :] + dt[None, :] * u[1]
         dr *= REFINE_SHRINK
         dt *= REFINE_SHRINK
         return (r * np.exp(1j * t),)

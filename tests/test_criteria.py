@@ -172,7 +172,7 @@ def loop_boundary_paths(phi, mode, axis=None, count=None, seed=0):
     t_max = 1.0 - 1e-12
 
     def measures_for(U, T):
-        return _approach(phi.val(T[:, None] * U), mode, axis)
+        return _approach(phi, T[:, None] * U, mode, axis)
 
     pool = _ray_pool(n, count, rng)
     deep_pool = measures_for(pool, np.full(pool.shape[0], t_max))
@@ -238,7 +238,7 @@ def test_bisection_matches_loop_reference(dim, seed):
             got = make_boundary_paths(phi, mode, axis=axis, seed=seed)
             ref = loop_boundary_paths(phi, mode, axis=axis, seed=seed)
             assert [p.path_id for p in got] == [p.path_id for p in ref], (name, mode, axis)
-            targets = min(float(_approach(phi.val(np.zeros(dim)), mode, axis)) / 2.0, 0.25) \
+            targets = min(float(_approach(phi, np.zeros(dim), mode, axis)) / 2.0, 0.25) \
                 * 0.5 ** np.arange(PATH_MAX_TARGETS)
             for g, r in zip(got, ref):
                 assert g.points.shape == r.points.shape
@@ -287,6 +287,31 @@ class TestCompactnessProfile:
         profiles, v = compactness_profile(phi, 0.5, 1.0, paths, "coordinate")
         assert v.verdict == "holds"
         assert all(pr.values[-1] < 1e-3 for pr in profiles)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_profiles_match_each_path_alone(dim, p):
+    # a profile evaluates the paths of one density as one batch; every value
+    # and approach measure is bit-equal to that path's own evaluation
+    q = 1.0
+    checked = 0
+    for name, phi in default_selfmap_corpus(dim):
+        if p >= 1.0:
+            mode, paths = "image", make_boundary_paths(phi, "image")
+        else:
+            mode = "coordinate"
+            paths = [path for axis in range(dim)
+                     for path in make_boundary_paths(phi, mode, axis=axis, seed=axis)]
+        profiles, _ = compactness_profile(phi, p, q, paths, mode)
+        assert len(profiles) == len(paths)
+        for path, pr in zip(paths, profiles):
+            alone = criterion_density_fn(phi, p, q) if mode == "image" \
+                else coordinate_density_fn(phi, p, q, path.axis)
+            assert np.array_equal(pr.values, alone(path.points)), (name, path.path_id)
+            assert np.array_equal(pr.path.approach, path.measure(phi)), (name, path.path_id)
+            checked += 1
+    assert checked
 
 
 class TestSchwarzExpansion:

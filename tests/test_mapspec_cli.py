@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from blochlab import mapspec, reports
+from blochlab import criteria, mapspec, reports
 from blochlab.cli import main
 from blochlab.holo import HoloSelfMap, Series
 from blochlab.sampling import SamplingPlan
@@ -272,6 +272,29 @@ class TestCLI:
         for p, q in (("0.5", "1.0"), ("1.0", "1.0"), ("2.0", "0.5")):
             assert f"(p={p}, q={q}) bounded: holds" in res.output
             assert f"(p={p}, q={q}) little-space: holds [holomorphic-components]" in res.output
+
+    def test_little_bloch_reuses_the_report_estimate(self, tmp_path, monkeypatch):
+        # with a classify report at hand, the little-space verdict takes its
+        # bounded verdict and estimate: one criterion supremum per cell
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps(IDENTITY_2))
+        phi = mapspec.load_map(str(spec))
+        cells = [(1.0, 1.0), (2.0, 0.5)]
+        plan = SamplingPlan(budget=20000)
+        expected = [json.loads(json.dumps(
+            criteria.little_bloch_operator_check(phi, p, q, plan).to_json())) for p, q in cells]
+        calls = []
+        estimate = criteria.estimate_supremum
+        monkeypatch.setattr(criteria, "estimate_supremum",
+                            lambda *a, **k: calls.append(a) or estimate(*a, **k))
+        out = tmp_path / "c.json"
+        args = [arg for p, q in cells for arg in ("--p", str(p), "--q", str(q))]
+        res = self.run("classify", "--spec", str(spec), "--theorems", "bounded,little-bloch",
+                       "--budget", "20000", "--out-json", str(out), *args)
+        assert res.exit_code == 0
+        assert len(calls) == len(cells)
+        runs = json.loads(out.read_text())["payload"]["runs"]
+        assert [run["little_bloch"] for run in runs] == expected
 
     @pytest.mark.parametrize("zero", [
         {"type": "constant", "value": [0, 0]},

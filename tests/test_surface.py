@@ -15,20 +15,24 @@ matched by name, so a parameter counts as passed when any call of that name
 passes it.
 
 The benchmark's tracer binds a few call signatures by name, so those are
-pinned here as well.
+pinned here as well, and its patcher is run once to check that every name it
+wraps exists and is put back.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
+import sys
 import types
 from collections import Counter
 from pathlib import Path
 
 import blochlab
+from blochlab import criteria
 from blochlab.criteria import make_boundary_paths
-from blochlab.holo import Series
+from blochlab.holo import Series, identity_map
 from blochlab.sampling import stratified_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -288,3 +292,38 @@ def test_benchmark_binding_contract():
     assert type(f.coeffs) is dict and len(f.coeffs) == 3
     assert all(type(e) is tuple and len(e) == 3 and all(type(k) is int for k in e)
                for e in f.coeffs)
+
+
+def _bindings():
+    """Every attribute of every loaded blochlab module and of each class
+    defined there, keyed by (owner, name)."""
+    out = {}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name != "blochlab" and not mod_name.startswith("blochlab."):
+            continue
+        for key, value in vars(module).items():
+            out[(mod_name, key)] = value
+            if isinstance(value, type) and value.__module__ == mod_name:
+                out.update({((mod_name, key), k): v for k, v in vars(value).items()})
+    return out
+
+
+def test_benchmark_tracer_installs_and_restores():
+    """bench/tracing.py wraps blochlab functions by name; a name it wraps that
+    no longer exists fails here rather than in the benchmark's traced run."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    phi = identity_map(1)
+    before = _bindings()
+    classify = criteria.classify
+    with tracing.Patcher() as patcher:
+        tracer = tracing.Tracer(types.SimpleNamespace(current="op"))
+        tracer.install(patcher)
+        assert criteria.classify is not classify
+        criteria.component_sup_estimates(phi)
+        assert [span[0] for span in tracer.spans] == ["criteria.component_sup_estimates"]
+    after = _bindings()
+    assert after.keys() == before.keys()
+    moved = sorted(str(key) for key, value in before.items() if after[key] is not value)
+    assert not moved, "left patched: " + ", ".join(moved)
