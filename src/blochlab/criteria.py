@@ -215,8 +215,9 @@ class BoundaryPath:
     def measure(self, phi: HoloSelfMap) -> np.ndarray:
         if self.mode not in ("image", "coordinate"):
             raise PathValidationError(f"unknown path mode {self.mode!r}")
-        if self.mode == "coordinate" and self.axis is None:
-            raise PathValidationError("coordinate mode needs an axis")
+        if self.mode == "coordinate" and (self.axis is None or not 0 <= self.axis < phi.dim):
+            raise PathValidationError(
+                f"coordinate mode needs an axis in [0, {phi.dim}), got {self.axis}")
         return _approach(phi, self.points, self.mode, self.axis)
 
     def validate(self, phi: HoloSelfMap, measure: np.ndarray | None = None) -> np.ndarray:
@@ -373,10 +374,12 @@ def compactness_profile(phi: HoloSelfMap, p: float, q: float,
     measures, values = [None] * len(paths), [None] * len(paths)
     for axis, members in groups.items():
         merged = BoundaryPath(np.concatenate([paths[i].points for i in members]), mode, axis)
+        # measured first: measure refuses an axis that the density cannot take
+        measure = merged.measure(phi)
         cuts = np.cumsum([len(paths[i].points) for i in members])[:-1]
         fn = criterion_density_fn(phi, p, q) if axis is None \
             else coordinate_density_fn(phi, p, q, axis)
-        for i, m, v in zip(members, np.split(merged.measure(phi), cuts),
+        for i, m, v in zip(members, np.split(measure, cuts),
                            np.split(np.asarray(fn(merged.points), dtype=float), cuts)):
             measures[i], values[i] = m, v
     # the profile records the re-measured approach, also for a hand-built path
@@ -449,9 +452,11 @@ def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
 
     (a) is a theorem for every certified map.  Each component this library can
     certify is holomorphic on a neighbourhood of the closed polydisk: a Series
-    or Const is entire, a MoebiusFactor is singular only at 1/conj(a) with
-    |a| < 1, and a certified Composition puts such an outer function after such
-    inners, which the certificate bounds by 1 on the closed polydisk.  A
+    or Const is entire, a MoebiusFactor is singular only at 1/conj(a) and a
+    ScaledKernel only at 1/conj(w), with |a|, |w| < 1, a Sum or Product of such
+    functions is again one, and a certified Composition puts such an outer
+    function after such inners, which the certificate bounds by 1 on the
+    closed polydisk.  A
     function holomorphic there is the q-Bloch limit of its Taylor polynomials
     for every q > 0, so it lies in the little q-Bloch space.  The components
     decide every power phi^gamma: d_k phi^gamma = sum_l gamma_l

@@ -17,8 +17,9 @@ Representations:
   * MoebiusFactor -- one-coordinate disk automorphism factor (partials: ScaledKernels),
   * Const / Sum / Product / Composition nodes over these.
 
-A self-map of U^n is certified when it is built: each component gets an
-exact bracket around sup |phi_l| (`_sup_bracket`), and the map counts as a
+A self-map of U^n is certified when it is built: each component gets a
+bracket around sup |phi_l| (`_sup_bracket`; exact for an atom, the sum or
+product of the upper ends for a Sum or Product), and the map counts as a
 self-map when every upper end is at most 1 (up to SELF_MAP_CEILING).
 """
 
@@ -206,18 +207,33 @@ class Series(HoloFunction):
         return result
 
     def substitute(self, inners: list) -> "Series":
-        """self(g_1(z), ..., g_n(z)) for polynomial inners."""
+        """self(g_1(z), ..., g_n(z)) for polynomial inners, in one pass.
+
+        Each g_l is raised to each power it needs once, by the chain of `mul`s
+        that `pow` runs.  The terms c prod_l g_l^e_l add into one dict in the
+        order of self.coeffs, and an entry that cancels to exactly 0 leaves
+        it, so the coefficients and their order are those of adding the terms
+        up one `add` at a time.
+        """
         if len(inners) != self.dim:
             raise ValueError("component count must match dimension")
         out_dim = inners[0].dim
-        acc = Series({}, out_dim)
+        powers = [[Series({(0,) * out_dim: 1.0}, out_dim)] for _ in inners]
+        out = {}
         for exps, c in self.coeffs.items():
             term = Series({(0,) * out_dim: c}, out_dim)
-            for g, e in zip(inners, exps):
+            for g, chain, e in zip(inners, powers, exps):
+                while len(chain) <= e:
+                    chain.append(chain[-1].mul(g))
                 if e:
-                    term = term.mul(g.pow(e))
-            acc = acc.add(term)
-        return acc
+                    term = term.mul(chain[e])
+            for k, v in term.coeffs.items():
+                v = out.get(k, 0) + v
+                if v != 0:
+                    out[k] = v
+                else:
+                    del out[k]
+        return Series(out, out_dim)
 
     @classmethod
     def monomial(cls, exponents, dim: int) -> "Series":
@@ -553,6 +569,14 @@ def _sup_bracket(f: HoloFunction) -> tuple[float, float]:
         return 1.0, 1.0
     if isinstance(f, Series):
         return _torus_bracket(f)
+    if isinstance(f, ScaledKernel):
+        # |1 - conj(w) z| >= 1 - |w|, with equality at z = w / |w| on the boundary
+        sup = abs(f.scale) * (1.0 - abs(f.w)) ** -f.exponent
+        return sup, sup
+    if isinstance(f, Sum):
+        return 0.0, sum(_sup_bracket(g)[1] for g in f.parts)
+    if isinstance(f, Product):
+        return 0.0, _sup_bracket(f.left)[1] * _sup_bracket(f.right)[1]
     if isinstance(f, Composition) and all(_sup_bracket(g)[1] <= SELF_MAP_CEILING
                                           for g in f.inner):
         return 0.0, _sup_bracket(f.outer)[1]

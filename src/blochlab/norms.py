@@ -8,10 +8,18 @@ refinement, over points for the density and over pairs for the quotient.
 Both start from the one kept stratified grid and evaluate f once per point of
 it: the Bloch estimates weight the partial moduli on the grid, computed once,
 for each of their exponents, and the Lipschitz pairs join each grid point to
-its image under a seeded permutation of the grid.  The module also provides
-the direction-optimized Bergman-metric seminorm, closed-form point-evaluation
-bound factors, and the measured distance from a test-family member to its
-degree-m Taylor polynomial T, as the norm of f plus T negated (exactly -T).
+its image under a seeded permutation of the grid.
+
+Inside a `shared_estimates` block, `bloch_norm_estimates` computes each
+(function, exponent, plan) once and serves repeats from a memo that the block
+drops on exit.  A `Series` is keyed by its dimension and coefficient items, so
+equal polynomials built apart share an estimate; any other function is keyed
+by the object.
+
+The module also provides the direction-optimized Bergman-metric seminorm,
+closed-form point-evaluation bound factors, and the measured distance from a
+test-family member to its degree-m Taylor polynomial T, as the norm of f plus
+T negated (exactly -T).
 
 The density evaluators work from moduli: they drop the structurally zero
 partials once, when built, and take |df/dz_k| from `HoloFunction.abs_val` (a
@@ -21,15 +29,23 @@ real power for a kernel partial) times the weight of column k alone, which
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 
-from .holo import HoloFunction, Sum, is_zero
+from .holo import HoloFunction, Series, Sum, is_zero
 from .polydisk import one_minus_sq
 from .sampling import (REFINE_SHRINK, NormEstimate, SamplingPlan, estimate_supremum,
                        maximise, stratified_grid)
 
 _PAIR_SEPARATION_FLOOR = 1e-14
 _SHORT_DELTAS = (1e-2, 1e-4)
+
+# The memo of the open `shared_estimates` block, or None: (function key,
+# exponent, plan) -> NormEstimate.  A key that holds the function itself keeps
+# it alive, so its id is never reused while the block is open.
+_memo: ContextVar[dict | None] = ContextVar("bloch_estimate_memo", default=None)
 
 
 def _check_p(p: float):
@@ -87,18 +103,43 @@ def bloch_density_fn(f: HoloFunction, p: float):
     return density
 
 
+@contextmanager
+def shared_estimates():
+    """Within the block, `bloch_norm_estimates` serves a repeated (function,
+    exponent, plan) from a memo; the memo is dropped when the block exits.
+    Served estimates are shared objects, for callers to read only."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _function_key(f: HoloFunction):
+    if type(f) is Series:
+        return f.dim, tuple(f.coeffs.items())
+    return f
+
+
 def bloch_norm_estimates(f: HoloFunction, ps, plan: SamplingPlan = SamplingPlan()) -> list:
     """`bloch_norm_estimate` at each exponent of ps, in order.
 
     The partial moduli on the grid are computed once and weighted for each
-    exponent; each estimate then refines on its own.
+    exponent not already in the memo of an open `shared_estimates` block;
+    each estimate then refines on its own.
     """
-    Z, _ = stratified_grid(f.dim, plan)
-    moduli = _partial_moduli(_nonzero_partials(f), Z)
-    base = abs(f.value(np.zeros(f.dim, dtype=complex)))
-    return [estimate_supremum(bloch_density_fn(f, p), f.dim, plan, base=base,
-                              grid_values=_weighted_density(moduli, p, Z.shape[0]))
-            for p in ps]
+    memo = _memo.get()
+    memo = {} if memo is None else memo
+    keys = [(_function_key(f), p, plan) for p in ps]
+    missing = {key: p for key, p in zip(keys, ps) if key not in memo}
+    if missing:
+        Z, _ = stratified_grid(f.dim, plan)
+        moduli = _partial_moduli(_nonzero_partials(f), Z)
+        base = abs(f.value(np.zeros(f.dim, dtype=complex)))
+        for key, p in missing.items():
+            memo[key] = estimate_supremum(bloch_density_fn(f, p), f.dim, plan, base=base,
+                                          grid_values=_weighted_density(moduli, p, Z.shape[0]))
+    return [memo[key] for key in keys]
 
 
 def bloch_norm_estimate(f: HoloFunction, p: float,

@@ -27,6 +27,7 @@ from .norms import (
     lipschitz_norm_estimate,
     little_bloch_gap,
     pointeval_bound,
+    shared_estimates,
     timoney_q_fn,
 )
 from .oracle import derivative_results, fd_gradient, uniform_points
@@ -423,32 +424,39 @@ def metric_floor_implies_stay(dim: int = 1) -> SuiteRow:
 
 def run_all(dim: int = 2, seed: int = 0, plan: SamplingPlan | None = None,
             fns=None, phi_corpus=None, band_count: int = 10) -> list[SuiteRow]:
+    """Every suite, in order, at desk scale.
+
+    The suites share one `norms.shared_estimates` block, so a Bloch estimate
+    that several suites need (the unit-exponent norms of the corpus
+    polynomials, say) is computed once per call; nothing is kept once the
+    call returns or raises, and each row is what the suite gives alone.
+    """
     plan = plan if plan is not None else SamplingPlan(seed=seed)
     fns = fns if fns is not None else corpus_mod.default_function_corpus(dim, seed=seed)
     phi_corpus = phi_corpus if phi_corpus is not None \
         else corpus_mod.default_selfmap_corpus(dim, seed=seed)
     polys = corpus_mod.polynomial_corpus(dim, count=12, seed=seed)
 
-    rows = [
-        metric_homogeneity(dim=dim),
-        segment_telescoping(dim=max(dim, 2)),
-        boundary_distance_positivity(),
-        derivative_fd_agreement(fns),
-        chain_rule_identity(phi_corpus, fns),
-        moebius_interior_mapping(dim=dim),
-        q_density_sandwich(fns),
-        point_evaluation_bound(polys, plan=plan),
-        lipschitz_band_stability(dim=dim, count=band_count, plan=plan),
-        norm_trace_monotone(fns, plan=plan),
-        family_uniform_bound(dim=dim, plan=plan),
-        family_f_density_identity(dim=dim),
-        family_truncation_tails(dim=dim, plan=plan),
-        kernel_local_decay(dim=dim),
-        density_row_decomposition(phi_corpus),
-        chain_rule_domination(phi_corpus, fns, plan=plan),
-        automorphism_metric_equality(dim=max(dim, 2)),
-        expansion_plateau(phi_corpus),
-        small_exponent_decay(dim=1),
-        metric_floor_implies_stay(dim=1),
-    ]
-    return rows
+    with shared_estimates():
+        return [
+            metric_homogeneity(dim=dim),
+            segment_telescoping(dim=max(dim, 2)),
+            boundary_distance_positivity(),
+            derivative_fd_agreement(fns),
+            chain_rule_identity(phi_corpus, fns),
+            moebius_interior_mapping(dim=dim),
+            q_density_sandwich(fns),
+            point_evaluation_bound(polys, plan=plan),
+            lipschitz_band_stability(dim=dim, count=band_count, plan=plan),
+            norm_trace_monotone(fns, plan=plan),
+            family_uniform_bound(dim=dim, plan=plan),
+            family_f_density_identity(dim=dim),
+            family_truncation_tails(dim=dim, plan=plan),
+            kernel_local_decay(dim=dim),
+            density_row_decomposition(phi_corpus),
+            chain_rule_domination(phi_corpus, fns, plan=plan),
+            automorphism_metric_equality(dim=max(dim, 2)),
+            expansion_plateau(phi_corpus),
+            small_exponent_decay(dim=1),
+            metric_floor_implies_stay(dim=1),
+        ]

@@ -1,6 +1,7 @@
 """Operator detectors: densities, boundedness, paths, compactness, classification."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from blochlab.criteria import (
 )
 from blochlab.holo import (
     HoloSelfMap,
+    ScaledKernel,
     SelfMapCertificate,
     Series,
     identity_map,
@@ -154,6 +156,14 @@ class TestBoundaryPaths:
         bad = BoundaryPath(points=pts, mode="image", path_id="bad")
         with pytest.raises(PathValidationError):
             bad.validate(identity_map(1))
+
+    @pytest.mark.parametrize("axis", [5, -1])
+    def test_out_of_range_axis_refused(self, axis):
+        phi = identity_map(2)
+        paths = [replace(path, axis=axis)
+                 for path in make_boundary_paths(phi, "coordinate", axis=1, count=2, seed=0)]
+        with pytest.raises(PathValidationError, match="axis in \\[0, 2\\)"):
+            compactness_profile(phi, 0.5, 1.0, paths, "coordinate")
 
     def test_shallow_path_rejected(self):
         pts = np.linspace(0.1, 0.5, 10, dtype=complex)[:, None]
@@ -450,6 +460,15 @@ class TestLittleBlochOperatorCheck:
         v = little_bloch_operator_check(moebius_automorphism([0.4], [0.0]), 1.0, 1.0, PLAN)
         assert v.verdict == "holds"
         assert v.detail["bounded"]["rule"] == "sup-density-plateau"
+
+    def test_kernel_component_certified_or_refused(self):
+        # 0.4 / (1 - 0.5 z_1) has sup 0.8; 0.6 / (1 - 0.5 z_1) reaches 1.2 at z_1 = 1
+        inside = HoloSelfMap([ScaledKernel(2, 0, 0.5, 1.0, 0.4), Series.coordinate(1, 2)])
+        v = little_bloch_operator_check(inside, 1.0, 1.0, PLAN)
+        assert v.verdict == "holds"
+        outside = HoloSelfMap([ScaledKernel(2, 0, 0.5, 1.0, 0.6), Series.coordinate(1, 2)])
+        with pytest.raises(UncertifiedMapError, match=re.escape("|phi_0| lies in [1.2, 1.2]")):
+            little_bloch_operator_check(outside, 1.0, 1.0, PLAN)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_verdict_is_the_bounded_verdict_on_the_corpus(self, dim):

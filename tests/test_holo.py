@@ -2,7 +2,9 @@
 
 `Series.val` evaluates by nested Horner over the axes in blocks of
 HORNER_BLOCK points; `loop_series_val` below is the per-term loop it
-replaces, kept as the reference.  `abs_val` is checked against np.abs(val).
+replaces, kept as the reference.  `Series.substitute` builds its result in one
+pass; `add_substitute` below is the term-by-term `add` it replaces, kept as
+the reference.  `abs_val` is checked against np.abs(val).
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochlab.corpus import polynomial_corpus
+from blochlab.corpus import default_selfmap_corpus, polynomial_corpus
 from blochlab.testfuncs import TestFunction
 from blochlab.holo import (
     HORNER_BLOCK,
@@ -24,6 +26,7 @@ from blochlab.holo import (
     Product,
     ScaledKernel,
     Series,
+    Sum,
     certify_self_map,
     compose,
     compose_map,
@@ -349,6 +352,55 @@ class TestCompose:
         assert comp.value(z) == pytest.approx((0.3 * 0.7 ** 3) ** 40, rel=1e-12)
 
 
+def add_substitute(f, inners):
+    """Reference for Series.substitute: each term is c times g_l.pow(e_l) in
+    axis order, added to the accumulated Series with `add`."""
+    out_dim = inners[0].dim
+    acc = Series({}, out_dim)
+    for exps, c in f.coeffs.items():
+        term = Series({(0,) * out_dim: c}, out_dim)
+        for g, e in zip(inners, exps):
+            if e:
+                term = term.mul(g.pow(e))
+        acc = acc.add(term)
+    return acc
+
+
+def coefficient_bits(f):
+    """Exponents and coefficient bits in key order; hex() keeps the sign of a zero."""
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in f.coeffs.items()]
+
+
+class TestSubstituteAgainstAdd:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corpus_polynomials_through_polynomial_maps(self, dim, seed):
+        maps = [phi for _, phi in default_selfmap_corpus(dim, seed=seed)
+                if all(isinstance(c, Series) for c in phi.components)]
+        maps.append(HoloSelfMap([steep_factor(3, k, dim) for k in range(dim)]))
+        for phi in maps:
+            for f in polynomial_corpus(dim, count=5, seed=seed):
+                assert coefficient_bits(f.substitute(phi.components)) == \
+                    coefficient_bits(add_substitute(f, phi.components))
+
+    def test_cancelled_key_returns_at_the_end(self):
+        # a^2 - b^2 + c^2 at (z1 + z2, z1 - z2, z1): z1^2 and z2^2 cancel, then
+        # z1^2 comes back after z1 z2
+        f = Series({(2, 0, 0): 1.0, (0, 2, 0): -1.0, (0, 0, 2): 1.0}, 3)
+        inners = [Series({(1, 0): 1.0, (0, 1): 1.0}, 2), Series({(1, 0): 1.0, (0, 1): -1.0}, 2),
+                  Series.coordinate(0, 2)]
+        got = f.substitute(inners)
+        assert list(got.coeffs) == [(1, 1), (2, 0)]
+        assert coefficient_bits(got) == coefficient_bits(add_substitute(f, inners))
+
+    def test_empty_and_constant(self):
+        inners = [Series.coordinate(1, 2), Series.coordinate(0, 2)]
+        for coeffs in ({}, {(0, 0): -0.0 + 2j}, {(0, 0): 1.0, (1, 1): -0.0 - 1j}):
+            f = Series(coeffs, 2)
+            assert coefficient_bits(f.substitute(inners)) == \
+                coefficient_bits(add_substitute(f, inners))
+
+
 def steep_factor(N, axis=0, dim=1):
     """((1 + z_axis)/2)^N: coefficient sum 1, touching |.| = 1 at z_axis = 1 only."""
     one = [0] * dim
@@ -424,6 +476,21 @@ class TestCertification:
         escape = compose_map(moebius_automorphism([0.3], [0.0]),
                              HoloSelfMap([Series({(1,): 2.0}, 1)]))
         assert not escape.certificate.is_certified()
+
+    @pytest.mark.parametrize("scale, certified", [(0.4, True), (0.6, False)])
+    def test_kernel_component_bracketed_exactly(self, scale, certified):
+        # scale / (1 - 0.5 z_1) peaks at z_1 = 1 with modulus 2 scale
+        phi = HoloSelfMap([ScaledKernel(2, 0, 0.5, 1.0, scale), Series.coordinate(1, 2)])
+        assert phi.certificate.brackets[0] == (2.0 * scale, 2.0 * scale)
+        assert phi.certificate.is_certified() is certified
+
+    def test_sum_and_product_take_their_parts_bounds(self):
+        kernel = ScaledKernel(1, 0, 0.5, 1.0, 0.2)  # sup 0.4
+        line = Series({(1,): 0.5}, 1)
+        assert HoloSelfMap([Sum([kernel, line])]).certificate.brackets == ((0.0, 0.9),)
+        assert HoloSelfMap([Product(kernel, line)]).certificate.brackets == ((0.0, 0.2),)
+        escape = HoloSelfMap([Product(kernel, TestFunction("g", 0, 0.5, 1.0, 1))])
+        assert escape.certificate.brackets == ((0.0, np.inf),)
 
     def test_nan_component_never_certified(self):
         for comp in (Const(complex("nan"), 1), Series({(1,): complex("nan")}, 1)):

@@ -4,7 +4,7 @@ seminorm closed form, point-evaluation bound factors."""
 import numpy as np
 import pytest
 
-from blochlab import sampling
+from blochlab import norms, sampling
 from blochlab.corpus import default_function_corpus, polynomial_corpus
 from blochlab.holo import Const, MoebiusFactor, ScaledKernel, Series
 from blochlab.norms import (
@@ -16,6 +16,7 @@ from blochlab.norms import (
     bloch_norm_estimates,
     lipschitz_norm_estimate,
     pointeval_bound,
+    shared_estimates,
     timoney_q_fn,
 )
 from blochlab.polydisk import one_minus_sq
@@ -144,6 +145,61 @@ class TestBlochNormEstimates:
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError):
             bloch_norm_estimates(Series({(1,): 1.0}, 1), (1.0, 0.0), PLAN)
+
+
+class TestSharedEstimates:
+    """Inside a shared_estimates block each (function, exponent, plan) is
+    estimated once; a served estimate is the one a fresh call gives."""
+
+    plan = SamplingPlan(radial_levels=10, angular_count=24, budget=20_000, seed=3)
+
+    def count_estimates(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return estimate_supremum(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "estimate_supremum", counted)
+        return calls
+
+    def test_equal_polynomials_share_an_estimate(self, monkeypatch):
+        calls = self.count_estimates(monkeypatch)
+        f = polynomial_corpus(2, count=1, seed=4)[0]
+        twin = polynomial_corpus(2, count=1, seed=4)[0]
+        with shared_estimates():
+            first = bloch_norm_estimates(f, (0.5, 1.0), self.plan)
+            served = bloch_norm_estimates(twin, (1.0, 2.0), self.plan)
+            assert served[0] is first[1]
+            assert len(calls) == 3
+            bloch_norm_estimate(f, 1.0, self.plan.doubled())
+            assert len(calls) == 4
+        fresh = bloch_norm_estimate(twin, 1.0, self.plan)
+        assert fresh is not served[0]
+        assert_same_estimate(served[0], fresh)
+
+    def test_other_functions_are_keyed_by_the_object(self, monkeypatch):
+        calls = self.count_estimates(monkeypatch)
+        with shared_estimates():
+            for f in (TestFunction("h", 1, 0.4, 1.0, 2), MoebiusFactor(2, 0, 0.3)):
+                served = bloch_norm_estimate(f, 1.0, self.plan)
+                assert bloch_norm_estimate(f, 1.0, self.plan) is served
+                assert_same_estimate(served, bloch_norm_estimates(f, (1.0,), self.plan)[0])
+            bloch_norm_estimate(TestFunction("h", 1, 0.4, 1.0, 2), 1.0, self.plan)
+        assert len(calls) == 3
+
+    def test_no_memo_outside_a_block(self, monkeypatch):
+        calls = self.count_estimates(monkeypatch)
+        f = Series({(1, 1): 0.5, (2, 0): 0.25j}, 2)
+        assert norms._memo.get() is None
+        first = bloch_norm_estimate(f, 1.0, self.plan)
+        assert bloch_norm_estimate(f, 1.0, self.plan) is not first
+        with pytest.raises(RuntimeError):
+            with shared_estimates():
+                bloch_norm_estimate(f, 1.0, self.plan)
+                raise RuntimeError
+        assert norms._memo.get() is None
+        assert len(calls) == 3
 
 
 class TestTimoneyQ:

@@ -1,11 +1,14 @@
 """Verification suites and the independent oracle path."""
 
+import contextlib
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blochlab import sampling, suites
+from blochlab import norms, sampling, suites
 from blochlab.corpus import default_function_corpus, default_selfmap_corpus, polynomial_corpus
 from blochlab.holo import HoloFunction, Series
 from blochlab.oracle import (
@@ -21,6 +24,7 @@ from blochlab.oracle import (
 from blochlab.sampling import SamplingPlan
 from blochlab.testfuncs import TestFunction
 
+ROOT = Path(__file__).resolve().parents[1]
 PLAN = SamplingPlan(seed=1)
 QUICK_PLAN = SamplingPlan(seed=1, radial_levels=10, angular_count=24,
                           max_rounds=8, budget=15_000)
@@ -153,3 +157,72 @@ class TestSuites:
         assert row.passed
         lo, hi = row.detail["band"]
         assert 0 < lo <= hi
+
+
+def _recorded_run_all(memo: bool):
+    """run_all(dim=2) rows as JSON, and the (function key, exponent, plan) of
+    every Bloch estimate it computed, in order; with memo False the suites run
+    with no shared_estimates block."""
+    keys, pending = [], []
+
+    def density_fn(f, p):
+        pending.append((norms._function_key(f), p))
+        return bloch_density_fn(f, p)
+
+    def estimate(density, dim, plan, **kwargs):
+        keys.append(pending.pop() + (plan,))
+        return estimate_supremum(density, dim, plan, **kwargs)
+
+    bloch_density_fn, estimate_supremum = norms.bloch_density_fn, norms.estimate_supremum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "bloch_density_fn", density_fn)
+        mp.setattr(norms, "estimate_supremum", estimate)
+        if not memo:
+            mp.setattr(suites, "shared_estimates", contextlib.nullcontext)
+        rows = [r.to_json() for r in suites.run_all(dim=2)]
+    return json.dumps(rows, sort_keys=True), keys
+
+
+@pytest.fixture(scope="module")
+def memo_runs():
+    return _recorded_run_all(memo=True), _recorded_run_all(memo=False)
+
+
+class TestRunAllMemo:
+    """One run_all call estimates each (function, exponent, plan) once."""
+
+    def test_rows_equal_rows_without_memo(self, memo_runs):
+        (rows, _), (alone, _) = memo_runs
+        assert rows == alone
+
+    def test_one_estimate_per_distinct_key(self, memo_runs):
+        (_, keys), (_, unshared) = memo_runs
+        assert len(keys) == len(set(keys)) == len(set(unshared))
+        # norm-trace-monotone and chain-rule-domination repeat the unit-exponent
+        # estimates of the 8 corpus polynomials that point-evaluation-bound made
+        assert len(unshared) - len(keys) == 16
+
+    def test_no_memo_after_run_all(self, memo_runs, monkeypatch):
+        assert norms._memo.get() is None
+
+        def fail(dim):
+            assert norms._memo.get() == {}
+            raise RuntimeError("suite failed")
+
+        monkeypatch.setattr(suites, "metric_homogeneity", fail)
+        with pytest.raises(RuntimeError, match="suite failed"):
+            suites.run_all(dim=2)
+        assert norms._memo.get() is None
+
+    def test_bench_times_each_suite_as_its_row(self, memo_runs):
+        """The benchmark times every public suites function but run_all as one
+        operation, reported as suites.<row name>.s."""
+        (rows, _), _ = memo_runs
+        names = [row["name"] for row in json.loads(rows)]
+        public = sorted(name for name, obj in vars(suites).items()
+                        if inspect.isfunction(obj) and obj.__module__ == suites.__name__
+                        and not name.startswith("_") and name != "run_all")
+        assert public == sorted(name.replace("-", "_") for name in names)
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        per_layer = {metric["name"] for metric in benchmark["per_layer"]}
+        assert {f"suites.{name}.s" for name in names} <= per_layer
