@@ -1,13 +1,15 @@
 """Command-line interface: norm | classify | verify-lemmas | oracle | sweep.
 
 All commands accept plan overrides (--levels, --angles, --rounds, --budget,
---seed) and write versioned JSON / fixed-column CSV reports.  Exit code 0
+--seed), which reach them as one SamplingPlan, and write versioned JSON /
+fixed-column CSV reports through one writer, `_write`.  Exit code 0
 means no suite failure and no oracle breach; exit code 2 means bad input (an
 invalid option, spec or parameter), reported in one line.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -73,21 +75,30 @@ def _parse_w(ctx, param, value) -> complex:
 
 
 def _plan_options(fn):
-    fn = click.option("--levels", type=NATURAL, default=SamplingPlan.radial_levels,
-                      show_default=True, help="Radial levels (radii 1 - 2^-i).")(fn)
-    fn = click.option("--angles", type=COUNT, default=SamplingPlan.angular_count,
-                      show_default=True, help="Points per torus circle / stratum.")(fn)
-    fn = click.option("--rounds", type=NATURAL, default=SamplingPlan.max_rounds,
-                      show_default=True, help="Local refinement rounds.")(fn)
-    fn = click.option("--budget", type=COUNT, default=SamplingPlan.budget,
-                      show_default=True, help="Evaluation budget per estimate.")(fn)
-    fn = click.option("--seed", type=NATURAL, default=SamplingPlan.seed, show_default=True)(fn)
-    return fn
+    """Add the plan options to a command, which takes one SamplingPlan `plan` in their place."""
+    @functools.wraps(fn)
+    def command(levels, angles, rounds, budget, seed, **kwargs):
+        return fn(plan=SamplingPlan(levels, angles, rounds, budget, seed), **kwargs)
+
+    command = click.option("--levels", type=NATURAL, default=SamplingPlan.radial_levels,
+                           show_default=True, help="Radial levels (radii 1 - 2^-i).")(command)
+    command = click.option("--angles", type=COUNT, default=SamplingPlan.angular_count,
+                           show_default=True, help="Points per torus circle / stratum.")(command)
+    command = click.option("--rounds", type=NATURAL, default=SamplingPlan.max_rounds,
+                           show_default=True, help="Local refinement rounds.")(command)
+    command = click.option("--budget", type=COUNT, default=SamplingPlan.budget,
+                           show_default=True, help="Evaluation budget per estimate.")(command)
+    return click.option("--seed", type=NATURAL, default=SamplingPlan.seed,
+                        show_default=True)(command)
 
 
-def _mk_plan(levels, angles, rounds, budget, seed) -> SamplingPlan:
-    return SamplingPlan(radial_levels=levels, angular_count=angles,
-                        max_rounds=rounds, budget=budget, seed=seed)
+def _write(kind: str, plan: SamplingPlan, payload: dict, rows: list,
+           out_json: str | None, out_csv: str | None):
+    """Write the command's report envelope and its CSV rows, each where asked."""
+    if out_json:
+        reports.write_json(out_json, reports.envelope(kind, plan.seed, payload))
+    if out_csv:
+        reports.write_csv(out_csv, rows)
 
 
 @click.group(cls=_Main)
@@ -114,10 +125,8 @@ def main():
 @click.option("--out-json", type=click.Path(), default=None)
 @click.option("--out-csv", type=click.Path(), default=None)
 @_plan_options
-def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec,
-         out_json, out_csv, levels, angles, rounds, budget, seed):
+def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec, out_json, out_csv, plan):
     """Estimate Bloch / Lipschitz norms of a function."""
-    plan = _mk_plan(levels, angles, rounds, budget, seed)
     if (spec is None) == (testfn is None):
         raise click.UsageError("provide exactly one of --spec or --testfn")
     if spec is not None:
@@ -135,28 +144,20 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec,
     rows = []
     for p in ps:
         entry = {"p": p}
-        if kind in ("bloch", "both"):
-            est = bloch_norm_estimate(f, p, plan)
-            entry["bloch"] = est.to_json()
-            click.echo(f"p={p}: bloch norm >= {est.value:.12g} "
-                       f"(converged={est.converged})")
-            rows.append({"sample_index": len(rows), "z": reports.format_point(est.witness),
-                         "density": est.sup, "path_id": f"bloch:p={p}", "verdict": ""})
-        if kind in ("lipschitz", "both"):
-            if not 0 < p <= 1:
+        for label, estimate in (("bloch", bloch_norm_estimate),
+                                ("lipschitz", lipschitz_norm_estimate)):
+            if kind not in (label, "both"):
+                continue
+            if label == "lipschitz" and not 0 < p <= 1:
                 raise click.UsageError("the Lipschitz exponent must lie in (0, 1]")
-            est = lipschitz_norm_estimate(f, p, plan)
-            entry["lipschitz"] = est.to_json()
-            click.echo(f"p={p}: lipschitz norm >= {est.value:.12g} "
+            est = estimate(f, p, plan)
+            entry[label] = est.to_json()
+            click.echo(f"p={p}: {label} norm >= {est.value:.12g} "
                        f"(converged={est.converged})")
             rows.append({"sample_index": len(rows), "z": reports.format_point(est.witness),
-                         "density": est.sup, "path_id": f"lipschitz:p={p}", "verdict": ""})
+                         "density": est.sup, "path_id": f"{label}:p={p}", "verdict": ""})
         payload["estimates"].append(entry)
-
-    if out_json:
-        reports.write_json(out_json, reports.envelope("norm", seed, payload))
-    if out_csv:
-        reports.write_csv(out_csv, rows)
+    _write("norm", plan, payload, rows, out_json, out_csv)
 
 
 @main.command("classify")
@@ -170,15 +171,13 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec,
 @click.option("--out-json", type=click.Path(), default=None)
 @click.option("--out-csv", type=click.Path(), default=None)
 @_plan_options
-def classify_cmd(spec, ps, qs, theorems, out_json, out_csv,
-                 levels, angles, rounds, budget, seed):
+def classify_cmd(spec, ps, qs, theorems, out_json, out_csv, plan):
     """Run boundedness/compactness detectors for a self-map."""
     selected = {t.strip() for t in theorems.split(",") if t.strip()}
     unknown = selected.difference(THEOREMS)
     if unknown:
         raise click.UsageError(f"unknown theorem name(s) {', '.join(sorted(unknown))}; "
                                f"choose from {', '.join(THEOREMS)}")
-    plan = _mk_plan(levels, angles, rounds, budget, seed)
     phi = mapspec.load_map(spec)
     if len(ps) != len(qs):
         raise click.UsageError("--p and --q must be given the same number of times")
@@ -212,11 +211,7 @@ def classify_cmd(spec, ps, qs, theorems, out_json, out_csv,
             entry["operator_norm_lower_bound"] = lb
             click.echo(f"(p={p}, q={q}) operator norm >= {lb:.6g}")
         payload["runs"].append(entry)
-
-    if out_json:
-        reports.write_json(out_json, reports.envelope("classify", seed, payload))
-    if out_csv:
-        reports.write_csv(out_csv, rows)
+    _write("classify", plan, payload, rows, out_json, out_csv)
 
 
 @main.command("verify-lemmas")
@@ -226,24 +221,18 @@ def classify_cmd(spec, ps, qs, theorems, out_json, out_csv,
 @click.option("--out-json", type=click.Path(), default=None)
 @click.option("--out-csv", type=click.Path(), default=None)
 @_plan_options
-def verify_lemmas(dimension, band_count, out_json, out_csv,
-                  levels, angles, rounds, budget, seed):
+def verify_lemmas(dimension, band_count, out_json, out_csv, plan):
     """Run every invariant suite; nonzero exit on any failure."""
-    plan = _mk_plan(levels, angles, rounds, budget, seed)
-    rows = run_all(dim=dimension, seed=seed, plan=plan, band_count=band_count)
+    rows = run_all(dim=dimension, seed=plan.seed, plan=plan, band_count=band_count)
     failures = 0
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
         click.echo(f"{status}  {r.name:32s} worst={r.worst:.3e}  {r.witness}")
         failures += 0 if r.passed else 1
-    if out_json:
-        reports.write_json(out_json, reports.envelope(
-            "verify-lemmas", seed, {"rows": [r.to_json() for r in rows]}))
-    if out_csv:
-        reports.write_csv(out_csv, [
-            {"sample_index": i, "z": "", "density": r.worst,
+    _write("verify-lemmas", plan, {"rows": [r.to_json() for r in rows]},
+           [{"sample_index": i, "z": "", "density": r.worst,
              "path_id": r.name, "verdict": "pass" if r.passed else "fail"}
-            for i, r in enumerate(rows)])
+            for i, r in enumerate(rows)], out_json, out_csv)
     click.echo(f"{len(rows) - failures}/{len(rows)} suites passed")
     sys.exit(0 if failures == 0 else 1)
 
@@ -255,21 +244,17 @@ def verify_lemmas(dimension, band_count, out_json, out_csv,
 @click.option("--sup-count", type=COUNT, default=20_000, show_default=True)
 @click.option("--out-json", type=click.Path(), default=None)
 @_plan_options
-def oracle_cmd(dimension, p, derivative_count, sup_count, out_json,
-               levels, angles, rounds, budget, seed):
+def oracle_cmd(dimension, p, derivative_count, sup_count, out_json, plan):
     """Independent finite-difference / uniform-grid recomputation."""
-    plan = _mk_plan(levels, angles, rounds, budget, seed)
-    fns = corpus_mod.default_function_corpus(dimension, seed=seed)
-    results = run_oracle(fns, p=p, plan=plan, seed=seed,
+    fns = corpus_mod.default_function_corpus(dimension, seed=plan.seed)
+    results = run_oracle(fns, p=p, plan=plan, seed=plan.seed,
                          derivative_count=derivative_count, sup_count=sup_count)
     breaches = [r for r in results if r.breach]
     for r in results:
         mark = "BREACH" if r.breach else "ok"
         click.echo(f"{mark:6s} {r.quantity:48s} primary={r.primary:.6g} "
                    f"oracle={r.oracle:.6g} disc={r.discrepancy:.3e}")
-    if out_json:
-        reports.write_json(out_json, reports.envelope(
-            "oracle", seed, {"results": [r.to_json() for r in results]}))
+    _write("oracle", plan, {"results": [r.to_json() for r in results]}, [], out_json, None)
     click.echo(f"{len(results) - len(breaches)}/{len(results)} oracle rows clean")
     sys.exit(0 if not breaches else 1)
 
@@ -286,15 +271,13 @@ def oracle_cmd(dimension, p, derivative_count, sup_count, out_json,
 @click.option("--out-csv", type=click.Path(), required=True)
 @click.option("--out-json", type=click.Path(), default=None)
 @_plan_options
-def sweep(spec, dimension, ps, qs, out_csv, out_json,
-          levels, angles, rounds, budget, seed):
+def sweep(spec, dimension, ps, qs, out_csv, out_json, plan):
     """Tabulate verdicts and suprema over a (p, q) grid and a map corpus.
 
     Emits plot-ready rows only; no aggregate conclusion is drawn.  A cell's
     component_sups are certified upper bounds on sup |phi_l|, from the map's
     self-map certificate."""
-    plan = _mk_plan(levels, angles, rounds, budget, seed)
-    maps = corpus_mod.default_selfmap_corpus(dimension, seed=seed)
+    maps = corpus_mod.default_selfmap_corpus(dimension, seed=plan.seed)
     for i, path in enumerate(spec):
         phi = mapspec.load_map(path)
         require_certified(phi)
@@ -326,9 +309,7 @@ def sweep(spec, dimension, ps, qs, out_csv, out_json,
                     "component_sups": [float(v) for v in report.component_sups],
                 })
                 idx += 1
-    reports.write_csv(out_csv, rows)
-    if out_json:
-        reports.write_json(out_json, reports.envelope("sweep", seed, payload))
+    _write("sweep", plan, payload, rows, out_json, out_csv)
     click.echo(f"{idx} sweep rows written to {out_csv}")
 
 

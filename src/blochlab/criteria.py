@@ -9,7 +9,9 @@ controls the composition operator f -> f o phi between the p- and q-Bloch
 spaces: a finite supremum detects boundedness, and the decay of the density as
 the image (or a single image coordinate, for p < 1) approaches the boundary
 detects compactness.  Verdicts here always refer to the numerical criterion:
-every record names the detector rule that produced it and carries witnesses.
+every record names the detector rule that produced it and carries witnesses,
+and serializes through `reports.record_json`.  Detectors refuse a map whose
+self-map certificate fails, naming its first refused component.
 
 The densities have batched evaluators only, mapping points (..., n) to
 values (...): `criterion_density_fn` sums the rows `coordinate_density_fn`,
@@ -40,11 +42,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .holo import SELF_MAP_CEILING, HoloSelfMap, compose
+from .holo import SELF_MAP_CEILING, HoloSelfMap, compose, is_constant
 from .norms import (bloch_norm_estimate, column_weights, lipschitz_norm_estimate,
                     weighted_density_fn)
-from .polydisk import complex_pair, complex_pairs, one_minus_sq
-from .reports import SCHEMA_VERSION, format_point
+from .polydisk import one_minus_sq
+from .reports import SCHEMA_VERSION, format_point, record_json
 from .sampling import PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum
 from .testfuncs import family_norm_floor, members
 
@@ -76,31 +78,18 @@ class Verdict:
     margin: float | None = None
     detail: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "rule": self.rule,
-                "margin": self.margin, "detail": _jsonable(self.detail)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return complex_pairs(obj)
-        return [float(v) for v in obj.ravel()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return complex_pair(obj)
-    return obj
+    to_json = record_json
 
 
 def require_certified(phi: HoloSelfMap):
     if not phi.certificate.is_certified():
         l, (lo, hi) = next((l, b) for l, b in enumerate(phi.certificate.brackets)
                            if not b[1] <= SELF_MAP_CEILING)
+        if is_constant(phi.components[l]):
+            modulus = abs(phi.components[l].value(np.zeros(phi.dim)))
+            raise UncertifiedMapError(
+                f"refusing: phi_{l} is constant, of modulus {modulus:.6g}; a constant "
+                f"component needs modulus < 1 for the map to send U^n into U^n")
         raise UncertifiedMapError(
             f"refusing: the map is not certified as a self-map: sup |phi_{l}| lies in "
             f"[{lo:.6g}, {hi:.6g}], whose upper end exceeds 1")
@@ -514,19 +503,7 @@ class CriterionReport:
     plan: SamplingPlan
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "dimension": self.dimension,
-            "p": self.p,
-            "q": self.q,
-            "certificate": self.certificate,
-            "bounded": self.bounded.to_json(),
-            "sup_estimate": self.sup_estimate.to_json(),
-            "compact": self.compact.to_json(),
-            "profiles": [pr.to_json() for pr in self.profiles],
-            "component_sups": [float(v) for v in self.component_sups],
-            "plan": self.plan.to_json(),
-        }
+        return {"schema_version": SCHEMA_VERSION, **record_json(self)}
 
     def csv_rows(self) -> list[dict]:
         rows = []

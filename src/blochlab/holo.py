@@ -20,7 +20,9 @@ Representations:
 A self-map of U^n is certified when it is built: each component gets a
 bracket around sup |phi_l| (`_sup_bracket`; exact for an atom, the sum or
 product of the upper ends for a Sum or Product), and the map counts as a
-self-map when every upper end is at most 1 (up to SELF_MAP_CEILING).
+self-map when every upper end is at most 1 (up to SELF_MAP_CEILING).  Maximum
+modulus then gives |phi_l| < 1 inside U^n for a non-constant phi_l only, so a
+constant component needs an upper end below 1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polydisk import as_coords
+from .reports import record_json
 
 # compose normalizes a polynomial composite to a Series only up to this degree
 DEGREE_CAP = 64
@@ -93,6 +96,11 @@ def is_zero(f: HoloFunction) -> bool:
     if isinstance(f, Series):
         return not f.coeffs
     return False
+
+
+def is_constant(f: HoloFunction) -> bool:
+    """Every partial of f is structurally zero."""
+    return all(is_zero(d) for d in f.partials())
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +506,7 @@ class SelfMapCertificate:
         # all(), not max(): max((0.5, nan)) is 0.5
         return all(hi <= SELF_MAP_CEILING for _, hi in self.brackets)
 
-    def to_json(self) -> dict:
-        return {"brackets": [list(b) for b in self.brackets]}
+    to_json = record_json
 
 
 class HoloSelfMap:
@@ -553,9 +560,16 @@ def moebius_automorphism(a, theta, sigma=None) -> HoloSelfMap:
 
 
 def certify_self_map(phi: HoloSelfMap) -> SelfMapCertificate:
-    """Attach phi's certificate, the brackets of its components, and return it."""
-    phi.certificate = SelfMapCertificate(tuple(_sup_bracket(c) for c in phi.components))
+    """Attach phi's certificate, the brackets of its components, and return it.
+    A constant component with no upper end below 1 gets hi = inf: it may send
+    U^n into the boundary."""
+    phi.certificate = SelfMapCertificate(tuple(_component_bracket(c) for c in phi.components))
     return phi.certificate
+
+
+def _component_bracket(f: HoloFunction) -> tuple[float, float]:
+    lo, hi = _sup_bracket(f)
+    return (lo, np.inf) if hi >= 1.0 and is_constant(f) else (lo, hi)
 
 
 def _sup_bracket(f: HoloFunction) -> tuple[float, float]:
@@ -595,8 +609,7 @@ def _torus_bracket(f: Series) -> tuple[float, float]:
     coeffs = np.abs(np.fromiter(f.coeffs.values(), complex, len(f.coeffs)))
     slope = float(coeffs @ np.array([sum(e) for e in f.coeffs], dtype=float))
     total = float(coeffs.sum())
-    halves = np.indices((2,) * f.dim).reshape(f.dim, -1).T - 0.5
-    centres, h, lo, hi, boxes = np.zeros((1, f.dim)), np.pi, 0.0, 0.0, 1
+    centres, h, lo, hi, boxes, halves = np.zeros((1, f.dim)), np.pi, 0.0, 0.0, 1, None
     while True:
         values = f.abs_val(np.exp(1j * centres))
         lo = max(float(values.max()), lo)  # in this order, a NaN value sticks
@@ -610,9 +623,11 @@ def _torus_bracket(f: Series) -> tuple[float, float]:
         centres = centres[~pruned]
         if not centres.size:
             return lo, hi
-        boxes += centres.shape[0] * halves.shape[0]
+        boxes += centres.shape[0] * 2 ** f.dim
         if boxes > TORUS_BOX_CAP:
             return lo, np.inf
+        if halves is None:  # the 2^n corner offsets, built once a cube splits
+            halves = np.indices((2,) * f.dim).reshape(f.dim, -1).T - 0.5
         centres = (centres[:, None, :] + h * halves).reshape(-1, f.dim)
         h /= 2.0
 

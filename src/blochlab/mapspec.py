@@ -137,7 +137,8 @@ def _dump_component(f: HoloFunction) -> dict:
         return {"type": "moebius", "a": complex_pair(f.a),
                 "theta": f.theta, "source": f.axis}
     if isinstance(f, TestFunction):
-        return f.to_json()
+        return {"type": "testfn", "family": f.family, "l": f.axis,
+                "w": complex_pair(f.w), "p": f.p}
     if isinstance(f, Const):
         return {"type": "constant", "value": complex_pair(f.c)}
     raise SpecError(f"cannot serialize a {type(f).__name__} component")

@@ -16,6 +16,7 @@ import numpy as np
 from .holo import HoloFunction
 from .norms import bloch_norm_estimate, timoney_q_fn
 from .polydisk import one_minus_sq
+from .reports import record_json
 from .sampling import SamplingPlan
 from .testfuncs import TestFunction
 
@@ -35,10 +36,7 @@ class OracleResult:
     discrepancy: float
     breach: bool
 
-    def to_json(self) -> dict:
-        return {"quantity": self.quantity, "primary": self.primary,
-                "oracle": self.oracle, "discrepancy": self.discrepancy,
-                "breach": bool(self.breach)}
+    to_json = record_json
 
 
 def relative_discrepancy(a: float, b: float) -> float:

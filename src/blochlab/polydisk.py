@@ -66,9 +66,6 @@ class PolydiskPoint:
     def dim(self) -> int:
         return self.coords.size
 
-    def to_json(self) -> list:
-        return complex_pairs(self.coords)
-
     @classmethod
     def closed(cls, coords) -> "PolydiskPoint":
         return cls(coords, interior=False)

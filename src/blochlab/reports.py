@@ -1,17 +1,50 @@
-"""Report serialization: versioned JSON envelopes and fixed-column CSV."""
+"""Report serialization: the one record encoder, versioned JSON envelopes and
+fixed-column CSV.
+
+`jsonable` turns complex values into [re, im] pairs, arrays into lists,
+numpy scalars into Python ones and records into their `to_json()`.  The
+records bind `record_json`, which encodes each field through it.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import time
+from dataclasses import fields
 
-from .polydisk import complex_pairs
+import numpy as np
+
+from .polydisk import complex_pair, complex_pairs
 
 SCHEMA_VERSION = 7
 
 # Fixed CSV column order; one row per sample or path point.
 CSV_COLUMNS = ["sample_index", "z", "density", "path_id", "verdict"]
+
+
+def jsonable(obj):
+    """obj as plain JSON values; records give their own `to_json()`."""
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return complex_pairs(obj)
+        return [float(v) for v in obj.ravel()]
+    if isinstance(obj, complex):
+        return complex_pair(obj)
+    if isinstance(obj, np.generic):
+        return jsonable(obj.item())
+    return obj
+
+
+def record_json(record) -> dict:
+    """A dataclass record as a JSON object, field by field through `jsonable`."""
+    return {f.name: jsonable(getattr(record, f.name)) for f in fields(record)}
 
 
 def envelope(kind: str, seed: int, payload) -> dict:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .polydisk import complex_pairs
+from .reports import record_json
 
 PLATEAU_RTOL = 1e-3
 REFINE_SHRINK = 0.5
@@ -72,10 +72,7 @@ class SamplingPlan:
                        max_rounds=self.max_rounds + 1,
                        budget=self.budget * 2)
 
-    def to_json(self) -> dict:
-        return {"radial_levels": self.radial_levels, "angular_count": self.angular_count,
-                "max_rounds": self.max_rounds,
-                "budget": self.budget, "seed": self.seed}
+    to_json = record_json
 
 
 @dataclass
@@ -100,18 +97,9 @@ class NormEstimate:
     witness_partner: np.ndarray | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "value": self.value,
-            "base": self.base,
-            "sup": self.sup,
-            "witness": complex_pairs(self.witness),
-            "trace": [float(t) for t in self.trace],
-            "level_trace": [float(t) for t in self.level_trace],
-            "converged": bool(self.converged),
-            "evaluations": int(self.evaluations),
-        }
-        if self.witness_partner is not None:
-            out["witness_partner"] = complex_pairs(self.witness_partner)
+        out = record_json(self)
+        if self.witness_partner is None:
+            del out["witness_partner"]
         return out
 
 

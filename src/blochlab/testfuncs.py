@@ -32,7 +32,6 @@ from .holo import (
     Series,
     rising_factorial_coeffs,
 )
-from .polydisk import complex_pair
 
 _SERIES_RTOL = 1e-14
 _SERIES_MAX_TERMS = 200_000
@@ -137,10 +136,6 @@ class TestFunction(HoloFunction):
         if self.family == "h":
             return self.affine.mul(poly)
         return poly.antiderivative(self.axis)
-
-    def to_json(self) -> dict:
-        return {"type": "testfn", "family": self.family, "l": self.axis,
-                "w": complex_pair(self.w), "p": self.p}
 
     def __repr__(self):
         return (f"TestFunction({self.family!r}, axis={self.axis}, "

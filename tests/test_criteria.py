@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blochlab import criteria
 from blochlab.corpus import default_selfmap_corpus
 from blochlab.criteria import (
     PATH_FINAL_TARGET,
@@ -17,6 +18,7 @@ from blochlab.criteria import (
     _approach,
     _ray_pool,
     UncertifiedMapError,
+    Verdict,
     boundedness_check,
     classify,
     compactness_profile,
@@ -29,6 +31,7 @@ from blochlab.criteria import (
     weighted_jacobian_singular_values,
 )
 from blochlab.holo import (
+    Const,
     HoloSelfMap,
     ScaledKernel,
     SelfMapCertificate,
@@ -400,6 +403,40 @@ class TestClassify:
         phi = HoloSelfMap([Series.coordinate(0, 2), Series({(1, 0): 0.5, (0, 1): 0.75}, 2)])
         with pytest.raises(UncertifiedMapError, match=re.escape("|phi_1| lies in [1.25, inf]")):
             classify(phi, 1.0, 1.0, PLAN)
+
+    def test_unimodular_constant_refused(self):
+        phi = HoloSelfMap([Const(1, 2), Series.coordinate(1, 2)])
+        with pytest.raises(UncertifiedMapError, match="phi_0 is constant, of modulus 1;"):
+            classify(phi, 1.0, 1.0, PLAN)
+        report = classify(HoloSelfMap([Const(0.999, 2), Series.coordinate(1, 2)]), 1.0, 1.0, PLAN)
+        assert report.component_sups == [0.999, 1.0]
+
+    def test_exponent_gap_contradicted_by_a_failing_profile(self, monkeypatch):
+        # no corpus map reaches this route: stub the profile to fail at p < 1 <= q
+        fails = Verdict("fails", "coordinate-boundary-decay", margin=0.5, detail={"tail": 1.0})
+        monkeypatch.setattr(criteria, "compactness_profile", lambda *args: ([], fails))
+        compact = classify(identity_map(1), 0.5, 1.0, PLAN).compact
+        assert (compact.verdict, compact.rule, compact.margin) == (
+            "inconclusive", "exponent-gap", None)
+        assert compact.detail == {"note": "profile contradicted the exponent-gap rule",
+                                  "profile": fails.to_json()}
+
+    def test_decay_downgraded_while_boundedness_unresolved(self, monkeypatch):
+        holds = Verdict("holds", "image-boundary-decay", margin=0.25)
+        check = criteria.boundedness_check
+
+        def unresolved(*args):
+            bounded, est = check(*args)
+            return Verdict("inconclusive", bounded.rule), est
+
+        monkeypatch.setattr(criteria, "boundedness_check", unresolved)
+        monkeypatch.setattr(criteria, "compactness_profile", lambda *args: ([], holds))
+        report = classify(identity_map(1), 1.0, 2.0, PLAN)
+        assert report.bounded.verdict == "inconclusive"
+        assert (report.compact.verdict, report.compact.rule) == (
+            "inconclusive", "image-boundary-decay")
+        assert report.compact.detail == {"reason": "decay observed but boundedness unresolved",
+                                         "decay": holds.to_json()}
 
     def test_component_sups_are_the_certified_upper_ends(self):
         report = classify(product_map(), 1.0, 1.0, PLAN)

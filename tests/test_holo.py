@@ -8,6 +8,7 @@ the reference.  `abs_val` is checked against np.abs(val).
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -284,6 +285,16 @@ class TestPartial:
                 assert d.value(z) == pytest.approx(closed, rel=1e-13)
         assert d2.partial(0).value([0.1, 0.2]) == 0
 
+    def test_product_partial_matches_finite_differences(self):
+        # each factor is free of one axis, so each partial drops one product-rule term
+        f = Product(Series({(2, 0): 0.5, (1, 0): -0.3j}, 2),
+                    ScaledKernel(2, 1, 0.4 + 0.2j, 1.5, 0.7))
+        for z in ([0.3 - 0.2j, -0.1 + 0.4j], [0.0, 0.6j]):
+            for axis in range(2):
+                assert f.partial(axis).value(z) == pytest.approx(fd_partial(f, z, axis), rel=1e-7)
+        flat = Product(Series({(2, 0): 1.0}, 2), Series({(1, 0): 0.5}, 2))
+        assert isinstance(flat.partial(1), Const) and flat.partial(1).c == 0
+
     def test_gradient(self):
         def gradient(f, z):
             return [pk.value(z) for pk in f.partials()]
@@ -323,6 +334,11 @@ class TestCompose:
         comp = compose(f, identity_map(2))
         z = [0.4, -0.2 + 0.1j]
         assert comp.value(z) == pytest.approx(f.value(z), rel=1e-14)
+
+    def test_constant_outer(self):
+        comp = compose(Const(0.3 - 0.2j, 2), moebius_automorphism([0.5, 0.1j], [0.2, 0.0]))
+        assert isinstance(comp, Const)
+        assert (comp.c, comp.dim) == (0.3 - 0.2j, 2)
 
     def test_constant_inner(self):
         f = Series.coordinate(0, 2)
@@ -491,6 +507,31 @@ class TestCertification:
         assert HoloSelfMap([Product(kernel, line)]).certificate.brackets == ((0.0, 0.2),)
         escape = HoloSelfMap([Product(kernel, TestFunction("g", 0, 0.5, 1.0, 1))])
         assert escape.certificate.brackets == ((0.0, np.inf),)
+
+    @pytest.mark.parametrize("comp", [Const(1, 2), Const(-1j, 2), Series({(0, 0): 1}, 2)],
+                             ids=["const", "const-imaginary", "constant-series"])
+    def test_unimodular_constant_refused(self, comp):
+        # sup |phi_0| = 1, but a constant of modulus 1 sends U^n into the boundary
+        phi = HoloSelfMap([comp, Series.coordinate(1, 2)])
+        assert phi.certificate.brackets == ((1.0, np.inf), (1.0, 1.0))
+        assert not phi.certificate.is_certified()
+
+    def test_constant_below_one_certified(self):
+        phi = HoloSelfMap([Const(0.999, 2), Series.coordinate(1, 2)])
+        assert phi.certificate.brackets == ((0.999, 0.999), (1.0, 1.0))
+        assert phi.certificate.is_certified()
+
+    def test_high_dimension_certified_without_cube_corners(self):
+        # 2^40 corners of a cube cannot be built; the coefficient sum needs none
+        start = time.perf_counter()
+        phi = identity_map(40)
+        assert time.perf_counter() - start < 1.0
+        assert phi.certificate.brackets == ((1.0, 1.0),) * 40
+        # 2^24 corners would pass TORUS_BOX_CAP at the first split: hi = inf, none built
+        split = Series.coordinate(0, 24).scale(0.6).add(Series.coordinate(1, 24).scale(-0.6))
+        lo, hi = HoloSelfMap([split] * 24).certificate.brackets[0]
+        assert time.perf_counter() - start < 1.0
+        assert lo == pytest.approx(0.0, abs=1e-15) and hi == np.inf
 
     def test_nan_component_never_certified(self):
         for comp in (Const(complex("nan"), 1), Series({(1,): complex("nan")}, 1)):

@@ -233,6 +233,24 @@ class TestCLI:
         assert "Traceback" not in res.output
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["classify"], ["sweep", "--dimension", "2", "--p", "1", "--q", "1", "--out-csv", "OUT"]],
+        ids=["classify", "sweep"])
+    def test_unimodular_constant_refused(self, tmp_path, command):
+        # sup |phi_0| = 1, yet the constant 1 sends U^2 into the boundary
+        spec = tmp_path / "const.json"
+        spec.write_text(json.dumps({"dimension": 2, "components": [
+            {"type": "constant", "value": [1, 0]},
+            {"type": "series", "terms": [{"exponents": [0, 1], "coeff": [1, 0]}]}]}))
+        out = tmp_path / "sweep.csv"
+        res = CliRunner().invoke(main, [{"OUT": str(out)}.get(a, a) for a in command]
+                                 + ["--spec", str(spec)])
+        assert res.exit_code == 2
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "refusing: phi_0 is constant, of modulus 1;" in res.stderr
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
     def test_classify_refuses_non_self_map(self, tmp_path):
         # 1.02 ((1+z_1)/2)^40 ((1+z_2)/2)^40 equals 1.02 at (1, 1)
         steep = Series({(0, 0): 0.5, (1, 0): 0.5}, 2).pow(40).mul(

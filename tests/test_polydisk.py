@@ -11,6 +11,7 @@ from blochlab.polydisk import (
     boundary_distance,
     segment_point,
 )
+from blochlab.reports import jsonable
 
 
 class TestBergmanMetric:
@@ -91,5 +92,5 @@ class TestPointValidation:
 class TestSerialization:
     def test_point_json_round_trip(self):
         z = PolydiskPoint([0.1 + 0.2j, -0.3j])
-        again = [complex(re, im) for re, im in z.to_json()]
+        again = [complex(re, im) for re, im in jsonable(z.coords)]
         np.testing.assert_allclose(again, z.coords)

@@ -10,6 +10,7 @@ import pytest
 
 from blochlab import norms, sampling, suites
 from blochlab.corpus import default_function_corpus, default_selfmap_corpus, polynomial_corpus
+from blochlab.criteria import coordinate_density_fn
 from blochlab.holo import HoloFunction, Series
 from blochlab.oracle import (
     antiderivative_results,
@@ -124,6 +125,15 @@ class TestSuites:
         assert suites.family_f_density_identity().passed
         assert suites.family_truncation_tails(plan=QUICK_PLAN).passed
         assert suites.kernel_local_decay().passed
+
+    def test_density_row_decomposition_can_fail(self, monkeypatch):
+        # the row compares the density with a sum built from phi.jacobian and phi.val
+        maps = default_selfmap_corpus(2, seed=0)
+        row = suites.density_row_decomposition(maps)
+        assert row.passed and 0.0 < row.worst <= 1e-12 and row.witness
+        monkeypatch.setattr(suites, "criterion_density_fn",
+                            lambda phi, p, q: coordinate_density_fn(phi, p, q, 0))
+        assert not suites.density_row_decomposition(maps).passed
 
     def test_operator_rows(self):
         maps = default_selfmap_corpus(2, seed=0)

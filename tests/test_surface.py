@@ -6,8 +6,9 @@ cycle, and a call-time import hides a dependency), on a public function,
 class or method that nothing in src/, tests/ or bench/ refers to, on a
 name the package's top level exports beside its submodules (a re-export list
 would let every name count as referred to), on `holo` or `polydisk`
-importing from an estimator module, on a module constant that
-nothing reads, or on a defaulted parameter of a public
+importing from an estimator module, on a module other than `polydisk`,
+`reports` and `mapspec` referring to the [re, im] codec, on a module constant
+that nothing reads, or on a defaulted parameter of a public
 function that no call there passes: such an option is fixed by construction
 and belongs in the code as a constant.  The defaulted fields of a public
 @dataclass count as parameters of the class call.  Calls and references are
@@ -327,3 +328,16 @@ def test_benchmark_tracer_installs_and_restores():
     assert after.keys() == before.keys()
     moved = sorted(str(key) for key, value in before.items() if after[key] is not value)
     assert not moved, "left patched: " + ", ".join(moved)
+
+
+# the [re, im] codec: polydisk defines it, reports encodes records with it
+# and mapspec writes specs with it; every other module goes through them
+CODEC = {"complex_pair", "complex_pairs"}
+CODEC_USERS = ("polydisk.py", "reports.py", "mapspec.py")
+
+
+def test_only_the_serialization_layers_use_the_codec():
+    users = sorted(name for name, tree in _modules().items()
+                   if CODEC & {*_referenced_names(tree), *_imported_names(tree)})
+    stray = [name for name in users if name not in CODEC_USERS]
+    assert not stray, "modules that use the [re, im] codec directly: " + ", ".join(stray)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from blochlab.holo import EvaluationDomainError, rising_factorial_coeffs
+from blochlab.mapspec import dump_function
 from blochlab.norms import bloch_density_fn, bloch_norm_estimate, little_bloch_gap
 from blochlab.sampling import SamplingPlan
 from blochlab.testfuncs import (
@@ -310,7 +311,7 @@ class TestLocalDecay:
 class TestSerialization:
     def test_json_round_trip_fields(self):
         t = TestFunction("h", 1, 0.25 - 0.5j, 2.0, 2)
-        d = t.to_json()
+        d = dump_function(t)["function"]
         again = TestFunction(d["family"], d["l"], complex(*d["w"]), d["p"], 2)
         z = [0.2, 0.4j]
         assert again.value(z) == pytest.approx(t.value(z), rel=1e-14)
