@@ -45,7 +45,16 @@ class _Positive(click.FloatRange):
         return value if math.isfinite(value) else self.fail(f"{value} is not finite.", param, ctx)
 
 
+class _OutPath(click.Path):
+    """A path to write to; an empty one is refused, since nothing could be written there."""
+
+    def convert(self, value, param, ctx):
+        return super().convert(value, param, ctx) if value else self.fail(
+            "an output path must not be empty.", param, ctx)
+
+
 POSITIVE = _Positive(min=0.0, min_open=True)
+OUT_PATH = _OutPath()
 NATURAL = click.IntRange(min=0)
 COUNT = click.IntRange(min=1)
 
@@ -120,10 +129,10 @@ def main():
 @click.option("--p", "ps", type=POSITIVE, multiple=True, default=(1.0,), show_default=True)
 @click.option("--kind", type=click.Choice(["bloch", "lipschitz", "both"]),
               default="bloch", show_default=True)
-@click.option("--emit-spec", type=click.Path(), default=None,
+@click.option("--emit-spec", type=OUT_PATH, default=None,
               help="Also write the function as a map-specification JSON.")
-@click.option("--out-json", type=click.Path(), default=None)
-@click.option("--out-csv", type=click.Path(), default=None)
+@click.option("--out-json", type=OUT_PATH, default=None)
+@click.option("--out-csv", type=OUT_PATH, default=None)
 @_plan_options
 def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec, out_json, out_csv, plan):
     """Estimate Bloch / Lipschitz norms of a function."""
@@ -168,8 +177,8 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec, out_json, 
 @click.option("--theorems", type=str, default="bounded,compact", show_default=True,
               help="Comma list from: " + ", ".join(THEOREMS) + ".  little-bloch gives the "
                    "bounded verdict: every certified component lies in the little space.")
-@click.option("--out-json", type=click.Path(), default=None)
-@click.option("--out-csv", type=click.Path(), default=None)
+@click.option("--out-json", type=OUT_PATH, default=None)
+@click.option("--out-csv", type=OUT_PATH, default=None)
 @_plan_options
 def classify_cmd(spec, ps, qs, theorems, out_json, out_csv, plan):
     """Run boundedness/compactness detectors for a self-map."""
@@ -218,8 +227,8 @@ def classify_cmd(spec, ps, qs, theorems, out_json, out_csv, plan):
 @click.option("--dimension", type=COUNT, default=2, show_default=True)
 @click.option("--band-count", type=COUNT, default=10, show_default=True,
               help="Polynomial corpus size for the norm-ratio band suite.")
-@click.option("--out-json", type=click.Path(), default=None)
-@click.option("--out-csv", type=click.Path(), default=None)
+@click.option("--out-json", type=OUT_PATH, default=None)
+@click.option("--out-csv", type=OUT_PATH, default=None)
 @_plan_options
 def verify_lemmas(dimension, band_count, out_json, out_csv, plan):
     """Run every invariant suite; nonzero exit on any failure."""
@@ -242,7 +251,7 @@ def verify_lemmas(dimension, band_count, out_json, out_csv, plan):
 @click.option("--p", type=POSITIVE, default=1.0, show_default=True)
 @click.option("--derivative-count", type=COUNT, default=1000, show_default=True)
 @click.option("--sup-count", type=COUNT, default=20_000, show_default=True)
-@click.option("--out-json", type=click.Path(), default=None)
+@click.option("--out-json", type=OUT_PATH, default=None)
 @_plan_options
 def oracle_cmd(dimension, p, derivative_count, sup_count, out_json, plan):
     """Independent finite-difference / uniform-grid recomputation."""
@@ -268,8 +277,8 @@ def oracle_cmd(dimension, p, derivative_count, sup_count, out_json, plan):
               show_default=True)
 @click.option("--q", "qs", type=POSITIVE, multiple=True, default=(0.3, 0.5, 0.7),
               show_default=True)
-@click.option("--out-csv", type=click.Path(), required=True)
-@click.option("--out-json", type=click.Path(), default=None)
+@click.option("--out-csv", type=OUT_PATH, required=True)
+@click.option("--out-json", type=OUT_PATH, default=None)
 @_plan_options
 def sweep(spec, dimension, ps, qs, out_csv, out_json, plan):
     """Tabulate verdicts and suprema over a (p, q) grid and a map corpus.

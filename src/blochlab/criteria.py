@@ -25,6 +25,15 @@ share one (all paths in mode 'image', the paths of one axis in mode
 'coordinate'), evaluates and measures the merged points in one call each, and
 splits the results by path.  Coordinate-mode measures evaluate phi_axis alone.
 
+Boundary paths depend on the map, the mode, the axis and the seed, never on
+(p, q), so `classify` keeps the paths of one map: the last map it asked paths
+for, held strongly and compared by identity, beside a dict from
+(mode, axis, seed) to the list `make_boundary_paths` returned (an empty list
+is a kept answer).  A sweep over a (p, q) grid thus builds each map's paths
+once.  Classifying another map frees the kept paths before it builds any.
+Kept paths are shared by the reports of every cell, so their `points` and
+`approach` arrays are read-only.  `make_boundary_paths` itself keeps nothing.
+
 Rule names used in reports:
   sup-density-plateau      boundedness via a plateauing supremum trace
   image-boundary-decay     global density decay along image-to-boundary paths
@@ -241,6 +250,28 @@ def _ray_pool(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     diag = np.repeat(np.exp(1j * alpha)[:, None], dim, axis=1)
     rand = np.exp(2j * np.pi * rng.random((pool, dim)))
     return np.concatenate([diag, rand], axis=0)
+
+
+# The one map whose boundary paths are kept, as (phi, {(mode, axis, seed): paths}),
+# or None: the last map `classify` asked paths for.
+_kept_paths = None
+
+
+def _boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None, seed: int):
+    """make_boundary_paths(phi, mode, axis, seed=seed), built only when the
+    kept paths of phi lack it; the module docstring describes the slot."""
+    global _kept_paths
+    if _kept_paths is None or _kept_paths[0] is not phi:
+        _kept_paths = (phi, {})  # frees another map's paths before the build
+    kept = _kept_paths[1]
+    key = (mode, axis, seed)
+    if key not in kept:
+        paths = make_boundary_paths(phi, mode, axis=axis, seed=seed)
+        for path in paths:
+            path.points.flags.writeable = False
+            path.approach.flags.writeable = False
+        kept[key] = paths
+    return kept[key]
 
 
 def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
@@ -533,6 +564,10 @@ def classify(phi: HoloSelfMap, p: float, q: float,
     For p < 1 <= q a profile verdict is wrapped as the exponent gap: it holds
     unless the profile fails, which makes it inconclusive.  A decay verdict
     that holds while boundedness is inconclusive becomes inconclusive.
+
+    Paths an earlier call built for the same map object, mode, axis and seed
+    are reused (see the module docstring), so a report's profile points are
+    read-only arrays that the reports of other cells may share.
     """
     require_certified(phi)
     if not (p > 0 and q > 0):
@@ -546,12 +581,11 @@ def classify(phi: HoloSelfMap, p: float, q: float,
                                         detail={"reason": "criterion supremum diverges; an "
                                                           "unbounded operator cannot be compact"})
     elif p >= 1.0:
-        paths = make_boundary_paths(phi, "image", seed=plan.seed)
+        paths = _boundary_paths(phi, "image", None, plan.seed)
         profiles, compact = compactness_profile(phi, p, q, paths, "image")
     else:
         paths = [path for axis in range(phi.dim)
-                 for path in make_boundary_paths(phi, "coordinate", axis=axis,
-                                                 seed=plan.seed + axis)]
+                 for path in _boundary_paths(phi, "coordinate", axis, plan.seed + axis)]
         profiles, compact = compactness_profile(phi, p, q, paths, "coordinate")
         if q >= 1.0 and compact.rule != "small-components":
             if compact.verdict == "fails":

@@ -1,6 +1,8 @@
 """Operator detectors: densities, boundedness, paths, compactness, classification."""
 
+import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -450,6 +452,96 @@ class TestClassify:
         report = classify(halving_map(1), 1.0, 1.0, PLAN)
         blob = json.dumps(report.to_json())
         assert "schema_version" in blob
+
+
+GRID = (0.5, 1.0, 2.0)
+
+
+def classify_json(cells, monkeypatch, reset):
+    """classify(phi, p, q, plan) of each cell as sorted JSON, in order; with
+    reset, no kept paths survive from one cell to the next."""
+    out = []
+    for phi, p, q, plan in cells:
+        if reset:
+            monkeypatch.setattr(criteria, "_kept_paths", None)
+        out.append(json.dumps(classify(phi, p, q, plan).to_json(), sort_keys=True))
+    return out
+
+
+def counted_builds(monkeypatch):
+    """Record the (mode, axis, seed) of every make_boundary_paths build."""
+    builds = []
+    build = criteria.make_boundary_paths
+
+    def counted(phi, mode, axis=None, count=None, seed=0):
+        builds.append((mode, axis, seed))
+        return build(phi, mode, axis, count, seed)
+
+    monkeypatch.setattr(criteria, "make_boundary_paths", counted)
+    return builds
+
+
+class TestKeptPaths:
+    """classify keeps the boundary paths of the last map it asked them for."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_reports_equal_those_built_afresh(self, dim, monkeypatch):
+        cells = [(phi, p, q, SamplingPlan(seed=seed)) for seed in (0, 1)
+                 for _, phi in default_selfmap_corpus(dim, seed=seed)
+                 for p in GRID for q in GRID]
+        assert classify_json(cells, monkeypatch, reset=False) == \
+            classify_json(cells, monkeypatch, reset=True)
+
+    def test_revisited_map_equals_built_afresh(self, monkeypatch):
+        # A, B, A in every cell and seed: B frees A's paths, which A then
+        # rebuilds, and the next seed asks A for other paths
+        a, b = identity_map(2), moebius_automorphism([0.3, -0.2j], [0.5, 1.0])
+        cells = [(phi, p, q, SamplingPlan(seed=seed)) for p in GRID for q in GRID
+                 for seed in (0, 1) for phi in (a, b, a)]
+        monkeypatch.setattr(criteria, "_kept_paths", None)
+        assert classify_json(cells, monkeypatch, reset=False) == \
+            classify_json(cells, monkeypatch, reset=True)
+
+    def test_sweep_builds_each_path_set_once(self, monkeypatch):
+        corpus = default_selfmap_corpus(2)
+        builds = counted_builds(monkeypatch)
+        for _, phi in corpus:
+            for p in GRID:
+                for q in GRID:
+                    classify(phi, p, q, PLAN)
+        assert len(builds) == 15
+        builds.clear()
+        classify_json([(phi, p, q, PLAN) for _, phi in corpus for p in GRID for q in GRID],
+                      monkeypatch, reset=True)
+        assert len(builds) == 48
+
+    def test_empty_path_list_is_kept(self, monkeypatch):
+        phi = halving_map(2)
+        builds = counted_builds(monkeypatch)
+        for p in GRID:
+            for q in GRID:
+                assert classify(phi, p, q, PLAN).compact.rule == "small-components"
+        seed = PLAN.seed
+        assert sorted(builds, key=str) == [("coordinate", 0, seed), ("coordinate", 1, seed + 1),
+                                           ("image", None, seed)]
+        assert criteria._kept_paths[1][("image", None, seed)] == []
+
+    def test_next_map_frees_the_kept_map(self):
+        a, b = identity_map(1), halving_map(1)
+        classify(a, 1.0, 1.0, PLAN)
+        ref = weakref.ref(a)
+        del a
+        assert ref() is not None  # held strongly, so its id cannot be reused
+        classify(b, 1.0, 1.0, PLAN)
+        assert ref() is None
+
+    def test_kept_arrays_are_read_only(self):
+        report = classify(identity_map(2), 1.0, 1.0, PLAN)
+        kept = criteria._kept_paths[1][("image", None, PLAN.seed)]
+        assert kept and report.profiles[0].path.points is kept[0].points
+        for array in (kept[0].points, kept[0].approach):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
 
 
 class TestSteepContact:

@@ -396,6 +396,33 @@ class TestCLI:
         assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["norm", "--testfn", "g", "--out-json", ""],
+        ["norm", "--testfn", "g", "--out-csv", ""],
+        ["norm", "--testfn", "g", "--emit-spec", ""],
+        ["classify", "--spec", "SPEC", "--out-json", ""],
+        ["classify", "--spec", "SPEC", "--out-csv", ""],
+        ["verify-lemmas", "--out-json", ""],
+        ["verify-lemmas", "--out-csv", ""],
+        ["oracle", "--out-json", ""],
+        ["sweep", "--dimension", "1", "--p", "1", "--q", "1", "--out-csv", ""],
+        ["sweep", "--dimension", "1", "--p", "1", "--q", "1", "--out-csv", "OUT",
+         "--out-json", ""],
+    ], ids=lambda args: " ".join(a or '""' for a in args))
+    def test_empty_output_path_is_one_error_line_exit_2(self, tmp_path, args):
+        # an empty path would write nothing, so it is refused before any work
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps(HALVING_1))
+        out = tmp_path / "sweep.csv"
+        args = [{"SPEC": str(spec), "OUT": str(out)}.get(a, a) for a in args]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "an output path must not be empty" in errors[0]
+        assert "written" not in res.output
+        assert not out.exists()
+
     def test_sweep_writes_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         res = self.run("sweep", "--dimension", "1", "--p", "0.5", "--q", "0.5",
