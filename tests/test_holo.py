@@ -4,12 +4,14 @@
 HORNER_BLOCK points; `loop_series_val` below is the per-term loop it
 replaces, kept as the reference.  `Series.substitute` builds its result in one
 pass; `add_substitute` below is the term-by-term `add` it replaces, kept as
-the reference.  `abs_val` is checked against np.abs(val).
+the reference.  `abs_val` is checked against np.abs(val).  A kernel's
+non-integer power is checked against mpmath's principal power.
 """
 
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,53 @@ class TestAbsVal:
             assert not raises_domain_error(f.abs_val, far)
 
 
+def kernel_points(w, count=400, seed=0):
+    """Points of the closed disk: interior, the unit circle, and a cluster on
+    the circle around w/|w|, where |1 - conj(w) z| is smallest."""
+    rng = np.random.default_rng(seed)
+    peak = np.angle(w) + np.linspace(-0.05, 0.05, count)
+    z = np.concatenate([np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count)),
+                        np.exp(2j * np.pi * rng.random(count)), np.exp(1j * peak), [0.0]])
+    return z[:, None]
+
+
+class TestKernelPower:
+    """`ScaledKernel.val` takes a non-integer power in polar form and an
+    integer one as numpy's den ** -e.  The references take the power of the
+    same rounded den = 1 - conj(w) z, so they check the power alone; near
+    w/|w| at |w| = 0.99 den itself loses about two digits to cancellation."""
+
+    SCALE = 0.7 - 0.2j
+
+    @pytest.mark.parametrize("exponent", [0.3, 0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("modulus", [0.0, 0.6, 0.99])
+    def test_non_integer_is_the_principal_power(self, exponent, modulus):
+        w = modulus * np.exp(0.7j)
+        Z = kernel_points(w)
+        den = 1.0 - np.conj(w) * Z[:, 0]
+        with mpmath.workdps(40):
+            ref = np.array([complex(mpmath.mpc(self.SCALE)
+                                    * mpmath.power(mpmath.mpc(d.real, d.imag), -exponent))
+                            for d in den])
+        got = ScaledKernel(1, 0, w, exponent, self.SCALE).val(Z)
+        assert float(np.max(np.abs(got - ref) / np.abs(ref))) <= 2e-15
+
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("modulus", [0.0, 0.6, 0.99])
+    def test_integer_is_numpy_power(self, exponent, modulus):
+        w = modulus * np.exp(0.7j)
+        Z = kernel_points(w)
+        den = 1.0 - np.conj(w) * Z[:, 0]
+        got = ScaledKernel(1, 0, w, exponent, self.SCALE).val(Z)
+        assert np.array_equal(got, self.SCALE * den ** -exponent)
+
+    @pytest.mark.parametrize("exponent", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_zero_parameter_returns_the_scale(self, exponent):
+        got = ScaledKernel(2, 1, 0.0, exponent, self.SCALE).val(
+            disk_points(np.random.default_rng(8), (300,), 2))
+        assert np.all(got == self.SCALE)
+
+
 class TestPartial:
     def test_power_rule(self):
         f = Series({(2, 0): 1.0}, 2)
@@ -479,8 +528,45 @@ class TestCertification:
         assert phi.certificate.brackets == ((0.25, 0.25), (0.25, 0.75))
 
     def test_testfn_component_unverified(self):
+        # (1 - 0.25) / (1 - 0.5 z) peaks at z = 1 with modulus 1.5
         phi = HoloSelfMap([TestFunction("g", 0, 0.5, 1.0, 1)])
-        assert phi.certificate.brackets == ((0.0, np.inf),)
+        assert phi.certificate.brackets == ((1.5, 1.5),)
+        assert not phi.certificate.is_certified()
+
+    @pytest.mark.parametrize("family", ["f", "g", "h"])
+    @pytest.mark.parametrize("w", [0.0, 0.5, 0.6 - 0.3j, 0.9j, -0.95, 0.99])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_testfn_bracket_is_the_torus_sup(self, family, w, p):
+        t = TestFunction(family, 1, w, p, 2)
+        lo, hi = t.sup_bracket()
+        assert lo == hi
+        if not (family == "g" and w == 0):  # the constant 1, see below
+            assert HoloSelfMap([t, Series.coordinate(1, 2)]).certificate.brackets[0] == (lo, hi)
+        # z_1 on a dense circle plus the peak direction w/|w|, z_0 at 1 (the
+        # peak of 'h') and two other angles
+        angles = np.concatenate([np.linspace(-np.pi, np.pi, 1 << 14, endpoint=False),
+                                 np.angle(w) + np.array([0.0, 1e-7, -1e-7])])
+        Z = np.stack(np.broadcast_arrays(np.exp(1j * np.array([0.0, 0.5, np.pi]))[:, None],
+                                         np.exp(1j * angles)[None, :]), axis=-1)
+        sampled = float(np.max(t.abs_val(Z)))
+        # a sampled value carries the rounding of its evaluation, about
+        # 1e-15 relative near |w| = 0.99; no boundary point is above hi beyond it
+        assert sampled <= hi * (1.0 + 1e-13)
+        assert hi <= sampled * (1.0 + 1e-9)
+
+    def test_antiderivative_at_origin_certifies(self):
+        # the family-'f' member at w = 0 is z_0 itself
+        phi = HoloSelfMap([TestFunction("f", 0, 0.0, 1.0, 2), Series.coordinate(1, 2)])
+        assert phi.certificate.brackets == ((1.0, 1.0), (1.0, 1.0))
+        assert phi.certificate.is_certified()
+
+    @pytest.mark.parametrize("comp", [TestFunction("g", 0, 0.0, 0.5, 2),
+                                      ScaledKernel(2, 0, 0.0, 1.5)],
+                             ids=["testfn-g", "kernel"])
+    def test_kernel_at_zero_parameter_is_constant(self, comp):
+        # 1 / (1 - 0 z)^p is the constant 1; its partial has scale 0
+        phi = HoloSelfMap([comp, Series.coordinate(1, 2)])
+        assert phi.certificate.brackets[0] == (1.0, np.inf)
         assert not phi.certificate.is_certified()
 
     def test_composition_takes_its_outer_bound(self):
@@ -505,7 +591,9 @@ class TestCertification:
         line = Series({(1,): 0.5}, 1)
         assert HoloSelfMap([Sum([kernel, line])]).certificate.brackets == ((0.0, 0.9),)
         assert HoloSelfMap([Product(kernel, line)]).certificate.brackets == ((0.0, 0.2),)
-        escape = HoloSelfMap([Product(kernel, TestFunction("g", 0, 0.5, 1.0, 1))])
+        assert HoloSelfMap([Product(kernel, TestFunction("g", 0, 0.5, 1.0, 1))]
+                           ).certificate.brackets == ((0.0, 0.6000000000000001),)
+        escape = HoloSelfMap([Product(kernel, Series({(1,): 2.0}, 1))])
         assert escape.certificate.brackets == ((0.0, np.inf),)
 
     @pytest.mark.parametrize("comp", [Const(1, 2), Const(-1j, 2), Series({(0, 0): 1}, 2)],

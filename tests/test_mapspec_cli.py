@@ -251,6 +251,18 @@ class TestCLI:
         assert "Traceback" not in res.output
         assert not out.exists()
 
+    def test_classify_refuses_testfn_beyond_the_disk(self, tmp_path):
+        # (1 - 0.25) / (1 - 0.5 z_0) reaches modulus 1.5 at z_0 = 1
+        spec = tmp_path / "kernel.json"
+        spec.write_text(json.dumps({"dimension": 2, "components": [
+            {"type": "testfn", "family": "g", "l": 0, "w": [0.5, 0], "p": 1.0},
+            {"type": "series", "terms": [{"exponents": [0, 1], "coeff": [1, 0]}]}]}))
+        res = CliRunner().invoke(main, ["classify", "--spec", str(spec)])
+        assert res.exit_code == 2
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "|phi_0| lies in [1.5, 1.5]" in res.stderr
+        assert "Traceback" not in res.output
+
     def test_classify_refuses_non_self_map(self, tmp_path):
         # 1.02 ((1+z_1)/2)^40 ((1+z_2)/2)^40 equals 1.02 at (1, 1)
         steep = Series({(0, 0): 0.5, (1, 0): 0.5}, 2).pow(40).mul(

@@ -12,9 +12,12 @@ from blochlab import norms, sampling, suites
 from blochlab.corpus import default_function_corpus, default_selfmap_corpus, polynomial_corpus
 from blochlab.criteria import coordinate_density_fn
 from blochlab.holo import HoloFunction, Series
+from blochlab.norms import timoney_q_fn
 from blochlab.oracle import (
+    Q_DIRECTIONS,
     antiderivative_results,
     derivative_results,
+    direct_q_seminorm,
     fd_gradient,
     q_seminorm_results,
     relative_discrepancy,
@@ -22,6 +25,7 @@ from blochlab.oracle import (
     sup_results,
     uniform_points,
 )
+from blochlab.polydisk import one_minus_sq
 from blochlab.sampling import SamplingPlan
 from blochlab.testfuncs import TestFunction
 
@@ -43,6 +47,18 @@ class BrokenDerivative(HoloFunction):
 
     def partial(self, axis):
         return Series({(1,): 3.0}, 1)
+
+
+def einsum_q_seminorm(f, Z, seed):
+    """The direct Q seminorm as it was first written, with einsum contractions."""
+    rng = np.random.default_rng(seed)
+    dim = Z.shape[-1]
+    U = rng.normal(size=(Q_DIRECTIONS, dim)) + 1j * rng.normal(size=(Q_DIRECTIONS, dim))
+    G = fd_gradient(f, Z)
+    w2 = one_minus_sq(np.abs(Z)) ** 2
+    num = np.abs(np.einsum("nd,md->nm", G, U))
+    den = np.sqrt(np.einsum("nd,md->nm", 1.0 / w2, np.abs(U) ** 2))
+    return np.max(num / den, axis=1)
 
 
 class TestOracle:
@@ -89,6 +105,34 @@ class TestOracle:
                           derivative_count=200, sup_count=3_000)
         assert rows
         assert all(not r.breach for r in rows)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_direct_q_seminorm_matches_einsum(self, dim):
+        for i, f in enumerate(default_function_corpus(dim)):
+            Z = uniform_points(dim, 200, i, rmax=0.8)
+            got = direct_q_seminorm(f, Z, seed=i)
+            ref = einsum_q_seminorm(f, Z, seed=i)
+            assert np.all(np.abs(got - ref) <= 1e-13 * ref), f
+            closed = timoney_q_fn(f)(Z)
+            if dim == 1:
+                # one direction is every direction: the direct value is the
+                # closed form up to the finite-difference error of the gradient
+                assert np.all(np.abs(got - closed) <= 1e-9 * np.max(closed)), f
+            else:
+                assert np.all(got <= closed * (1.0 + 1e-12)), f
+
+    @pytest.mark.parametrize("dim, seed, allowed", [
+        (1, 0, {"sup:1", "sup:12"}),
+        (1, 1, {"sup:2", "sup:12"}),
+        (2, 0, {"sup:13", "sup:15", "sup:18", "sup:20", "sup:25", "sup:35", "sup:67"}),
+        (2, 1, {"sup:5", "sup:6", "sup:18", "sup:20", "sup:62"}),
+    ])
+    def test_default_corpus_breaches_stay_within_known_set(self, dim, seed, allowed):
+        # the sup rows where the primary estimator still undershoots the plain
+        # grid; the set may shrink, but no new row may breach
+        rows = run_oracle(default_function_corpus(dim, seed=seed), seed=seed)
+        breached = {":".join(r.quantity.split(":")[:2]) for r in rows if r.breach}
+        assert breached <= allowed
 
     def test_relative_discrepancy_definition(self):
         assert relative_discrepancy(2.0, 1.0) == pytest.approx(0.5)
