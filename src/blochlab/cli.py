@@ -20,9 +20,9 @@ from . import corpus as corpus_mod
 from . import mapspec, reports
 from .criteria import (
     UncertifiedMapError,
+    boundedness_check,
     classify as classify_map,
     lip1_boundedness_check,
-    little_bloch_operator_check,
     little_bloch_verdict,
     operator_norm_lower_bound,
     require_certified,
@@ -138,6 +138,8 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec, out_json, 
     """Estimate Bloch / Lipschitz norms of a function."""
     if (spec is None) == (testfn is None):
         raise click.UsageError("provide exactly one of --spec or --testfn")
+    if kind != "bloch" and max(ps) > 1:
+        raise click.UsageError(f"the Lipschitz exponent must lie in (0, 1], got {max(ps)}")
     if spec is not None:
         f = mapspec.load_function(spec)
     else:
@@ -157,8 +159,6 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec, out_json, 
                                 ("lipschitz", lipschitz_norm_estimate)):
             if kind not in (label, "both"):
                 continue
-            if label == "lipschitz" and not 0 < p <= 1:
-                raise click.UsageError("the Lipschitz exponent must lie in (0, 1]")
             est = estimate(f, p, plan)
             entry[label] = est.to_json()
             click.echo(f"p={p}: {label} norm >= {est.value:.12g} "
@@ -183,6 +183,8 @@ def norm(spec, testfn, tf_axis, tf_w, dimension, ps, kind, emit_spec, out_json, 
 def classify_cmd(spec, ps, qs, theorems, out_json, out_csv, plan):
     """Run boundedness/compactness detectors for a self-map."""
     selected = {t.strip() for t in theorems.split(",") if t.strip()}
+    if not selected:
+        raise click.UsageError(f"no theorem named; choose from {', '.join(THEOREMS)}")
     unknown = selected.difference(THEOREMS)
     if unknown:
         raise click.UsageError(f"unknown theorem name(s) {', '.join(sorted(unknown))}; "
@@ -206,8 +208,8 @@ def classify_cmd(spec, ps, qs, theorems, out_json, out_csv, plan):
             rows.extend(report.csv_rows())
         if "little-bloch" in selected:
             # a report already holds the one criterion estimate the verdict needs
-            v = (little_bloch_operator_check(phi, p, q, plan) if report is None
-                 else little_bloch_verdict(report.bounded, report.sup_estimate))
+            v = little_bloch_verdict(*(boundedness_check(phi, p, q, plan) if report is None
+                                       else (report.bounded, report.sup_estimate)))
             entry["little_bloch"] = v.to_json()
             click.echo(f"(p={p}, q={q}) little-space: {v.verdict} [{v.rule}]")
         if "lip1" in selected:

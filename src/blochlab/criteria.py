@@ -14,11 +14,11 @@ and serializes through `reports.record_json`.  Detectors refuse a map whose
 self-map certificate fails, naming its first refused component.
 
 The densities have batched evaluators only, mapping points (..., n) to
-values (...): `criterion_density_fn` sums the rows `coordinate_density_fn`,
-and row l is the q-Bloch density of phi_l (`norms.weighted_density_fn`) over
-(1 - |phi_l|^2)^p.  The rows share the per-axis weights (1 - |z_k|^2)^q,
-computed once per call.  A row is +inf where |phi_l| >= 1 and its numerator
-is nonzero (a numerical escape from the polydisk).
+values (...): `criterion_density_fn` sums the rows `coordinate_density_fn`.
+Row l is the `norms.weighted_partial_sum` kernel over phi_l's partials (its
+q-Bloch density), with the weights (1 - |z_k|^2)^q computed once per call for
+every row, over (1 - |phi_l|^2)^p; it is +inf where |phi_l| >= 1 and its
+numerator is nonzero (a numerical escape from the polydisk).
 
 A compactness profile evaluates each density once: it merges the paths that
 share one (all paths in mode 'image', the paths of one axis in mode
@@ -53,7 +53,7 @@ import numpy as np
 
 from .holo import SELF_MAP_CEILING, HoloSelfMap, compose, is_constant
 from .norms import (bloch_norm_estimate, column_weights, lipschitz_norm_estimate,
-                    weighted_density_fn)
+                    nonzero_partials, partial_moduli, weighted_partial_sum)
 from .polydisk import one_minus_sq
 from .reports import SCHEMA_VERSION, format_point, record_json
 from .sampling import PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum
@@ -112,13 +112,14 @@ def _density_rows(phi: HoloSelfMap, p: float, q: float, axes):
     """Batched sum of the criterion-density rows l in axes.  Each call
     computes the weights (1 - |z_k|^2)^q once and shares them across rows."""
     comps = [phi.components[l] for l in axes]
-    numerators = [weighted_density_fn(comp, q) for comp in comps]
-    columns = sorted({k for cols, _ in numerators for k in cols})
+    rows = [nonzero_partials(comp) for comp in comps]
+    columns = {k for parts in rows for k in parts}
 
     def density(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
         weights = column_weights(Z, q, columns)
-        nums = [numerator(Z, weights) for _, numerator in numerators]
+        nums = [weighted_partial_sum(partial_moduli(parts, Z), weights.get, Z.shape[:-1])
+                for parts in rows]
         del weights  # before the denominators, whose temporaries peak in memory
         out = None
         for comp in comps:
@@ -463,12 +464,14 @@ def lip1_boundedness_check(phi: HoloSelfMap, plan: SamplingPlan = SamplingPlan()
                    detail={"component_norms": values, "converged": converged})
 
 
-def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
-                                plan: SamplingPlan = SamplingPlan()) -> Verdict:
-    """Little-space detector: C_phi maps the little p-Bloch space into the
-    little q-Bloch space when (a) every component phi_l lies in the little
-    q-Bloch space and (b) the (p, q) criterion supremum is finite.  Only (b) is
-    measured: the verdict is `boundedness_check`'s.
+def little_bloch_verdict(bounded: Verdict, est: NormEstimate) -> Verdict:
+    """Little-space verdict from a boundedness verdict and its estimate, as
+    `boundedness_check` returns them (or a `CriterionReport` records them).
+
+    C_phi maps the little p-Bloch space into the little q-Bloch space when
+    (a) every component phi_l lies in the little q-Bloch space and (b) the
+    (p, q) criterion supremum is finite.  Only (b) is measured: the verdict
+    is the boundedness verdict.
 
     (a) is a theorem for every certified map.  Each component this library can
     certify is holomorphic on a neighbourhood of the closed polydisk: a Series
@@ -476,19 +479,12 @@ def little_bloch_operator_check(phi: HoloSelfMap, p: float, q: float,
     ScaledKernel only at 1/conj(w), with |a|, |w| < 1, a Sum or Product of such
     functions is again one, and a certified Composition puts such an outer
     function after such inners, which the certificate bounds by 1 on the
-    closed polydisk.  A
-    function holomorphic there is the q-Bloch limit of its Taylor polynomials
-    for every q > 0, so it lies in the little q-Bloch space.  The components
-    decide every power phi^gamma: d_k phi^gamma = sum_l gamma_l
-    phi^{gamma - e_l} d_k phi_l with |phi^{gamma - e_l}| < 1, so the q-density
-    of phi^gamma is at most sum_l gamma_l times that of phi_l.
+    closed polydisk.  A function holomorphic there is the q-Bloch limit of its
+    Taylor polynomials for every q > 0, so it lies in the little q-Bloch
+    space.  The components decide every power phi^gamma: d_k phi^gamma =
+    sum_l gamma_l phi^{gamma - e_l} d_k phi_l with |phi^{gamma - e_l}| < 1, so
+    the q-density of phi^gamma is at most sum_l gamma_l times that of phi_l.
     """
-    return little_bloch_verdict(*boundedness_check(phi, p, q, plan))
-
-
-def little_bloch_verdict(bounded: Verdict, est: NormEstimate) -> Verdict:
-    """The little-space verdict from a boundedness verdict and its estimate,
-    as `boundedness_check` returns them (or a `CriterionReport` records them)."""
     return Verdict(bounded.verdict, "holomorphic-components", margin=bounded.margin,
                    detail={"bounded": bounded.to_json(), "sup": est.sup})
 

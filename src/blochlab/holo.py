@@ -598,7 +598,7 @@ def _sup_bracket(f: HoloFunction) -> tuple[float, float]:
     """(lo, hi) around sup over U^n of |f|; hi is inf where no bound is implemented.
 
     A finite hi is given only to functions holomorphic on a neighbourhood of
-    the closed polydisk: `criteria.little_bloch_operator_check` relies on it."""
+    the closed polydisk: `criteria.little_bloch_verdict` relies on it."""
     if isinstance(f, Const):
         return abs(f.c), abs(f.c)
     if isinstance(f, MoebiusFactor):

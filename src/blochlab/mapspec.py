@@ -29,6 +29,7 @@ from .holo import (
     HoloSelfMap,
     MoebiusFactor,
     Series,
+    compose,
     compose_map,
 )
 from .polydisk import complex_pair
@@ -168,11 +169,26 @@ def load_function(spec) -> HoloFunction:
     """Read a single-function spec (the "function" key, or a one-component map)."""
     data, dim = _read(spec)
     if "function" in data:
-        return _load_component(data["function"], dim, "function")
-    comps = data.get("components", [])
-    if isinstance(comps, list) and len(comps) == 1:
-        return _load_component(comps[0], dim, "components[0]")
-    raise SpecError("a function spec needs a 'function' entry or exactly one component")
+        f = _load_component(data["function"], dim, "function")
+    else:
+        comps = data.get("components", [])
+        if not (isinstance(comps, list) and len(comps) == 1):
+            raise SpecError("a function spec needs a 'function' entry or exactly one component")
+        f = _load_component(comps[0], dim, "components[0]")
+    return _composed(f, data, dim, "", compose)
+
+
+def _composed(outer, data: dict, dim: int, path: str, compose_fn):
+    """outer after the maps of the spec's "compose" list, applied right to left."""
+    subs = _field(data, "compose", path, [])
+    if not isinstance(subs, list):
+        raise SpecError(f"{_at(path, 'compose')}: expected a list of map specs, got {subs!r}")
+    for i, sub in enumerate(subs):
+        sub_path = f"{_at(path, 'compose')}[{i}]"
+        if _dimension(sub, sub_path, dim) != dim:
+            raise SpecError(f"{sub_path}.dimension: expected {dim}, the outer dimension")
+        outer = compose_fn(outer, _load_map(sub, dim, sub_path))
+    return outer
 
 
 def _load_map(data: dict, dim: int, path: str) -> HoloSelfMap:
@@ -182,16 +198,7 @@ def _load_map(data: dict, dim: int, path: str) -> HoloSelfMap:
         raise SpecError(f"{comps_path}: a map spec needs exactly {dim} components")
     phi = HoloSelfMap([_load_component(c, dim, f"{comps_path}[{i}]")
                        for i, c in enumerate(comps_raw)])
-
-    subs = _field(data, "compose", path, [])
-    if not isinstance(subs, list):
-        raise SpecError(f"{_at(path, 'compose')}: expected a list of map specs, got {subs!r}")
-    for i, sub in enumerate(subs):
-        sub_path = f"{_at(path, 'compose')}[{i}]"
-        if _dimension(sub, sub_path, dim) != dim:
-            raise SpecError(f"{sub_path}.dimension: expected {dim}, the outer dimension")
-        phi = compose_map(phi, _load_map(sub, dim, sub_path))
-    return phi
+    return _composed(phi, data, dim, path, compose_map)
 
 
 def load_map(spec) -> HoloSelfMap:

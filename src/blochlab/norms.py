@@ -21,10 +21,14 @@ closed-form point-evaluation bound factors, and the measured distance from a
 test-family member to its degree-m Taylor polynomial T, as the norm of f plus
 T negated (exactly -T).
 
-The density evaluators work from moduli: they drop the structurally zero
-partials once, when built, and take |df/dz_k| from `HoloFunction.abs_val` (a
-real power for a kernel partial) times the weight of column k alone, which
-`weighted_density_fn` lets callers share across functions at one point set.
+Every density here and in `criteria` sums through one kernel,
+`weighted_partial_sum`: the moduli |df/dz_k| of the partials that are not
+structurally zero (dropped once, when built; a real power for a kernel
+partial) times the weight of axis k, accumulated in place.  The p-Bloch
+density weights by (1 - |z_k|^2)^p; the Q seminorm is the root of the kernel
+over squared moduli and weights.  The criterion rows share one dict of weights
+per call, and `bloch_norm_estimates` raises each grid weight to each exponent
+on use, so that it holds no more than one at a time.
 """
 
 from __future__ import annotations
@@ -53,22 +57,14 @@ def _check_p(p: float):
         raise ValueError(f"exponent p must be positive, got {p}")
 
 
-def _nonzero_partials(f: HoloFunction) -> list:
-    """(axis, partial) for the partials of f that are not structurally zero."""
-    return [(k, pk) for k, pk in enumerate(f.partials()) if not is_zero(pk)]
+def nonzero_partials(f: HoloFunction) -> dict:
+    """{axis: partial} for the partials of f that are not structurally zero."""
+    return {k: pk for k, pk in enumerate(f.partials()) if not is_zero(pk)}
 
 
-def _partial_moduli(parts: list, Z: np.ndarray) -> list:
-    """(|df/dz_k|, 1 - |z_k|^2) at Z for each nonzero partial, the factors of the
-    density that do not depend on the exponent."""
-    return [(pk.abs_val(Z), one_minus_sq(np.abs(Z[..., k]))) for k, pk in parts]
-
-
-def _weighted_density(moduli: list, p: float, shape) -> np.ndarray:
-    out = np.zeros(shape, dtype=float)
-    for modulus, weight in moduli:
-        out += modulus * weight ** p
-    return out
+def partial_moduli(parts: dict, Z: np.ndarray):
+    """(axis k, |df/dz_k| at Z) for each partial of parts, evaluated as iterated."""
+    return ((k, pk.abs_val(Z)) for k, pk in parts.items())
 
 
 def column_weights(Z: np.ndarray, p: float, columns) -> dict:
@@ -76,29 +72,24 @@ def column_weights(Z: np.ndarray, p: float, columns) -> dict:
     return {k: one_minus_sq(np.abs(Z[..., k])) ** p for k in columns}
 
 
-def weighted_density_fn(f: HoloFunction, p: float):
-    """(columns, density): density(Z, weights) is the p-Bloch density of f at
-    Z, given the weights = column_weights(Z, p, columns) of the axes of f's
-    nonzero partials, which may be shared with other functions."""
-    _check_p(p)
-    parts = _nonzero_partials(f)
-
-    def density(Z: np.ndarray, weights: dict) -> np.ndarray:
-        out = np.zeros(Z.shape[:-1], dtype=float)
-        for k, pk in parts:
-            out += pk.abs_val(Z) * weights[k]
-        return out
-
-    return [k for k, _ in parts], density
+def weighted_partial_sum(moduli, weight, shape) -> np.ndarray:
+    """sum_k m_k * weight(k) over the (axis k, modulus m_k) pairs of moduli, an
+    array of the given shape: the density kernel of this module and `criteria`."""
+    out = np.zeros(shape, dtype=float)
+    for k, modulus in moduli:
+        out += modulus * weight(k)
+    return out
 
 
 def bloch_density_fn(f: HoloFunction, p: float):
     """Batched evaluator of the p-Bloch density of f."""
-    columns, weighted = weighted_density_fn(f, p)
+    _check_p(p)
+    parts = nonzero_partials(f)
 
     def density(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        return weighted(Z, column_weights(Z, p, columns))
+        return weighted_partial_sum(partial_moduli(parts, Z), column_weights(Z, p, parts).get,
+                                    Z.shape[:-1])
 
     return density
 
@@ -134,11 +125,14 @@ def bloch_norm_estimates(f: HoloFunction, ps, plan: SamplingPlan = SamplingPlan(
     missing = {key: p for key, p in zip(keys, ps) if key not in memo}
     if missing:
         Z, _ = stratified_grid(f.dim, plan)
-        moduli = _partial_moduli(_nonzero_partials(f), Z)
+        parts = nonzero_partials(f)
+        moduli = list(partial_moduli(parts, Z))
+        gaps = {k: one_minus_sq(np.abs(Z[:, k])) for k in parts}
         base = abs(f.value(np.zeros(f.dim, dtype=complex)))
         for key, p in missing.items():
+            grid = weighted_partial_sum(moduli, lambda k: gaps[k] ** p, Z.shape[0])
             memo[key] = estimate_supremum(bloch_density_fn(f, p), f.dim, plan, base=base,
-                                          grid_values=_weighted_density(moduli, p, Z.shape[0]))
+                                          grid_values=grid)
     return [memo[key] for key in keys]
 
 
@@ -156,14 +150,13 @@ def timoney_q_fn(f: HoloFunction):
     sqrt(sum_k |df/dz_k|^2 (1-|z_k|^2)^2), with equality at u_k proportional
     to conj(df/dz_k) (1-|z_k|^2)^2.
     """
-    parts = _nonzero_partials(f)
+    parts = nonzero_partials(f)
 
     def q(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        acc = np.zeros(Z.shape[:-1], dtype=float)
-        for k, pk in parts:
-            acc += pk.abs_val(Z) ** 2 * one_minus_sq(np.abs(Z[..., k])) ** 2
-        return np.sqrt(acc)
+        squares = ((k, modulus ** 2) for k, modulus in partial_moduli(parts, Z))
+        return np.sqrt(weighted_partial_sum(squares, column_weights(Z, 2, parts).get,
+                                            Z.shape[:-1]))
 
     return q
 

@@ -1,0 +1,36 @@
+"""The benchmark's workloads, run in process: one pass of each fails nothing,
+and a second pass of oracle-d2 and sweep-d2 repeats the first exactly, so a
+kept-state fault (kept grid, kept paths, estimate memo) that changes a later
+pass's output shows here before the benchmark runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+class NoReference:
+    """A machine-speed reference that never samples."""
+
+    spent = 0.0
+
+    def maybe_sample(self):
+        pass
+
+
+@pytest.mark.parametrize("name, passes", [("lemmas-d3", 1), ("oracle-d2", 2), ("sweep-d2", 2)])
+def test_passes_fail_nothing_and_repeat(tmp_path, name, passes):
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.make_inputs(0)
+    results = [workload.run_pass(inputs, 0, workloads.OpClock(NoReference()), str(tmp_path))
+               for _ in range(passes)]
+    for result in results:
+        assert result.attempted > 0
+        assert result.failures == []
+    assert all(r.fingerprint == results[0].fingerprint for r in results[1:])

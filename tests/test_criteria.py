@@ -27,7 +27,7 @@ from blochlab.criteria import (
     coordinate_density_fn,
     criterion_density_fn,
     lip1_boundedness_check,
-    little_bloch_operator_check,
+    little_bloch_verdict,
     make_boundary_paths,
     operator_norm_lower_bound,
     weighted_jacobian_singular_values,
@@ -42,6 +42,7 @@ from blochlab.holo import (
     moebius_automorphism,
 )
 from blochlab.oracle import uniform_points
+from blochlab.polydisk import one_minus_sq
 from blochlab.sampling import SamplingPlan
 
 PLAN = SamplingPlan(seed=5)
@@ -94,6 +95,27 @@ class TestCriterionDensity:
         total = criterion_density_fn(phi, 0.7, 1.3)(Z)
         rows = sum(coordinate_density_fn(phi, 0.7, 1.3, l)(Z) for l in range(2))
         np.testing.assert_allclose(total, rows, rtol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_equal_a_per_axis_loop(self, dim):
+        # bit for bit: row l sums |d_k phi_l| (1 - |z_k|^2)^q over every axis
+        # k, zero partials included, then divides by (1 - |phi_l|^2)^p
+        Z = uniform_points(dim, 64, seed=dim, rmax=0.999)
+        for name, phi in default_selfmap_corpus(dim, seed=0):
+            for p, q in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
+                rows = []
+                for comp in phi.components:
+                    num = np.zeros(len(Z))
+                    for k, pk in enumerate(comp.partials()):
+                        num += pk.abs_val(Z) * one_minus_sq(np.abs(Z[:, k])) ** q
+                    rows.append(num / one_minus_sq(np.abs(comp.val(Z))) ** p)
+                for l, row in enumerate(rows):
+                    got = coordinate_density_fn(phi, p, q, l)(Z)
+                    np.testing.assert_array_equal(got.view(np.uint64), row.view(np.uint64))
+                total = sum(rows[1:], rows[0])  # the rows added left to right
+                got = criterion_density_fn(phi, p, q)(Z)
+                np.testing.assert_array_equal(got.view(np.uint64), total.view(np.uint64),
+                                              err_msg=name)
 
     def test_coordinate_density_hand_value(self):
         # phi = (z_1 z_2, z_2), first row at z = (0, 0.5):
@@ -572,7 +594,7 @@ class TestLittleBlochOperatorCheck:
     # the detector measures boundedness alone
 
     def test_identity_holds(self):
-        v = little_bloch_operator_check(identity_map(1), 1.0, 1.0, PLAN)
+        v = little_bloch_verdict(*boundedness_check(identity_map(1), 1.0, 1.0, PLAN))
         assert v.verdict == "holds"
         assert v.rule == "holomorphic-components"
         assert set(v.detail) == {"bounded", "sup"}
@@ -580,24 +602,25 @@ class TestLittleBlochOperatorCheck:
 
     def test_polynomial_map_gaps_zero(self):
         phi = product_map()
-        v = little_bloch_operator_check(phi, 1.0, 1.0, PLAN)
+        v = little_bloch_verdict(*boundedness_check(phi, 1.0, 1.0, PLAN))
         bounded, est = boundedness_check(phi, 1.0, 1.0, PLAN)
         assert v.verdict == "holds"
         assert v.detail == {"bounded": bounded.to_json(), "sup": est.sup}
 
     def test_moebius_map_with_truncatable_powers(self):
-        v = little_bloch_operator_check(moebius_automorphism([0.4], [0.0]), 1.0, 1.0, PLAN)
+        phi = moebius_automorphism([0.4], [0.0])
+        v = little_bloch_verdict(*boundedness_check(phi, 1.0, 1.0, PLAN))
         assert v.verdict == "holds"
         assert v.detail["bounded"]["rule"] == "sup-density-plateau"
 
     def test_kernel_component_certified_or_refused(self):
         # 0.4 / (1 - 0.5 z_1) has sup 0.8; 0.6 / (1 - 0.5 z_1) reaches 1.2 at z_1 = 1
         inside = HoloSelfMap([ScaledKernel(2, 0, 0.5, 1.0, 0.4), Series.coordinate(1, 2)])
-        v = little_bloch_operator_check(inside, 1.0, 1.0, PLAN)
+        v = little_bloch_verdict(*boundedness_check(inside, 1.0, 1.0, PLAN))
         assert v.verdict == "holds"
         outside = HoloSelfMap([ScaledKernel(2, 0, 0.5, 1.0, 0.6), Series.coordinate(1, 2)])
         with pytest.raises(UncertifiedMapError, match=re.escape("|phi_0| lies in [1.2, 1.2]")):
-            little_bloch_operator_check(outside, 1.0, 1.0, PLAN)
+            little_bloch_verdict(*boundedness_check(outside, 1.0, 1.0, PLAN))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_verdict_is_the_bounded_verdict_on_the_corpus(self, dim):
@@ -605,7 +628,7 @@ class TestLittleBlochOperatorCheck:
         for name, phi in default_selfmap_corpus(dim, seed=0):
             for p in (0.5, 1.0, 2.0):
                 for q in (0.5, 1.0, 2.0):
-                    v = little_bloch_operator_check(phi, p, q, plan)
+                    v = little_bloch_verdict(*boundedness_check(phi, p, q, plan))
                     assert v.verdict == classify(phi, p, q, plan).bounded.verdict, (name, p, q)
 
 

@@ -35,6 +35,11 @@ SHIFTED_HALF_1 = {
     ]}],
 }
 
+SQUARE_1 = {
+    "dimension": 1,
+    "components": [{"type": "series", "terms": [{"exponents": [2], "coeff": [1, 0]}]}],
+}
+
 # One valid component of each type, at dimension 2, and the keys it cannot do without.
 COMPONENTS = {
     "series": {"type": "series", "terms": [{"exponents": [1, 0], "coeff": [0.5, 0]}]},
@@ -92,6 +97,14 @@ class TestMapSpec:
         spec = {**HALVING_1, "compose": [HALVING_1]}
         phi = mapspec.load_map(spec)
         assert phi.components[0].value([0.8]) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("spec", [
+        HALVING_1, {"dimension": 1, "function": HALVING_1["components"][0]}],
+        ids=["components", "function"])
+    def test_function_spec_applies_compose(self, spec):
+        # the function acts last: 0.5 z after z^2 after 0.5 z is 0.125 z^2
+        f = mapspec.load_function({**spec, "compose": [SQUARE_1, HALVING_1]})
+        assert f.value([0.8]) == pytest.approx(0.08, rel=1e-14)
 
     def test_function_dump_for_testfn(self):
         f = TestFunction("g", 1, 0.25j, 2.0, 2)
@@ -166,6 +179,30 @@ class TestCLI:
         assert res.exit_code == 0
         payload = json.loads(out.read_text())["payload"]
         assert payload["estimates"][0]["bloch"]["value"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_norm_spec_applies_compose(self, tmp_path):
+        # 0.5 z after z^2 is 0.5 z^2, of 1-Bloch norm sup |z| (1 - |z|^2) = 2 / (3 sqrt 3)
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({**HALVING_1, "compose": [SQUARE_1]}))
+        out = tmp_path / "norm.json"
+        res = self.run("norm", "--spec", str(spec), "--out-json", str(out))
+        assert res.exit_code == 0
+        value = json.loads(out.read_text())["payload"]["estimates"][0]["bloch"]["value"]
+        assert value == pytest.approx(2.0 / (3.0 * np.sqrt(3.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("compose, message", [
+        (3, "compose: expected a list of map specs, got 3"),
+        ([{"components": [{"type": "constant"}]}], "compose[0].components[0].value"),
+        ([IDENTITY_2], "compose[0].dimension"),
+    ], ids=["not-a-list", "bad-entry", "other-dimension"])
+    def test_norm_refuses_a_bad_compose_entry(self, tmp_path, compose, message):
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"dimension": 1, "compose": compose,
+                                    "function": HALVING_1["components"][0]}))
+        res = CliRunner().invoke(main, ["norm", "--spec", str(spec)])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
     def test_norm_testfn_emit_spec(self, tmp_path):
         emitted = tmp_path / "tf.json"
@@ -311,8 +348,8 @@ class TestCLI:
         phi = mapspec.load_map(str(spec))
         cells = [(1.0, 1.0), (2.0, 0.5)]
         plan = SamplingPlan(budget=20000)
-        expected = [json.loads(json.dumps(
-            criteria.little_bloch_operator_check(phi, p, q, plan).to_json())) for p, q in cells]
+        expected = [json.loads(json.dumps(criteria.little_bloch_verdict(
+            *criteria.boundedness_check(phi, p, q, plan)).to_json())) for p, q in cells]
         calls = []
         estimate = criteria.estimate_supremum
         monkeypatch.setattr(criteria, "estimate_supremum",
@@ -395,7 +432,11 @@ class TestCLI:
         ["norm", "--testfn", "g", "--tf-w", "nan,0"],
         ["oracle", "--p", "nan"],
         ["sweep", "--p", "nan", "--q", "1", "--out-csv", "OUT"],
-    ], ids=lambda args: " ".join(args))
+        ["classify", "--spec", "SPEC", "--theorems", "", "--out-json", "OUT"],
+        ["classify", "--spec", "SPEC", "--theorems", ",", "--out-json", "OUT"],
+        ["norm", "--testfn", "g", "--kind", "both", "--p", "0.5", "--p", "2",
+         "--out-json", "OUT"],
+    ], ids=lambda args: " ".join(a or '""' for a in args))
     def test_bad_option_is_one_error_line_exit_2(self, tmp_path, args):
         spec = tmp_path / "m.json"
         spec.write_text(json.dumps(HALVING_1))
@@ -406,6 +447,7 @@ class TestCLI:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
         assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
+        assert "norm >=" not in res.output  # refused before the first estimate
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -19,6 +19,7 @@ from blochlab.norms import (
     shared_estimates,
     timoney_q_fn,
 )
+from blochlab.oracle import uniform_points
 from blochlab.polydisk import one_minus_sq
 from blochlab.sampling import SamplingPlan, estimate_supremum, stratified_grid
 from blochlab.testfuncs import TestFunction
@@ -62,6 +63,32 @@ class TestDensityFromModuli:
         for t, (dens, q) in zip(members, refs):
             np.testing.assert_allclose(bloch_density_fn(t, t.p)(Z), dens, rtol=4e-15)
             np.testing.assert_allclose(timoney_q_fn(t)(Z), q, rtol=4e-15)
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestDensityKernel:
+    """The Bloch and Q densities equal, bit for bit, a per-axis loop over
+    every partial, the zero ones included (each adds an exact 0)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_densities_equal_a_per_axis_loop(self, dim):
+        Z = uniform_points(dim, 64, seed=dim, rmax=0.999)
+        weights = [one_minus_sq(np.abs(Z[:, k])) for k in range(dim)]
+        for f in default_function_corpus(dim, seed=0):
+            moduli = [pk.abs_val(Z) for pk in f.partials()]
+            for p in (0.5, 1.0, 2.0):
+                ref = np.zeros(len(Z))
+                for m, w in zip(moduli, weights):
+                    ref += m * w ** p
+                assert_bits_equal(bloch_density_fn(f, p)(Z), ref)
+            ref = np.zeros(len(Z))
+            for m, w in zip(moduli, weights):
+                ref += m ** 2 * w ** 2
+            assert_bits_equal(timoney_q_fn(f)(Z), np.sqrt(ref))
 
 
 class TestBlochNormEstimate:
