@@ -2,13 +2,15 @@
 
 The p-Bloch density of f at z is sum_k |df/dz_k(z)| (1 - |z_k|^2)^p; the norm
 adds |f(0)| to its supremum.  The Lipschitz-quotient norm sups the difference
-quotient |f(z) - f(w)| / |z - w|^p over pairs.  Both are estimated from below
-by the one maximiser, `sampling.maximise`: stratified sampling plus
-refinement, over points for the density and over pairs for the quotient.
-Both start from the one kept stratified grid and evaluate f once per point of
-it: the Bloch estimates weight the partial moduli on the grid, computed once,
-for each of their exponents, and the Lipschitz pairs join each grid point to
-its image under a seeded permutation of the grid.
+quotient |f(z) - f(w)| / |z - w|^p over pairs.  At p = 1 that sup is the sup
+of the gradient norm ||grad f||_2, a pointwise density like the Bloch ones;
+at p < 1 it stays a sup over pairs.  Every estimate is a lower bound from the
+one maximiser, `sampling.maximise`: stratified sampling plus refinement, over
+points for a density and over pairs for the quotient.  All start from the one
+kept stratified grid and evaluate f once per point of it: the Bloch estimates
+weight the partial moduli on the grid, computed once, for each of their
+exponents, and the Lipschitz pairs at p < 1 join each grid point to its image
+under a seeded permutation of the grid.
 
 Inside a `shared_estimates` block, `bloch_norm_estimates` computes each
 (function, exponent, plan) once and serves repeats from a memo that the block
@@ -26,7 +28,8 @@ Every density here and in `criteria` sums through one kernel,
 structurally zero (dropped once, when built; a real power for a kernel
 partial) times the weight of axis k, accumulated in place.  The p-Bloch
 density weights by (1 - |z_k|^2)^p; the Q seminorm is the root of the kernel
-over squared moduli and weights.  The criterion rows share one dict of weights
+over squared moduli and the weights (1 - |z_k|^2)^2, and the gradient norm the
+same root with unit weights.  The criterion rows share one dict of weights
 per call, and `bloch_norm_estimates` raises each grid weight to each exponent
 on use, so that it holds no more than one at a time.
 """
@@ -44,7 +47,6 @@ from .sampling import (REFINE_SHRINK, NormEstimate, SamplingPlan, estimate_supre
                        maximise, stratified_grid)
 
 _PAIR_SEPARATION_FLOOR = 1e-14
-_SHORT_DELTAS = (1e-2, 1e-4)
 
 # The memo of the open `shared_estimates` block, or None: (function key,
 # exponent, plan) -> NormEstimate.  A key that holds the function itself keeps
@@ -142,6 +144,12 @@ def bloch_norm_estimate(f: HoloFunction, p: float,
     return bloch_norm_estimates(f, (p,), plan)[0]
 
 
+def _root_square_sum(parts: dict, Z: np.ndarray, weight) -> np.ndarray:
+    """sqrt(sum_k |df/dz_k|^2 * weight(k)) at Z over the partials of parts."""
+    squares = ((k, modulus ** 2) for k, modulus in partial_moduli(parts, Z))
+    return np.sqrt(weighted_partial_sum(squares, weight, Z.shape[:-1]))
+
+
 def timoney_q_fn(f: HoloFunction):
     """Batched evaluator of Q_f(z) = sup_{u != 0} |<grad f(z), u>| / sqrt(H(z, u)).
 
@@ -154,11 +162,20 @@ def timoney_q_fn(f: HoloFunction):
 
     def q(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        squares = ((k, modulus ** 2) for k, modulus in partial_moduli(parts, Z))
-        return np.sqrt(weighted_partial_sum(squares, column_weights(Z, 2, parts).get,
-                                            Z.shape[:-1]))
+        return _root_square_sum(parts, Z, column_weights(Z, 2, parts).get)
 
     return q
+
+
+def _gradient_norm_fn(f: HoloFunction):
+    """Batched evaluator of ||grad f(z)||_2: the kernel of `timoney_q_fn` with
+    unit weights."""
+    parts = nonzero_partials(f)
+
+    def gradient_norm(Z: np.ndarray) -> np.ndarray:
+        return _root_square_sum(parts, np.asarray(Z, dtype=complex), lambda k: 1.0)
+
+    return gradient_norm
 
 
 def pointeval_bound(p: float, Z) -> np.ndarray:
@@ -222,21 +239,6 @@ def _grid_pair_quotients(f: HoloFunction, p: float, Z: np.ndarray, perm: np.ndar
     return _quotients(np.abs(vals - vals[perm]), Z.T, partner_cols, p)
 
 
-def _coordinate_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Short-separation partners z + delta * phase * e_k, kept inside the closed polydisk.
-
-    Pairs come in (point, axis, delta, phase) order.
-    """
-    phases = np.exp(1j * np.pi / 2.0 * np.arange(4))
-    steps = (np.asarray(_SHORT_DELTAS)[:, None] * phases).ravel()
-    moved = points[:, :, None] + steps
-    row, axis, step = np.nonzero(np.abs(moved) < 1.0)
-    left = points[row]
-    right = left.copy()
-    right[np.arange(row.size), axis] = moved[row, axis, step]
-    return left, right
-
-
 def _grid_pairs(dim: int, plan: SamplingPlan, rng: np.random.Generator):
     """Stratified random pairs inside the kept grid: (Z[i], Z[perm[i]]).
 
@@ -253,48 +255,42 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
                             plan: SamplingPlan = SamplingPlan()) -> NormEstimate:
     """|f(0)| plus an estimated sup of |f(z) - f(w)| / |z - w|^p over z != w.
 
-    Requires 0 < p <= 1.  Pairs each point of the stratified grid with its
-    image under a seeded permutation of the grid, adds coordinate
-    short-separation pairs (where coordinate-direction quotients peak), then
-    refines around the best pair.  A lower bound of the true norm.
+    Requires 0 < p <= 1.  A lower bound of the true norm.
+
+    At p = 1 the sup equals sup_z ||grad f(z)||_2 over U^n, estimated as a
+    density by `estimate_supremum`, and the witness is a point.  Proof: U^n is
+    convex, so f(z) - f(w) = int_0^1 sum_k df/dz_k(w + t(z - w)) (z_k - w_k) dt
+    along the segment, and Cauchy-Schwarz bounds the quotient by the sup; at
+    any z, w = z + eps conj(grad f(z)) gives quotients that tend to
+    ||grad f(z)||_2 as eps -> 0.
+
+    At p < 1 each point of the stratified grid pairs with its image under a
+    seeded permutation of the grid; refinement then jitters either end of the
+    best pair, and the witness is the pair (`witness`, `witness_partner`).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"the Lipschitz exponent must lie in (0, 1], got {p}")
     dim = f.dim
+    base = abs(f.value(np.zeros(dim, dtype=complex)))
+    if p == 1.0:
+        return estimate_supremum(_gradient_norm_fn(f), dim, plan, base=base)
     rng = np.random.default_rng(plan.seed)
-
     Z, perm, levels = _grid_pairs(dim, plan, rng)
     n_refine = max(8, plan.angular_count)
     box = 0.2
     r_cap = plan.max_radius()
 
-    batches = [(_grid_pair_quotients(f, p, Z, perm), levels, lambda i: (Z[i], Z[perm[i]]))]
-    # coordinate-direction pairs on a stratified subsample, outside the level trace
-    stride = max(1, Z.shape[0] // 256)
-    cl, cr = _coordinate_pairs(Z[::stride])
-    if cl.size:
-        batches.append((_pair_quotients(f, p, cl, cr), None, lambda i: (cl[i], cr[i])))
-
     def propose(witness):
         nonlocal box
-        wl, wr = witness
-        batches_l, batches_r = [], []
-        for anchor_l, anchor_r in ((wl, wr), (wr, wl)):
+        lefts, rights = [], []
+        for anchor, partner in (witness, witness[::-1]):
             u = rng.random((2, n_refine, dim)) - 0.5
-            jitter = box * u[0] + 1j * box * u[1]
-            cand = anchor_l[None, :] + jitter
-            mods = np.abs(cand)
-            scale = np.minimum(1.0, r_cap / np.maximum(mods, 1e-15))
-            cand = cand * scale
-            batches_l.append(cand)
-            batches_r.append(np.broadcast_to(anchor_r, cand.shape).copy())
-        cl2, cr2 = _coordinate_pairs(wl[None, :])
-        if cl2.size:
-            batches_l.append(cl2)
-            batches_r.append(cr2)
+            cand = anchor[None, :] + (box * u[0] + 1j * box * u[1])
+            cand = cand * np.minimum(1.0, r_cap / np.maximum(np.abs(cand), 1e-15))
+            lefts.append(cand)
+            rights.append(np.broadcast_to(partner, cand.shape))
         box *= REFINE_SHRINK
-        return np.concatenate(batches_l), np.concatenate(batches_r)
+        return np.concatenate(lefts), np.concatenate(rights)
 
-    base = abs(f.value(np.zeros(dim, dtype=complex)))
-    return maximise(lambda L, R: _pair_quotients(f, p, L, R), batches, propose,
-                    plan, base=base)
+    grid = (_grid_pair_quotients(f, p, Z, perm), levels, lambda i: (Z[i], Z[perm[i]]))
+    return maximise(lambda L, R: _pair_quotients(f, p, L, R), grid, propose, plan, base=base)

@@ -1,15 +1,17 @@
 """Supremum estimation over the polydisk by boundary-refined sampling.
 
-One maximiser, `maximise`, serves every estimator: it takes initial candidate
-batches that their estimator has scored, records the cumulative maximum per
-radial level, then runs local refinement rounds around the running maximum
-until the rounds or the evaluation budget run out.  `estimate_supremum` feeds
-it a pointwise density over a radially stratified grid (radii
-r_i = 1 - 2^{-i}, where weighted-derivative densities fight their weights,
-crossed with jittered angles) and refines in a shrinking polar box; the
-Lipschitz estimator in `norms` feeds it pairs of points.  Estimates are lower bounds of the true
-supremum by construction; `converged` reports whether the refinement trace
-plateaued.  Everything is deterministic for a fixed seed.
+One maximiser, `maximise`, serves every estimator: it takes one stratified
+grid of candidates that their estimator has scored, records the cumulative
+maximum per radial level, then runs local refinement rounds around the running
+maximum until the rounds or the evaluation budget run out.
+`estimate_supremum` feeds it a pointwise density over a radially stratified
+grid (radii r_i = 1 - 2^{-i}, where weighted-derivative densities fight their
+weights, crossed with jittered angles) and refines in a shrinking polar box;
+the Bloch norms and the exponent-1 Lipschitz norm go through it.  The
+Lipschitz estimator in `norms` feeds `maximise` pairs of grid points for
+exponents below 1.  Estimates are lower bounds of the true supremum by
+construction; `converged` reports whether the refinement trace plateaued.
+Everything is deterministic for a fixed seed.
 
 Estimators redraw the same seeded grid many times, so `stratified_grid` keeps
 one: the last grid drawn from a freshly seeded generator, keyed on (dim, plan),
@@ -19,8 +21,9 @@ is as if the grid had been drawn again.  Grids are returned read-only, which
 lets callers share them.  A fresh draw of another (dim, plan) frees the kept
 grid before it draws; a draw from an already advanced generator is never kept
 and leaves the kept grid in place.  Every estimator draws from a fresh
-generator, so every estimate of one (dim, plan) reuses the kept grid: the
-Lipschitz estimator pairs its points with a permutation of the same grid.
+generator, so every estimate of one (dim, plan) reuses the kept grid: below
+exponent 1 the Lipschitz estimator pairs its points with a permutation of the
+same grid.
 """
 
 from __future__ import annotations
@@ -80,9 +83,9 @@ class NormEstimate:
     """A lower-bound estimate of base + sup(score), as `maximise` returns it.
 
     value = base + sup, where sup is the score of the best candidate: the
-    point `witness`, or for pair-based quotients (Lipschitz estimation) the
-    pair (`witness`, `witness_partner`).  `trace` holds the best score after
-    the initial batches and after each refinement round (nondecreasing);
+    point `witness`, or for pair-based quotients (Lipschitz estimation below
+    exponent 1) the pair (`witness`, `witness_partner`).  `trace` holds the best score after
+    the grid and after each refinement round (nondecreasing);
     `level_trace` the cumulative maxima per radial boundary level.
     """
 
@@ -164,21 +167,20 @@ def _draw_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator):
     return Z.reshape(n * per, dim), levels
 
 
-def maximise(score, batches, propose, plan: SamplingPlan,
+def maximise(score, grid, propose, plan: SamplingPlan,
              base: float = 0.0) -> NormEstimate:
-    """Estimate base + sup of `score` from initial batches plus refinement rounds.
+    """Estimate base + sup of `score` from a scored grid plus refinement rounds.
 
-    A candidate is a tuple of points, (z,) or a pair (z, w).  `batches` holds
-    the initial (vals, levels, row) triples: vals holds the N scores of a
-    batch, row(i) gives its candidate i, and levels each candidate's outermost
-    radial level, or is None for a batch kept out of the per-level trace.  The
-    estimator scores these batches itself, so that it can share work across
-    one (the Lipschitz grid pairs take one value of f per grid point).  Each
-    round proposes propose(witness), a tuple of (N, dim) arrays around the best
-    candidate so far that score(*batch) maps to N floats, and is charged the
-    batch's length against plan.budget; rounds stop at plan.max_rounds or
-    before a batch that would exceed the budget.  The best candidate is the
-    witness and, for pairs, its partner.
+    A candidate is a tuple of points, (z,) or a pair (z, w).  `grid` is the
+    (vals, levels, row) triple of the initial candidates: vals holds their N
+    scores, levels each one's outermost radial level, and row(i) gives
+    candidate i.  The estimator scores the grid itself, so that it can share
+    work across it (the Lipschitz grid pairs take one value of f per grid
+    point).  Each round proposes propose(witness), a tuple of (N, dim) arrays
+    around the best candidate so far that score(*batch) maps to N floats, and
+    is charged the batch's length against plan.budget; rounds stop at
+    plan.max_rounds or before a batch that would exceed the budget.  The best
+    candidate is the witness and, for pairs, its partner.
     """
     best, witness, evaluations = 0.0, None, 0
 
@@ -189,12 +191,11 @@ def maximise(score, batches, propose, plan: SamplingPlan,
         if witness is None or float(vals[i]) > best:
             best, witness = float(vals[i]), tuple(a.copy() for a in row(i))
 
+    vals, levels, row = grid
+    vals = np.asarray(vals, dtype=float)
+    offer(vals, row)
     level_max = np.zeros(plan.radial_levels + 1)
-    for vals, levels, row in batches:
-        vals = np.asarray(vals, dtype=float)
-        offer(vals, row)
-        if levels is not None:
-            np.maximum.at(level_max, levels, vals)
+    np.maximum.at(level_max, levels, vals)
     level_trace = np.maximum.accumulate(level_max).tolist()
 
     trace = [best]
@@ -253,5 +254,4 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
         dt *= REFINE_SHRINK
         return (r * np.exp(1j * t),)
 
-    return maximise(density_fn, [(vals, levels, lambda i: (Z[i],))], propose, plan,
-                    base=base)
+    return maximise(density_fn, (vals, levels, lambda i: (Z[i],)), propose, plan, base=base)

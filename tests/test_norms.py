@@ -6,8 +6,10 @@ import pytest
 
 from blochlab import norms, sampling
 from blochlab.corpus import default_function_corpus, polynomial_corpus
-from blochlab.holo import Const, MoebiusFactor, ScaledKernel, Series
+from blochlab.criteria import boundedness_check, lip1_boundedness_check
+from blochlab.holo import Const, MoebiusFactor, ScaledKernel, Series, identity_map
 from blochlab.norms import (
+    _gradient_norm_fn,
     _grid_pair_quotients,
     _grid_pairs,
     _pair_quotients,
@@ -310,13 +312,19 @@ class TestLipschitzNorm:
         assert est.value >= 10.0  # the quotient genuinely grows near the boundary
 
     def test_witness_pair_rescores_to_sup(self):
-        for f, p in ((Series({(2, 1): 1.0, (0, 1): -0.5j}, 2), 0.5),
-                     (MoebiusFactor(1, 0, 0.6), 1.0),
-                     (Series({(1,): 5.0}, 1), 1.0)):
-            est = lipschitz_norm_estimate(f, p, PLAN)
-            quotient = _pair_quotients(f, p, est.witness[None, :],
-                                       est.witness_partner[None, :])
-            assert quotient[0] == est.sup
+        f = Series({(2, 1): 1.0, (0, 1): -0.5j}, 2)
+        est = lipschitz_norm_estimate(f, 0.5, PLAN)
+        quotient = _pair_quotients(f, 0.5, est.witness[None, :], est.witness_partner[None, :])
+        assert quotient[0] == est.sup
+
+    def test_unit_exponent_witness_rescores_to_sup(self):
+        # a point witness; a one-row kernel evaluation may differ in its last bit
+        for f in (MoebiusFactor(1, 0, 0.6), Series({(1,): 5.0}, 1),
+                  Series({(2, 1): 1.0, (0, 1): -0.5j}, 2)):
+            est = lipschitz_norm_estimate(f, 1.0, PLAN)
+            assert est.witness_partner is None
+            density = _gradient_norm_fn(f)(est.witness[None, :])[0]
+            assert density == pytest.approx(est.sup, rel=1e-14, abs=0.0)
 
     def test_dim3_witness_pair_rescores_to_sup(self):
         # members 1 and 3 need a one-point value bit-equal to the batch value
@@ -358,17 +366,69 @@ class TestLipschitzNorm:
             assert np.all(np.diff(est.trace) >= 0)
             assert np.all(np.diff(est.level_trace) >= 0)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: at dim 3 the grid pairs plus the coordinate pairs spend "
-        "62,762 evaluations of the 60,000 default budget, so no refinement round "
-        "runs and the estimate never converges (lip1_boundedness_check of "
-        "identity_map(3) is inconclusive, at dim 2 it holds)"))
-    def test_dim3_default_plan_refines_within_budget(self):
+    @pytest.mark.parametrize("a", [0.3, 0.9, 0.5 + 0.4j])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_unit_exponent_moebius_known_answer(self, dim, a):
+        # sup |phi'| over the sampled closed polydisk of radius r_cap is taken
+        # at z_0 = r_cap a / |a|; the norm adds |phi(0)| = |a|
         plan = SamplingPlan()
-        est = lipschitz_norm_estimate(Series.coordinate(0, 3), 1.0, plan)
+        r_cap = plan.max_radius()
+        exact = (1.0 - abs(a) ** 2) / (1.0 - abs(a) * r_cap) ** 2 + abs(a)
+        est = lipschitz_norm_estimate(MoebiusFactor(dim, 0, a), 1.0, plan)
+        assert exact * (1.0 - 1e-9) <= est.value <= exact * (1.0 + 1e-12)
+
+    def test_unit_exponent_identity_holds_at_dim3(self):
+        assert lip1_boundedness_check(identity_map(3)).verdict == "holds"
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_unit_exponent_reaches_short_coordinate_pairs(self, dim):
+        plan = SamplingPlan()
+        Z, _ = stratified_grid(dim, plan)
+        left, right = loop_coordinate_pairs(Z[::max(1, Z.shape[0] // 256)])
+        for f in default_function_corpus(dim, seed=dim):
+            best = _pair_quotients(f, 1.0, left, right).max()
+            est = lipschitz_norm_estimate(f, 1.0, plan)
+            assert est.sup >= (1.0 - 1e-3) * best, f
+
+    def test_rejects_exponent_above_one(self):
+        with pytest.raises(ValueError):
+            lipschitz_norm_estimate(Const(1.0, 1), 1.5, PLAN)
+
+
+def loop_coordinate_pairs(points, deltas=(1e-2, 1e-4)):
+    """Every short pair (z, z + delta * i^j * e_k) with the moved point inside U^n."""
+    dim = points.shape[-1]
+    left, right = [], []
+    for z in points:
+        for k in range(dim):
+            for delta in deltas:
+                for j in range(4):
+                    w = z.copy()
+                    w[k] = w[k] + delta * 1j ** j
+                    if abs(w[k]) < 1.0:
+                        left.append(z)
+                        right.append(w)
+    return np.array(left), np.array(right)
+
+
+class TestEstimateBudget:
+    """Every estimator refines within its plan's budget and converges."""
+
+    CASES = [(dim, SamplingPlan()) for dim in (1, 2, 3)] + [(3, SamplingPlan().doubled())]
+
+    @staticmethod
+    def assert_refined(est, plan):
         assert est.evaluations <= plan.budget
         assert len(est.trace) > 1
         assert est.converged
+
+    @pytest.mark.parametrize("dim, plan", CASES, ids=["d1", "d2", "d3", "d3-doubled"])
+    def test_estimators_refine_within_budget(self, dim, plan):
+        f = Series.coordinate(0, dim)
+        for p in (0.5, 1.0):
+            self.assert_refined(lipschitz_norm_estimate(f, p, plan), plan)
+        self.assert_refined(bloch_norm_estimate(f, 1.0, plan), plan)
+        self.assert_refined(boundedness_check(identity_map(dim), 0.5, 1.0, plan)[1], plan)
 
     def test_rejects_exponent_above_one(self):
         with pytest.raises(ValueError):

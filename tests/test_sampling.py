@@ -1,8 +1,8 @@
 """The broadcast sampler against its loop references.
 
-`stratified_grid`, `norms._coordinate_pairs` and the per-level trace of
-`maximise` are array expressions; the loops below are the per-combination,
-per-pair and per-level versions they replace.  The grid must match its
+`stratified_grid` and the per-level trace of `maximise` are array
+expressions; the loops below are the per-combination and per-level versions
+they replace.  The grid must match its
 reference bit for bit and leave the generator in the same state, because
 estimators keep drawing from it after the grid.  That holds as well when
 `stratified_grid` returns its kept grid instead of drawing one.
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blochlab.norms import _SHORT_DELTAS, _coordinate_pairs
 from blochlab.sampling import SamplingPlan, maximise, stratified_grid
 
 PLANS = [SamplingPlan(), SamplingPlan().doubled(),
@@ -36,25 +35,6 @@ def loop_grid(dim, plan, rng):
         blocks.append(r[None, :] * np.exp(1j * theta))
         level_blocks.append(np.full(per, max(combo), dtype=int))
     return np.concatenate(blocks, axis=0), np.concatenate(level_blocks, axis=0)
-
-
-def loop_coordinate_pairs(points):
-    """Reference: every (point, axis, delta, phase) partner that stays inside."""
-    dim = points.shape[-1]
-    phases = np.exp(1j * np.pi / 2.0 * np.arange(4))
-    left, right = [], []
-    for z in points:
-        for k in range(dim):
-            for delta in _SHORT_DELTAS:
-                for ph in phases:
-                    w = z.copy()
-                    w[k] = w[k] + delta * ph
-                    if abs(w[k]) < 1.0:
-                        left.append(z)
-                        right.append(w)
-    if not left:
-        return (np.empty((0, dim), dtype=complex),) * 2
-    return np.array(left), np.array(right)
 
 
 def assert_grid_matches_loop(dim, plan):
@@ -165,32 +145,20 @@ def test_returned_grid_is_read_only(advanced):
             Z *= 2.0
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_coordinate_pairs_equal_loop(dim):
-    Z, _ = stratified_grid(dim, SamplingPlan(radial_levels=8, angular_count=8, seed=5))
-    for points in (Z, Z[::7], Z[:1], Z[:0]):
-        left, right = _coordinate_pairs(points)
-        left_ref, right_ref = loop_coordinate_pairs(points)
-        assert left.shape == left_ref.shape == right.shape
-        np.testing.assert_array_equal(left.view(float), left_ref.view(float))
-        np.testing.assert_array_equal(right.view(float), right_ref.view(float))
-
-
 def test_level_trace_equals_loop():
     rng = np.random.default_rng(1)
     plan = SamplingPlan(radial_levels=6, max_rounds=0)
     # levels 4..6 stay empty, so the cumulative maximum carries over them
-    points = [(rng.random((n, 2)) + 0j, rng.integers(0, 4, n)) for n in (50, 7)]
-    points.append((rng.random((5, 2)) + 3.0 + 0j, None))
+    Z = rng.random((50, 2)) + 0j
+    levels = rng.integers(0, 4, Z.shape[0])
     score = lambda Z: Z.real.sum(axis=-1)  # noqa: E731
-    batches = [(score(Z), levels, lambda i, Z=Z: (Z[i],)) for Z, levels in points]
-    est = maximise(score, batches, None, plan)
+    vals = score(Z)
+    est = maximise(score, (vals, levels, lambda i: (Z[i],)), None, plan)
     level_max = [0.0] * (plan.radial_levels + 1)
-    for Z, levels in points[:2]:
-        vals = score(Z)
-        for i in range(len(level_max)):
-            mask = levels == i
-            if np.any(mask):
-                level_max[i] = max(level_max[i], float(vals[mask].max()))
+    for i in range(len(level_max)):
+        mask = levels == i
+        if np.any(mask):
+            level_max[i] = float(vals[mask].max())
     assert est.level_trace == list(itertools.accumulate(level_max, max))
-    assert est.sup > est.level_trace[-1]  # the levelless batch is scored, not traced
+    assert est.sup == est.level_trace[-1] == vals.max()
+    assert est.evaluations == Z.shape[0] and est.trace == [est.sup]
