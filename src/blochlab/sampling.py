@@ -246,7 +246,8 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
             hi = radii[np.minimum(np.searchsorted(radii, w_r + 1e-15, side="right"),
                                   radii.size - 1)]
             dr = np.maximum(np.maximum(hi - w_r, w_r - lo), 1e-6)
-            dt = np.full(dim, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
+            # a box that reaches the origin spans every angle: np.angle(-0+0j) is pi
+            dt = np.where(w_r < dr, np.pi, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
         u = 2.0 * rng.random((2, n_refine, dim)) - 1.0
         r = np.minimum(np.maximum(w_r[None, :] + dr[None, :] * u[0], 0.0), r_cap)
         t = w_t[None, :] + dt[None, :] * u[1]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blochlab.sampling import SamplingPlan, maximise, stratified_grid
+from blochlab.sampling import SamplingPlan, estimate_supremum, maximise, stratified_grid
 
 PLANS = [SamplingPlan(), SamplingPlan().doubled(),
          SamplingPlan(radial_levels=6, angular_count=16, budget=4000, seed=3)]
@@ -162,3 +162,20 @@ def test_level_trace_equals_loop():
     assert est.level_trace == list(itertools.accumulate(level_max, max))
     assert est.sup == est.level_trace[-1] == vals.max()
     assert est.evaluations == Z.shape[0] and est.trace == [est.sup]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_refinement_around_the_origin_spans_every_angle(dim):
+    # the grid's origin points carry signed zeros, whose angles are 0 or +-pi;
+    # the first refinement box around an origin witness searches every direction
+    proposed = []
+
+    def density(Z):
+        proposed.append(Z)
+        return np.prod(1.0 - np.abs(Z) ** 2, axis=-1)
+
+    est = estimate_supremum(density, dim, SamplingPlan(radial_levels=6, angular_count=16))
+    assert np.all(est.witness == 0) and len(proposed) > 1
+    for column in proposed[1].T:
+        moved = column[column != 0]
+        assert np.any(moved.real > 0) and np.any(moved.real < 0)

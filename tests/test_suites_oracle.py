@@ -122,10 +122,10 @@ class TestOracle:
                 assert np.all(got <= closed * (1.0 + 1e-12)), f
 
     @pytest.mark.parametrize("dim, seed, allowed", [
-        (1, 0, {"sup:1", "sup:12"}),
-        (1, 1, {"sup:2", "sup:12"}),
-        (2, 0, {"sup:13", "sup:15", "sup:18", "sup:20", "sup:25", "sup:35", "sup:67"}),
-        (2, 1, {"sup:5", "sup:6", "sup:18", "sup:20", "sup:62"}),
+        (1, 0, {"sup:1"}),
+        (1, 1, {"sup:2"}),
+        (2, 0, {"sup:67"}),
+        (2, 1, {"sup:5"}),
     ])
     def test_default_corpus_breaches_stay_within_known_set(self, dim, seed, allowed):
         # the sup rows where the primary estimator still undershoots the plain
