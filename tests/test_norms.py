@@ -429,7 +429,3 @@ class TestEstimateBudget:
             self.assert_refined(lipschitz_norm_estimate(f, p, plan), plan)
         self.assert_refined(bloch_norm_estimate(f, 1.0, plan), plan)
         self.assert_refined(boundedness_check(identity_map(dim), 0.5, 1.0, plan)[1], plan)
-
-    def test_rejects_exponent_above_one(self):
-        with pytest.raises(ValueError):
-            lipschitz_norm_estimate(Const(1.0, 1), 1.5, PLAN)

@@ -2,10 +2,11 @@
 
 `stratified_grid` and the per-level trace of `maximise` are array
 expressions; the loops below are the per-combination and per-level versions
-they replace.  The grid must match its
-reference bit for bit and leave the generator in the same state, because
-estimators keep drawing from it after the grid.  That holds as well when
-`stratified_grid` returns its kept grid instead of drawing one.
+they replace.  The grid must match its reference bit for bit and leave the
+generator in the same state, because estimators keep drawing from it after
+the grid.  That holds as well when `stratified_grid` returns its kept grid
+instead of drawing one.  The last test checks the refinement box that
+`estimate_supremum` opens around an origin witness.
 """
 
 import itertools
