@@ -27,6 +27,10 @@ from blochlab.sampling import SamplingPlan, estimate_supremum, stratified_grid
 from blochlab.testfuncs import TestFunction
 
 PLAN = SamplingPlan(seed=7)
+# Single-start refinement halves its box every round, so a first round off the
+# boundary angle never gets back (ROADMAP item 3(b)).
+MOEBIUS_MISS = pytest.mark.xfail(strict=True, reason="3.7e-9, 5.3e-5 and 8.0e-4 below "
+                                 "at seeds 1-3: single-start refinement")
 
 
 class TestBlochDensity:
@@ -366,16 +370,38 @@ class TestLipschitzNorm:
             assert np.all(np.diff(est.trace) >= 0)
             assert np.all(np.diff(est.level_trace) >= 0)
 
-    @pytest.mark.parametrize("a", [0.3, 0.9, 0.5 + 0.4j])
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_unit_exponent_moebius_known_answer(self, dim, a):
+    @pytest.mark.parametrize("dim, a, seed", [
+        pytest.param(dim, a, seed, marks=MOEBIUS_MISS if (dim, a) == (2, 0.9) and seed else ())
+        for dim in (1, 2) for a in (0.3, 0.9, 0.5 + 0.4j) for seed in range(4)])
+    def test_unit_exponent_moebius_known_answer(self, dim, a, seed):
         # sup |phi'| over the sampled closed polydisk of radius r_cap is taken
         # at z_0 = r_cap a / |a|; the norm adds |phi(0)| = |a|
-        plan = SamplingPlan()
+        plan = SamplingPlan(seed=seed)
         r_cap = plan.max_radius()
         exact = (1.0 - abs(a) ** 2) / (1.0 - abs(a) * r_cap) ** 2 + abs(a)
         est = lipschitz_norm_estimate(MoebiusFactor(dim, 0, a), 1.0, plan)
         assert exact * (1.0 - 1e-9) <= est.value <= exact * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    @pytest.mark.parametrize("f", [TestFunction("h", 1, 0.6 - 0.3j, 2.0, 2),
+                                   TestFunction("h", 1, 0.8, 2.0, 2),
+                                   TestFunction("g", 2, 0.8, 2.0, 3),
+                                   TestFunction("h", 2, 0.8, 2.0, 3)], ids=repr)
+    def test_short_separation_peak_near_the_boundary(self, f, p):
+        # below exponent 1 these steep members peak at pairs a short way apart
+        # around z_l = w/|w| (and z_0 = 1 for 'h'); every pair of a local polar
+        # grid there on the axis l bounds the sup from below
+        plan = SamplingPlan()
+        r_cap = plan.max_radius()
+        radii = np.append(1.0 - 0.5 ** np.arange(4, 14), r_cap)
+        angles = np.angle(f.w) + np.linspace(-0.4, 0.4, 81)
+        local = np.zeros((radii.size * angles.size, f.dim), dtype=complex)
+        local[:, 0] = r_cap
+        local[:, f.axis] = (radii[:, None] * np.exp(1j * angles)).ravel()
+        i, j = np.triu_indices(local.shape[0], 1)
+        reference = _pair_quotients(f, p, local[i], local[j]).max()
+        est = lipschitz_norm_estimate(f, p, plan)
+        assert est.sup >= 0.98 * reference
 
     def test_unit_exponent_identity_holds_at_dim3(self):
         assert lip1_boundedness_check(identity_map(3)).verdict == "holds"
