@@ -16,23 +16,37 @@ self-map certificate fails, naming its first refused component.
 The densities have batched evaluators only, mapping points (..., n) to
 values (...): `criterion_density_fn` sums the rows `coordinate_density_fn`.
 Row l is the `norms.weighted_partial_sum` kernel over phi_l's partials (its
-q-Bloch density), with the weights (1 - |z_k|^2)^q computed once per call for
-every row, over (1 - |phi_l|^2)^p; it is +inf where |phi_l| >= 1 and its
-numerator is nonzero (a numerical escape from the polydisk).
+q-Bloch density) over (1 - |phi_l|^2)^p; it is +inf where |phi_l| >= 1 and its
+numerator is nonzero (a numerical escape from the polydisk).  Every
+evaluation takes two steps.  The parts step, which alone evaluates phi,
+takes each row's partial moduli |d phi_l/dz_k| and 1 - |phi_l|^2 at the
+points and notes whether any point escaped; the combine step applies the
+weights (1 - |z_k|^2)^q, computed once per call for every row, and the power p.
 
 A compactness profile evaluates each density once: it merges the paths that
 share one (all paths in mode 'image', the paths of one axis in mode
-'coordinate'), evaluates and measures the merged points in one call each, and
-splits the results by path.  Coordinate-mode measures evaluate phi_axis alone.
+'coordinate'), measures the merged points and takes their parts in one call
+each, and splits the results by path.  Coordinate-mode measures evaluate
+phi_axis alone.
 
-Boundary paths depend on the map, the mode, the axis and the seed, never on
-(p, q), so `classify` keeps the paths of one map: the last map it asked paths
-for, held strongly and compared by identity, beside a dict from
-(mode, axis, seed) to the list `make_boundary_paths` returned (an empty list
-is a kept answer).  A sweep over a (p, q) grid thus builds each map's paths
-once.  Classifying another map frees the kept paths before it builds any.
-Kept paths are shared by the reports of every cell, so their `points` and
-`approach` arrays are read-only.  `make_boundary_paths` itself keeps nothing.
+Only the combine step depends on (p, q), and boundary paths depend on the
+map, the mode, the axis and the seed, never on (p, q).  So `classify` keeps
+what it computed for one map in one slot: the last map it was asked about,
+held strongly and compared by identity, with
+  - the parts of the full density on stratified_grid(n, plan), keyed by the
+    plan (the parts of another plan replace them), and
+  - per (mode, axis, seed), a path set: the list `make_boundary_paths`
+    returned (an empty list is a kept answer), the validated approach of each
+    path, and the parts at the paths' merged points.
+A sweep over a (p, q) grid thus evaluates each map's partials on the grid,
+and builds, measures and validates each of its path sets, once; a cell only
+combines.  `boundedness_check` uses the grid parts only while the slot holds
+its map, and `compactness_profile` uses a path set only for the very path
+objects `classify` kept: paths built by hand are measured, validated and
+evaluated on every call and leave the slot alone.  Classifying another map
+frees the slot before anything is computed.  Reports of every cell share the
+kept arrays, so they are read-only.  `make_boundary_paths` itself keeps
+nothing.
 
 Rule names used in reports:
   sup-density-plateau      boundedness via a plateauing supremum trace
@@ -56,7 +70,8 @@ from .norms import (bloch_norm_estimate, column_weights, lipschitz_norm_estimate
                     nonzero_partials, partial_moduli, weighted_partial_sum)
 from .polydisk import one_minus_sq
 from .reports import SCHEMA_VERSION, format_point, record_json
-from .sampling import PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum
+from .sampling import (PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum,
+                       stratified_grid)
 from .testfuncs import family_norm_floor, members
 
 DECAY_TOL = 1e-3
@@ -108,30 +123,65 @@ def require_certified(phi: HoloSelfMap):
 # densities
 
 
-def _density_rows(phi: HoloSelfMap, p: float, q: float, axes):
-    """Batched sum of the criterion-density rows l in axes.  Each call
-    computes the weights (1 - |z_k|^2)^q once and shares them across rows."""
-    comps = [phi.components[l] for l in axes]
-    rows = [nonzero_partials(comp) for comp in comps]
-    columns = {k for parts in rows for k in parts}
+@dataclass(frozen=True)
+class _Parts:
+    """The (p, q)-independent parts of density rows at points Z (..., n).
 
-    def density(Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
-        weights = column_weights(Z, q, columns)
-        nums = [weighted_partial_sum(partial_moduli(parts, Z), weights.get, Z.shape[:-1])
-                for parts in rows]
-        del weights  # before the denominators, whose temporaries peak in memory
-        out = None
-        for comp in comps:
-            num = nums.pop(0)
-            om = one_minus_sq(np.abs(comp.val(Z)))
-            escaped = om <= 0.0
-            om = np.where(escaped, 1.0, om)
-            row = np.where(escaped & (num > 0), np.inf, num / om ** p)
+    `block` holds the moduli |d phi_l/dz_k| row by row, the axes k of row i
+    being rows[i], then 1 - |phi_l|^2 for each row; `escaped` says whether
+    any of the latter is <= 0 (|phi_l| >= 1, a numerical escape).
+    """
+
+    Z: np.ndarray
+    rows: tuple
+    block: np.ndarray
+    escaped: bool
+
+    def combine(self, p: float, q: float) -> np.ndarray:
+        """Sum over the rows of their weighted moduli over (1 - |phi_l|^2)^p,
+        with the weights (1 - |z_k|^2)^q computed once for every row; +inf
+        where |phi_l| >= 1 and the row's numerator is nonzero."""
+        weights = column_weights(self.Z, q, {k for axes in self.rows for k in axes})
+        oms = self.block[len(self.block) - len(self.rows):]
+        out, start = None, 0
+        for axes, om in zip(self.rows, oms):
+            moduli = self.block[start:start + len(axes)]
+            start += len(axes)
+            num = weighted_partial_sum(zip(axes, moduli), weights.get, self.Z.shape[:-1])
+            if self.escaped:
+                escaped = om <= 0.0
+                row = np.where(escaped & (num > 0), np.inf, num / np.where(escaped, 1.0, om) ** p)
+            else:
+                row = num / om ** p
             out = row if out is None else out + row
         return out
 
-    return density
+
+def _density_parts(phi: HoloSelfMap, axes):
+    """Batched parts of the criterion-density rows l in axes: Z -> `_Parts`."""
+    comps = [phi.components[l] for l in axes]
+    rows = [nonzero_partials(comp) for comp in comps]
+    layout = tuple(tuple(parts) for parts in rows)
+    size = sum(map(len, layout))
+
+    def parts(Z: np.ndarray) -> _Parts:
+        Z = np.asarray(Z, dtype=complex)
+        block = np.empty((size + len(comps),) + Z.shape[:-1])
+        moduli = (m for parts in rows for _, m in partial_moduli(parts, Z))
+        for i, m in enumerate(moduli):
+            block[i] = m
+        for i, comp in enumerate(comps, start=size):
+            block[i] = one_minus_sq(np.abs(comp.val(Z)))
+        return _Parts(Z, layout, block, bool((block[size:] <= 0.0).any()))
+
+    return parts
+
+
+def _density_rows(phi: HoloSelfMap, p: float, q: float, axes):
+    """Batched sum of the criterion-density rows l in axes: their parts at Z,
+    combined with the exponents (p, q)."""
+    parts = _density_parts(phi, axes)
+    return lambda Z: parts(Z).combine(p, q)
 
 
 def coordinate_density_fn(phi: HoloSelfMap, p: float, q: float, axis: int):
@@ -161,7 +211,9 @@ def boundedness_check(phi: HoloSelfMap, p: float, q: float,
     factor >= 2 over the last 4 levels, or a singular escape was hit.
     """
     require_certified(phi)
-    est = estimate_supremum(criterion_density_fn(phi, p, q), phi.dim, plan)
+    grid = _grid_parts(phi, plan)
+    est = estimate_supremum(criterion_density_fn(phi, p, q), phi.dim, plan,
+                            grid_values=None if grid is None else grid.combine(p, q))
     lt = est.level_trace
 
     if not np.isfinite(est.sup):
@@ -253,26 +305,95 @@ def _ray_pool(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([diag, rand], axis=0)
 
 
-# The one map whose boundary paths are kept, as (phi, {(mode, axis, seed): paths}),
-# or None: the last map `classify` asked paths for.
-_kept_paths = None
+@dataclass
+class _Kept:
+    """What `classify` keeps of one map (see the module docstring): the grid
+    parts as (plan, parts), and a `_PathSet` per (mode, axis, seed)."""
+
+    phi: HoloSelfMap
+    grid: tuple | None = None
+    path_sets: dict = field(default_factory=dict)
 
 
-def _boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None, seed: int):
-    """make_boundary_paths(phi, mode, axis, seed=seed), built only when the
-    kept paths of phi lack it; the module docstring describes the slot."""
-    global _kept_paths
-    if _kept_paths is None or _kept_paths[0] is not phi:
-        _kept_paths = (phi, {})  # frees another map's paths before the build
-    kept = _kept_paths[1]
+@dataclass
+class _PathSet:
+    """Boundary paths of one density, measured and validated, with the
+    density parts at their merged points (None for an empty set)."""
+
+    paths: list
+    approaches: list
+    parts: _Parts | None
+
+
+# classify's one kept-map slot: the last map `classify` was asked about, or None.
+_kept = None
+
+
+def _keep(phi: HoloSelfMap) -> _Kept:
+    """The slot, set to phi; another map's data is freed first."""
+    global _kept
+    if _kept_of(phi) is None:
+        _kept = None  # frees the other map's data before anything is built
+        _kept = _Kept(phi)
+    return _kept
+
+
+def _kept_of(phi: HoloSelfMap) -> _Kept | None:
+    """The slot if it holds phi, else None."""
+    return _kept if _kept is not None and _kept.phi is phi else None
+
+
+def _grid_parts(phi: HoloSelfMap, plan: SamplingPlan) -> _Parts | None:
+    """The full density's parts on stratified_grid(phi.dim, plan), kept while
+    the slot holds phi; None when it holds another map."""
+    kept = _kept_of(phi)
+    if kept is None:
+        return None
+    if kept.grid is None or kept.grid[0] != plan:
+        kept.grid = None  # frees the parts of another plan before the evaluation
+        parts = _density_parts(phi, range(phi.dim))(stratified_grid(phi.dim, plan)[0])
+        parts.block.flags.writeable = False
+        kept.grid = (plan, parts)
+    return kept.grid[1]
+
+
+def _path_set(phi: HoloSelfMap, paths: list, mode: str, axis: int | None) -> _PathSet:
+    """Measure and validate paths that share one density (all rows in mode
+    'image', row `axis` in mode 'coordinate') as one merged path, and take
+    the density parts at the merged points.  The arrays it makes are
+    read-only, so that the reports of several cells can share them."""
+    if not paths:
+        return _PathSet([], [], None)
+    merged = BoundaryPath(np.concatenate([path.points for path in paths]), mode, axis)
+    # measured first: measure refuses an axis that the density cannot take
+    measure = merged.measure(phi)
+    measure.flags.writeable = False  # before the split, whose views the profiles record
+    cuts = np.cumsum([len(path.points) for path in paths])[:-1]
+    approaches = [path.validate(phi, m) for path, m in zip(paths, np.split(measure, cuts))]
+    parts = _density_parts(phi, range(phi.dim) if axis is None else [axis])(merged.points)
+    merged.points.flags.writeable = parts.block.flags.writeable = False
+    return _PathSet(paths, approaches, parts)
+
+
+def _boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None, seed: int) -> list:
+    """make_boundary_paths(phi, mode, axis, seed=seed), built, measured and
+    validated only when the slot lacks it; sets the slot to phi."""
+    path_sets = _keep(phi).path_sets
     key = (mode, axis, seed)
-    if key not in kept:
+    if key not in path_sets:
         paths = make_boundary_paths(phi, mode, axis=axis, seed=seed)
         for path in paths:
-            path.points.flags.writeable = False
-            path.approach.flags.writeable = False
-        kept[key] = paths
-    return kept[key]
+            path.points.flags.writeable = path.approach.flags.writeable = False
+        path_sets[key] = _path_set(phi, paths, mode, axis)
+    return path_sets[key].paths
+
+
+def _kept_set(phi: HoloSelfMap, paths: list) -> _PathSet | None:
+    """The kept path set of phi whose paths are these very objects, or None."""
+    kept = _kept_of(phi)
+    sets = kept.path_sets.values() if kept is not None else ()
+    return next((s for s in sets if len(s.paths) == len(paths)
+                 and all(a is b for a, b in zip(s.paths, paths))), None)
 
 
 def make_boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None = None,
@@ -388,24 +509,19 @@ def compactness_profile(phi: HoloSelfMap, p: float, q: float,
             raise PathValidationError(
                 f"path {path.path_id!r} has mode {path.mode!r}; profile expects {mode!r}")
     # the paths that share a density (all of them in mode 'image', those of one
-    # axis in mode 'coordinate') are evaluated and measured as one merged path
+    # axis in mode 'coordinate') are measured and evaluated as one merged path
     groups: dict = {}
     for i, path in enumerate(paths):
         groups.setdefault(path.axis if mode == "coordinate" else None, []).append(i)
-    measures, values = [None] * len(paths), [None] * len(paths)
+    profiles = [None] * len(paths)
     for axis, members in groups.items():
-        merged = BoundaryPath(np.concatenate([paths[i].points for i in members]), mode, axis)
-        # measured first: measure refuses an axis that the density cannot take
-        measure = merged.measure(phi)
-        cuts = np.cumsum([len(paths[i].points) for i in members])[:-1]
-        fn = criterion_density_fn(phi, p, q) if axis is None \
-            else coordinate_density_fn(phi, p, q, axis)
-        for i, m, v in zip(members, np.split(measure, cuts),
-                           np.split(np.asarray(fn(merged.points), dtype=float), cuts)):
-            measures[i], values[i] = m, v
-    # the profile records the re-measured approach, also for a hand-built path
-    profiles = [PathProfile(replace(path, approach=path.validate(phi, m)), v, _judge_tail(v))
-                for path, m, v in zip(paths, measures, values)]
+        group = [paths[i] for i in members]
+        path_set = _kept_set(phi, group) or _path_set(phi, group, mode, axis)
+        cuts = np.cumsum([len(path.points) for path in group])[:-1]
+        values = np.split(path_set.parts.combine(p, q), cuts)
+        # the profile records the re-measured approach, also for a hand-built path
+        for i, m, v in zip(members, path_set.approaches, values):
+            profiles[i] = PathProfile(replace(paths[i], approach=m), v, _judge_tail(v))
 
     statuses = [pr.status for pr in profiles]
     if any(s == "stays" for s in statuses):
@@ -561,14 +677,17 @@ def classify(phi: HoloSelfMap, p: float, q: float,
     unless the profile fails, which makes it inconclusive.  A decay verdict
     that holds while boundedness is inconclusive becomes inconclusive.
 
-    Paths an earlier call built for the same map object, mode, axis and seed
-    are reused (see the module docstring), so a report's profile points are
-    read-only arrays that the reports of other cells may share.
+    The slot of the module docstring keeps, for the last map object
+    classified, its grid parts per plan and its path sets per mode, axis and
+    seed; another map frees it first.  Later cells of that map only combine
+    the kept parts with their (p, q), so a report's profile points and
+    approaches are read-only arrays that the reports of other cells share.
     """
     require_certified(phi)
     if not (p > 0 and q > 0):
         raise ValueError("exponents p and q must be positive")
 
+    _keep(phi)
     bounded, sup_est = boundedness_check(phi, p, q, plan)
     comp_sup_values = component_sup_estimates(phi)
 

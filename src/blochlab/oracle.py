@@ -156,7 +156,11 @@ def sup_results(fns: list, p: float, plan, count: int = 20_000,
 
 def q_seminorm_results(fns: list, count: int = 200, seed: int = 0) -> list[OracleResult]:
     """Closed-form Q seminorm vs direct maximization over random directions.
-    The direct value can only undershoot; it must never exceed the closed form."""
+    The direct value can only undershoot; it must never exceed the closed form.
+
+    At dimension 1 every direction is optimal, so the direct value is the
+    finite-difference |f'|(1 - |z|^2) and the row measures finite-difference
+    error alone, not the direction search."""
     out = []
     for i, f in enumerate(fns):
         Z = uniform_points(f.dim, count, seed + i, rmax=0.8)

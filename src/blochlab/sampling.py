@@ -224,10 +224,14 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
     grid radius, so the estimate stays a resolved lower bound).  grid_values,
     when given, are the density on stratified_grid(dim, plan), computed by a
     caller that shares work across densities; density_fn then scores the
-    refinement rounds alone.
+    refinement rounds alone.  Values of any shape but (len(Z),) raise
+    ValueError.
     """
     rng = np.random.default_rng(plan.seed)
     Z, levels = stratified_grid(dim, plan, rng)
+    if grid_values is not None and np.shape(grid_values) != (len(Z),):
+        raise ValueError(f"grid_values has shape {np.shape(grid_values)}; the grid of "
+                         f"(dim, plan) has {len(Z)} points")
     vals = density_fn(Z) if grid_values is None else grid_values
     r_cap = plan.max_radius()
     radii = plan.radii()

@@ -43,7 +43,7 @@ from blochlab.holo import (
 )
 from blochlab.oracle import uniform_points
 from blochlab.polydisk import one_minus_sq
-from blochlab.sampling import SamplingPlan
+from blochlab.sampling import SamplingPlan, stratified_grid
 
 PLAN = SamplingPlan(seed=5)
 
@@ -481,11 +481,11 @@ GRID = (0.5, 1.0, 2.0)
 
 def classify_json(cells, monkeypatch, reset):
     """classify(phi, p, q, plan) of each cell as sorted JSON, in order; with
-    reset, no kept paths survive from one cell to the next."""
+    reset, nothing kept survives from one cell to the next."""
     out = []
     for phi, p, q, plan in cells:
         if reset:
-            monkeypatch.setattr(criteria, "_kept_paths", None)
+            monkeypatch.setattr(criteria, "_kept", None)
         out.append(json.dumps(classify(phi, p, q, plan).to_json(), sort_keys=True))
     return out
 
@@ -504,7 +504,8 @@ def counted_builds(monkeypatch):
 
 
 class TestKeptPaths:
-    """classify keeps the boundary paths of the last map it asked them for."""
+    """classify keeps the boundary paths, grid parts and path-set parts of the
+    last map it was asked about."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_reports_equal_those_built_afresh(self, dim, monkeypatch):
@@ -520,7 +521,7 @@ class TestKeptPaths:
         a, b = identity_map(2), moebius_automorphism([0.3, -0.2j], [0.5, 1.0])
         cells = [(phi, p, q, SamplingPlan(seed=seed)) for p in GRID for q in GRID
                  for seed in (0, 1) for phi in (a, b, a)]
-        monkeypatch.setattr(criteria, "_kept_paths", None)
+        monkeypatch.setattr(criteria, "_kept", None)
         assert classify_json(cells, monkeypatch, reset=False) == \
             classify_json(cells, monkeypatch, reset=True)
 
@@ -546,7 +547,7 @@ class TestKeptPaths:
         seed = PLAN.seed
         assert sorted(builds, key=str) == [("coordinate", 0, seed), ("coordinate", 1, seed + 1),
                                            ("image", None, seed)]
-        assert criteria._kept_paths[1][("image", None, seed)] == []
+        assert criteria._kept.path_sets[("image", None, seed)].paths == []
 
     def test_next_map_frees_the_kept_map(self):
         a, b = identity_map(1), halving_map(1)
@@ -559,11 +560,66 @@ class TestKeptPaths:
 
     def test_kept_arrays_are_read_only(self):
         report = classify(identity_map(2), 1.0, 1.0, PLAN)
-        kept = criteria._kept_paths[1][("image", None, PLAN.seed)]
-        assert kept and report.profiles[0].path.points is kept[0].points
-        for array in (kept[0].points, kept[0].approach):
+        kept = criteria._kept.path_sets[("image", None, PLAN.seed)]
+        assert kept.paths and report.profiles[0].path.points is kept.paths[0].points
+        assert report.profiles[0].path.approach is kept.approaches[0]
+        for array in (kept.paths[0].points, kept.paths[0].approach, kept.approaches[0],
+                      kept.parts.Z, kept.parts.block, criteria._kept.grid[1].block):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
+
+    def test_plans_interleaved_on_one_map_equal_built_afresh(self, monkeypatch):
+        # seeds 0 and 1 draw grids of one size, other radial levels one of
+        # another size: grid parts are kept per plan
+        phi = product_map()
+        plans = (SamplingPlan(seed=0), SamplingPlan(seed=1), SamplingPlan(radial_levels=10))
+        cells = [(phi, p, q, plan) for p in GRID for q in GRID for plan in plans]
+        monkeypatch.setattr(criteria, "_kept", None)
+        assert classify_json(cells, monkeypatch, reset=False) == \
+            classify_json(cells, monkeypatch, reset=True)
+
+    def test_sweep_evaluates_each_map_on_the_grid_once(self, monkeypatch):
+        # the parts of the dim-2 corpus maps on the grid: one evaluation of
+        # each row's partials per map (5 maps x 2 rows), not one per cell
+        n = len(stratified_grid(2, PLAN)[0])
+        grid_rows = []
+        moduli = criteria.partial_moduli
+
+        def counted(parts, Z):
+            if Z.shape == (n, 2):
+                grid_rows.append(parts)
+            return moduli(parts, Z)
+
+        monkeypatch.setattr(criteria, "partial_moduli", counted)
+        monkeypatch.setattr(criteria, "_kept", None)
+        for _, phi in default_selfmap_corpus(2):
+            for p in GRID:
+                for q in GRID:
+                    classify(phi, p, q, PLAN)
+        assert len(grid_rows) == 5 * 2
+
+    def test_profile_of_hand_built_paths_leaves_the_slot_alone(self, monkeypatch):
+        # a path classify did not keep is measured and validated on every call,
+        # even a copy of a kept one
+        phi = identity_map(1)
+        classify(phi, 1.0, 1.0, PLAN)
+        kept = criteria._kept
+        path_sets, grid = dict(kept.path_sets), kept.grid
+        away = BoundaryPath(points=np.linspace(0.9, 0.1, 10, dtype=complex)[:, None],
+                            mode="image", path_id="away")
+        copies = [replace(path) for path in kept.path_sets[("image", None, PLAN.seed)].paths]
+        measured = []
+        measure = BoundaryPath.measure
+        monkeypatch.setattr(BoundaryPath, "measure",
+                            lambda path, phi: measured.append(path) or measure(path, phi))
+        for _ in range(3):
+            with pytest.raises(PathValidationError, match="not monotone"):
+                compactness_profile(phi, 1.0, 1.0, [away], "image")
+            compactness_profile(phi, 1.0, 1.0, copies, "image")
+        assert len(measured) == 6
+        assert criteria._kept is kept and kept.grid is grid
+        assert kept.path_sets.keys() == path_sets.keys()
+        assert all(kept.path_sets[key] is value for key, value in path_sets.items())
 
 
 class TestSteepContact:

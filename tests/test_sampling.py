@@ -5,8 +5,9 @@ expressions; the loops below are the per-combination and per-level versions
 they replace.  The grid must match its reference bit for bit and leave the
 generator in the same state, because estimators keep drawing from it after
 the grid.  That holds as well when `stratified_grid` returns its kept grid
-instead of drawing one.  The last test checks the refinement box that
-`estimate_supremum` opens around an origin witness.
+instead of drawing one.  The last tests check the refinement box that
+`estimate_supremum` opens around an origin witness, and the grid values a
+caller may hand it.
 """
 
 import itertools
@@ -180,3 +181,24 @@ def test_refinement_around_the_origin_spans_every_angle(dim):
     for column in proposed[1].T:
         moved = column[column != 0]
         assert np.any(moved.real > 0) and np.any(moved.real < 0)
+
+
+def modulus_density(Z):
+    return np.abs(Z[:, 0])
+
+
+def test_grid_values_stand_for_the_grid_evaluation():
+    plan = SamplingPlan(radial_levels=6, angular_count=16)
+    Z, _ = stratified_grid(2, plan)
+    given_values = estimate_supremum(modulus_density, 2, plan, grid_values=modulus_density(Z))
+    assert given_values.to_json() == estimate_supremum(modulus_density, 2, plan).to_json()
+
+
+@pytest.mark.parametrize("shape", [(1,), (), "grid+1", "grid-1", "grid,1"])
+def test_grid_values_of_another_shape_are_refused(shape):
+    # a length-1 array would broadcast through the per-level maxima unnoticed
+    plan = SamplingPlan()
+    n = len(stratified_grid(1, plan)[0])
+    shape = {"grid+1": (n + 1,), "grid-1": (n - 1,), "grid,1": (n, 1)}.get(shape, shape)
+    with pytest.raises(ValueError, match=f"grid_values has shape .*has {n} points"):
+        estimate_supremum(modulus_density, 1, plan, grid_values=np.full(shape, 5.0))
