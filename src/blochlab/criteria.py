@@ -72,7 +72,7 @@ from .polydisk import one_minus_sq
 from .reports import SCHEMA_VERSION, format_point, record_json
 from .sampling import (PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum,
                        stratified_grid)
-from .testfuncs import family_norm_floor, members
+from .testfuncs import members
 
 DECAY_TOL = 1e-3
 STAY_FLOOR = 1e-3
@@ -608,18 +608,19 @@ def little_bloch_verdict(bounded: Verdict, est: NormEstimate) -> Verdict:
 def operator_norm_lower_bound(phi: HoloSelfMap, p: float, q: float,
                               w_grid, plan: SamplingPlan = SamplingPlan()) -> float:
     """Best ratio ||nu o phi||_q / ||nu||_p over the sampled test families:
-    a lower bound for the operator norm up to estimator undershoot.
+    a lower bound for the operator norm.
 
-    The denominator is guarded from below by closed-form floors (norm values
-    forced at explicit points), so degenerate members cannot inflate the ratio.
+    The numerator is a sampled estimate, which can only fall short of
+    ||nu o phi||_q, and the denominator is the certified upper end of the
+    member's closed-form norm bracket.  Numerator undershoot loosens the
+    bound; nothing inflates it.
     """
     require_certified(phi)
     best = 0.0
     for w in np.asarray(w_grid, dtype=complex):
         for axis in range(phi.dim):
             for nu in members(axis, w, p, phi.dim):
-                den_est = bloch_norm_estimate(nu, p, plan).value
-                den = max(den_est, family_norm_floor(nu.family, p, w), 1e-300)
+                den = nu.bloch_norm_bracket(p)[1]
                 num = bloch_norm_estimate(compose(nu, phi), q, plan).value
                 best = max(best, num / den)
     return best

@@ -6,17 +6,26 @@ For an exponent p > 0, a coordinate axis l, and a disk parameter |w| < 1:
   family 'g': the kernel power    (1 - |w|^2) / (1 - z_l conj(w))^p,
   family 'h': the weighted kernel (z_0 + 2) (1 - |w|^2)^{p-1} g  (l != 0).
 
-Each member holds one `holo.ScaledKernel`, scale / (1 - conj(w) z_l)^p, and
-takes its exact partials and its degree-indexed Taylor polynomial from that
-kernel's.  `members` lists one axis's members in family order; the module adds
-p-Bloch norm bounds uniform in w, floors (`family_norm_floor`) and a bound on
-the truncation tail.  The 'g' and 'h' values are the kernel's value (times
-z_0 + 2 for 'h').  The family-'f' value is computed from its power series
-(adaptive truncation to relative 1e-14); the closed-form antiderivative is
-reserved for the independent oracle.  The truncation test reduces over all
-points, so it runs only once it may pass by a bound from |w| and rho = max
-|z_l|: term j is at most c_j |w|^j rho^(j+1) / (j+1), with equality where
-|z_l| = rho, and the sum of those bounds caps the partial sum.
+These are the families of Madigan and Matheson (Trans. AMS 347, 1995),
+carried to U^n.  Each member holds one `holo.ScaledKernel`,
+scale / (1 - conj(w) z_l)^p, and takes its exact partials and its
+degree-indexed Taylor polynomial from that kernel's.  `members` lists one
+axis's members in family order; the module adds p-Bloch norm bounds uniform
+in w (`family_norm_bound`; for 'h' only at p >= 1) and a bound on the
+truncation tail.
+
+A member depends on z_l (and z_0 for 'h') alone, so its s-Bloch density is
+largest on the ray z_l = t w/|w| and its norm is a one-variable maximum over
+t in [0, 1): `TestFunction.bloch_norm_bracket` gives it in closed form, exact
+for 'f' and 'g' and a bracket for 'h'.
+
+The 'g' and 'h' values are the kernel's value (times z_0 + 2 for 'h').  The
+family-'f' value is computed from its power series (adaptive truncation to
+relative 1e-14); the closed-form antiderivative is reserved for the
+independent oracle.  The truncation test reduces over all points, so it runs
+only once it may pass by a bound from |w| and rho = max |z_l|: term j is at
+most c_j |w|^j rho^(j+1) / (j+1), with equality where |z_l| = rho, and the
+sum of those bounds caps the partial sum.
 """
 
 from __future__ import annotations
@@ -78,6 +87,23 @@ def _antiderivative_series(zl: np.ndarray, w: complex, p: float) -> np.ndarray:
         if tmax <= _SERIES_RTOL * max(float(np.max(np.abs(total))) if total.size else 0.0, 1e-30):
             break
     return total
+
+
+def _ray_max(a: float, s: float, e: float) -> float:
+    """R(s, e) = max over t in [0, 1) of (1 - t^2)^s / (1 - a t)^e, 0 <= a < 1.
+
+    The log-derivative has the sign of a(2s - e) t^2 - 2s t + e a, which is
+    e a >= 0 at t = 0 and 2s(a - 1) < 0 at t = 1, so its one root in [0, 1)
+    is the maximum.  Its discriminant, 4(s^2 - a^2 e (2s - e)), is at least
+    4(s - e)^2, never negative; the root is taken in the form without
+    cancellation, e a / (s + sqrt(...)), which divides by no leading
+    coefficient, so the linear case 2s = e (or a = 0) needs no branch: it
+    gives t = e a / (2s) exactly.  1 - t^2 and 1 - a t are formed as
+    (1 - t)(1 + t) and (1 - a) + a (1 - t), without cancellation near 1.
+    """
+    t = e * a / (s + np.sqrt(s * s - a * a * e * (2.0 * s - e)))
+    peak = ((1.0 - t) * (1.0 + t)) ** s / ((1.0 - a) + a * (1.0 - t)) ** e
+    return float(max(1.0, peak))
 
 
 class TestFunction(HoloFunction):
@@ -142,6 +168,37 @@ class TestFunction(HoloFunction):
             sup = np.expm1((1.0 - p) * np.log1p(-aw)) / (aw * (p - 1.0))
         return float(sup), float(sup)
 
+    def bloch_norm_bracket(self, s: float) -> tuple[float, float]:
+        """(lo, hi) around the s-Bloch norm over U^n, |nu(0)| plus the sup of
+        sum_k |d_k nu| (1 - |z_k|^2)^s, in closed form.
+
+        With a = |w|, c = (1 - a^2)^p and R(s, e) from `_ray_max`, the density
+        is largest on the ray z_l = t w/a:
+        'f' R(s, p) exactly, 'g' (1 - a^2)(1 + p a R(s, p + 1)) exactly, and
+        'h', whose density is c (1-|z_0|^2)^s / |1 - conj(w) z_l|^p plus
+        |z_0 + 2| c p a (1-|z_l|^2)^s / |1 - conj(w) z_l|^(p+1), between
+        lo = 2c + max((1 + a)^p, 3c p a R(s, p + 1)), the limits of the density
+        at z_0 -> 0, z_l -> w/a and at z_0 -> 1 on the ray, and
+        hi = 2c + (1 + a)^p + 3c p a R(s, p + 1), each term's own sup with
+        |z_0 + 2| <= 3.  hi carries a rounding allowance: a few ulps per
+        exponent, over 1 - a for the ulp of |w| that the kernel's power feels.
+        """
+        if not s > 0:
+            raise ValueError(f"exponent s must be positive, got {s}")
+        a, p = abs(self.w), self.p
+        if self.family == "f":
+            lo = hi = _ray_max(a, s, p)
+        else:
+            ray = p * a * _ray_max(a, s, p + 1.0)
+            if self.family == "g":
+                lo = hi = (1.0 - a) * (1.0 + a) * (1.0 + ray)
+            else:
+                c = ((1.0 - a) * (1.0 + a)) ** p
+                lo = 2.0 * c + max((1.0 + a) ** p, 3.0 * c * ray)
+                hi = 2.0 * c + (1.0 + a) ** p + 3.0 * c * ray
+        eps = np.finfo(float).eps
+        return float(lo), float(hi * (1.0 + 4.0 * (4.0 + s + p) * eps / (1.0 - a)))
+
     def taylor(self, m):
         """The degree-indexed polynomial partial sum of the family's expansion.
 
@@ -169,7 +226,12 @@ def members(axis: int, w: complex, p: float, dim: int) -> list[TestFunction]:
 
 
 def family_norm_bound(family: str, p: float) -> float:
-    """Uniform-in-w upper bound on the p-Bloch norm of the family's members."""
+    """Uniform-in-w upper bound on the p-Bloch norm of the family's members.
+
+    'f' 2^p and 'g' 1 + p 2^(p+1) hold at every p > 0.  'h' 2 + 2^p +
+    3p 2^(p+1) holds only at p >= 1, so smaller p is refused: its norm grows
+    like (1 - |w|)^(p-1) as |w| -> 1 (at p = 1/2 and |w| = 0.99 it exceeds 11.7,
+    against 7.66)."""
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
     if family == "f":
@@ -177,17 +239,10 @@ def family_norm_bound(family: str, p: float) -> float:
     if family == "g":
         return 1.0 + p * 2.0 ** (p + 1.0)
     if family == "h":
+        if p < 1.0:
+            raise ValueError(f"the weighted-kernel family has no uniform bound at p = {p} < 1")
         return 2.0 + 2.0 ** p + 3.0 * p * 2.0 ** (p + 1.0)
     raise ValueError(f"unknown test-function family {family!r}")
-
-
-def family_norm_floor(family: str, p: float, w: complex) -> float:
-    """A lower bound on the member's p-Bloch norm: |nu(0)| plus the density at 0
-    for 'f' and 'h', the larger of |g(0)| and the density at z_l = w for 'g'."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown test-function family {family!r}")
-    aw = abs(w)
-    return {"f": 1.0, "g": max(1.0 - aw ** 2, p * aw), "h": 3.0 * (1.0 - aw ** 2) ** p}[family]
 
 
 def tail_bound(p: float, w: complex, m: int) -> float:

@@ -165,10 +165,34 @@ class TestSuites:
         assert suites.norm_trace_monotone(fns, plan=QUICK_PLAN).passed
 
     def test_family_rows(self):
-        assert suites.family_uniform_bound(plan=QUICK_PLAN, n_w=4).passed
+        assert suites.family_uniform_bound(n_w=4).passed
         assert suites.family_f_density_identity().passed
         assert suites.family_truncation_tails(plan=QUICK_PLAN).passed
         assert suites.kernel_local_decay().passed
+
+    def test_family_uniform_bound_samples_nothing(self, monkeypatch):
+        # the row proves the bound from closed-form brackets, so no estimator runs
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+
+        for module in (suites, norms):
+            counted(module, "bloch_norm_estimate")
+            counted(module, "bloch_norm_estimates")
+        for module in (norms, sampling):
+            counted(module, "estimate_supremum")
+        row = suites.family_uniform_bound(dim=3)
+        assert row.passed and row.worst < 0.0
+        assert calls == []
+        # the spies do count: one estimate passes through them
+        norms.bloch_norm_estimate(TestFunction("f", 0, 0.5, 1.0, 1), 1.0, QUICK_PLAN)
+        assert calls == ["bloch_norm_estimate", "bloch_norm_estimates", "estimate_supremum"]
 
     def test_density_row_decomposition_can_fail(self, monkeypatch):
         # the row compares the density with a sum built from phi.jacobian and phi.val

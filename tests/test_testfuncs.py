@@ -12,7 +12,9 @@ import pytest
 
 from blochlab.holo import EvaluationDomainError, rising_factorial_coeffs
 from blochlab.mapspec import dump_function
-from blochlab.norms import bloch_density_fn, bloch_norm_estimate, little_bloch_gap
+from blochlab.corpus import default_function_corpus
+from blochlab.norms import (bloch_density_fn, bloch_norm_estimate, bloch_norm_estimates,
+                            little_bloch_gap)
 from blochlab.sampling import SamplingPlan
 from blochlab.testfuncs import (
     _SERIES_MAX_TERMS,
@@ -20,7 +22,6 @@ from blochlab.testfuncs import (
     TestFunction,
     _antiderivative_series,
     family_norm_bound,
-    family_norm_floor,
     members,
     tail_bound,
 )
@@ -157,17 +158,100 @@ class TestFamilyNormBound:
         assert family_norm_bound("h", 1.0) == pytest.approx(16.0)
 
     def test_general_forms(self):
-        p = 0.5
-        assert family_norm_bound("f", p) == pytest.approx(2.0 ** p)
-        assert family_norm_bound("g", p) == pytest.approx(1 + p * 2.0 ** (p + 1))
+        for p in (0.5, 1.5):
+            assert family_norm_bound("f", p) == pytest.approx(2.0 ** p)
+            assert family_norm_bound("g", p) == pytest.approx(1 + p * 2.0 ** (p + 1))
+        p = 1.5
         assert family_norm_bound("h", p) == pytest.approx(2 + 2.0 ** p + 3 * p * 2.0 ** (p + 1))
 
     def test_estimates_stay_below_bounds(self):
         for p in (0.5, 1.0, 2.0):
             for w in (0.0, 0.5, 0.9, -0.8j):
                 for fam, axis in (("f", 0), ("g", 0), ("h", 1)):
+                    if fam == "h" and p < 1.0:
+                        continue
                     est = bloch_norm_estimate(TestFunction(fam, axis, w, p, 2), p, PLAN)
                     assert est.value <= family_norm_bound(fam, p) + 1e-9
+
+    def test_weighted_kernel_has_no_bound_below_unit_exponent(self):
+        # the h norm grows like (1 - |w|)^(p-1): at p = 1/2 and |w| = 0.99 the
+        # lower end of its bracket already exceeds the formula's value
+        p = 0.5
+        formula = 2 + 2.0 ** p + 3 * p * 2.0 ** (p + 1)
+        lo, _ = TestFunction("h", 1, 0.99, p, 2).bloch_norm_bracket(p)
+        assert lo > 11.7 > formula
+        with pytest.raises(ValueError):
+            family_norm_bound("h", p)
+
+
+class TestBlochNormBracket:
+    def test_brackets_hold_over_the_corpora(self):
+        # est <= hi is the certificate; the undershoot of f and g, whose lo is
+        # the norm, is the estimator's accuracy and stays near 2e-6
+        ps = (0.5, 1.0, 2.0)
+        count, undershoot = 0, 0.0
+        for dim in (1, 2, 3):
+            for seed in (0, 1, 2):
+                plan = SamplingPlan(seed=seed)
+                for t in default_function_corpus(dim, seed=seed):
+                    if not isinstance(t, TestFunction):
+                        continue
+                    for s, est in zip(ps, bloch_norm_estimates(t, ps, plan)):
+                        lo, hi = t.bloch_norm_bracket(s)
+                        assert lo <= hi, (t, s)
+                        assert est.value <= hi * (1.0 + 1e-12), (t, s)
+                        if t.family != "h":
+                            undershoot = max(undershoot, (lo - est.value) / lo)
+                        count += 1
+        assert count == 1620
+        assert undershoot < 1e-5
+
+    def test_known_values(self):
+        lo, hi = TestFunction("f", 0, 0.8, 0.5, 1).bloch_norm_bracket(1.0)
+        assert lo == pytest.approx(1.04846301004, rel=1e-11)
+        assert hi == pytest.approx(lo, rel=1e-13)
+        for s in (0.5, 1.0, 2.0):
+            for fam, want in (("f", 1.0), ("g", 1.0), ("h", 3.0)):
+                lo, hi = TestFunction(fam, 1, 0.0, 1.5, 2).bloch_norm_bracket(s)
+                assert lo == want
+                assert want < hi <= want * (1.0 + 1e-13)  # hi's rounding allowance
+
+    def test_linear_stationary_condition(self):
+        # e = 2s: the maximum of ((1 - t^2) / (1 - a t)^2)^s is at t = a,
+        # where it is (1 - a^2)^-s; f at p = 2s and g at p + 1 = 2s take it
+        a = 0.6
+        assert TestFunction("f", 0, a, 1.0, 1).bloch_norm_bracket(0.5)[0] == \
+            pytest.approx(1.25, rel=1e-15)
+        g = TestFunction("g", 0, -a * 1j, 1.0, 1).bloch_norm_bracket(1.0)[0]
+        assert g == pytest.approx((1 - a * a) * (1 + a / (1 - a * a)), rel=1e-15)
+        # and the root's one form is continuous across it
+        near = TestFunction("f", 0, a, 1.0, 1).bloch_norm_bracket(0.5 + 1e-9)[0]
+        assert near == pytest.approx(1.25, rel=1e-8)
+
+    def test_brackets_reach_the_density_on_the_ray(self):
+        # the density on the ray z_l = t w/|w| (z_0 = 0 or near 1 for h) never
+        # exceeds hi, and its max on a fine ray grid comes within 1e-6 of lo,
+        # which is the norm for f and g
+        w, s = 0.7 - 0.5j, 1.5
+        t = np.linspace(0.0, 0.999999, 200_001)
+        for fam, p in (("f", 0.5), ("g", 2.0), ("h", 1.0)):
+            nu = TestFunction(fam, 1, w, p, 2)
+            lo, hi = nu.bloch_norm_bracket(s)
+            base = abs(nu.value([0.0, 0.0]))
+            Z = np.zeros((t.size, 2), dtype=complex)
+            Z[:, 1] = t * w / abs(w)
+            dens = [bloch_density_fn(nu, s)(Z)]
+            if fam == "h":
+                Z[:, 0] = 1.0 - 1e-9
+                dens.append(bloch_density_fn(nu, s)(Z))
+            best = base + max(float(d.max()) for d in dens)
+            assert lo * (1.0 - 1e-6) <= best <= hi
+            if fam != "h":
+                assert best == pytest.approx(lo, rel=1e-6)
+
+    def test_rejects_nonpositive_exponent(self):
+        with pytest.raises(ValueError):
+            TestFunction("f", 0, 0.5, 1.0, 1).bloch_norm_bracket(0.0)
 
 
 class TestMembers:
@@ -182,22 +266,6 @@ class TestMembers:
         got = [t for axis in range(dim) for t in members(axis, w, p, dim)]
         assert [(t.family, t.axis) for t in got] == want
         assert all((t.w, t.p, t.dim) == (w, p, dim) for t in got)
-
-    @pytest.mark.parametrize("fam, axis", [("f", 0), ("g", 1), ("h", 1)])
-    def test_norm_floor_is_forced_at_its_points(self, fam, axis):
-        origin = np.zeros(2, dtype=complex)
-        for p in (0.5, 1.0, 2.0):
-            for w in (0.0, 0.3, 0.6 - 0.5j, 0.9):
-                t = TestFunction(fam, axis, w, p, 2)
-                at_w = origin.copy()
-                at_w[axis] = w
-                density = bloch_density_fn(t, p)
-                forced = abs(t.value(origin)) + max(density(origin), density(at_w))
-                assert family_norm_floor(fam, p, w) <= forced * (1.0 + 1e-12)
-
-    def test_norm_floor_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            family_norm_floor("k", 1.0, 0.5)
 
 
 class TestDensityIdentity:
