@@ -291,7 +291,11 @@ def _approach(phi: HoloSelfMap, Z: np.ndarray, mode: str, axis: int | None) -> n
     'image', 1 - |phi_axis(z)| in mode 'coordinate', which evaluates phi_axis
     alone."""
     if mode == "image":
-        return np.min(1.0 - np.abs(phi.val(Z)), axis=-1)
+        moduli = np.abs(phi.val(Z))
+        out = 1.0 - moduli[..., 0]
+        for k in range(1, phi.dim):
+            out = np.minimum(out, 1.0 - moduli[..., k])
+        return out
     return 1.0 - np.abs(phi.components[axis].val(Z))
 
 

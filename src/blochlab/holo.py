@@ -88,7 +88,11 @@ class HoloFunction:
     # -- conveniences ------------------------------------------------------
 
     def value(self, z) -> complex:
-        return complex(self.val(as_coords(z)))
+        """f at one point z, evaluated as row 0 of the batch (z, z): a lone point
+        would run numpy's scalar arithmetic, whose last bits differ from the
+        array loops that a batch runs."""
+        z = as_coords(z)
+        return complex(self.val(np.stack([z, z]))[0])
 
     def partials(self) -> list:
         cached = getattr(self, "_partials_cache", None)
@@ -482,6 +486,13 @@ class Product(HoloFunction):
         return Sum(terms) if terms else Const(0.0, self.dim)
 
 
+def _coordinate_major(columns: list) -> np.ndarray:
+    """Equal-shape arrays (...) stacked along a leading axis, returned as the
+    (..., n) view whose coordinate k is contiguous (see `sampling`)."""
+    W = np.array(columns)
+    return W.transpose(*range(1, W.ndim), 0)
+
+
 class Composition(HoloFunction):
     """f(phi_1(z), ..., phi_m(z)); differentiates by the chain rule."""
 
@@ -496,8 +507,7 @@ class Composition(HoloFunction):
 
     def val(self, Z):
         Z = np.asarray(Z, dtype=complex)
-        W = np.stack([g.val(Z) for g in self.inner], axis=-1)
-        return self.outer.val(W)
+        return self.outer.val(_coordinate_major([g.val(Z) for g in self.inner]))
 
     def partial(self, axis):
         terms = []
@@ -545,9 +555,9 @@ class HoloSelfMap:
         certify_self_map(self)
 
     def val(self, Z) -> np.ndarray:
-        """Map points (..., n) -> image points (..., n)."""
+        """Map points (..., n) -> image points (..., n), coordinate-major."""
         Z = np.asarray(Z, dtype=complex)
-        return np.stack([c.val(Z) for c in self.components], axis=-1)
+        return _coordinate_major([c.val(Z) for c in self.components])
 
     def jacobian(self, Z) -> np.ndarray:
         """Matrices with entry (l, k) = d phi_l / d z_k at points (..., n) -> (..., n, n)."""

@@ -33,6 +33,12 @@ over squared moduli and the weights (1 - |z_k|^2)^2, and the gradient norm the
 same root with unit weights.  The criterion rows share one dict of weights
 per call, and `bloch_norm_estimates` raises each grid weight to each exponent
 on use, so that it holds no more than one at a time.
+
+Points arrive coordinate-major (see `sampling`) and no function here assumes
+C order: every sum over coordinates, the kernel's, a pair's squared
+separation and `pointeval_bound`'s, is a loop over columns.  A pair quotient
+divides into a zeroed output only where the separation clears the floor
+(`np.divide` with `where=`), with no boolean gathers or scatter.
 """
 
 from __future__ import annotations
@@ -199,8 +205,13 @@ def pointeval_bound(p: float, Z) -> np.ndarray:
     oms = one_minus_sq(mods)
     if p == 1.0:
         ln2 = np.log(2.0)
-        return (n * ln2 + 1.0) / (n * ln2) * np.sum(np.log(2.0 / oms), axis=-1)
-    return (2.0 ** (p - 1.0) * n + p - 1.0) / (n * (p - 1.0)) * np.sum(oms ** (1.0 - p), axis=-1)
+        factor, terms = (n * ln2 + 1.0) / (n * ln2), np.log(2.0 / oms)
+    else:
+        factor, terms = (2.0 ** (p - 1.0) * n + p - 1.0) / (n * (p - 1.0)), oms ** (1.0 - p)
+    total = np.zeros(Z.shape[:-1])
+    for k in range(n):
+        total += terms[..., k]
+    return factor * total
 
 
 def little_bloch_gap(f: HoloFunction, p: float, m: int,
@@ -224,10 +235,7 @@ def _quotients(num: np.ndarray, left_cols, right_cols, p: float) -> np.ndarray:
     for zl, zr in zip(left_cols, right_cols):
         sq_sep += np.abs(zl - zr) ** 2
     sep = np.sqrt(sq_sep)
-    out = np.zeros_like(sep)
-    ok = sep > _PAIR_SEPARATION_FLOOR
-    out[ok] = num[ok] / sep[ok] ** p
-    return out
+    return np.divide(num, sep ** p, out=np.zeros_like(sep), where=sep > _PAIR_SEPARATION_FLOOR)
 
 
 def _pair_quotients(f: HoloFunction, p: float, Zl: np.ndarray, Zr: np.ndarray) -> np.ndarray:

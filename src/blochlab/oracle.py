@@ -7,6 +7,13 @@ direction-optimized seminorm from direct maximization over random directions,
 and the antiderivative family from its closed form on the principal branch.
 The direction search contracts every point with every random direction in
 one matrix product, G @ U.T, with a second for the weights H(z, u).
+
+Point arrays are coordinate-major, as `sampling` describes: uniform points
+are built in a (dim, N) block and returned as its transpose, the
+finite-difference partials stack along a leading axis and return as an
+(N, dim) view of it, and the FD density adds its coordinates one column at a
+time.  No function here assumes C order, and none shares the primary
+modules' density kernel.
 """
 
 from __future__ import annotations
@@ -55,25 +62,36 @@ def fd_gradient(f: HoloFunction, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=complex)
     grads = []
     for k in range(Z.shape[-1]):
-        Zp = Z.copy()
-        Zm = Z.copy()
+        Zp = Z.copy(order="K")
+        Zm = Z.copy(order="K")
         Zp[..., k] += FD_STEP
         Zm[..., k] -= FD_STEP
         grads.append((f.val(Zp) - f.val(Zm)) / (2.0 * FD_STEP))
-    return np.stack(grads, axis=-1)
+    return np.moveaxis(np.stack(grads), 0, -1)
 
 
 def uniform_points(dim: int, count: int, seed: int, rmax: float = 0.95) -> np.ndarray:
     """Plain area-uniform points of the polydisk (radius sqrt-law per disk)."""
     rng = np.random.default_rng(seed)
-    r = rmax * np.sqrt(rng.random((count, dim)))
-    theta = 2.0 * np.pi * rng.random((count, dim))
-    return r * np.exp(1j * theta)
+    r = np.sqrt(rng.random((count, dim)))
+    r *= rmax
+    theta = rng.random((count, dim))
+    theta *= 2.0 * np.pi
+    Z = np.empty((dim, count), dtype=complex)
+    np.multiply(1j, theta.T, out=Z)
+    np.exp(Z, out=Z)
+    Z *= r.T
+    return Z.T
 
 
 def fd_bloch_density(f: HoloFunction, p: float, Z: np.ndarray) -> np.ndarray:
-    g = np.abs(fd_gradient(f, Z))
-    return np.sum(g * one_minus_sq(np.abs(Z)) ** p, axis=-1)
+    """sum_k |FD partial k| (1 - |z_k|^2)^p, added one coordinate at a time."""
+    Z = np.asarray(Z, dtype=complex)
+    G = fd_gradient(f, Z)
+    out = np.zeros(Z.shape[:-1])
+    for k in range(Z.shape[-1]):
+        out += np.abs(G[..., k]) * one_minus_sq(np.abs(Z[..., k])) ** p
+    return out
 
 
 def uniform_bloch_norm(f: HoloFunction, p: float, count: int = 20_000,

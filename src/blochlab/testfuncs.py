@@ -25,7 +25,10 @@ relative 1e-14); the closed-form antiderivative is reserved for the
 independent oracle.  The truncation test reduces over all points, so it runs
 only once it may pass by a bound from |w| and rho = max |z_l|: term j is at
 most c_j |w|^j rho^(j+1) / (j+1), with equality where |z_l| = rho, and the
-sum of those bounds caps the partial sum.
+sum of those bounds caps the partial sum.  The truncation therefore depends
+on the batch: a family-'f' value at one point differs in its last bits from
+the same point in a batch (within the 1e-14 tolerance), where every other
+representation gives a point the same bits alone as in any batch.
 """
 
 from __future__ import annotations

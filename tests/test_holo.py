@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochlab.corpus import default_selfmap_corpus, polynomial_corpus
+from blochlab.corpus import default_function_corpus, default_selfmap_corpus, polynomial_corpus
 from blochlab.testfuncs import TestFunction
 from blochlab.holo import (
     HORNER_BLOCK,
+    SELF_MAP_CEILING,
     Composition,
     Const,
     EvaluationDomainError,
@@ -72,12 +73,20 @@ class TestEval:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_single_point_equals_batch_bitwise(self, dim):
         # numpy multiplies a one-element complex array through another loop than
-        # a longer one; a point's value must not depend on the batch it is in
+        # a longer one, and a lone point runs its scalar arithmetic; a point's
+        # value must not depend on the batch it is in.  Every representation
+        # but family f (see test_family_f_single_point_within_truncation):
+        # polynomials, the corpus members, the self-map components and every
+        # partial of them.
         Z = disk_points(np.random.default_rng(dim), (200,), dim)
-        for f in polynomial_corpus(dim, count=5, seed=1):
+        fns = polynomial_corpus(dim, count=5, seed=1)
+        fns += [f for f in default_function_corpus(dim) if getattr(f, "family", "") != "f"]
+        fns += [c for _, phi in default_selfmap_corpus(dim) for c in phi.components]
+        fns += [pk for f in default_function_corpus(dim) for pk in f.partials()]
+        for f in fns:
             batch = f.val(Z)
             single = np.array([f.value(z) for z in Z])
-            np.testing.assert_array_equal(single.view(float), batch.view(float))
+            np.testing.assert_array_equal(single.view(float), batch.view(float), err_msg=repr(f))
 
     def test_one_point_last_block_equals_batch_bitwise(self):
         Z = disk_points(np.random.default_rng(5), (HORNER_BLOCK + 1,), 2)
@@ -85,6 +94,19 @@ class TestEval:
         last = f.val(Z)[-1]
         assert f.val(Z[-2:])[-1] == last
         assert f.value(Z[-1]) == last
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_family_f_single_point_within_truncation(self, dim):
+        # family f truncates its series by a test over the whole batch, so a
+        # point's last bits depend on its batch; they agree to the truncation
+        # tolerance 1e-14, relative to the batch's largest value
+        Z = disk_points(np.random.default_rng(dim), (200,), dim)
+        for f in default_function_corpus(dim):
+            if getattr(f, "family", "") == "f":
+                batch = f.val(Z)
+                single = np.array([f.value(z) for z in Z])
+                np.testing.assert_allclose(single, batch, rtol=0,
+                                           atol=1e-13 * np.max(np.abs(batch)))
 
 
 def loop_series_val(f, Z):
@@ -522,6 +544,17 @@ class TestCertification:
         lo, hi = phi.certificate.brackets[0]
         assert 0.4 * math.sqrt(5) - 1e-12 <= lo <= 0.4 * math.sqrt(5) + 1e-12
         assert 0.8944 <= hi <= 1.0
+
+    @pytest.mark.xfail(strict=True, reason="a first-order cube bound at a torus maximum "
+                       "of exactly 1 never drops to the ceiling: hi = inf at TORUS_BOX_CAP")
+    def test_unit_torus_maximum_certified(self):
+        # coefficient sum 3/sqrt(5), torus maximum |2 + i|/sqrt(5) = 1 at z = i:
+        # a genuine self-map, refused until the cubes get second-order bounds
+        c = 1.0 / math.sqrt(5.0)
+        phi = HoloSelfMap([Series({(0,): c, (1,): c, (2,): -c}, 1)])
+        lo, hi = phi.certificate.brackets[0]
+        assert lo == pytest.approx(1.0, abs=1e-12)
+        assert hi <= SELF_MAP_CEILING and phi.certificate.is_certified()
 
     def test_constant_beside_series_certified_exactly(self):
         phi = HoloSelfMap([Const(0.25j, 2), Series({(1, 0): 0.5, (1, 1): -0.25}, 2)])

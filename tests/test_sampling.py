@@ -5,7 +5,8 @@ expressions; the loops below are the per-combination and per-level versions
 they replace.  The grid must match its reference bit for bit and leave the
 generator in the same state, because estimators keep drawing from it after
 the grid.  That holds as well when `stratified_grid` returns its kept grid
-instead of drawing one.  The last tests check the refinement box that
+instead of drawing one.  Grids are coordinate-major (Z[:, k] contiguous), so
+they are compared through a C-ordered copy of their bits.  The last tests check the refinement box that
 `estimate_supremum` opens around an origin witness, and the grid values a
 caller may hand it.
 """
@@ -39,12 +40,22 @@ def loop_grid(dim, plan, rng):
     return np.concatenate(blocks, axis=0), np.concatenate(level_blocks, axis=0)
 
 
+def bits(Z):
+    """The float bits of complex points, whatever their memory order."""
+    return np.ascontiguousarray(Z).view(float)
+
+
+def assert_kept_layout(Z):
+    assert Z.flags.f_contiguous and not Z.flags.writeable
+
+
 def assert_grid_matches_loop(dim, plan):
     rng, ref_rng = np.random.default_rng(plan.seed), np.random.default_rng(plan.seed)
     Z, levels = stratified_grid(dim, plan, rng)
     Z_ref, levels_ref = loop_grid(dim, plan, ref_rng)
     assert Z.shape == Z_ref.shape
-    np.testing.assert_array_equal(Z.view(float), Z_ref.view(float))
+    assert_kept_layout(Z)
+    np.testing.assert_array_equal(bits(Z), bits(Z_ref))
     np.testing.assert_array_equal(levels, levels_ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -75,12 +86,14 @@ def test_budget_capped_grid():
     np.testing.assert_allclose(np.abs(Z), radii[index], rtol=0, atol=1e-15)
     np.testing.assert_array_equal(levels, index.max(axis=1))
     Z2, levels2 = stratified_grid(dim, plan)
-    np.testing.assert_array_equal(Z.view(float), Z2.view(float))
+    assert_kept_layout(Z)
+    np.testing.assert_array_equal(bits(Z), bits(Z2))
     np.testing.assert_array_equal(levels, levels2)
 
 
 def assert_same_grid(grid, ref):
-    np.testing.assert_array_equal(grid[0].view(float), ref[0].view(float))
+    assert_kept_layout(grid[0])
+    np.testing.assert_array_equal(bits(grid[0]), bits(ref[0]))
     np.testing.assert_array_equal(grid[1], ref[1])
 
 
