@@ -253,7 +253,7 @@ def boundedness_check(phi: HoloSelfMap, p: float, q: float,
 class BoundaryPath:
     """A finite sequence of points whose images approach the boundary.
 
-    mode 'image': boundary_distance(phi(z^[j])) decreases to <= 1e-4.
+    mode 'image': min_k (1 - |phi_k(z^[j])|) decreases to <= 1e-4.
     mode 'coordinate': 1 - |phi_axis(z^[j])| decreases to <= 1e-4.
     """
 

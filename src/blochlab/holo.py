@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polydisk import as_coords
 from .reports import record_json
 
 # compose normalizes a polynomial composite to a Series only up to this degree
@@ -91,7 +90,7 @@ class HoloFunction:
         """f at one point z, evaluated as row 0 of the batch (z, z): a lone point
         would run numpy's scalar arithmetic, whose last bits differ from the
         array loops that a batch runs."""
-        z = as_coords(z)
+        z = np.asarray(z, dtype=complex)
         return complex(self.val(np.stack([z, z]))[0])
 
     def partials(self) -> list:
@@ -561,7 +560,7 @@ class HoloSelfMap:
 
     def jacobian(self, Z) -> np.ndarray:
         """Matrices with entry (l, k) = d phi_l / d z_k at points (..., n) -> (..., n, n)."""
-        Z = as_coords(Z)
+        Z = np.asarray(Z, dtype=complex)
         rows = [np.stack([p.val(Z) for p in comp.partials()], axis=-1)
                 for comp in self.components]
         return np.stack(rows, axis=-2)

@@ -39,6 +39,10 @@ Q_DIRECTIONS = 512
 
 @dataclass
 class OracleResult:
+    """One comparison.  A non-finite primary, oracle or discrepancy breaches
+    the row whatever its own test said: every such test compares with >,
+    which a NaN never passes."""
+
     quantity: str
     primary: float
     oracle: float
@@ -46,6 +50,10 @@ class OracleResult:
     breach: bool
 
     to_json = record_json
+
+    def __post_init__(self):
+        self.breach = bool(self.breach) or not np.all(
+            np.isfinite([self.primary, self.oracle, self.discrepancy]))
 
 
 def relative_discrepancy(a: float, b: float) -> float:
@@ -146,11 +154,12 @@ def derivative_results(fns: list, count: int = 1000, seed: int = 0,
     for i, f in enumerate(fns):
         Z = uniform_points(f.dim, count, seed + i, rmax=0.8)
         G_fd = fd_gradient(f, Z)
-        worst = 0.0
+        errs = []
         for k, pk in enumerate(f.partials()):
             exact = pk.val(Z)
             scale = np.maximum(np.abs(exact), 1.0)
-            worst = max(worst, float(np.max(np.abs(G_fd[..., k] - exact) / scale)))
+            errs.append(np.max(np.abs(G_fd[..., k] - exact) / scale))
+        worst = float(np.max(errs))  # np.max keeps a NaN that max() would drop
         out.append(OracleResult(f"partial:{i}:{type(f).__name__}", 0.0, worst,
                                 worst, worst > threshold))
     return out

@@ -4,14 +4,15 @@ import contextlib
 import inspect
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blochlab import norms, sampling, suites
+from blochlab import norms, oracle, sampling, suites
 from blochlab.corpus import default_function_corpus, default_selfmap_corpus, polynomial_corpus
 from blochlab.criteria import coordinate_density_fn
-from blochlab.holo import HoloFunction, Series
+from blochlab.holo import Const, HoloFunction, Series
 from blochlab.norms import timoney_q_fn
 from blochlab.oracle import (
     Q_DIRECTIONS,
@@ -47,6 +48,13 @@ class BrokenDerivative(HoloFunction):
 
     def partial(self, axis):
         return Series({(1,): 3.0}, 1)
+
+
+class NaNPartials(Series):
+    """Deliberate fault: the values of a polynomial, every partial NaN."""
+
+    def partial(self, axis):
+        return Const(np.nan, self.dim)
 
 
 def einsum_q_seminorm(f, Z, seed):
@@ -134,17 +142,30 @@ class TestOracle:
         breached = {":".join(r.quantity.split(":")[:2]) for r in rows if r.breach}
         assert breached <= allowed
 
+    def test_nan_partials_breach_their_rows(self):
+        # max(0.0, nan) is 0.0 and nan > threshold is False: without the
+        # non-finite rule these rows read clean
+        f = NaNPartials({(2, 1): 1.0, (0, 1): 0.5j}, 2)
+        with np.errstate(invalid="ignore"):
+            rows = (derivative_results([f], count=50, seed=0)
+                    + q_seminorm_results([f], count=50, seed=0)
+                    + sup_results([f], 1.0, QUICK_PLAN, count=500, seed=0))
+        assert [r.quantity.split(":")[0] for r in rows] == ["partial", "q-seminorm", "sup"]
+        assert all(r.breach for r in rows)
+        assert np.isnan(rows[0].oracle) and np.isnan(rows[1].primary)
+
+    def test_nan_closed_form_breaches_antiderivative_row(self, monkeypatch):
+        monkeypatch.setattr(oracle, "antiderivative_closed_form",
+                            lambda t, Z: np.full(Z.shape[:-1], np.nan + 0j))
+        rows = antiderivative_results([TestFunction("f", 0, 0.3, 1.0, 1)], count=50)
+        assert len(rows) == 1 and rows[0].breach
+
     def test_relative_discrepancy_definition(self):
         assert relative_discrepancy(2.0, 1.0) == pytest.approx(0.5)
         assert relative_discrepancy(0.0, 0.0) == 0.0
 
 
 class TestSuites:
-    def test_geometry_rows(self):
-        assert suites.metric_homogeneity().passed
-        assert suites.segment_telescoping().passed
-        assert suites.boundary_distance_positivity().passed
-
     def test_derivative_and_chain_rows(self):
         fns = default_function_corpus(2, seed=0, n_poly=3)
         maps = default_selfmap_corpus(2, seed=0)
@@ -202,6 +223,55 @@ class TestSuites:
         monkeypatch.setattr(suites, "criterion_density_fn",
                             lambda phi, p, q: coordinate_density_fn(phi, p, q, 0))
         assert not suites.density_row_decomposition(maps).passed
+
+    def test_nan_criterion_density_fails_rows(self, monkeypatch):
+        # a NaN slack never compares above the worst so far; it must become
+        # the worst and fail the row
+        maps = default_selfmap_corpus(2, seed=0)
+        fns = default_function_corpus(2, seed=0, n_poly=3)
+        density = suites.criterion_density_fn
+
+        def one_nan(phi, p, q):
+            fn = density(phi, p, q)
+
+            def planted(Z):
+                out = fn(Z)
+                out[0] = np.nan
+                return out
+            return planted
+
+        monkeypatch.setattr(suites, "criterion_density_fn", one_nan)
+        for row in (suites.density_row_decomposition(maps),
+                    suites.chain_rule_domination(maps, fns, plan=QUICK_PLAN)):
+            assert not row.passed and np.isnan(row.worst), row.name
+            assert maps[0][0] in row.witness
+
+    def test_nan_bloch_density_fails_rows(self, monkeypatch):
+        monkeypatch.setattr(suites, "bloch_density_fn",
+                            lambda f, p: lambda Z: np.full(np.shape(Z)[:-1], np.nan))
+        sandwich = suites.q_density_sandwich(default_function_corpus(2, seed=0, n_poly=3))
+        for row in (sandwich, suites.family_f_density_identity(dim=2)):
+            assert not row.passed and np.isnan(row.worst), row.name
+        assert sandwich.witness.startswith("member 0 ")
+
+    def test_nan_estimate_fails_trace_and_band_rows(self, monkeypatch):
+        # the second Bloch estimate a row asks for is NaN: min() and
+        # max(0.0, x) would pass over it
+        real, seen = suites.bloch_norm_estimate, []
+        fake = SimpleNamespace(value=np.nan, trace=[1.0, np.nan, 2.0], level_trace=[1.0])
+
+        def second_is_nan(f, p, plan):
+            seen.append(f)
+            return fake if len(seen) == 2 else real(f, p, plan)
+
+        monkeypatch.setattr(suites, "bloch_norm_estimate", second_is_nan)
+        fns = default_function_corpus(2, seed=0, n_poly=3)
+        trace_row = suites.norm_trace_monotone(fns, plan=QUICK_PLAN)
+        assert not trace_row.passed and np.isnan(trace_row.worst)
+        assert trace_row.witness == "member 1"
+        seen.clear()
+        band_row = suites.lipschitz_band_stability(count=3, plan=QUICK_PLAN)
+        assert not band_row.passed and np.isnan(band_row.detail["band"][0])
 
     def test_operator_rows(self):
         maps = default_selfmap_corpus(2, seed=0)
@@ -283,11 +353,11 @@ class TestRunAllMemo:
     def test_no_memo_after_run_all(self, memo_runs, monkeypatch):
         assert norms._memo.get() is None
 
-        def fail(dim):
+        def fail(fns):
             assert norms._memo.get() == {}
             raise RuntimeError("suite failed")
 
-        monkeypatch.setattr(suites, "metric_homogeneity", fail)
+        monkeypatch.setattr(suites, "derivative_fd_agreement", fail)
         with pytest.raises(RuntimeError, match="suite failed"):
             suites.run_all(dim=2)
         assert norms._memo.get() is None
