@@ -5,14 +5,16 @@ partials come from central finite differences of plain evaluations, suprema
 from plain uniform grids with no stratification or refinement, the
 direction-optimized seminorm from direct maximization over random directions,
 and the antiderivative family from its closed form on the principal branch.
-The direction search contracts every point with every random direction in
-one matrix product, G @ U.T, with a second for the weights H(z, u).
+The direction search contracts the points with every random direction
+Q_BLOCK points at a time, G_b @ U.T, with a second product for the weights
+H(z, u), so that no temporary grows with the number of points times the
+number of directions.
 
 Point arrays are coordinate-major, as `sampling` describes: uniform points
 are built in a (dim, N) block and returned as its transpose, the
-finite-difference partials stack along a leading axis and return as an
-(N, dim) view of it, and the FD density adds its coordinates one column at a
-time.  No function here assumes C order, and none shares the primary
+finite-difference partials are written into a (dim, ...) block and return as
+an (..., dim) view of it, and the FD density adds its coordinates one column
+at a time.  No function here assumes C order, and none shares the primary
 modules' density kernel.
 """
 
@@ -35,6 +37,8 @@ SUP_THRESHOLD = 5e-2
 SUP_CONTAINMENT_SLACK = 1e-12
 ANTIDERIVATIVE_THRESHOLD = 1e-10
 Q_DIRECTIONS = 512
+# direct_q_seminorm contracts this many points with the directions at a time
+Q_BLOCK = 16
 
 
 @dataclass
@@ -66,16 +70,24 @@ def fd_gradient(f: HoloFunction, Z: np.ndarray) -> np.ndarray:
     For holomorphic f the derivative along the real direction equals the
     complex partial, so [f(z + h e_k) - f(z - h e_k)] / (2h) with real h
     converges to d f / d z_k.  Uses only f.val.
+
+    The shifted points live in one coordinate-major copy of Z, whose k-th
+    coordinate is moved to z_k + h and z_k - h and then restored; the partials
+    are written into a (dim, ...) block and returned as an (..., dim) view of
+    it, of the shape of Z.
     """
     Z = np.asarray(Z, dtype=complex)
-    grads = []
+    shifted = np.moveaxis(Z, -1, 0).copy()
+    points = np.moveaxis(shifted, 0, -1)
+    G = np.empty_like(shifted)
     for k in range(Z.shape[-1]):
-        Zp = Z.copy(order="K")
-        Zm = Z.copy(order="K")
-        Zp[..., k] += FD_STEP
-        Zm[..., k] -= FD_STEP
-        grads.append((f.val(Zp) - f.val(Zm)) / (2.0 * FD_STEP))
-    return np.moveaxis(np.stack(grads), 0, -1)
+        np.add(Z[..., k], FD_STEP, out=shifted[k, ...])
+        G[k, ...] = f.val(points)
+        np.subtract(Z[..., k], FD_STEP, out=shifted[k, ...])
+        G[k, ...] -= f.val(points)
+        shifted[k, ...] = Z[..., k]
+    G /= 2.0 * FD_STEP
+    return np.moveaxis(G, 0, -1)
 
 
 def uniform_points(dim: int, count: int, seed: int, rmax: float = 0.95) -> np.ndarray:
@@ -113,16 +125,31 @@ def uniform_bloch_norm(f: HoloFunction, p: float, count: int = 20_000,
 
 def direct_q_seminorm(f: HoloFunction, Z: np.ndarray, seed: int = 0) -> np.ndarray:
     """Q_f by direct maximization of |<grad f, u>| / sqrt(H(z,u)) over
-    Q_DIRECTIONS random u."""
+    Q_DIRECTIONS random u, for points Z of shape (N, dim).
+
+    The points are contracted with the directions Q_BLOCK at a time, which
+    gives the bits of one product over all N points.  A trailing block of one
+    point joins the block before it: OpenBLAS computes a one-row product by
+    gemv, whose last bits differ from the rows of a matrix product.  A single
+    point (N = 1) is one one-row product, as it always was.
+    """
     rng = np.random.default_rng(seed)
     Z = np.asarray(Z, dtype=complex)
     dim = Z.shape[-1]
     U = rng.normal(size=(Q_DIRECTIONS, dim)) + 1j * rng.normal(size=(Q_DIRECTIONS, dim))
     G = fd_gradient(f, Z)                      # (N, dim)
     w2 = one_minus_sq(np.abs(Z)) ** 2          # (N, dim)
-    num = np.abs(G @ U.T)
-    den = np.sqrt((1.0 / w2) @ (np.abs(U) ** 2).T)
-    return np.max(num / den, axis=1)
+    U2t = (np.abs(U) ** 2).T
+    n = G.shape[0]
+    edges = list(range(0, n, Q_BLOCK)) + [n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    out = np.empty(n)
+    for a, b in zip(edges[:-1], edges[1:]):
+        num = np.abs(G[a:b] @ U.T)
+        den = np.sqrt((1.0 / w2[a:b]) @ U2t)
+        np.max(num / den, axis=1, out=out[a:b])
+    return out
 
 
 def antiderivative_closed_form(t: TestFunction, Z: np.ndarray) -> np.ndarray:

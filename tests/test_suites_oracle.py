@@ -3,6 +3,7 @@
 import contextlib
 import inspect
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from blochlab.criteria import coordinate_density_fn
 from blochlab.holo import Const, HoloFunction, Series
 from blochlab.norms import timoney_q_fn
 from blochlab.oracle import (
+    FD_STEP,
     Q_DIRECTIONS,
     antiderivative_results,
     derivative_results,
@@ -67,6 +69,46 @@ def einsum_q_seminorm(f, Z, seed):
     num = np.abs(np.einsum("nd,md->nm", G, U))
     den = np.sqrt(np.einsum("nd,md->nm", 1.0 / w2, np.abs(U) ** 2))
     return np.max(num / den, axis=1)
+
+
+def stacked_fd_gradient(f, Z):
+    """The finite-difference partials as first written: two shifted copies of
+    the points per axis, the partials stacked along a leading axis."""
+    Z = np.asarray(Z, dtype=complex)
+    grads = []
+    for k in range(Z.shape[-1]):
+        Zp = Z.copy(order="K")
+        Zm = Z.copy(order="K")
+        Zp[..., k] += FD_STEP
+        Zm[..., k] -= FD_STEP
+        grads.append((f.val(Zp) - f.val(Zm)) / (2.0 * FD_STEP))
+    return np.moveaxis(np.stack(grads), 0, -1)
+
+
+def one_shot_q_seminorm(f, Z, seed):
+    """The direct Q seminorm with every point contracted with every direction
+    in one matrix product."""
+    rng = np.random.default_rng(seed)
+    dim = Z.shape[-1]
+    U = rng.normal(size=(Q_DIRECTIONS, dim)) + 1j * rng.normal(size=(Q_DIRECTIONS, dim))
+    G = stacked_fd_gradient(f, Z)
+    w2 = one_minus_sq(np.abs(Z)) ** 2
+    num = np.abs(G @ U.T)
+    den = np.sqrt((1.0 / w2) @ (np.abs(U) ** 2).T)
+    return np.max(num / den, axis=1)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestOracle:
@@ -128,6 +170,38 @@ class TestOracle:
                 assert np.all(np.abs(got - closed) <= 1e-9 * np.max(closed)), f
             else:
                 assert np.all(got <= closed * (1.0 + 1e-12)), f
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocked_q_search_matches_one_shot(self, dim):
+        # 17 and 33 points end in a one-point block, which must not be
+        # contracted on its own (a one-row product takes another BLAS path)
+        for i, f in enumerate(default_function_corpus(dim)):
+            for count in (1, 2, 16, 17, 33, 200):
+                Z = uniform_points(dim, count, i, rmax=0.8)
+                got = direct_q_seminorm(f, Z, seed=i)
+                assert got.shape == (count,)
+                np.testing.assert_array_equal(bits(got), bits(one_shot_q_seminorm(f, Z, i)),
+                                              err_msg=f"{f} at {count} points")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fd_gradient_matches_stacked_copies(self, dim):
+        F = uniform_points(dim, 40, dim, rmax=0.8)
+        inputs = [F, np.ascontiguousarray(F), F[:20].reshape(4, 5, dim), F[0].copy()]
+        for f in default_function_corpus(dim):
+            for Z in inputs:
+                got = fd_gradient(f, Z)
+                assert got.shape == Z.shape
+                np.testing.assert_array_equal(bits(got), bits(stacked_fd_gradient(f, Z)),
+                                              err_msg=f"{f} on {Z.shape}")
+
+    def test_oracle_temporaries_stay_near_input_size(self):
+        # one (points x directions) product peaked at 2.4 MiB, and two shifted
+        # copies of the points per axis at 2.4 MiB
+        f = default_function_corpus(2)[0]
+        Z = uniform_points(2, 200, 0, rmax=0.8)
+        assert peak_traced_bytes(direct_q_seminorm, f, Z) < 0.5 * 2**20
+        Z = uniform_points(2, 20_000, 0, rmax=0.97)
+        assert peak_traced_bytes(fd_gradient, f, Z) < 2.0 * 2**20
 
     @pytest.mark.parametrize("dim, seed, allowed", [
         (1, 0, {"sup:1"}),
