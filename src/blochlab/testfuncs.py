@@ -21,14 +21,16 @@ for 'f' and 'g' and a bracket for 'h'.
 
 The 'g' and 'h' values are the kernel's value (times z_0 + 2 for 'h').  The
 family-'f' value is computed from its power series (adaptive truncation to
-relative 1e-14); the closed-form antiderivative is reserved for the
-independent oracle.  The truncation test reduces over all points, so it runs
-only once it may pass by a bound from |w| and rho = max |z_l|: term j is at
-most c_j |w|^j rho^(j+1) / (j+1), with equality where |z_l| = rho, and the
-sum of those bounds caps the partial sum.  The truncation therefore depends
-on the batch: a family-'f' value at one point differs in its last bits from
-the same point in a batch (within the 1e-14 tolerance), where every other
-representation gives a point the same bits alone as in any batch.
+relative 1e-14).  The closed-form antiderivative lives in the oracle, which
+compares it with the series and takes its sup rows' finite differences
+through it; every caller of `val` gets the series.  The truncation test
+reduces over all points, so it runs only once it may pass by a bound from
+|w| and rho = max |z_l|: term j is at most c_j |w|^j rho^(j+1) / (j+1), with
+equality where |z_l| = rho, and the sum of those bounds caps the partial
+sum.  The truncation therefore depends on the batch: a family-'f' value at
+one point differs in its last bits from the same point in a batch (within
+the 1e-14 tolerance), where every other representation gives a point the
+same bits alone as in any batch.
 """
 
 from __future__ import annotations

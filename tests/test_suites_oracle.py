@@ -19,13 +19,16 @@ from blochlab.oracle import (
     FD_STEP,
     Q_DIRECTIONS,
     antiderivative_results,
+    antiderivative_closed_form,
     derivative_results,
     direct_q_seminorm,
+    fd_bloch_density,
     fd_gradient,
     q_seminorm_results,
     relative_discrepancy,
     run_oracle,
     sup_results,
+    uniform_bloch_norm,
     uniform_points,
 )
 from blochlab.polydisk import one_minus_sq
@@ -208,6 +211,8 @@ class TestOracle:
         (1, 1, {"sup:2"}),
         (2, 0, {"sup:67"}),
         (2, 1, {"sup:5"}),
+        (1, 2, set()),
+        (2, 2, {"sup:7", "sup:17"}),
     ])
     def test_default_corpus_breaches_stay_within_known_set(self, dim, seed, allowed):
         # the sup rows where the primary estimator still undershoots the plain
@@ -233,6 +238,32 @@ class TestOracle:
                             lambda t, Z: np.full(Z.shape[:-1], np.nan + 0j))
         rows = antiderivative_results([TestFunction("f", 0, 0.3, 1.0, 1)], count=50)
         assert len(rows) == 1 and rows[0].breach
+
+    def test_nan_closed_form_breaches_family_f_sup_row(self, monkeypatch):
+        # the sup row differences a family-f member through its closed form
+        monkeypatch.setattr(oracle, "antiderivative_closed_form",
+                            lambda t, Z: np.full(Z.shape[:-1], np.nan + 0j))
+        rows = sup_results([TestFunction("f", 0, 0.3, 1.0, 1)], 1.0, QUICK_PLAN, count=500)
+        assert len(rows) == 1 and rows[0].breach
+
+    def test_closed_form_returns_no_view_of_its_points(self):
+        Z = uniform_points(2, 10, 0)
+        for w in (0.0, 0.5 - 0.2j):
+            out = antiderivative_closed_form(TestFunction("f", 1, w, 2.0, 2), Z)
+            assert not np.shares_memory(out, Z), w
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sup_norm_moves_only_family_f_by_its_closed_form(self, dim):
+        # the series-based value: every member differenced through its own val
+        for i, f in enumerate(default_function_corpus(dim, seed=0)):
+            got = uniform_bloch_norm(f, 1.0, count=2_000, seed=i)
+            Z = uniform_points(dim, 2_000, i, rmax=0.97)
+            ref = abs(f.value(np.zeros(dim, dtype=complex))) + float(
+                np.max(fd_bloch_density(f, 1.0, Z)))
+            if isinstance(f, TestFunction) and f.family == "f" and f.w != 0:
+                assert relative_discrepancy(got, ref) <= 1e-9, f
+            else:
+                assert got == ref, f
 
     def test_relative_discrepancy_definition(self):
         assert relative_discrepancy(2.0, 1.0) == pytest.approx(0.5)
