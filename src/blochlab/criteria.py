@@ -67,8 +67,7 @@ import numpy as np
 
 from .holo import SELF_MAP_CEILING, HoloSelfMap, compose, is_constant
 from .norms import (bloch_norm_estimate, column_weights, lipschitz_norm_estimate,
-                    nonzero_partials, partial_moduli, weighted_partial_sum)
-from .polydisk import one_minus_sq
+                    nonzero_partials, one_minus_sq, partial_moduli, weighted_partial_sum)
 from .reports import SCHEMA_VERSION, format_point, record_json
 from .sampling import (PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum,
                        stratified_grid)

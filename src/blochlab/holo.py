@@ -225,17 +225,11 @@ class Series(HoloFunction):
                 out[e] = out.get(e, 0) + c1 * c2
         return Series(out, self.dim)
 
-    def pow(self, k: int) -> "Series":
-        result = Series({(0,) * self.dim: 1.0}, self.dim)
-        for _ in range(k):
-            result = result.mul(self)
-        return result
-
     def substitute(self, inners: list) -> "Series":
         """self(g_1(z), ..., g_n(z)) for polynomial inners, in one pass.
 
-        Each g_l is raised to each power it needs once, by the chain of `mul`s
-        that `pow` runs.  The terms c prod_l g_l^e_l add into one dict in the
+        Each g_l is raised to each power it needs once, by a chain of `mul`s
+        from the constant 1.  The terms c prod_l g_l^e_l add into one dict in the
         order of self.coeffs, and an entry that cancels to exactly 0 leaves
         it, so the coefficients and their order are those of adding the terms
         up one `add` at a time.

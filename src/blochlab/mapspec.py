@@ -32,7 +32,7 @@ from .holo import (
     compose,
     compose_map,
 )
-from .polydisk import complex_pair
+from .reports import complex_pair
 from .testfuncs import TestFunction
 
 
@@ -209,8 +209,3 @@ def load_map(spec) -> HoloSelfMap:
 
 def dump_function(f: HoloFunction) -> dict:
     return {"dimension": f.dim, "function": _dump_component(f)}
-
-
-def dump_map(phi: HoloSelfMap) -> dict:
-    return {"dimension": phi.dim,
-            "components": [_dump_component(c) for c in phi.components]}

@@ -30,9 +30,10 @@ structurally zero (dropped once, when built; a real power for a kernel
 partial) times the weight of axis k, accumulated in place.  The p-Bloch
 density weights by (1 - |z_k|^2)^p; the Q seminorm is the root of the kernel
 over squared moduli and the weights (1 - |z_k|^2)^2, and the gradient norm the
-same root with unit weights.  The criterion rows share one dict of weights
-per call, and `bloch_norm_estimates` raises each grid weight to each exponent
-on use, so that it holds no more than one at a time.
+same root with unit weights.  Every weight is built on `one_minus_sq`, which
+forms 1 - |z_k|^2 as (1 - |z_k|)(1 + |z_k|).  The criterion rows share one
+dict of weights per call, and `bloch_norm_estimates` raises each grid weight
+to each exponent on use, so that it holds no more than one at a time.
 
 Points arrive coordinate-major (see `sampling`) and no function here assumes
 C order: every sum over coordinates, the kernel's, a pair's squared
@@ -49,7 +50,6 @@ from contextvars import ContextVar
 import numpy as np
 
 from .holo import HoloFunction, Series, Sum, is_zero
-from .polydisk import one_minus_sq
 from .sampling import (REFINE_SHRINK, NormEstimate, SamplingPlan, estimate_supremum,
                        maximise, stratified_grid)
 
@@ -76,6 +76,11 @@ def nonzero_partials(f: HoloFunction) -> dict:
 def partial_moduli(parts: dict, Z: np.ndarray):
     """(axis k, |df/dz_k| at Z) for each partial of parts, evaluated as iterated."""
     return ((k, pk.abs_val(Z)) for k, pk in parts.items())
+
+
+def one_minus_sq(mods: np.ndarray) -> np.ndarray:
+    """(1 - m)(1 + m) for m = |z_k|; factored form keeps precision as m -> 1."""
+    return (1.0 - mods) * (1.0 + mods)
 
 
 def column_weights(Z: np.ndarray, p: float, columns) -> dict:

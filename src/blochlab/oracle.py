@@ -2,14 +2,20 @@
 
 Nothing here shares derivative or supremum code with the primary modules:
 partials come from central finite differences of plain evaluations, suprema
-from plain uniform grids with no stratification or refinement, the
-direction-optimized seminorm from direct maximization over random directions,
-and the antiderivative family from its closed form on the principal branch.
-The sup rows difference a family-f member through that closed form, which is
-nearer the truth than the member's power series and costs no array pass per
-term.  The partial and q-seminorm rows difference `f.val` itself and the
-antiderivative rows compare it with the closed form, so the series stays under
-test: `verify-lemmas` checks it only through `derivative_results`.
+from plain uniform grids with no stratification or refinement, and the
+direction-optimized seminorm from direct maximization over random directions.
+For a family-f member each row sets two algorithms against each other:
+
+- partial rows: finite differences of its closed-form value (`f.val`) vs
+  its exact partial, the kernel 1/(1 - conj(w) z_l)^p;
+- sup rows: the finite-difference density of the closed form on a plain
+  grid vs the refined estimate, whose density takes the kernel as the
+  partial;
+- q-seminorm rows: the direct maximization over finite differences of the
+  closed form vs `timoney_q_fn`, which takes the kernel as the partial;
+- antiderivative rows: the closed form vs the Horner sum of its Taylor
+  polynomial (`TestFunction.taylor`), whose degree `tail_bound` chooses.
+
 The direction search contracts the points with every random direction
 Q_BLOCK points at a time, G_b @ U.T, with a second product for the weights
 H(z, u), so that no temporary grows with the number of points times the
@@ -30,11 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .holo import HoloFunction
-from .norms import bloch_norm_estimate, timoney_q_fn
-from .polydisk import one_minus_sq
+from .norms import bloch_norm_estimate, one_minus_sq, timoney_q_fn
 from .reports import record_json
 from .sampling import SamplingPlan
-from .testfuncs import TestFunction
+from .testfuncs import TestFunction, tail_bound
 
 FD_STEP = 1e-5
 DERIVATIVE_THRESHOLD = 1e-4
@@ -119,31 +124,12 @@ def fd_bloch_density(f: HoloFunction, p: float, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ClosedFormF(HoloFunction):
-    """A family-f member whose values are `antiderivative_closed_form`."""
-
-    def __init__(self, member: TestFunction):
-        self.member = member
-        self.dim = member.dim
-
-    def val(self, Z):
-        return antiderivative_closed_form(self.member, Z)
-
-
 def uniform_bloch_norm(f: HoloFunction, p: float, count: int = 20_000,
                        seed: int = 0) -> float:
     """|f(0)| + max of the finite-difference density over a plain uniform
-    grid of radius 0.97.
-
-    A family-f member is differenced through `antiderivative_closed_form`,
-    not its series: its 2 * dim evaluations on `count` points are the oracle's
-    largest series cost.  The two norms differ by up to ~4e-11 relative,
-    and the w = 0 member gives the same bits either way.  The partial rows
-    keep f.val, which keeps the series under test in `verify-lemmas`."""
+    grid of radius 0.97."""
     Z = uniform_points(f.dim, count, seed, rmax=0.97)
     base = abs(f.value(np.zeros(f.dim, dtype=complex)))
-    if isinstance(f, TestFunction) and f.family == "f":
-        f = _ClosedFormF(f)
     return base + float(np.max(fd_bloch_density(f, p, Z)))
 
 
@@ -174,23 +160,6 @@ def direct_q_seminorm(f: HoloFunction, Z: np.ndarray, seed: int = 0) -> np.ndarr
         den = np.sqrt((1.0 / w2[a:b]) @ U2t)
         np.max(num / den, axis=1, out=out[a:b])
     return out
-
-
-def antiderivative_closed_form(t: TestFunction, Z: np.ndarray) -> np.ndarray:
-    """Closed form of the antiderivative family on the principal branch:
-    [(1 - conj(w) z)^{1-p} - 1] / (conj(w) (p - 1)) for p != 1, and
-    -log(1 - conj(w) z) / conj(w) for p = 1 (w != 0; the w = 0 member is z)."""
-    if t.family != "f":
-        raise ValueError("closed form applies to the antiderivative family only")
-    Z = np.asarray(Z, dtype=complex)
-    zl = Z[..., t.axis]
-    wbar = np.conj(t.w)
-    if t.w == 0:
-        return zl.copy()
-    base = 1.0 - wbar * zl
-    if t.p == 1.0:
-        return -np.log(base) / wbar
-    return (base ** (1.0 - t.p) - 1.0) / (wbar * (t.p - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +223,21 @@ def q_seminorm_results(fns: list, count: int = 200, seed: int = 0) -> list[Oracl
 
 def antiderivative_results(members: list, count: int = 500,
                            seed: int = 0) -> list[OracleResult]:
-    """Series evaluation of the antiderivative family vs its closed form."""
+    """The antiderivative family's closed form vs its Taylor partial sum of
+    degree m, the first doubling at which `tail_bound`, a bound on the
+    dropped terms over the closed polydisk, is under a hundredth of the
+    threshold."""
     out = []
     for i, t in enumerate(members):
         if not (isinstance(t, TestFunction) and t.family == "f"):
             continue
+        m = 1
+        while tail_bound(t.p, t.w, m) > 0.01 * ANTIDERIVATIVE_THRESHOLD:
+            m *= 2
         Z = uniform_points(t.dim, count, seed + i, rmax=0.95)
-        series = t.val(Z)
-        closed = antiderivative_closed_form(t, Z)
-        disc = float(np.max(np.abs(series - closed) / np.maximum(np.abs(closed), 1.0)))
+        closed = t.val(Z)
+        partial_sum = t.taylor(m).val(Z)
+        disc = float(np.max(np.abs(closed - partial_sum) / np.maximum(np.abs(closed), 1.0)))
         out.append(OracleResult(f"antiderivative:{i}:w={t.w}:p={t.p}", 0.0, disc,
                                 disc, disc > ANTIDERIVATIVE_THRESHOLD))
     return out

@@ -1,9 +1,11 @@
 """Report serialization: the one record encoder, versioned JSON envelopes and
 fixed-column CSV.
 
-`jsonable` turns complex values into [re, im] pairs, arrays into lists,
-numpy scalars into Python ones and records into their `to_json()`.  The
-records bind `record_json`, which encodes each field through it.
+`complex_pair`/`complex_pairs` are the one [re, im] JSON codec for complex
+values; `mapspec` writes specs with it too.  `jsonable` turns complex values
+into [re, im] pairs, arrays into lists, numpy scalars into Python ones and
+records into their `to_json()`.  The records bind `record_json`, which
+encodes each field through it.
 """
 
 from __future__ import annotations
@@ -15,12 +17,20 @@ from dataclasses import fields
 
 import numpy as np
 
-from .polydisk import complex_pair, complex_pairs
-
 SCHEMA_VERSION = 7
 
 # Fixed CSV column order; one row per sample or path point.
 CSV_COLUMNS = ["sample_index", "z", "density", "path_id", "verdict"]
+
+
+def complex_pair(c) -> list:
+    """A complex scalar as the JSON pair [re, im]."""
+    return [float(c.real), float(c.imag)]
+
+
+def complex_pairs(values) -> list:
+    """Complex values, flattened, as a JSON list of [re, im] pairs."""
+    return [complex_pair(c) for c in np.ravel(values)]
 
 
 def jsonable(obj):

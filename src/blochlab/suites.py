@@ -25,12 +25,12 @@ from .norms import (
     bloch_norm_estimates,
     lipschitz_norm_estimate,
     little_bloch_gap,
+    one_minus_sq,
     pointeval_bound,
     shared_estimates,
     timoney_q_fn,
 )
 from .oracle import derivative_results, fd_gradient, uniform_points
-from .polydisk import one_minus_sq
 from .reports import record_json
 from .sampling import SamplingPlan
 from .testfuncs import TestFunction, family_norm_bound, members, tail_bound

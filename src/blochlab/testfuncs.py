@@ -20,17 +20,10 @@ t in [0, 1): `TestFunction.bloch_norm_bracket` gives it in closed form, exact
 for 'f' and 'g' and a bracket for 'h'.
 
 The 'g' and 'h' values are the kernel's value (times z_0 + 2 for 'h').  The
-family-'f' value is computed from its power series (adaptive truncation to
-relative 1e-14).  The closed-form antiderivative lives in the oracle, which
-compares it with the series and takes its sup rows' finite differences
-through it; every caller of `val` gets the series.  The truncation test
-reduces over all points, so it runs only once it may pass by a bound from
-|w| and rho = max |z_l|: term j is at most c_j |w|^j rho^(j+1) / (j+1), with
-equality where |z_l| = rho, and the sum of those bounds caps the partial
-sum.  The truncation therefore depends on the batch: a family-'f' value at
-one point differs in its last bits from the same point in a batch (within
-the 1e-14 tolerance), where every other representation gives a point the
-same bits alone as in any batch.
+family-'f' value is the antiderivative in closed form,
+-expm1((1-p) L) / ((1-p) conj(w)), and -L / conj(w) at p = 1, with
+L = log(1 - conj(w) z_l) (`_antiderivative`).  It is formed in real
+arithmetic elementwise, so a point gets the same bits alone as in any batch.
 """
 
 from __future__ import annotations
@@ -46,9 +39,6 @@ from .holo import (
     Series,
     rising_factorial_coeffs,
 )
-
-_SERIES_RTOL = 1e-14
-_SERIES_MAX_TERMS = 200_000
 
 FAMILIES = ("f", "g", "h")
 
@@ -67,31 +57,65 @@ def _check_params(family: str, axis: int, p: float, dim: int):
             raise ValueError("the weighted-kernel family requires axis != 0")
 
 
-def _antiderivative_series(zl: np.ndarray, w: complex, p: float) -> np.ndarray:
-    """sum_j c_j conj(w)^j z^{j+1}/(j+1) with c_j = p(p+1)...(p+j-1)/j!.
+def _antiderivative(zl: np.ndarray, w: complex, p: float) -> np.ndarray:
+    """integral_0^z dt / (1 - conj(w) t)^p at each z in zl, on the principal branch.
 
-    Term ratio a_{j+1}/a_j = (p+j) conj(w) z / (j+2); converges for |w| < 1
-    on the closed disk in z.  The stop test is skipped while `bound` (= max|a_j|)
-    exceeds `head` (>= max|total|) times 1.01 _SERIES_RTOL, 1% over for rounding.
+    With conj(w) z = a + ib and L = log(1 - conj(w) z), the value is
+    -expm1((1-p) L) / ((1-p) conj(w)), and -L / conj(w) at p = 1; z itself at
+    w = 0.  Re L is (1/2) log1p(a(a - 2) + b^2) for a <= 1/2 and
+    (1/2) log((1 - a)^2 + b^2) above, where 1 - a is exact, and Im L is
+    arctan2(-b, 1 - a), so L keeps its digits as conj(w) z -> 0 and as it
+    nears 1.  expm1(x + iy) is expm1(x) - 2 e^x sin^2(y/2) plus
+    i 2 e^x sin(y/2) cos(y/2), without cancellation as p -> 1.  Every step is
+    real and elementwise, since numpy's complex products take a fused
+    multiply-add on some array lengths and not on others.
     """
     zl = np.asarray(zl, dtype=complex)
-    ratio_base = np.conj(w) * zl
-    term = zl.copy()
-    total = zl.copy()
-    rho = float(np.max(np.abs(zl))) if zl.size else 0.0
-    bound = head = rho
-    for j in range(_SERIES_MAX_TERMS):
-        term *= ratio_base
-        term *= (p + j) / (j + 2)
-        total += term
-        bound *= abs(w) * rho * (p + j) / (j + 2)
-        head += bound
-        if bound > 1.01 * _SERIES_RTOL * max(head, 1e-30):
-            continue
-        tmax = float(np.max(np.abs(term))) if term.size else 0.0
-        if tmax <= _SERIES_RTOL * max(float(np.max(np.abs(total))) if total.size else 0.0, 1e-30):
-            break
-    return total
+    if w == 0:
+        return zl.copy()
+    shape, zl = zl.shape, zl.reshape(-1)     # in-place steps need arrays, not scalars
+    c, d = w.real, -w.imag                   # conj(w) = c + i d
+    out = np.empty(zl.shape, dtype=complex)
+    a, b = out.real, out.imag                # out holds a + ib until L is formed
+    np.multiply(zl.real, c, out=a)
+    a -= d * zl.imag
+    np.multiply(zl.imag, c, out=b)
+    b += d * zl.real
+    scratch = 1.0 - a
+    im = np.arctan2(b, scratch)
+    im *= -1.0                               # Im L = arctan2(-b, 1 - a)
+    b *= b
+    re = a - 2.0
+    re *= a
+    re += b
+    np.log1p(re, out=re)
+    scratch *= scratch
+    scratch += b
+    np.copyto(re, np.log(scratch, out=scratch), where=a > 0.5)
+    re *= 0.5                                # Re L
+    if p == 1.0:
+        k = -1.0 / complex(c, d)
+    else:
+        re *= 1.0 - p                        # (1-p) L = x + iy: re holds x, im y/2
+        im *= 0.5 * (1.0 - p)
+        np.expm1(re, out=re)
+        sin = np.sin(im, out=a)
+        np.cos(im, out=im)
+        np.add(re, 1.0, out=scratch)
+        scratch *= sin                       # e^x sin(y/2)
+        sin *= scratch
+        sin *= 2.0
+        re -= sin                            # expm1(x) - 2 e^x sin^2(y/2)
+        im *= scratch
+        im *= 2.0                            # 2 e^x sin(y/2) cos(y/2)
+        k = 1.0 / ((p - 1.0) * complex(c, d))
+    np.multiply(re, k.real, out=out.real)
+    np.multiply(im, k.imag, out=scratch)
+    out.real -= scratch
+    np.multiply(re, k.imag, out=out.imag)
+    np.multiply(im, k.real, out=scratch)
+    out.imag += scratch
+    return out.reshape(shape)
 
 
 def _ray_max(a: float, s: float, e: float) -> float:
@@ -135,7 +159,7 @@ class TestFunction(HoloFunction):
     def val(self, Z):
         Z = np.asarray(Z, dtype=complex)
         if self.family == "f":
-            return _antiderivative_series(Z[..., self.axis], self.w, self.p)
+            return _antiderivative(Z[..., self.axis], self.w, self.p)
         if self.family == "g":
             return self.kernel.val(Z)
         return (Z[..., 0] + 2.0) * self.kernel.val(Z)

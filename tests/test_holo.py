@@ -74,13 +74,12 @@ class TestEval:
     def test_single_point_equals_batch_bitwise(self, dim):
         # numpy multiplies a one-element complex array through another loop than
         # a longer one, and a lone point runs its scalar arithmetic; a point's
-        # value must not depend on the batch it is in.  Every representation
-        # but family f (see test_family_f_single_point_within_truncation):
+        # value must not depend on the batch it is in.  Every representation:
         # polynomials, the corpus members, the self-map components and every
         # partial of them.
         Z = disk_points(np.random.default_rng(dim), (200,), dim)
         fns = polynomial_corpus(dim, count=5, seed=1)
-        fns += [f for f in default_function_corpus(dim) if getattr(f, "family", "") != "f"]
+        fns += default_function_corpus(dim)
         fns += [c for _, phi in default_selfmap_corpus(dim) for c in phi.components]
         fns += [pk for f in default_function_corpus(dim) for pk in f.partials()]
         for f in fns:
@@ -94,19 +93,6 @@ class TestEval:
         last = f.val(Z)[-1]
         assert f.val(Z[-2:])[-1] == last
         assert f.value(Z[-1]) == last
-
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_family_f_single_point_within_truncation(self, dim):
-        # family f truncates its series by a test over the whole batch, so a
-        # point's last bits depend on its batch; they agree to the truncation
-        # tolerance 1e-14, relative to the batch's largest value
-        Z = disk_points(np.random.default_rng(dim), (200,), dim)
-        for f in default_function_corpus(dim):
-            if getattr(f, "family", "") == "f":
-                batch = f.val(Z)
-                single = np.array([f.value(z) for z in Z])
-                np.testing.assert_allclose(single, batch, rtol=0,
-                                           atol=1e-13 * np.max(np.abs(batch)))
 
 
 def loop_series_val(f, Z):
@@ -439,16 +425,24 @@ class TestCompose:
         assert comp.value(z) == pytest.approx((0.3 * 0.7 ** 3) ** 40, rel=1e-12)
 
 
+def series_pow(g, k):
+    """g^k as k `mul`s of g into the constant 1."""
+    result = Series({(0,) * g.dim: 1.0}, g.dim)
+    for _ in range(k):
+        result = result.mul(g)
+    return result
+
+
 def add_substitute(f, inners):
-    """Reference for Series.substitute: each term is c times g_l.pow(e_l) in
-    axis order, added to the accumulated Series with `add`."""
+    """Reference for Series.substitute: each term is c times series_pow(g_l, e_l)
+    in axis order, added to the accumulated Series with `add`."""
     out_dim = inners[0].dim
     acc = Series({}, out_dim)
     for exps, c in f.coeffs.items():
         term = Series({(0,) * out_dim: c}, out_dim)
         for g, e in zip(inners, exps):
             if e:
-                term = term.mul(g.pow(e))
+                term = term.mul(series_pow(g, e))
         acc = acc.add(term)
     return acc
 
@@ -492,7 +486,7 @@ def steep_factor(N, axis=0, dim=1):
     """((1 + z_axis)/2)^N: coefficient sum 1, touching |.| = 1 at z_axis = 1 only."""
     one = [0] * dim
     one[axis] = 1
-    return Series({(0,) * dim: 0.5, tuple(one): 0.5}, dim).pow(N)
+    return series_pow(Series({(0,) * dim: 0.5, tuple(one): 0.5}, dim), N)
 
 
 def torus_sample_max(f, count=100_000, seed=0):

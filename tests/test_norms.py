@@ -17,12 +17,12 @@ from blochlab.norms import (
     bloch_norm_estimate,
     bloch_norm_estimates,
     lipschitz_norm_estimate,
+    one_minus_sq,
     pointeval_bound,
     shared_estimates,
     timoney_q_fn,
 )
 from blochlab.oracle import uniform_points
-from blochlab.polydisk import one_minus_sq
 from blochlab.sampling import SamplingPlan, estimate_supremum, stratified_grid
 from blochlab.testfuncs import TestFunction
 

@@ -16,7 +16,7 @@ from blochlab.corpus import default_function_corpus, default_selfmap_corpus
 from blochlab.criteria import classify, lip1_boundedness_check
 from blochlab.norms import lipschitz_norm_estimate
 from blochlab.oracle import run_oracle
-from blochlab.polydisk import complex_pair, complex_pairs
+from blochlab.reports import complex_pair, complex_pairs
 from blochlab.sampling import SamplingPlan
 
 QUICK_PLAN = SamplingPlan(seed=3, radial_levels=10, angular_count=24, max_rounds=4,
@@ -147,3 +147,9 @@ def test_encoder_takes_numpy_scalars():
         {"a": [0.5, 3, True]}
     assert reports.jsonable(np.complex64(1 - 2j)) == [1.0, -2.0]
     assert reports.jsonable(np.array([[0.5j, 1]])) == [[0.0, 0.5], [1.0, 0.0]]
+
+
+def test_point_json_round_trip():
+    z = np.array([0.1 + 0.2j, -0.3j])
+    again = [complex(re, im) for re, im in reports.jsonable(z)]
+    np.testing.assert_array_equal(again, z)

@@ -1,8 +1,9 @@
 """The three extremal families: values, kernel partials, bounds, truncations, tails.
 
-`testfuncs._antiderivative_series` skips its stop test while a bound from |w|
-and max |z| says the test cannot pass; `loop_antiderivative_series` below is
-the loop that tests every term, kept as the bit-equal reference.
+The family-f closed form, `testfuncs._antiderivative`, is checked against two
+exponents whose antiderivative has a form without cancellation: z/(1 - conj(w) z)
+at p = 2 and 2z/(1 + sqrt(1 - conj(w) z)) at p = 1/2, and a batch of points
+is checked bit for bit against the same points taken one at a time.
 """
 
 import math
@@ -17,10 +18,8 @@ from blochlab.norms import (bloch_density_fn, bloch_norm_estimate, bloch_norm_es
                             little_bloch_gap)
 from blochlab.sampling import SamplingPlan
 from blochlab.testfuncs import (
-    _SERIES_MAX_TERMS,
-    _SERIES_RTOL,
     TestFunction,
-    _antiderivative_series,
+    _antiderivative,
     family_norm_bound,
     members,
     tail_bound,
@@ -65,23 +64,26 @@ class TestAntiderivativeFamily:
             t.partial(0).value([1.0])
 
 
-def loop_antiderivative_series(zl, w, p):
-    """Reference: the family-f series with the stop test on every term."""
-    zl = np.asarray(zl, dtype=complex)
-    ratio_base = np.conj(w) * zl
-    term = zl.copy()
-    total = zl.copy()
-    for j in range(_SERIES_MAX_TERMS):
-        term *= ratio_base
-        term *= (p + j) / (j + 2)
-        total += term
-        tmax = float(np.max(np.abs(term))) if term.size else 0.0
-        if tmax <= _SERIES_RTOL * max(float(np.max(np.abs(total))) if total.size else 0.0, 1e-30):
-            break
-    return total
+class TestAntiderivativeKnownAnswers:
+    # |w| in {1e-10, 0.3, 0.99}, |z| in {1e-9, 0.5} at four angles, and the
+    # boundary point z = w/|w|, where 1 - conj(w) z = 1 - |w| is smallest
+    @pytest.mark.parametrize("modulus", [1e-10, 0.3, 0.99])
+    @pytest.mark.parametrize("p, reference", [
+        (2.0, lambda u, z: z / (1.0 - u)),
+        (0.5, lambda u, z: 2.0 * z / (1.0 + np.sqrt(1.0 - u))),
+    ])
+    def test_matches_cancellation_free_form(self, modulus, p, reference):
+        w = modulus * np.exp(0.7j)
+        z = np.concatenate([r * np.exp(2j * np.pi * np.arange(4) / 4 + 0.3j)
+                            for r in (1e-9, 0.5)] + [[w / abs(w)]])
+        want = reference(np.conj(w) * z, z)
+        np.testing.assert_allclose(_antiderivative(z, w, p), want, rtol=1e-14, atol=0)
 
 
 class TestSeriesAgainstLoop:
+    """The family-f series, summed by the closed form over a batch, against a
+    loop that sums it one point at a time: the same bits and the same shape."""
+
     rng = np.random.default_rng(12)
     POINTS = {
         "empty": np.zeros(0, dtype=complex),
@@ -96,9 +98,11 @@ class TestSeriesAgainstLoop:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
     def test_bit_equal(self, w, p):
         for name, zl in self.POINTS.items():
-            got = _antiderivative_series(zl, w, p)
+            got = _antiderivative(zl, w, p)
             assert got.shape == zl.shape, name
-            assert np.array_equal(got, loop_antiderivative_series(zl, w, p)), name
+            loop = np.array([_antiderivative(np.array([z]), w, p)[0] for z in zl.reshape(-1)],
+                            dtype=complex).reshape(zl.shape)
+            assert np.array_equal(got, loop), name
 
 
 class TestKernelFamily:
