@@ -11,7 +11,12 @@ kept stratified grid and evaluate f once per point of it: the Bloch estimates
 weight the partial moduli on the grid, computed once, for each of their
 exponents, and the Lipschitz pairs at p < 1 join each grid point to its image
 under a seeded permutation of the grid, with short pairs along conj(grad f)
-from the steepest points.
+from the steepest points.  What depends on the grid alone is kept with it
+(`sampling.grid_derived`) and freed with it: the permutation, the pair
+levels and the generator state after the permutation, the pair separations
+|z - w|^p at each exponent with their floor mask, and the gap columns
+1 - |z_k|^2 that the Bloch grid weights raise to each exponent.  A repeat
+estimate on the kept grid computes only what depends on f.
 
 Inside a `shared_estimates` block, `bloch_norm_estimates` computes each
 (function, exponent, plan) once and serves repeats from a memo that the block
@@ -51,7 +56,7 @@ import numpy as np
 
 from .holo import HoloFunction, Series, Sum, is_zero
 from .sampling import (REFINE_SHRINK, NormEstimate, SamplingPlan, estimate_supremum,
-                       maximise, stratified_grid)
+                       grid_derived, maximise, stratified_grid)
 
 _PAIR_SEPARATION_FLOOR = 1e-14
 # the Lipschitz short pairs' steps h = 2^-j i^k, j = 1..8, k = 0..3
@@ -143,7 +148,8 @@ def bloch_norm_estimates(f: HoloFunction, ps, plan: SamplingPlan = SamplingPlan(
         Z, _ = stratified_grid(f.dim, plan)
         parts = nonzero_partials(f)
         moduli = list(partial_moduli(parts, Z))
-        gaps = {k: one_minus_sq(np.abs(Z[:, k])) for k in parts}
+        gaps = {k: grid_derived(Z, ("gap", k), lambda: one_minus_sq(np.abs(Z[:, k])))
+                for k in parts}
         base = abs(f.value(np.zeros(f.dim, dtype=complex)))
         for key, p in missing.items():
             grid = weighted_partial_sum(moduli, lambda k: gaps[k] ** p, Z.shape[0])
@@ -233,38 +239,62 @@ def little_bloch_gap(f: HoloFunction, p: float, m: int,
 # Lipschitz-quotient norm
 
 
-def _quotients(num: np.ndarray, left_cols, right_cols, p: float) -> np.ndarray:
-    """num / |z - w|^p for pairs (z, w) given by their coordinate columns, taken
-    one at a time; 0 for pairs closer than the separation floor."""
-    sq_sep = np.zeros(num.shape)
-    for zl, zr in zip(left_cols, right_cols):
-        sq_sep += np.abs(zl - zr) ** 2
-    sep = np.sqrt(sq_sep)
-    return np.divide(num, sep ** p, out=np.zeros_like(sep), where=sep > _PAIR_SEPARATION_FLOOR)
+def _separations(left_cols, right_cols, p: float):
+    """(|z - w|^p, |z - w| above the separation floor) for pairs (z, w) given by
+    their coordinate columns, taken one at a time."""
+    sep = np.sqrt(sum(np.abs(zl - zr) ** 2 for zl, zr in zip(left_cols, right_cols)))
+    return sep ** p, sep > _PAIR_SEPARATION_FLOOR
+
+
+def _quotients(num: np.ndarray, separations) -> np.ndarray:
+    """num / |z - w|^p from the pairs' `_separations`; 0 for pairs closer than the
+    separation floor."""
+    sep_p, apart = separations
+    return np.divide(num, sep_p, out=np.zeros_like(sep_p), where=apart)
 
 
 def _pair_quotients(f: HoloFunction, p: float, Zl: np.ndarray, Zr: np.ndarray) -> np.ndarray:
-    return _quotients(np.abs(f.val(Zl) - f.val(Zr)), Zl.T, Zr.T, p)
+    return _quotients(np.abs(f.val(Zl) - f.val(Zr)), _separations(Zl.T, Zr.T, p))
 
 
-def _grid_pair_quotients(f: HoloFunction, p: float, Z: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """_pair_quotients(f, p, Z, Z[perm]) from one value of f per point of Z, with
-    the partner column gathered for one coordinate at a time."""
-    vals = f.val(Z)
-    partner_cols = (Z[perm, k] for k in range(Z.shape[1]))
-    return _quotients(np.abs(vals - vals[perm]), Z.T, partner_cols, p)
+def _grid_pair_quotients(f: HoloFunction, Z: np.ndarray, perm: np.ndarray,
+                         separations) -> np.ndarray:
+    """_pair_quotients(f, p, Z, Z[perm]) from one value of f per point of Z, less
+    its partner's value in place, and the pairs' separations at p as
+    `_grid_pairs` returns them."""
+    diff = f.val(Z)
+    diff -= diff[perm]
+    return _quotients(np.abs(diff), separations)
 
 
-def _grid_pairs(dim: int, plan: SamplingPlan, rng: np.random.Generator):
+def _grid_pairs(dim: int, plan: SamplingPlan, rng: np.random.Generator, p: float):
     """Stratified random pairs inside the kept grid: (Z[i], Z[perm[i]]).
 
-    Returns (Z, perm, levels) with each pair's outermost radial level; perm is
-    drawn from rng after the grid, so a fresh rng gets the kept grid.  A point
-    that perm fixes pairs with itself and scores 0.
+    Returns (Z, perm, levels, separations): each pair's outermost radial
+    level, and its `_separations` at exponent p.  perm is drawn from rng
+    after the grid, so a fresh rng gets the kept grid, and rng is left as
+    that draw leaves it.  A point that perm fixes pairs with itself and
+    scores 0.  perm and the levels are held in the smallest unsigned type
+    that holds their values, which indexes alike.  On the kept grid they,
+    rng's end state and the separations at each p are kept in the grid's
+    slot and freed with it (see `sampling.grid_derived`).
     """
     Z, levels = stratified_grid(dim, plan, rng)
-    perm = rng.permutation(Z.shape[0])
-    return Z, perm, np.maximum(levels, levels[perm])
+
+    def draw():
+        perm = rng.permutation(Z.shape[0])
+        pair_levels = np.maximum(levels, levels[perm])
+        return (perm.astype(np.min_scalar_type(perm.size)),
+                pair_levels.astype(np.min_scalar_type(plan.radial_levels)),
+                rng.bit_generator.state)
+
+    perm, pair_levels, end_state = grid_derived(Z, "pairs", draw)
+    rng.bit_generator.state = end_state
+
+    def separations():
+        return _separations(Z.T, (Z[perm, k] for k in range(dim)), p)
+
+    return Z, perm, pair_levels, grid_derived(Z, ("separations", p), separations)
 
 
 def _gradient_pairs(parts: dict, anchors: np.ndarray, r_cap: float):
@@ -317,7 +347,7 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
     if p == 1.0:
         return estimate_supremum(_gradient_norm_fn(f), dim, plan, base=base)
     rng = np.random.default_rng(plan.seed)
-    Z, perm, levels = _grid_pairs(dim, plan, rng)
+    Z, perm, levels, separations = _grid_pairs(dim, plan, rng, p)
     n_refine = max(8, plan.angular_count)
     box = 0.2
     r_cap = plan.max_radius()
@@ -336,5 +366,6 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
         seeds, box = seeds[:0], box * REFINE_SHRINK
         return np.concatenate(lefts + [left]), np.concatenate(rights + [right])
 
-    grid = (_grid_pair_quotients(f, p, Z, perm), levels, lambda i: (Z[i], Z[perm[i]]))
+    grid = (_grid_pair_quotients(f, Z, perm, separations), levels,
+            lambda i: (Z[i], Z[perm[i]]))
     return maximise(lambda L, R: _pair_quotients(f, p, L, R), grid, propose, plan, base=base)

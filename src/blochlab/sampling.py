@@ -25,6 +25,13 @@ generator, so every estimate of one (dim, plan) reuses the kept grid: below
 exponent 1 the Lipschitz estimator pairs its points with a permutation of the
 same grid.
 
+The kept grid's slot also carries the arrays that depend on that grid alone,
+through `grid_derived`: the Lipschitz pairing (the permutation, the pair
+levels and the generator state after the permutation), the pair separations
+per exponent and the Bloch gap columns 1 - |z_k|^2.  Each is computed on first
+use, stored read-only and freed with the grid; for any other grid, one drawn
+from an advanced generator included, they are computed afresh and not kept.
+
 Point arrays are coordinate-major.  The grid is drawn into a (dim, N) block
 and returned as its (N, dim) transpose, so each coordinate Z[:, k] is
 contiguous; values and draw order are those of a row-major draw.  No caller
@@ -114,8 +121,9 @@ class NormEstimate:
         return out
 
 
-# The one grid kept for reuse, as ((dim, plan), Z, levels, generator end state):
-# the last grid drawn from a freshly seeded default_rng(plan.seed), or None.
+# The one grid kept for reuse, as ((dim, plan), Z, levels, generator end state,
+# {key: grid_derived value}): the last grid drawn from a freshly seeded
+# default_rng(plan.seed), or None.  No other reference to a kept grid is held.
 _kept_grid = None
 
 
@@ -146,10 +154,31 @@ def stratified_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator | Non
     if _kept_grid is None or _kept_grid[0] != (dim, plan):
         _kept_grid = None  # freed before the new draw
         Z, levels = _draw_grid(dim, plan, rng)
-        _kept_grid = ((dim, plan), Z, levels, rng.bit_generator.state)
-    _, Z, levels, end_state = _kept_grid
+        _kept_grid = ((dim, plan), Z, levels, rng.bit_generator.state, {})
+    _, Z, levels, end_state, _ = _kept_grid
     rng.bit_generator.state = end_state
     return Z, levels
+
+
+def grid_derived(Z: np.ndarray, key, build):
+    """build(), the arrays that depend on the grid Z alone, once per kept grid.
+
+    When Z is the kept grid, the value stored under key in its slot, built on
+    first use with its arrays made read-only; it is freed with the grid.  For
+    any other Z, build() afresh, kept nowhere.  A build that draws from a
+    generator returns the state the draw leaves, for its caller to restore
+    when the value comes from the slot.
+    """
+    if _kept_grid is None or _kept_grid[1] is not Z:
+        return build()
+    derived = _kept_grid[4]
+    if key not in derived:
+        value = build()
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        derived[key] = value
+    return derived[key]
 
 
 def _draw_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator):

@@ -119,7 +119,7 @@ MUTATIONS = {
     "criterion density x 0.5": (
         (criteria, "criterion_density_fn", _halved_density), {"density-row-decomposition"}),
     "Lipschitz quotient exponent forced to 1": (
-        (norms, "_quotients", lambda quot: lambda num, left, right, p: quot(num, left, right, 1.0)),
+        (norms, "_separations", lambda sep: lambda left, right, p: sep(left, right, 1.0)),
         set()),
 }
 
@@ -144,5 +144,8 @@ def test_unmutated_rows_pass_and_the_table_trips_all_but_untripped():
 def test_mutation_trips_exactly_its_rows(name, monkeypatch):
     (owner, attr, make), expected = MUTATIONS[name]
     _replace(monkeypatch, owner, attr, make)
+    # the kept grid's arrays were built by the unplanted code; an edit of the
+    # source would start without them
+    monkeypatch.setattr(sampling, "_kept_grid", None)
     with np.errstate(all="ignore"):
         assert _failed_rows() == expected
