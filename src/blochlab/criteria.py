@@ -65,9 +65,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .holo import SELF_MAP_CEILING, HoloSelfMap, compose, is_constant
+from .holo import SELF_MAP_CEILING, HoloSelfMap, compose, is_constant, partial_axes
 from .norms import (bloch_norm_estimate, column_weights, lipschitz_norm_estimate,
-                    nonzero_partials, one_minus_sq, partial_moduli, weighted_partial_sum)
+                    one_minus_sq, partial_moduli, weighted_partial_sum)
 from .reports import SCHEMA_VERSION, format_point, record_json
 from .sampling import (PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum,
                        stratified_grid)
@@ -159,14 +159,13 @@ class _Parts:
 def _density_parts(phi: HoloSelfMap, axes):
     """Batched parts of the criterion-density rows l in axes: Z -> `_Parts`."""
     comps = [phi.components[l] for l in axes]
-    rows = [nonzero_partials(comp) for comp in comps]
-    layout = tuple(tuple(parts) for parts in rows)
+    layout = tuple(partial_axes(comp) for comp in comps)
     size = sum(map(len, layout))
 
     def parts(Z: np.ndarray) -> _Parts:
         Z = np.asarray(Z, dtype=complex)
         block = np.empty((size + len(comps),) + Z.shape[:-1])
-        moduli = (m for parts in rows for _, m in partial_moduli(parts, Z))
+        moduli = (m for comp in comps for _, m in partial_moduli(comp, Z))
         for i, m in enumerate(moduli):
             block[i] = m
         for i, comp in enumerate(comps, start=size):

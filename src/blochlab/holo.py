@@ -13,11 +13,18 @@ A kernel's `val` takes the principal power of den = 1 - conj(w) z as den ** -e
 for an integer e (numpy multiplies repeatedly, faster than any polar form) and
 as |den|^-e exp(-i e Arg den) otherwise (3x faster than numpy's complex power
 through the complex log, and no less accurate); Re den > 0 on the closed
-polydisk, so Arg den lies in (-pi/2, pi/2), the principal branch.
+polydisk, so Arg den lies in (-pi/2, pi/2), the principal branch.  Its scale,
+like a Moebius factor's phase, multiplies a temporary array, which numpy
+reuses as the output from 16,384 complex values on, with the operands swapped;
+complex multiplication then rounds otherwise, so such a batch can differ in
+the last bit from a shorter one.
 
 Representations:
   * Series        -- finite multivariate power series (polynomials), evaluated by
-                     nested Horner over the axes on blocks of HORNER_BLOCK points,
+                     nested Horner over the axes on blocks of HORNER_BLOCK values;
+                     partials that share one exponent set go through one
+                     traversal with a column of coefficients per leaf
+                     (`partial_values`), so a polynomial's gradient is one pass,
   * ScaledKernel  -- c / (1 - conj(w) z_axis)^e, closed under d/dz; the one closed
                      form of the kernel, reused by Moebius derivatives and `testfuncs`,
   * MoebiusFactor -- one-coordinate disk automorphism factor (partials: ScaledKernels),
@@ -34,6 +41,7 @@ constant component needs an upper end below 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +51,8 @@ from .reports import record_json
 # compose normalizes a polynomial composite to a Series only up to this degree
 DEGREE_CAP = 64
 
-# Series.val runs its Horner scheme on blocks of at most this many points
+# the Horner scheme runs on blocks of at most this many values: points, times
+# the polynomials evaluated together
 HORNER_BLOCK = 16_384
 
 # A component whose certified sup |phi_l| is at most this maps into the closed
@@ -168,25 +177,9 @@ class Series(HoloFunction):
         plan = getattr(self, "_horner", None)
         if plan is None:
             plan = self._horner = _horner_plan(self.coeffs, 0, self.dim)
-        node, buffers = plan
-        if type(node) is complex:
-            return np.full(Z.shape[:-1], node)
-        flat = Z.reshape(-1, self.dim)
-        n = flat.shape[0]
-        if n % HORNER_BLOCK == 1:
-            # numpy multiplies a one-element complex array in place through a
-            # non-FMA loop, whose last bits differ from the loop it runs on
-            # longer arrays; a one-point block is evaluated as two copies of
-            # its point, so that a point gets the same value alone as in a batch
-            flat = np.concatenate([flat, flat[-1:]])
-        out = np.empty(flat.shape[0], dtype=complex)
-        scratch = [np.empty(min(out.size, HORNER_BLOCK), dtype=complex)
-                   for _ in range(buffers - 1)]
-        for start in range(0, out.size, HORNER_BLOCK):
-            cols = flat[start:start + HORNER_BLOCK].T
-            m = cols.shape[1]
-            _horner(node, cols, [out[start:start + m]] + [s[:m] for s in scratch], 0)
-        return out[:n].reshape(Z.shape[:-1])
+        out = np.empty(Z.shape[:-1], dtype=complex)
+        _horner_run(plan, Z.reshape(-1, self.dim), out.reshape(-1))
+        return out
 
     def partial(self, axis):
         self._check_axis(axis)
@@ -271,17 +264,19 @@ class Series(HoloFunction):
 def _horner_plan(coeffs: dict, axis: int, dim: int):
     """(node, buffers) for sum c_e z^e over the axes from `axis` on.
 
-    A node is a complex constant when no exponent there is nonzero, else
-    (k, steps): k is the first axis with a nonzero exponent, and steps holds
-    (child, gap) per distinct exponent of z_k in descending order, the child
-    being the node of that exponent's cofactor over the axes after k and gap
-    the drop to the next exponent (to 0 for the last).  `buffers` counts the
-    point arrays that `_horner` fills at once.
+    A coefficient is a complex number, or for K polynomials that share their
+    exponents the (K, 1) column of their coefficients, which evaluates all K
+    at once.  A node is a leaf, the sum of the coefficients, when no exponent
+    there is nonzero, else (k, steps): k is the first axis with a nonzero
+    exponent, and steps holds (child, gap) per distinct exponent of z_k in
+    descending order, the child being the node of that exponent's cofactor
+    over the axes after k and gap the drop to the next exponent (to 0 for the
+    last).  `buffers` counts the point arrays that `_horner` fills at once.
     """
     while axis < dim and all(e[axis] == 0 for e in coeffs):
         axis += 1
     if axis == dim:
-        return complex(sum(coeffs.values())), 0
+        return sum(coeffs.values()), 0
     groups = {}
     for e, c in coeffs.items():
         groups.setdefault(e[axis], {})[e] = c
@@ -296,7 +291,8 @@ def _horner_plan(coeffs: dict, axis: int, dim: int):
 
 
 def _horner(node, cols, bufs, depth):
-    """Evaluate a `_horner_plan` node at the points cols[k] = z_k into bufs[depth].
+    """Evaluate a `_horner_plan` node at the points cols[k] = z_k into bufs[depth],
+    of shape (m,) for complex leaves and (K, m) for (K, 1) leaves.
 
     Horner in z_k: acc = ((c_1 z_k^g_1 + c_2) z_k^g_2 + ...) z_k^g_m, with each
     cofactor c_i evaluated likewise into bufs[depth + 1], all in place.
@@ -306,11 +302,11 @@ def _horner(node, cols, bufs, depth):
     acc = bufs[depth]
     for i, (child, gap) in enumerate(steps):
         if i == 0:
-            if type(child) is complex:
+            if type(child) is not tuple:
                 np.multiply(z if gap == 1 else z ** gap, child, out=acc)
                 continue
             _horner(child, cols, bufs, depth)
-        elif type(child) is complex:
+        elif type(child) is not tuple:
             acc += child
         else:
             acc += _horner(child, cols, bufs, depth + 1)
@@ -321,11 +317,118 @@ def _horner(node, cols, bufs, depth):
     return acc
 
 
-def rising_factorial_coeffs(p: float, count: int) -> np.ndarray:
-    """c_j = p(p+1)...(p+j-1)/j! for j = 0..count-1, via the stable recurrence."""
+def _horner_run(plan, flat: np.ndarray, out: np.ndarray):
+    """Evaluate a `_horner_plan` at the points flat (n, dim) into out: (n,) for
+    complex leaves, (K, n) for (K, 1) leaves; the values when out is complex,
+    their moduli when it is real.
+
+    The points go in blocks of HORNER_BLOCK // K, so that the scratch holds
+    as many values whatever K.  A complex out is accumulated in directly; for
+    a real one each block is accumulated in scratch and its moduli written,
+    so no complex array of out's size forms.  numpy multiplies a one-element
+    complex array in place through a non-FMA loop, whose last bits differ
+    from the loop it runs on longer arrays; a one-point block is evaluated as
+    two copies of its point, so that a point gets the same value alone as in
+    a batch.
+    """
+    node, buffers = plan
+    values = out.dtype.kind == "c"
+    if type(node) is not tuple:
+        out[...] = node if values else np.abs(node)
+        return
+    n = flat.shape[0]
+    if n == 1:
+        pair = np.empty(out.shape[:-1] + (2,), dtype=out.dtype)
+        _horner_run(plan, np.concatenate([flat, flat]), pair)
+        out[...] = pair[..., :1]
+        return
+    rows = out.shape[:-1]
+    block = HORNER_BLOCK // math.prod(rows)
+    size = min(n, block)
+    scratch = [np.empty(rows + (size,), dtype=complex) for _ in range(buffers - values)]
+    for start in range(0, n, block):
+        dest = out[..., start:start + block]
+        count = dest.shape[-1]
+        if count == 1:
+            _horner_run(plan, flat[start:], dest)
+            continue
+        bufs = scratch if count == size else [s[..., :count] for s in scratch]
+        acc = _horner(node, flat[start:start + block].T, [dest] + bufs if values else bufs, 0)
+        if not values:
+            np.abs(acc, out=dest)
+
+
+def partial_axes(f: HoloFunction) -> tuple:
+    """The axes k whose partial df/dz_k is not structurally zero, in order."""
+    return _gradient_plan(f)[0]
+
+
+def partial_values(f: HoloFunction, Z, modulus: bool = False) -> list:
+    """The partials of f that are not structurally zero at Z (..., dim), one
+    array of shape Z.shape[:-1] per axis k of `partial_axes`, in order: df/dz_k,
+    or its modulus when `modulus` is set.
+
+    A run of `Series` partials that share one exponent set is evaluated in one
+    traversal into one (K,) + Z.shape[:-1] array, whose rows are returned; any
+    other partial by its own val or abs_val.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    rows = []
+    for count, part in _gradient_plan(f)[1]:
+        if type(part) is tuple:
+            block = np.empty((count,) + Z.shape[:-1], dtype=float if modulus else complex)
+            _horner_run(part, Z.reshape(-1, f.dim), block.reshape(count, -1))
+            rows.extend(block)
+        else:
+            rows.append(part.abs_val(Z) if modulus else part.val(Z))
+    return rows
+
+
+def _gradient_plan(f: HoloFunction):
+    """(axes, groups) for the partials of f that are not structurally zero,
+    built from `partials` once and stored on f.
+
+    axes are their axes in order.  groups cover them in order as (count,
+    part): a run of count > 1 consecutive `Series` partials that share one
+    exponent set has as part the `_horner_plan` of their stacked
+    coefficients, any other partial (a lone one, or a subclass of Series,
+    which may evaluate otherwise) is part itself, with count 1.  Only
+    identical exponent sets share a plan: a union of sets would order the
+    multiplications by z differently, and change the last bits of sparse or
+    composed polynomials.
+    """
+    plan = getattr(f, "_gradient", None)
+    if plan is None:
+        axes, runs = [], []
+        for k, pk in enumerate(f.partials()):
+            if is_zero(pk):
+                continue
+            axes.append(k)
+            last = runs[-1][-1] if runs else None
+            if type(pk) is type(last) is Series and pk.coeffs.keys() == last.coeffs.keys():
+                runs[-1].append(pk)
+            else:
+                runs.append([pk])
+        groups = []
+        for run in runs:
+            if len(run) > 1:
+                stacked = {e: np.array([[s.coeffs[e]] for s in run]) for e in run[0].coeffs}
+                groups.append((len(run), _horner_plan(stacked, 0, f.dim)))
+            else:
+                groups.append((1, run[0]))
+        plan = f._gradient = (tuple(axes), groups)
+    return plan
+
+
+def rising_factorial_coeffs(p: float, count: int, head=None) -> np.ndarray:
+    """c_j = p(p+1)...(p+j-1)/j! for j = 0..count-1, via the stable recurrence;
+    head, the first coefficients of an earlier call with the same p, is
+    extended rather than recomputed."""
     c = np.empty(count, dtype=float)
-    c[0] = 1.0
-    for j in range(count - 1):
+    if head is None:
+        head = (1.0,)
+    c[:len(head)] = head
+    for j in range(len(head) - 1, count - 1):
         c[j + 1] = c[j] * (p + j) / (j + 1)
     return c
 

@@ -31,14 +31,16 @@ T negated (exactly -T).
 
 Every density here and in `criteria` sums through one kernel,
 `weighted_partial_sum`: the moduli |df/dz_k| of the partials that are not
-structurally zero (dropped once, when built; a real power for a kernel
-partial) times the weight of axis k, accumulated in place.  The p-Bloch
-density weights by (1 - |z_k|^2)^p; the Q seminorm is the root of the kernel
-over squared moduli and the weights (1 - |z_k|^2)^2, and the gradient norm the
-same root with unit weights.  Every weight is built on `one_minus_sq`, which
-forms 1 - |z_k|^2 as (1 - |z_k|)(1 + |z_k|).  The criterion rows share one
-dict of weights per call, and `bloch_norm_estimates` raises each grid weight
-to each exponent on use, so that it holds no more than one at a time.
+structurally zero times the weight of axis k, accumulated in place.  The
+moduli come from one `holo.partial_values` pass: a polynomial's partials in
+one Horner traversal, written block by block into one real array, a kernel
+partial's as a real power.  The p-Bloch density weights by (1 - |z_k|^2)^p;
+the Q seminorm is the root of the kernel over squared moduli and the weights
+(1 - |z_k|^2)^2, and the gradient norm the same root with unit weights.
+Every weight is built on `one_minus_sq`, which forms 1 - |z_k|^2 as
+(1 - |z_k|)(1 + |z_k|).  The criterion rows share one dict of weights per
+call, and `bloch_norm_estimates` raises each grid weight to each exponent on
+use, so that it holds no more than one at a time.
 
 Points arrive coordinate-major (see `sampling`) and no function here assumes
 C order: every sum over coordinates, the kernel's, a pair's squared
@@ -54,7 +56,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from .holo import HoloFunction, Series, Sum, is_zero
+from .holo import HoloFunction, Series, Sum, partial_axes, partial_values
 from .sampling import (REFINE_SHRINK, NormEstimate, SamplingPlan, estimate_supremum,
                        grid_derived, maximise, stratified_grid)
 
@@ -73,14 +75,10 @@ def _check_p(p: float):
         raise ValueError(f"exponent p must be positive, got {p}")
 
 
-def nonzero_partials(f: HoloFunction) -> dict:
-    """{axis: partial} for the partials of f that are not structurally zero."""
-    return {k: pk for k, pk in enumerate(f.partials()) if not is_zero(pk)}
-
-
-def partial_moduli(parts: dict, Z: np.ndarray):
-    """(axis k, |df/dz_k| at Z) for each partial of parts, evaluated as iterated."""
-    return ((k, pk.abs_val(Z)) for k, pk in parts.items())
+def partial_moduli(f: HoloFunction, Z: np.ndarray) -> list:
+    """(axis k, |df/dz_k| at Z) for each partial of f that is not structurally
+    zero, from one `holo.partial_values` pass."""
+    return list(zip(partial_axes(f), partial_values(f, Z, modulus=True)))
 
 
 def one_minus_sq(mods: np.ndarray) -> np.ndarray:
@@ -105,12 +103,11 @@ def weighted_partial_sum(moduli, weight, shape) -> np.ndarray:
 def bloch_density_fn(f: HoloFunction, p: float):
     """Batched evaluator of the p-Bloch density of f."""
     _check_p(p)
-    parts = nonzero_partials(f)
 
     def density(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        return weighted_partial_sum(partial_moduli(parts, Z), column_weights(Z, p, parts).get,
-                                    Z.shape[:-1])
+        return weighted_partial_sum(partial_moduli(f, Z),
+                                    column_weights(Z, p, partial_axes(f)).get, Z.shape[:-1])
 
     return density
 
@@ -146,10 +143,9 @@ def bloch_norm_estimates(f: HoloFunction, ps, plan: SamplingPlan = SamplingPlan(
     missing = {key: p for key, p in zip(keys, ps) if key not in memo}
     if missing:
         Z, _ = stratified_grid(f.dim, plan)
-        parts = nonzero_partials(f)
-        moduli = list(partial_moduli(parts, Z))
+        moduli = partial_moduli(f, Z)
         gaps = {k: grid_derived(Z, ("gap", k), lambda: one_minus_sq(np.abs(Z[:, k])))
-                for k in parts}
+                for k, _ in moduli}
         base = abs(f.value(np.zeros(f.dim, dtype=complex)))
         for key, p in missing.items():
             grid = weighted_partial_sum(moduli, lambda k: gaps[k] ** p, Z.shape[0])
@@ -164,9 +160,9 @@ def bloch_norm_estimate(f: HoloFunction, p: float,
     return bloch_norm_estimates(f, (p,), plan)[0]
 
 
-def _root_square_sum(parts: dict, Z: np.ndarray, weight) -> np.ndarray:
-    """sqrt(sum_k |df/dz_k|^2 * weight(k)) at Z over the partials of parts."""
-    squares = ((k, modulus ** 2) for k, modulus in partial_moduli(parts, Z))
+def _root_square_sum(f: HoloFunction, Z: np.ndarray, weight) -> np.ndarray:
+    """sqrt(sum_k |df/dz_k|^2 * weight(k)) at Z over the partials of f."""
+    squares = ((k, modulus ** 2) for k, modulus in partial_moduli(f, Z))
     return np.sqrt(weighted_partial_sum(squares, weight, Z.shape[:-1]))
 
 
@@ -178,11 +174,9 @@ def timoney_q_fn(f: HoloFunction):
     sqrt(sum_k |df/dz_k|^2 (1-|z_k|^2)^2), with equality at u_k proportional
     to conj(df/dz_k) (1-|z_k|^2)^2.
     """
-    parts = nonzero_partials(f)
-
     def q(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        return _root_square_sum(parts, Z, column_weights(Z, 2, parts).get)
+        return _root_square_sum(f, Z, column_weights(Z, 2, partial_axes(f)).get)
 
     return q
 
@@ -190,10 +184,8 @@ def timoney_q_fn(f: HoloFunction):
 def _gradient_norm_fn(f: HoloFunction):
     """Batched evaluator of ||grad f(z)||_2: the kernel of `timoney_q_fn` with
     unit weights."""
-    parts = nonzero_partials(f)
-
     def gradient_norm(Z: np.ndarray) -> np.ndarray:
-        return _root_square_sum(parts, np.asarray(Z, dtype=complex), lambda k: 1.0)
+        return _root_square_sum(f, np.asarray(Z, dtype=complex), lambda k: 1.0)
 
     return gradient_norm
 
@@ -254,7 +246,21 @@ def _quotients(num: np.ndarray, separations) -> np.ndarray:
 
 
 def _pair_quotients(f: HoloFunction, p: float, Zl: np.ndarray, Zr: np.ndarray) -> np.ndarray:
-    return _quotients(np.abs(f.val(Zl) - f.val(Zr)), _separations(Zl.T, Zr.T, p))
+    """|f(z) - f(w)| / |z - w|^p for the pairs (Zl[i], Zr[i]), by `_quotients`.
+
+    Both ends take their values from one f.val pass over the points of Zl and
+    Zr with distinct bits: a round's partner, broadcast over its jitters, and
+    its anchors, repeated over their steps, are evaluated once.  A point's
+    value is that of either end's own pass as long as the passes stay on one
+    side of 16,384 points (see `holo`): a round's batch lies far below, and a
+    grid paired with its own permutation has the grid's distinct points.
+    """
+    points = np.ascontiguousarray(np.concatenate([Zl, Zr]))
+    rows = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))[:, 0]
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    vals = f.val(points[first])[inverse]
+    n = Zl.shape[0]
+    return _quotients(np.abs(vals[:n] - vals[n:]), _separations(Zl.T, Zr.T, p))
 
 
 def _grid_pair_quotients(f: HoloFunction, Z: np.ndarray, perm: np.ndarray,
@@ -297,15 +303,15 @@ def _grid_pairs(dim: int, plan: SamplingPlan, rng: np.random.Generator, p: float
     return Z, perm, pair_levels, grid_derived(Z, ("separations", p), separations)
 
 
-def _gradient_pairs(parts: dict, anchors: np.ndarray, r_cap: float):
+def _gradient_pairs(f: HoloFunction, anchors: np.ndarray, r_cap: float):
     """Pairs (z, z + h conj(grad f(z)) / ||grad f(z)||_2) for each anchor z and
-    step h of _GRADIENT_STEPS, where parts are the partials of f.  To first
+    step h of _GRADIENT_STEPS.  To first
     order f moves by |h| ||grad f(z)||_2, the most any direction gives; the
     four phases probe the higher-order terms and keep pairs inside at the
     boundary.  Anchors where the gradient vanishes are dropped."""
     grad = np.zeros(anchors.shape, dtype=complex)
-    for k, pk in parts.items():
-        grad[:, k] = pk.val(anchors)
+    for k, g in zip(partial_axes(f), partial_values(f, anchors)):
+        grad[:, k] = g
     norm = np.linalg.norm(grad, axis=1)
     keep = norm > 0.0
     anchors, unit = anchors[keep], np.conj(grad[keep]) / norm[keep, None]
@@ -351,7 +357,6 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
     n_refine = max(8, plan.angular_count)
     box = 0.2
     r_cap = plan.max_radius()
-    parts = nonzero_partials(f)
     sub = Z[::max(1, Z.shape[0] // 256)]
     seeds = sub[np.argsort(-_gradient_norm_fn(f)(sub), kind="stable")[:8]]
 
@@ -362,7 +367,7 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
             u = rng.random((2, n_refine, dim)) - 0.5
             lefts.append(_clip(anchor[None, :] + (box * u[0] + 1j * box * u[1]), r_cap))
             rights.append(np.broadcast_to(partner, lefts[-1].shape))
-        left, right = _gradient_pairs(parts, np.concatenate([np.stack(witness), seeds]), r_cap)
+        left, right = _gradient_pairs(f, np.concatenate([np.stack(witness), seeds]), r_cap)
         seeds, box = seeds[:0], box * REFINE_SHRINK
         return np.concatenate(lefts + [left]), np.concatenate(rights + [right])
 

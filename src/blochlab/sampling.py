@@ -181,15 +181,22 @@ def grid_derived(Z: np.ndarray, key, build):
     return derived[key]
 
 
+def _points_per_combination(dim: int, plan: SamplingPlan) -> int:
+    """The points that `stratified_grid` draws per radial-level combination."""
+    combinations = (plan.radial_levels + 1) ** dim
+    if combinations > plan.budget:
+        return 1
+    return min(plan.angular_count, plan.budget // combinations)
+
+
 def _draw_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator):
     radii = plan.radii()
     nlev = radii.size
+    per = _points_per_combination(dim, plan)
     if nlev ** dim > plan.budget:
         combos = rng.integers(0, nlev, size=(plan.budget, dim))
-        per = 1
     else:
         combos = np.indices((nlev,) * dim).reshape(dim, -1).T
-        per = min(plan.angular_count, plan.budget // len(combos))
     n = len(combos)
     # the returned arrays are allocated before the temporaries and filled in
     # place, so that a kept grid sits below the memory the draw frees; the
@@ -212,14 +219,16 @@ def maximise(score, grid, propose, plan: SamplingPlan,
 
     A candidate is a tuple of points, (z,) or a pair (z, w).  `grid` is the
     (vals, levels, row) triple of the initial candidates: vals holds their N
-    scores, levels each one's outermost radial level, and row(i) gives
-    candidate i.  The estimator scores the grid itself, so that it can share
-    work across it (the Lipschitz grid pairs take one value of f per grid
-    point).  Each round proposes propose(witness), a tuple of (N, dim) arrays
-    around the best candidate so far that score(*batch) maps to N floats, and
-    is charged the batch's length against plan.budget; rounds stop at
-    plan.max_rounds or before a batch that would exceed the budget.  The best
-    candidate is the witness and, for pairs, its partner.
+    scores, levels the outermost radial level of each run of N / len(levels)
+    consecutive candidates (one per candidate, or one per level combination
+    of the stratified grid), and row(i) gives candidate i.  The estimator
+    scores the grid itself, so that it can share work across it (the
+    Lipschitz grid pairs take one value of f per grid point).  Each round
+    proposes propose(witness), a tuple of (N, dim) arrays around the best
+    candidate so far that score(*batch) maps to N floats, and is charged the
+    batch's length against plan.budget; rounds stop at plan.max_rounds or
+    before a batch that would exceed the budget.  The best candidate is the
+    witness and, for pairs, its partner.
     """
     best, witness, evaluations = 0.0, None, 0
 
@@ -233,8 +242,11 @@ def maximise(score, grid, propose, plan: SamplingPlan,
     vals, levels, row = grid
     vals = np.asarray(vals, dtype=float)
     offer(vals, row)
+    # the runs' maxima first, then one scatter per run: max rounds nothing
+    run = vals.size // levels.size
+    tops = vals if run == 1 else np.maximum.reduceat(vals, np.arange(0, vals.size, run))
     level_max = np.zeros(plan.radial_levels + 1)
-    np.maximum.at(level_max, levels, vals)
+    np.maximum.at(level_max, levels, tops)
     level_trace = np.maximum.accumulate(level_max).tolist()
 
     trace = [best]
@@ -298,4 +310,5 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
         dt *= REFINE_SHRINK
         return (r * np.exp(1j * t),)
 
-    return maximise(density_fn, (vals, levels, lambda i: (Z[i],)), propose, plan, base=base)
+    grid = (vals, levels[::_points_per_combination(dim, plan)], lambda i: (Z[i],))
+    return maximise(density_fn, grid, propose, plan, base=base)

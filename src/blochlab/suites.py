@@ -326,22 +326,6 @@ def automorphism_metric_equality(dim: int = 2) -> SuiteRow:
     return _row("automorphism-metric-equality", worst <= tol, worst, witness, tol=tol)
 
 
-def expansion_plateau(phi_corpus) -> SuiteRow:
-    """The largest squared singular value of the weighted Jacobian stays finite
-    over samples; the measured plateau is recorded, never asserted against an
-    external constant."""
-    plateaus = {}
-    ok = True
-    for name, phi in phi_corpus:
-        Z = uniform_points(phi.dim, 2000, 15, rmax=0.99)
-        s = weighted_jacobian_singular_values(phi, Z)
-        top = float(np.max(s[..., 0] ** 2))
-        plateaus[name] = top
-        ok &= np.isfinite(top)
-    return _row("expansion-plateau", ok, max(plateaus.values(), default=0.0),
-                "", plateaus=plateaus)
-
-
 def small_exponent_decay(dim: int = 1) -> SuiteRow:
     """For p in {0.3, 0.7} and q in {1, 2} the per-coordinate profiles of the
     corpus self-maps decay along every realizable path."""
@@ -416,7 +400,6 @@ def run_all(dim: int = 2, seed: int = 0, plan: SamplingPlan | None = None,
             density_row_decomposition(phi_corpus),
             chain_rule_domination(phi_corpus, fns, plan=plan),
             automorphism_metric_equality(dim=max(dim, 2)),
-            expansion_plateau(phi_corpus),
             small_exponent_decay(dim=1),
             metric_floor_implies_stay(dim=1),
         ]

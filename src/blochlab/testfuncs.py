@@ -286,14 +286,39 @@ def tail_bound(p: float, w: complex, m: int) -> float:
     then at most t_{m+1} over one minus that (infinite when it reaches 1),
     which is tight when the tail is tiny against the total.
     """
+    _check_tail(p, w)
+    if m < 0:
+        raise ValueError("truncation index must be nonnegative")
+    return _tail_bound(p, abs(w), rising_factorial_coeffs(p, m + 2))
+
+
+def _check_tail(p: float, w: complex):
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
     if abs(w) >= 1.0:
         raise EvaluationDomainError(f"tail bound needs |w| < 1, got {abs(w)}")
-    if m < 0:
-        raise ValueError("truncation index must be nonnegative")
-    aw = abs(w)
-    terms = rising_factorial_coeffs(p, m + 2) * aw ** np.arange(m + 2)
+
+
+def truncation_degree(p: float, w: complex, tol: float) -> int:
+    """The first m of 1, 2, 4, ... with tail_bound(p, w, m) <= tol.
+
+    The coefficients come from one array that the recurrence of
+    `rising_factorial_coeffs` extends as m doubles, so every bound is the
+    one `tail_bound` gives at that m.
+    """
+    _check_tail(p, w)
+    m, coeffs = 1, rising_factorial_coeffs(p, 3)
+    while _tail_bound(p, abs(w), coeffs) > tol:
+        m *= 2
+        coeffs = rising_factorial_coeffs(p, m + 2, head=coeffs)
+    return m
+
+
+def _tail_bound(p: float, aw: float, coeffs: np.ndarray) -> float:
+    """`tail_bound` at |w| = aw and m = len(coeffs) - 2 from the coefficients
+    c_0..c_{m+1}, coeffs."""
+    m = coeffs.size - 2
+    terms = coeffs * aw ** np.arange(m + 2)
     total = (1.0 - aw) ** -p
     by_total = total - float(np.sum(terms[:-1])) + (p + 2 * m + 8) * np.finfo(float).eps * total
     ratio = max((p + m + 1) * aw / (m + 2), aw)

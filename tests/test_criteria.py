@@ -590,10 +590,10 @@ class TestKeptPaths:
         grid_rows = []
         moduli = criteria.partial_moduli
 
-        def counted(parts, Z):
+        def counted(comp, Z):
             if Z.shape == (n, 2):
-                grid_rows.append(parts)
-            return moduli(parts, Z)
+                grid_rows.append(comp)
+            return moduli(comp, Z)
 
         monkeypatch.setattr(criteria, "partial_moduli", counted)
         monkeypatch.setattr(criteria, "_kept", None)

@@ -21,6 +21,7 @@ from blochlab.corpus import default_function_corpus, default_selfmap_corpus, pol
 from blochlab.testfuncs import TestFunction
 from blochlab.holo import (
     HORNER_BLOCK,
+    _gradient_plan,
     SELF_MAP_CEILING,
     Composition,
     Const,
@@ -36,6 +37,8 @@ from blochlab.holo import (
     compose_map,
     identity_map,
     moebius_automorphism,
+    partial_axes,
+    partial_values,
 )
 
 
@@ -86,6 +89,13 @@ class TestEval:
             batch = f.val(Z)
             single = np.array([f.value(z) for z in Z])
             np.testing.assert_array_equal(single.view(float), batch.view(float), err_msg=repr(f))
+            # the gradient pass, a point alone being a batch of one
+            for modulus in (False, True):
+                batch = np.array(partial_values(f, Z, modulus=modulus))
+                single = np.array([[row[0] for row in partial_values(f, z[None], modulus=modulus)]
+                                   for z in Z]).T.copy().reshape(batch.shape)
+                np.testing.assert_array_equal(single.view(float), batch.view(float),
+                                              err_msg=repr(f))
 
     def test_one_point_last_block_equals_batch_bitwise(self):
         Z = disk_points(np.random.default_rng(5), (HORNER_BLOCK + 1,), 2)
@@ -177,6 +187,63 @@ class TestHornerAgainstLoop:
     @given(dim=st.integers(1, 4), data=st.data())
     def test_random_small_series(self, dim, data):
         assert_horner_matches_loop(*draw_series_and_points(dim, data))
+
+
+def sparse_and_composed(dim):
+    """Polynomials whose partials have mixed exponent sets: a sparse one, and
+    corpus polynomials composed with the polynomial corpus maps."""
+    exps = [(3,) + (0,) * (dim - 1), (1,) * dim, (0,) * (dim - 1) + (2,), (0,) * dim]
+    out = [Series({e: 0.3 + 0.2j * i for i, e in enumerate(exps)}, dim)]
+    for _, phi in default_selfmap_corpus(dim):
+        if all(isinstance(c, Series) for c in phi.components):
+            out.append(compose(polynomial_corpus(dim, count=1, seed=2)[0], phi))
+    return out
+
+
+class TestJointPartials:
+    """`partial_values` runs a Series' partials that share an exponent set
+    through one Horner traversal; each row must be that partial's own val,
+    and its modulus its own abs_val, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 64, HORNER_BLOCK, HORNER_BLOCK + 1])
+    def test_rows_equal_each_partial(self, dim, n):
+        Z = disk_points(np.random.default_rng(n + dim), (n,), dim)
+        fns = polynomial_corpus(dim, count=2, seed=dim) + sparse_and_composed(dim)
+        for f in fns:
+            axes = partial_axes(f)
+            parts = [f.partials()[k] for k in axes]
+            assert axes == tuple(k for k, pk in enumerate(f.partials()) if pk.coeffs)
+            values = partial_values(f, Z)
+            moduli = partial_values(f, Z, modulus=True)
+            assert len(values) == len(moduli) == len(axes)
+            for i, pk in enumerate(parts):
+                np.testing.assert_array_equal(values[i].view(float), pk.val(Z).view(float),
+                                              err_msg=repr(f))
+                np.testing.assert_array_equal(moduli[i], pk.abs_val(Z), err_msg=repr(f))
+
+    def test_groups_follow_exponent_sets(self):
+        # a dense polynomial's partials share one plan; a sparse one's do not
+        dense = polynomial_corpus(3, count=1, seed=0)[0]
+        (count, plan), = _gradient_plan(dense)[1]
+        assert count == 3 and type(plan) is tuple
+        sparse = sparse_and_composed(3)[0]
+        assert [count for count, _ in _gradient_plan(sparse)[1]] == [1, 1, 1]
+
+    def test_other_partials_and_shapes(self):
+        Z = disk_points(np.random.default_rng(4), (3, 5), 2)
+        for f in default_function_corpus(2)[8:14] + [Const(2.0, 2), Series({(0, 1): 1j}, 2)]:
+            axes = partial_axes(f)
+            got = partial_values(f, Z, modulus=True)
+            assert len(got) == len(axes)
+            for row, k in zip(got, axes):
+                assert row.shape == (3, 5)
+                np.testing.assert_array_equal(row, f.partials()[k].abs_val(Z))
+
+    def test_a_plan_is_built_once_and_kept_on_the_function(self):
+        f = polynomial_corpus(2, count=1, seed=0)[0]
+        plan = _gradient_plan(f)
+        assert f._gradient is plan and _gradient_plan(f) is plan
 
 
 def assert_negation_exact(s, Z):

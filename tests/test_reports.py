@@ -105,7 +105,7 @@ def assert_same(new, ref):
 
 def test_suite_rows():
     rows = suites.run_all(dim=2)
-    assert len(rows) == 17
+    assert len(rows) == 16
     for row in rows:
         assert_same(row.to_json(), suite_row_ref(row))
 

@@ -179,6 +179,23 @@ def test_level_trace_equals_loop():
     assert est.evaluations == Z.shape[0] and est.trace == [est.sup]
 
 
+@pytest.mark.parametrize("plan", [SamplingPlan(), SamplingPlan(budget=3_000),
+                                  SamplingPlan(radial_levels=4, angular_count=3)],
+                         ids=["default", "drawn-combinations", "small"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_level_trace_equals_the_scatter_over_candidates(dim, plan):
+    # the stratified grid's levels come in runs, one per level combination,
+    # whose maxima go to the scatter instead of every candidate's value
+    plan = replace(plan, max_rounds=0)
+    Z, levels = stratified_grid(dim, plan)
+    vals = np.random.default_rng(dim).random(Z.shape[0])
+    vals[::7] = 0.0
+    est = estimate_supremum(lambda Z: vals, dim, plan)
+    level_max = np.zeros(plan.radial_levels + 1)
+    np.maximum.at(level_max, levels, vals)
+    assert est.level_trace == np.maximum.accumulate(level_max).tolist()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_refinement_around_the_origin_spans_every_angle(dim):
     # the grid's origin points carry signed zeros, whose angles are 0 or +-pi;

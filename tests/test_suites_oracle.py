@@ -1,6 +1,7 @@
 """Verification suites and the independent oracle path."""
 
 import contextlib
+import gc
 import inspect
 import json
 import tracemalloc
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from blochlab import norms, sampling, suites, testfuncs
+from blochlab import corpus, criteria, holo, norms, oracle, reports, sampling, suites, testfuncs
 from blochlab.corpus import default_function_corpus, default_selfmap_corpus, polynomial_corpus
 from blochlab.criteria import coordinate_density_fn
 from blochlab.holo import Const, HoloFunction, Series
@@ -384,7 +385,6 @@ class TestSuites:
         assert suites.density_row_decomposition(maps).passed
         assert suites.chain_rule_domination(maps, fns, plan=QUICK_PLAN).passed
         assert suites.automorphism_metric_equality().passed
-        assert suites.expansion_plateau(maps).passed
 
     def test_consistency_rows(self):
         assert suites.small_exponent_decay().passed
@@ -404,6 +404,33 @@ class TestSuites:
         assert rows() == first
         monkeypatch.setattr(sampling, "_kept_grid", None)
         assert rows() == first
+
+    def test_repeated_run_all_grows_no_module_state(self):
+        # evaluation plans live on the function objects, which each call
+        # builds afresh; no module-level cache may hold a function or a plan
+        def module_state():
+            sizes = {"kept grid": len(sampling._kept_grid[4])}
+            for module in (corpus, criteria, holo, norms, oracle, reports, sampling, suites,
+                           testfuncs):
+                for name, value in vars(module).items():
+                    if isinstance(value, (dict, list, set)):
+                        sizes[module.__name__, name] = len(value)
+            return sizes
+
+        suites.run_all(dim=2)
+        state = module_state()
+        tracemalloc.start()
+        try:
+            suites.run_all(dim=2)
+            gc.collect()
+            first = tracemalloc.get_traced_memory()[0]
+            suites.run_all(dim=2)
+            gc.collect()
+            second = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert module_state() == state
+        assert second - first < 2**16
 
     def test_band_stability_row(self):
         row = suites.lipschitz_band_stability(count=6, plan=QUICK_PLAN)

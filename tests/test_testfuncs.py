@@ -23,6 +23,7 @@ from blochlab.testfuncs import (
     family_norm_bound,
     members,
     tail_bound,
+    truncation_degree,
 )
 
 PLAN = SamplingPlan(seed=11)
@@ -357,6 +358,26 @@ class TestTailBound:
         # the tail at m = 0 is the closed form minus the head c_0 = 1
         exact = (1.0 - 0.99999) ** -3 - 1.0
         assert tail_bound(3.0, 0.99999, 0) == pytest.approx(exact, rel=1e-9)
+
+    def test_truncation_degree_is_the_doubling_search(self):
+        # one coefficient array, extended by the recurrence as m doubles, gives
+        # the m, and every bound on the way, that tail_bound gives afresh
+        for p, w in [(0.5, 0.0), (0.5, 0.999), (1.0, 0.4), (2.0, 0.6 - 0.3j), (3.7, 0.95j)]:
+            for tol in (1e-2, 1e-12):
+                m = 1
+                while tail_bound(p, w, m) > tol:
+                    m *= 2
+                assert truncation_degree(p, w, tol) == m
+        with pytest.raises(EvaluationDomainError):
+            truncation_degree(1.0, 1.0, 1e-3)
+        with pytest.raises(ValueError):
+            truncation_degree(0.0, 0.5, 1e-3)
+
+    def test_extended_coefficients_equal_fresh_ones(self):
+        for p in (0.5, 1.0, 2.5):
+            head = rising_factorial_coeffs(p, 5)
+            np.testing.assert_array_equal(rising_factorial_coeffs(p, 40, head=head),
+                                          rising_factorial_coeffs(p, 40))
 
     def test_gap_below_tail(self):
         t = TestFunction("g", 0, 0.5, 1.0, 2)
