@@ -34,19 +34,23 @@ map, the mode, the axis and the seed, never on (p, q).  So `classify` keeps
 what it computed for one map in one slot: the last map it was asked about,
 held strongly and compared by identity, with
   - the parts of the full density on stratified_grid(n, plan), keyed by the
-    plan (the parts of another plan replace them), and
+    plan (the parts of another plan replace them),
+  - the parts of the full density at each refinement batch that
+    `boundedness_check` scored, keyed by the batch's bytes: each estimate
+    reseeds its generator and shrinks its box alike, so cells that reach one
+    witness propose the same batches, and
   - per (mode, axis, seed), a path set: the list `make_boundary_paths`
     returned (an empty list is a kept answer), the validated approach of each
     path, and the parts at the paths' merged points.
-A sweep over a (p, q) grid thus evaluates each map's partials on the grid,
-and builds, measures and validates each of its path sets, once; a cell only
-combines.  `boundedness_check` uses the grid parts only while the slot holds
-its map, and `compactness_profile` uses a path set only for the very path
-objects `classify` kept: paths built by hand are measured, validated and
-evaluated on every call and leave the slot alone.  Classifying another map
-frees the slot before anything is computed.  Reports of every cell share the
-kept arrays, so they are read-only.  `make_boundary_paths` itself keeps
-nothing.
+A sweep over a (p, q) grid thus evaluates each map's partials on the grid and
+at each distinct refinement batch, and builds, measures and validates each of
+its path sets, once; a cell only combines.  `boundedness_check` uses the
+grid and batch parts only while the slot holds its map, and
+`compactness_profile` uses a path set only for the very path objects
+`classify` kept: paths built by hand are measured, validated and evaluated on
+every call and leave the slot alone.  Classifying another map frees the slot
+before anything is computed.  Reports of every cell share the kept arrays,
+so they are read-only.  `make_boundary_paths` itself keeps nothing.
 
 Rule names used in reports:
   sup-density-plateau      boundedness via a plateauing supremum trace
@@ -207,10 +211,16 @@ def boundedness_check(phi: HoloSelfMap, p: float, q: float,
     holds: the cumulative per-level suprema plateau (relative change < 1e-3
     across the last two boundary levels).  fails: the trace keeps growing by a
     factor >= 2 over the last 4 levels, or a singular escape was hit.
+
+    While `classify`'s slot holds phi, the density parts on the grid and at
+    each refinement batch come from the slot or are evaluated once into it
+    (see the module docstring), and only their combination with (p, q) is
+    computed here; otherwise every batch is evaluated.
     """
     require_certified(phi)
     grid = _grid_parts(phi, plan)
-    est = estimate_supremum(criterion_density_fn(phi, p, q), phi.dim, plan,
+    parts = _batch_parts(phi)
+    est = estimate_supremum(lambda Z: parts(Z).combine(p, q), phi.dim, plan,
                             grid_values=None if grid is None else grid.combine(p, q))
     lt = est.level_trace
 
@@ -310,11 +320,13 @@ def _ray_pool(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
 @dataclass
 class _Kept:
     """What `classify` keeps of one map (see the module docstring): the grid
-    parts as (plan, parts), and a `_PathSet` per (mode, axis, seed)."""
+    parts as (plan, parts), a `_PathSet` per (mode, axis, seed), and the
+    parts of each refinement batch keyed on the batch's bytes."""
 
     phi: HoloSelfMap
     grid: tuple | None = None
     path_sets: dict = field(default_factory=dict)
+    batches: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -357,6 +369,28 @@ def _grid_parts(phi: HoloSelfMap, plan: SamplingPlan) -> _Parts | None:
         parts.block.flags.writeable = False
         kept.grid = (plan, parts)
     return kept.grid[1]
+
+
+def _batch_parts(phi: HoloSelfMap):
+    """The full density's parts at a batch of points: Z -> `_Parts`.  While
+    the slot holds phi, each distinct batch (by its bytes) is evaluated once
+    and its parts are kept, read-only, with Z a view of the key; while it
+    holds another map, every call evaluates."""
+    parts = _density_parts(phi, range(phi.dim))
+    kept = _kept_of(phi)
+    if kept is None:
+        return parts
+
+    def kept_parts(Z: np.ndarray) -> _Parts:
+        Z = np.asarray(Z, dtype=complex)
+        key = Z.tobytes()
+        if key not in kept.batches:
+            got = parts(np.frombuffer(key, dtype=complex).reshape(Z.shape))
+            got.block.flags.writeable = False
+            kept.batches[key] = got
+        return kept.batches[key]
+
+    return kept_parts
 
 
 def _path_set(phi: HoloSelfMap, paths: list, mode: str, axis: int | None) -> _PathSet:

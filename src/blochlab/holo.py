@@ -14,10 +14,11 @@ for an integer e (numpy multiplies repeatedly, faster than any polar form) and
 as |den|^-e exp(-i e Arg den) otherwise (3x faster than numpy's complex power
 through the complex log, and no less accurate); Re den > 0 on the closed
 polydisk, so Arg den lies in (-pi/2, pi/2), the principal branch.  Its scale,
-like a Moebius factor's phase, multiplies a temporary array, which numpy
-reuses as the output from 16,384 complex values on, with the operands swapped;
-complex multiplication then rounds otherwise, so such a batch can differ in
-the last bit from a shorter one.
+like a Moebius factor's phase, multiplies a temporary array in place with the
+scalar as the left operand (`_times`): written as scale * tmp, numpy would
+reuse the temporary as the output from 16,384 complex values on and swap the
+operands, and complex multiplication rounds otherwise with them swapped, so a
+point's value would depend on the size of its batch.
 
 Representations:
   * Series        -- finite multivariate power series (polynomials), evaluated by
@@ -433,6 +434,14 @@ def rising_factorial_coeffs(p: float, count: int, head=None) -> np.ndarray:
     return c
 
 
+def _times(c: complex, values) -> np.ndarray:
+    """c * values, c the left operand at every size (see the module docstring);
+    in place, but for a single value, which numpy multiplies in place through
+    another loop (see `_horner_run`)."""
+    values = np.asarray(values)
+    return np.multiply(c, values, out=values if values.size > 1 else None)
+
+
 class ScaledKernel(HoloFunction):
     """scale / (1 - conj(w) z_axis)^exponent with real exponent > 0.
 
@@ -467,9 +476,8 @@ class ScaledKernel(HoloFunction):
     def val(self, Z):
         den, mod = self._denominator(Z)
         e = self.exponent
-        if e.is_integer():
-            return self.scale * den ** -e
-        return self.scale * (mod ** -e * np.exp(-1j * e * np.angle(den)))
+        return _times(self.scale, den ** -e if e.is_integer()
+                      else mod ** -e * np.exp(-1j * e * np.angle(den)))
 
     def abs_val(self, Z):
         _, mod = self._denominator(Z)
@@ -515,9 +523,8 @@ class MoebiusFactor(HoloFunction):
         return complex(np.exp(1j * self.theta))
 
     def val(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        zs = Z[..., self.axis]
-        return self.phase * (zs - self.a) / (1.0 - np.conj(self.a) * zs)
+        zs = np.asarray(Z, dtype=complex)[..., self.axis]
+        return _times(self.phase, zs - self.a) / (1.0 - np.conj(self.a) * zs)
 
     def partial(self, axis):
         self._check_axis(axis)

@@ -251,9 +251,8 @@ def _pair_quotients(f: HoloFunction, p: float, Zl: np.ndarray, Zr: np.ndarray) -
     Both ends take their values from one f.val pass over the points of Zl and
     Zr with distinct bits: a round's partner, broadcast over its jitters, and
     its anchors, repeated over their steps, are evaluated once.  A point's
-    value is that of either end's own pass as long as the passes stay on one
-    side of 16,384 points (see `holo`): a round's batch lies far below, and a
-    grid paired with its own permutation has the grid's distinct points.
+    value does not depend on its batch (see `holo`), so it is that of either
+    end's own pass.
     """
     points = np.ascontiguousarray(np.concatenate([Zl, Zr]))
     rows = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))[:, 0]

@@ -138,10 +138,11 @@ def direct_q_seminorm(f: HoloFunction, Z: np.ndarray, seed: int = 0) -> np.ndarr
     Q_DIRECTIONS random u, for points Z of shape (N, dim).
 
     The points are contracted with the directions Q_BLOCK at a time, which
-    gives the bits of one product over all N points.  A trailing block of one
-    point joins the block before it: OpenBLAS computes a one-row product by
-    gemv, whose last bits differ from the rows of a matrix product.  A single
-    point (N = 1) is one one-row product, as it always was.
+    gives the bits of one product over all N points.  OpenBLAS computes a
+    one-row product by gemv, whose last bits differ from the rows of a matrix
+    product, so no block has one row: a trailing block of one point joins the
+    block before it, and a single point (N = 1) is contracted as two copies of
+    itself, which gives it its bits inside any batch.
     """
     rng = np.random.default_rng(seed)
     Z = np.asarray(Z, dtype=complex)
@@ -151,15 +152,17 @@ def direct_q_seminorm(f: HoloFunction, Z: np.ndarray, seed: int = 0) -> np.ndarr
     w2 = one_minus_sq(np.abs(Z)) ** 2          # (N, dim)
     U2t = (np.abs(U) ** 2).T
     n = G.shape[0]
-    edges = list(range(0, n, Q_BLOCK)) + [n]
+    if n == 1:
+        G, w2 = np.repeat(G, 2, axis=0), np.repeat(w2, 2, axis=0)
+    edges = list(range(0, len(G), Q_BLOCK)) + [len(G)]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    out = np.empty(n)
+    out = np.empty(len(G))
     for a, b in zip(edges[:-1], edges[1:]):
         num = np.abs(G[a:b] @ U.T)
         den = np.sqrt((1.0 / w2[a:b]) @ U2t)
         np.max(num / den, axis=1, out=out[a:b])
-    return out
+    return out[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -603,6 +603,50 @@ class TestKeptPaths:
                     classify(phi, p, q, PLAN)
         assert len(grid_rows) == 5 * 2
 
+    def test_sweep_evaluates_each_refinement_batch_once_per_map(self, monkeypatch):
+        # cells that reach one witness propose the same batches: the second
+        # and later cells of a map take that batch's parts from the slot
+        proposed, evaluated, current = [], [], None
+        estimate, density_parts = criteria.estimate_supremum, criteria._density_parts
+
+        def recording_estimate(density_fn, dim, plan, base=0.0, grid_values=None):
+            def density(Z):
+                proposed.append((current, Z.tobytes()))
+                return density_fn(Z)
+            return estimate(density, dim, plan, base=base, grid_values=grid_values)
+
+        def recording_parts(phi, axes):
+            parts = density_parts(phi, axes)
+            return lambda Z: evaluated.append((current, Z.tobytes())) or parts(Z)
+
+        monkeypatch.setattr(criteria, "estimate_supremum", recording_estimate)
+        monkeypatch.setattr(criteria, "_density_parts", recording_parts)
+        monkeypatch.setattr(criteria, "_kept", None)
+        for current, (_, phi) in enumerate(default_selfmap_corpus(2)):
+            for p in GRID:
+                for q in GRID:
+                    classify(phi, p, q, PLAN)
+        batches = set(proposed)
+        assert len([e for e in evaluated if e in batches]) == len(batches) < len(proposed)
+
+    def test_kept_batch_parts_are_read_only_and_freed_with_the_map(self):
+        a = identity_map(2)
+        classify(a, 1.0, 1.0, PLAN)
+        batches = criteria._kept.batches
+        assert batches
+        for parts in batches.values():
+            for array in (parts.Z, parts.block):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.5
+        # a map the slot does not hold neither reads nor fills it
+        before = dict(batches)
+        boundedness_check(halving_map(2), 1.0, 1.0, PLAN)
+        assert criteria._kept.batches == before
+        ref = weakref.ref(next(iter(batches.values())).block)
+        del a, batches, before
+        classify(halving_map(2), 1.0, 1.0, PLAN)
+        assert ref() is None
+
     def test_profile_of_hand_built_paths_leaves_the_slot_alone(self, monkeypatch):
         # a path classify did not keep is measured and validated on every call,
         # even a copy of a kept one

@@ -104,6 +104,18 @@ class TestEval:
         assert f.val(Z[-2:])[-1] == last
         assert f.value(Z[-1]) == last
 
+    @pytest.mark.parametrize("f", [MoebiusFactor(1, 0, 0.5 + 0.2j, 0.3),
+                                   ScaledKernel(1, 0, 0.4 - 0.3j, 2.0, 0.7 + 0.2j),
+                                   ScaledKernel(1, 0, 0.4 - 0.3j, 0.5, 0.7 + 0.2j)], ids=repr)
+    def test_scalar_factor_bits_do_not_depend_on_batch_size(self, f):
+        # from 16,384 values on numpy reuses a temporary as the output of
+        # scalar * temporary and swaps the operands; in place, one value runs
+        # another loop
+        Z = disk_points(np.random.default_rng(6), (20_000,), 1)
+        batch = f.val(Z)
+        for n in (1, 100):
+            np.testing.assert_array_equal(batch[:n].view(float), f.val(Z[:n]).view(float))
+
 
 def loop_series_val(f, Z):
     """Reference: each term c z^e as its own array, summed term by term."""

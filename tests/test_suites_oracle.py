@@ -182,12 +182,24 @@ class TestOracle:
         # 17 and 33 points end in a one-point block, which must not be
         # contracted on its own (a one-row product takes another BLAS path)
         for i, f in enumerate(default_function_corpus(dim)):
-            for count in (1, 2, 16, 17, 33, 200):
+            for count in (2, 16, 17, 33, 200):
                 Z = uniform_points(dim, count, i, rmax=0.8)
                 got = direct_q_seminorm(f, Z, seed=i)
                 assert got.shape == (count,)
                 np.testing.assert_array_equal(bits(got), bits(one_shot_q_seminorm(f, Z, i)),
                                               err_msg=f"{f} at {count} points")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_single_point_q_search_equals_its_batch_value(self, dim):
+        # one point alone would be a one-row product, which takes gemv
+        for i, f in enumerate(default_function_corpus(dim)):
+            Z = uniform_points(dim, 200, i, rmax=0.8)
+            batch = direct_q_seminorm(f, Z, seed=i)
+            for j in (0, 67, 134):
+                got = direct_q_seminorm(f, Z[j:j + 1], seed=i)
+                assert got.shape == (1,)
+                np.testing.assert_array_equal(bits(got), bits(batch[j:j + 1]),
+                                              err_msg=f"{f} at point {j}")
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_fd_gradient_matches_stacked_copies(self, dim):
