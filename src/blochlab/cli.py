@@ -30,7 +30,7 @@ from .criteria import (
 from .holo import EvaluationDomainError
 from .norms import bloch_norm_estimate, lipschitz_norm_estimate
 from .oracle import run_oracle
-from .sampling import SamplingPlan
+from .sampling import MAX_RADIAL_LEVELS, SamplingPlan
 from .suites import run_all
 from .testfuncs import TestFunction
 
@@ -57,6 +57,8 @@ POSITIVE = _Positive(min=0.0, min_open=True)
 OUT_PATH = _OutPath()
 NATURAL = click.IntRange(min=0)
 COUNT = click.IntRange(min=1)
+# verify-lemmas also runs the plan with one level more (SamplingPlan.doubled)
+LEVELS = click.IntRange(0, MAX_RADIAL_LEVELS - 1)
 
 
 class InputError(click.ClickException):
@@ -89,7 +91,7 @@ def _plan_options(fn):
     def command(levels, angles, rounds, budget, seed, **kwargs):
         return fn(plan=SamplingPlan(levels, angles, rounds, budget, seed), **kwargs)
 
-    command = click.option("--levels", type=NATURAL, default=SamplingPlan.radial_levels,
+    command = click.option("--levels", type=LEVELS, default=SamplingPlan.radial_levels,
                            show_default=True, help="Radial levels (radii 1 - 2^-i).")(command)
     command = click.option("--angles", type=COUNT, default=SamplingPlan.angular_count,
                            show_default=True, help="Points per torus circle / stratum.")(command)

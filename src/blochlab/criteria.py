@@ -19,9 +19,12 @@ Row l is the `norms.weighted_partial_sum` kernel over phi_l's partials (its
 q-Bloch density) over (1 - |phi_l|^2)^p; it is +inf where |phi_l| >= 1 and its
 numerator is nonzero (a numerical escape from the polydisk).  Every
 evaluation takes two steps.  The parts step, which alone evaluates phi,
-takes each row's partial moduli |d phi_l/dz_k| and 1 - |phi_l|^2 at the
-points and notes whether any point escaped; the combine step applies the
-weights (1 - |z_k|^2)^q, computed once per call for every row, and the power p.
+takes each row's partial moduli |d phi_l/dz_k|, 1 - |phi_l|^2 and the gap
+columns 1 - |z_k|^2 of the rows' axes at the points, and notes whether any
+point escaped.  The gap columns are kept with the parts (on the stratified
+grid they are those of `sampling.grid_derived`, shared with the Bloch
+estimates), so the combine step only raises them to q, once for every row,
+and applies the power p.
 
 A compactness profile evaluates each density once: it merges the paths that
 share one (all paths in mode 'image', the paths of one axis in mode
@@ -65,13 +68,14 @@ Rule names used in reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .holo import SELF_MAP_CEILING, HoloSelfMap, compose, is_constant, partial_axes
-from .norms import (bloch_norm_estimate, column_weights, lipschitz_norm_estimate,
-                    one_minus_sq, partial_moduli, weighted_partial_sum)
+from .norms import (bloch_norm_estimate, column_weights, gap_columns,
+                    lipschitz_norm_estimate, one_minus_sq, partial_moduli,
+                    weighted_partial_sum)
 from .reports import SCHEMA_VERSION, format_point, record_json
 from .sampling import (PLATEAU_RTOL, NormEstimate, SamplingPlan, estimate_supremum,
                        stratified_grid)
@@ -132,19 +136,27 @@ class _Parts:
 
     `block` holds the moduli |d phi_l/dz_k| row by row, the axes k of row i
     being rows[i], then 1 - |phi_l|^2 for each row; `escaped` says whether
-    any of the latter is <= 0 (|phi_l| >= 1, a numerical escape).
+    any of the latter is <= 0 (|phi_l| >= 1, a numerical escape).  `gaps`
+    holds the gap column 1 - |z_k|^2 of each axis k of the rows.
     """
 
     Z: np.ndarray
     rows: tuple
     block: np.ndarray
     escaped: bool
+    gaps: dict
+
+    def frozen(self) -> "_Parts":
+        """These parts with their arrays made read-only, for kept use."""
+        for array in (self.block, *self.gaps.values()):
+            array.flags.writeable = False
+        return self
 
     def combine(self, p: float, q: float) -> np.ndarray:
         """Sum over the rows of their weighted moduli over (1 - |phi_l|^2)^p,
-        with the weights (1 - |z_k|^2)^q computed once for every row; +inf
-        where |phi_l| >= 1 and the row's numerator is nonzero."""
-        weights = column_weights(self.Z, q, {k for axes in self.rows for k in axes})
+        with the weights (1 - |z_k|^2)^q raised from the gap columns once for
+        every row; +inf where |phi_l| >= 1 and the row's numerator is nonzero."""
+        weights = column_weights(self.gaps, q)
         oms = self.block[len(self.block) - len(self.rows):]
         out, start = None, 0
         for axes, om in zip(self.rows, oms):
@@ -165,6 +177,7 @@ def _density_parts(phi: HoloSelfMap, axes):
     comps = [phi.components[l] for l in axes]
     layout = tuple(partial_axes(comp) for comp in comps)
     size = sum(map(len, layout))
+    columns = sorted({k for axes in layout for k in axes})
 
     def parts(Z: np.ndarray) -> _Parts:
         Z = np.asarray(Z, dtype=complex)
@@ -174,7 +187,8 @@ def _density_parts(phi: HoloSelfMap, axes):
             block[i] = m
         for i, comp in enumerate(comps, start=size):
             block[i] = one_minus_sq(np.abs(comp.val(Z)))
-        return _Parts(Z, layout, block, bool((block[size:] <= 0.0).any()))
+        return _Parts(Z, layout, block, bool((block[size:] <= 0.0).any()),
+                      gap_columns(Z, columns))
 
     return parts
 
@@ -366,8 +380,7 @@ def _grid_parts(phi: HoloSelfMap, plan: SamplingPlan) -> _Parts | None:
     if kept.grid is None or kept.grid[0] != plan:
         kept.grid = None  # frees the parts of another plan before the evaluation
         parts = _density_parts(phi, range(phi.dim))(stratified_grid(phi.dim, plan)[0])
-        parts.block.flags.writeable = False
-        kept.grid = (plan, parts)
+        kept.grid = (plan, parts.frozen())
     return kept.grid[1]
 
 
@@ -385,9 +398,7 @@ def _batch_parts(phi: HoloSelfMap):
         Z = np.asarray(Z, dtype=complex)
         key = Z.tobytes()
         if key not in kept.batches:
-            got = parts(np.frombuffer(key, dtype=complex).reshape(Z.shape))
-            got.block.flags.writeable = False
-            kept.batches[key] = got
+            kept.batches[key] = parts(np.frombuffer(key, dtype=complex).reshape(Z.shape)).frozen()
         return kept.batches[key]
 
     return kept_parts
@@ -407,8 +418,8 @@ def _path_set(phi: HoloSelfMap, paths: list, mode: str, axis: int | None) -> _Pa
     cuts = np.cumsum([len(path.points) for path in paths])[:-1]
     approaches = [path.validate(phi, m) for path, m in zip(paths, np.split(measure, cuts))]
     parts = _density_parts(phi, range(phi.dim) if axis is None else [axis])(merged.points)
-    merged.points.flags.writeable = parts.block.flags.writeable = False
-    return _PathSet(paths, approaches, parts)
+    merged.points.flags.writeable = False
+    return _PathSet(paths, approaches, parts.frozen())
 
 
 def _boundary_paths(phi: HoloSelfMap, mode: str, axis: int | None, seed: int) -> list:
@@ -516,8 +527,9 @@ class PathProfile:
 
 
 def _judge_tail(values: np.ndarray) -> str:
-    tail = values[-4:]
-    if np.all(np.diff(tail) <= 1e-12) and tail[-1] < DECAY_TOL:
+    """The status of a profile from its last four values, taken as floats."""
+    tail = values[-4:].tolist()
+    if all(b - a <= 1e-12 for a, b in zip(tail, tail[1:])) and tail[-1] < DECAY_TOL:
         return "decayed"
     if tail[-1] >= STAY_FLOOR and tail[-1] >= STAY_RATIO * tail[0]:
         return "stays"
@@ -553,11 +565,14 @@ def compactness_profile(phi: HoloSelfMap, p: float, q: float,
     for axis, members in groups.items():
         group = [paths[i] for i in members]
         path_set = _kept_set(phi, group) or _path_set(phi, group, mode, axis)
-        cuts = np.cumsum([len(path.points) for path in group])[:-1]
-        values = np.split(path_set.parts.combine(p, q), cuts)
+        values, start = path_set.parts.combine(p, q), 0
         # the profile records the re-measured approach, also for a hand-built path
-        for i, m, v in zip(members, path_set.approaches, values):
-            profiles[i] = PathProfile(replace(paths[i], approach=m), v, _judge_tail(v))
+        for i, m in zip(members, path_set.approaches):
+            path = paths[i]
+            v = values[start:start + len(path.points)]
+            start += len(path.points)
+            profiles[i] = PathProfile(BoundaryPath(path.points, path.mode, path.axis, m,
+                                                   path.path_id), v, _judge_tail(v))
 
     statuses = [pr.status for pr in profiles]
     if any(s == "stays" for s in statuses):

@@ -15,8 +15,8 @@ from the steepest points.  What depends on the grid alone is kept with it
 (`sampling.grid_derived`) and freed with it: the permutation, the pair
 levels and the generator state after the permutation, the pair separations
 |z - w|^p at each exponent with their floor mask, and the gap columns
-1 - |z_k|^2 that the Bloch grid weights raise to each exponent.  A repeat
-estimate on the kept grid computes only what depends on f.
+1 - |z_k|^2 (`gap_columns`) that every weight on the grid raises to its
+exponent.  A repeat estimate on the kept grid computes only what depends on f.
 
 Inside a `shared_estimates` block, `bloch_norm_estimates` computes each
 (function, exponent, plan) once and serves repeats from a memo that the block
@@ -31,16 +31,18 @@ T negated (exactly -T).
 
 Every density here and in `criteria` sums through one kernel,
 `weighted_partial_sum`: the moduli |df/dz_k| of the partials that are not
-structurally zero times the weight of axis k, accumulated in place.  The
-moduli come from one `holo.partial_values` pass: a polynomial's partials in
-one Horner traversal, written block by block into one real array, a kernel
-partial's as a real power.  The p-Bloch density weights by (1 - |z_k|^2)^p;
-the Q seminorm is the root of the kernel over squared moduli and the weights
-(1 - |z_k|^2)^2, and the gradient norm the same root with unit weights.
-Every weight is built on `one_minus_sq`, which forms 1 - |z_k|^2 as
-(1 - |z_k|)(1 + |z_k|).  The criterion rows share one dict of weights per
-call, and `bloch_norm_estimates` raises each grid weight to each exponent on
-use, so that it holds no more than one at a time.
+structurally zero times the weight of axis k, accumulated in place onto the
+first term.  The moduli come from one `holo.partial_values` pass: a
+polynomial's partials in one Horner traversal, written block by block into one
+real array, a kernel partial's as a real power.  The p-Bloch density weights
+by (1 - |z_k|^2)^p; the Q seminorm is the root of the kernel over squared
+moduli and the weights (1 - |z_k|^2)^2, and the gradient norm the same root
+with unit weights.  Every weight is a gap column of `gap_columns`, 1 - |z_k|^2
+formed by `one_minus_sq` as (1 - |z_k|)(1 + |z_k|), raised to its exponent;
+the densities raise theirs through `column_weights`.  The criterion rows share
+one dict of weights per combine, raised from the gap columns that `criteria`
+keeps with its density parts, and `bloch_norm_estimates` raises each grid
+weight to each exponent on use, so that it holds no more than one at a time.
 
 Points arrive coordinate-major (see `sampling`) and no function here assumes
 C order: every sum over coordinates, the kernel's, a pair's squared
@@ -86,17 +88,28 @@ def one_minus_sq(mods: np.ndarray) -> np.ndarray:
     return (1.0 - mods) * (1.0 + mods)
 
 
-def column_weights(Z: np.ndarray, p: float, columns) -> dict:
-    """The weights (1 - |z_k|^2)^p at Z for each axis k of columns."""
-    return {k: one_minus_sq(np.abs(Z[..., k])) ** p for k in columns}
+def gap_columns(Z: np.ndarray, columns) -> dict:
+    """The gap columns 1 - |z_k|^2 at Z for each axis k of columns; those of
+    the kept grid are kept with it (see `sampling.grid_derived`)."""
+    return {k: grid_derived(Z, ("gap", k), lambda: one_minus_sq(np.abs(Z[..., k])))
+            for k in columns}
+
+
+def column_weights(gaps: dict, p: float) -> dict:
+    """The weights (1 - |z_k|^2)^p from the `gap_columns` gaps, axis by axis."""
+    return {k: gap ** p for k, gap in gaps.items()}
 
 
 def weighted_partial_sum(moduli, weight, shape) -> np.ndarray:
     """sum_k m_k * weight(k) over the (axis k, modulus m_k) pairs of moduli, an
-    array of the given shape: the density kernel of this module and `criteria`."""
-    out = np.zeros(shape, dtype=float)
-    for k, modulus in moduli:
-        out += modulus * weight(k)
+    array of the given shape: the density kernel of this module and `criteria`.
+    It starts from the first term, as 0 + term is term for these terms."""
+    terms = (modulus * weight(k) for k, modulus in moduli)
+    out = next(terms, None)
+    if out is None:
+        return np.zeros(shape, dtype=float)
+    for term in terms:
+        out += term
     return out
 
 
@@ -106,8 +119,8 @@ def bloch_density_fn(f: HoloFunction, p: float):
 
     def density(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        return weighted_partial_sum(partial_moduli(f, Z),
-                                    column_weights(Z, p, partial_axes(f)).get, Z.shape[:-1])
+        weights = column_weights(gap_columns(Z, partial_axes(f)), p)
+        return weighted_partial_sum(partial_moduli(f, Z), weights.get, Z.shape[:-1])
 
     return density
 
@@ -144,8 +157,7 @@ def bloch_norm_estimates(f: HoloFunction, ps, plan: SamplingPlan = SamplingPlan(
     if missing:
         Z, _ = stratified_grid(f.dim, plan)
         moduli = partial_moduli(f, Z)
-        gaps = {k: grid_derived(Z, ("gap", k), lambda: one_minus_sq(np.abs(Z[:, k])))
-                for k, _ in moduli}
+        gaps = gap_columns(Z, partial_axes(f))
         base = abs(f.value(np.zeros(f.dim, dtype=complex)))
         for key, p in missing.items():
             grid = weighted_partial_sum(moduli, lambda k: gaps[k] ** p, Z.shape[0])
@@ -176,7 +188,7 @@ def timoney_q_fn(f: HoloFunction):
     """
     def q(Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        return _root_square_sum(f, Z, column_weights(Z, 2, partial_axes(f)).get)
+        return _root_square_sum(f, Z, column_weights(gap_columns(Z, partial_axes(f)), 2).get)
 
     return q
 

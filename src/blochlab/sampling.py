@@ -6,12 +6,12 @@ maximum per radial level, then runs local refinement rounds around the running
 maximum until the rounds or the evaluation budget run out.
 `estimate_supremum` feeds it a pointwise density over a radially stratified
 grid (radii r_i = 1 - 2^{-i}, where weighted-derivative densities fight their
-weights, crossed with jittered angles) and refines in a shrinking polar box;
-the Bloch norms and the exponent-1 Lipschitz norm go through it.  The
-Lipschitz estimator in `norms` feeds `maximise` pairs of grid points for
-exponents below 1.  Estimates are lower bounds of the true supremum by
-construction; `converged` reports whether the refinement trace plateaued.
-Everything is deterministic for a fixed seed.
+weights, crossed with jittered angles) and refines in a polar box that halves
+each round, drawing every round's jitter at once; the Bloch norms and the
+exponent-1 Lipschitz norm go through it.  The Lipschitz estimator in `norms`
+feeds `maximise` pairs of grid points for exponents below 1.  Estimates are
+lower bounds of the true supremum by construction; `converged` reports whether
+the refinement trace plateaued.  Everything is deterministic for a fixed seed.
 
 Estimators redraw the same seeded grid many times, so `stratified_grid` keeps
 one: the last grid drawn from a freshly seeded generator, keyed on (dim, plan),
@@ -51,6 +51,11 @@ from .reports import record_json
 
 PLATEAU_RTOL = 1e-3
 REFINE_SHRINK = 0.5
+# the outermost level whose points stay strictly inside: from level 52 on,
+# (1 - 2^-i) |e^{i theta}| rounds to modulus 1 at some angles
+MAX_RADIAL_LEVELS = 51
+# the most jitter values `estimate_supremum` draws at once
+_JITTER_BLOCK = 1 << 16
 _TINY = 1e-300
 
 
@@ -63,6 +68,9 @@ class SamplingPlan:
     max_rounds: local refinement rounds (each shrinks the box by REFINE_SHRINK).
     budget: overall cap on density evaluations for one estimate.
     seed: jitter seed; fixed seed means reproducible estimates.
+
+    radial_levels above MAX_RADIAL_LEVELS are refused: from level 52 the
+    outer radius rounds onto the torus at some angles, and from 54 past it.
     """
 
     radial_levels: int = 14
@@ -74,6 +82,9 @@ class SamplingPlan:
     def __post_init__(self):
         if self.radial_levels < 0 or self.angular_count < 1:
             raise ValueError("radial_levels must be >= 0 and angular_count >= 1")
+        if self.radial_levels > MAX_RADIAL_LEVELS:
+            raise ValueError(f"radial_levels must be at most {MAX_RADIAL_LEVELS}, got "
+                             f"{self.radial_levels}: a farther outer radius rounds onto the torus")
         if self.budget < 1:
             raise ValueError("budget must be positive")
 
@@ -277,6 +288,15 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
     caller that shares work across densities; density_fn then scores the
     refinement rounds alone.  Values of any shape but (len(Z),) raise
     ValueError.
+
+    The jitter layout, which seeded reports depend on: at the first round
+    the generator draws u of shape (rounds, 2, n_refine, dim) in one call,
+    for n_refine = max(8, angular_count) and the rounds `maximise` proposes,
+    min(max_rounds, (budget - len(Z)) // n_refine + 1).  Round j moves the
+    witness's (radius, angle) by (2 u[j] - 1) times the box (dr, dt) 2^-j,
+    (dr, dt) being the box around the first witness, and clamps the radius
+    to [0, r_cap].  A draw of more than `_JITTER_BLOCK` values is split into
+    consecutive draws of whole rounds, which give the same values.
     """
     rng = np.random.default_rng(plan.seed)
     Z, levels = stratified_grid(dim, plan, rng)
@@ -287,14 +307,29 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
     r_cap = plan.max_radius()
     radii = plan.radii()
     n_refine = max(8, plan.angular_count)
-    dr = dt = None
+    # the rounds maximise proposes: those the budget leaves, and the one it refuses
+    rounds = min(plan.max_rounds, max(plan.budget - len(Z), 0) // n_refine + 1)
+    block = max(1, min(rounds, _JITTER_BLOCK // (2 * n_refine * dim)))
+    steps = None
+
+    def jitter(box):
+        # each round's (radial, angular) steps, `block` rounds per draw: round
+        # j scales its uniform draw in [-1, 1) by the first box halved j times
+        while True:
+            scale = np.empty((block, 2, 1, dim))
+            scale[0], scale[1:] = box, REFINE_SHRINK
+            scale = np.multiply.accumulate(scale)
+            box = scale[-1] * REFINE_SHRINK
+            u = 2.0 * rng.random((block, 2, n_refine, dim)) - 1.0
+            u *= scale
+            yield from u
 
     def propose(witness):
-        nonlocal dr, dt
+        nonlocal steps
         (w,) = witness
         w_r = np.abs(w)
         w_t = np.angle(w)
-        if dr is None:
+        if steps is None:
             # initial polar box: bracket of neighboring radial levels around the
             # witness; radii[0] == 0 and radii[-1] == r_cap close the bracket at the ends
             lo = radii[np.maximum(np.searchsorted(radii, w_r - 1e-15) - 1, 0)]
@@ -303,12 +338,10 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
             dr = np.maximum(np.maximum(hi - w_r, w_r - lo), 1e-6)
             # a box that reaches the origin spans every angle: np.angle(-0+0j) is pi
             dt = np.where(w_r < dr, np.pi, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
-        u = 2.0 * rng.random((2, n_refine, dim)) - 1.0
-        r = np.minimum(np.maximum(w_r[None, :] + dr[None, :] * u[0], 0.0), r_cap)
-        t = w_t[None, :] + dt[None, :] * u[1]
-        dr *= REFINE_SHRINK
-        dt *= REFINE_SHRINK
-        return (r * np.exp(1j * t),)
+            steps = jitter(np.stack([dr, dt])[:, None, :])
+        step = next(steps)
+        r = np.minimum(np.maximum(w_r + step[0], 0.0), r_cap)
+        return (r * np.exp(1j * (w_t + step[1])),)
 
     grid = (vals, levels[::_points_per_combination(dim, plan)], lambda i: (Z[i],))
     return maximise(density_fn, grid, propose, plan, base=base)

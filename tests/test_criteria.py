@@ -7,17 +7,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochlab import criteria
 from blochlab.corpus import default_selfmap_corpus
 from blochlab.criteria import (
+    DECAY_TOL,
     PATH_FINAL_TARGET,
     PATH_MAX_TARGETS,
     PATH_MIN_POINTS,
     PATH_REQUIRED_FINAL,
     BoundaryPath,
+    STAY_FLOOR,
+    STAY_RATIO,
     PathValidationError,
     _approach,
+    _judge_tail,
     _ray_pool,
     UncertifiedMapError,
     Verdict,
@@ -75,6 +81,13 @@ def steep_map(N):
 def product_map():
     # (z_1 z_2, z_2) on U^2
     return HoloSelfMap([Series({(1, 1): 1.0}, 2), Series.coordinate(1, 2)])
+
+
+def escaping_map():
+    # a falsely certified map whose image leaves the disk at interior points
+    phi = HoloSelfMap([Series({(0,): 0.999, (1,): 0.1}, 1)])
+    phi.certificate = SelfMapCertificate(((0.9, 0.9),))
+    return phi
 
 
 class TestCriterionDensity:
@@ -136,10 +149,7 @@ class TestCriterionDensity:
                 == pytest.approx(1.0, abs=1e-14)
 
     def test_singular_escape_is_inf(self):
-        # a falsely-certified map whose image leaves the disk at an interior point
-        phi = HoloSelfMap([Series({(0,): 0.999, (1,): 0.1}, 1)])
-        phi.certificate = SelfMapCertificate(((0.9, 0.9),))
-        assert criterion_density_fn(phi, 1.0, 1.0)(np.array([0.5])) == np.inf
+        assert criterion_density_fn(escaping_map(), 1.0, 1.0)(np.array([0.5])) == np.inf
 
 
 class TestBoundednessCheck:
@@ -508,6 +518,29 @@ def counted_builds(monkeypatch):
     return builds
 
 
+def recomputed_combine(parts, p, q):
+    """Reference: `_Parts.combine` with its weights (1 - |z_k|^2)^q recomputed
+    from the points Z rather than raised from the kept gap columns."""
+    axes = {k for row in parts.rows for k in row}
+    weights = {k: one_minus_sq(np.abs(parts.Z[..., k])) ** q for k in axes}
+    oms = parts.block[len(parts.block) - len(parts.rows):]
+    out, start = None, 0
+    for row, om in zip(parts.rows, oms):
+        num = np.zeros(parts.Z.shape[:-1])
+        for k, modulus in zip(row, parts.block[start:start + len(row)]):
+            num += modulus * weights[k]
+        start += len(row)
+        escaped = om <= 0.0
+        value = np.where(escaped & (num > 0), np.inf, num / np.where(escaped, 1.0, om) ** p)
+        out = value if out is None else out + value
+    return out
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+
+
 class TestKeptPaths:
     """classify keeps the boundary paths, grid parts and path-set parts of the
     last map it was asked about."""
@@ -635,17 +668,38 @@ class TestKeptPaths:
         batches = criteria._kept.batches
         assert batches
         for parts in batches.values():
-            for array in (parts.Z, parts.block):
+            for array in (parts.Z, parts.block, *parts.gaps.values()):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.5
         # a map the slot does not hold neither reads nor fills it
         before = dict(batches)
         boundedness_check(halving_map(2), 1.0, 1.0, PLAN)
         assert criteria._kept.batches == before
-        ref = weakref.ref(next(iter(batches.values())).block)
-        del a, batches, before
+        kept = next(iter(batches.values()))
+        refs = [weakref.ref(kept.block)] + [weakref.ref(gap) for gap in kept.gaps.values()]
+        del a, batches, before, kept
         classify(halving_map(2), 1.0, 1.0, PLAN)
-        assert ref() is None
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("p", [0.5, 2.0])
+    @pytest.mark.parametrize("phi", [product_map(), moebius_automorphism([0.3, -0.2j], [0.5, 1.0]),
+                                     escaping_map()], ids=["product", "automorphism", "escaping"])
+    def test_combine_from_kept_gaps_equals_weights_from_the_points(self, phi, p):
+        # the grid, batch and path-set parts (image and coordinate paths) that
+        # classify keeps combine as the weights recomputed from Z would
+        for q in GRID:
+            classify(phi, p, q, PLAN)
+        kept = criteria._kept
+        everything = [kept.grid[1], *kept.batches.values(),
+                      *(s.parts for s in kept.path_sets.values() if s.parts is not None)]
+        assert kept.batches and (phi.dim == 1 or len(everything) > len(kept.batches) + 1)
+        for parts in everything:
+            axes = {k for row in parts.rows for k in row}
+            assert parts.gaps.keys() == axes
+            for q in GRID:
+                assert_same_bits(parts.combine(p, q), recomputed_combine(parts, p, q))
+        if phi.dim == 1:
+            assert np.isinf(kept.grid[1].combine(p, 1.0)).any()
 
     def test_profile_of_hand_built_paths_leaves_the_slot_alone(self, monkeypatch):
         # a path classify did not keep is measured and validated on every call,
@@ -669,6 +723,56 @@ class TestKeptPaths:
         assert criteria._kept is kept and kept.grid is grid
         assert kept.path_sets.keys() == path_sets.keys()
         assert all(kept.path_sets[key] is value for key, value in path_sets.items())
+
+
+def numpy_judge_tail(values):
+    """Reference: `_judge_tail` on the array, through numpy."""
+    tail = values[-4:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.all(np.diff(tail) <= 1e-12) and tail[-1] < DECAY_TOL:
+            return "decayed"
+        if tail[-1] >= STAY_FLOOR and tail[-1] >= STAY_RATIO * tail[0]:
+            return "stays"
+    return "undecided"
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-12, -1e-12, 2e-12, DECAY_TOL, STAY_FLOOR,
+           1e308, -1e308, 5e-324]
+
+
+@st.composite
+def tail_values(draw):
+    """Lengths 1-6 of arbitrary, special and small values, or of steps of
+    exactly +-1e-12 from a special start."""
+    size = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        value = st.one_of(st.floats(), st.sampled_from(SPECIAL),
+                          st.floats(-2e-3, 2e-3))
+        return np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=float)
+    values = [draw(st.sampled_from(SPECIAL))]
+    for _ in range(size - 1):
+        values.append(values[-1] + draw(st.sampled_from([1e-12, -1e-12, 0.0])))
+    return np.array(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tail_values())
+def test_judge_tail_in_floats_equals_numpy(values):
+    assert _judge_tail(values) == numpy_judge_tail(values)
+
+
+@pytest.mark.parametrize("values, status", [
+    ([0.0, 1e-12, 2e-12], "decayed"),  # steps of exactly 1e-12
+    ([0.0, 1e-12, 2e-12, 3e-12], "undecided"),  # 3e-12 - 2e-12 rounds above 1e-12
+    ([1e-12, 0.0], "decayed"),
+    ([0.5, 0.5 + 4e-12], "stays"),
+    ([np.nan, 0.5], "undecided"),
+    ([0.5, np.nan], "undecided"),
+    ([np.inf, np.inf], "stays"),
+])
+def test_judge_tail_at_the_edges(values, status):
+    values = np.array(values)
+    assert _judge_tail(values) == numpy_judge_tail(values) == status
 
 
 class TestSteepContact:

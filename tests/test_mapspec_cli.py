@@ -430,6 +430,12 @@ class TestCLI:
         ["norm", "--testfn", "g", "--seed", "-1"],
         ["classify", "--spec", "SPEC", "--levels", "-1"],
         ["verify-lemmas", "--levels", "-1"],
+        # from 52 levels the outer radius reaches the torus; verify-lemmas adds one
+        ["norm", "--testfn", "g", "--levels", "51"],
+        ["classify", "--spec", "SPEC", "--levels", "51"],
+        ["verify-lemmas", "--levels", "51"],
+        ["oracle", "--levels", "51"],
+        ["sweep", "--dimension", "1", "--levels", "51", "--out-csv", "OUT"],
         ["verify-lemmas", "--dimension", "0"],
         ["oracle", "--dimension", "0"],
         ["sweep", "--dimension", "0", "--out-csv", "OUT"],
@@ -455,6 +461,11 @@ class TestCLI:
         assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1
         assert "norm >=" not in res.output  # refused before the first estimate
         assert not out.exists()
+
+    def test_levels_past_50_are_refused_by_name(self):
+        res = CliRunner().invoke(main, ["norm", "--testfn", "g", "--levels", "51"])
+        assert res.exit_code == 2 and "'--levels'" in res.output and "0<=x<=50" in res.output
+        assert CliRunner().invoke(main, ["norm", "--testfn", "g", "--levels", "50"]).exit_code == 0
 
     @pytest.mark.parametrize("args", [
         ["norm", "--testfn", "g", "--out-json", ""],

@@ -90,7 +90,7 @@ MUTATIONS = {
         (norms, "weighted_partial_sum", _scaled(0.98)),
         {"q-density-sandwich", "family-f-density-identity", "density-row-decomposition"}),
     "column_weights exponent x 1.05": (
-        (norms, "column_weights", lambda cw: lambda Z, p, columns: cw(Z, 1.05 * p, columns)),
+        (norms, "column_weights", lambda cw: lambda gaps, p: cw(gaps, 1.05 * p)),
         {"family-f-density-identity", "density-row-decomposition"}),
     "Series.partial sign flipped on axis 1": (
         (Series, "partial", _flip_axis_1),

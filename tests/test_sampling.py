@@ -7,11 +7,13 @@ generator in the same state, because estimators keep drawing from it after
 the grid.  That holds as well when `stratified_grid` returns its kept grid
 instead of drawing one.  Grids are coordinate-major (Z[:, k] contiguous), so
 they are compared through a C-ordered copy of their bits.  The last tests check the refinement box that
-`estimate_supremum` opens around an origin witness, and the grid values a
-caller may hand it.
+`estimate_supremum` opens around an origin witness, the grid values a caller
+may hand it, its jitter draw against the per-round draws it replaces, and the
+plans whose outer radius would reach the torus.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blochlab import sampling
+from blochlab.corpus import default_function_corpus
+from blochlab.norms import bloch_density_fn, one_minus_sq
 from blochlab.sampling import SamplingPlan, estimate_supremum, maximise, stratified_grid
 
 PLANS = [SamplingPlan(), SamplingPlan().doubled(),
@@ -232,3 +237,97 @@ def test_grid_values_of_another_shape_are_refused(shape):
     shape = {"grid+1": (n + 1,), "grid-1": (n - 1,), "grid,1": (n, 1)}.get(shape, shape)
     with pytest.raises(ValueError, match=f"grid_values has shape .*has {n} points"):
         estimate_supremum(modulus_density, 1, plan, grid_values=np.full(shape, 5.0))
+
+
+def per_round_estimate(density_fn, dim, plan):
+    """Reference: `estimate_supremum` drawing each round's jitter when it
+    proposes, and halving its box after the round."""
+    rng = np.random.default_rng(plan.seed)
+    Z, levels = stratified_grid(dim, plan, rng)
+    r_cap, radii = plan.max_radius(), plan.radii()
+    n_refine = max(8, plan.angular_count)
+    dr = dt = None
+
+    def propose(witness):
+        nonlocal dr, dt
+        (w,) = witness
+        w_r = np.abs(w)
+        w_t = np.angle(w)
+        if dr is None:
+            lo = radii[np.maximum(np.searchsorted(radii, w_r - 1e-15) - 1, 0)]
+            hi = radii[np.minimum(np.searchsorted(radii, w_r + 1e-15, side="right"),
+                                  radii.size - 1)]
+            dr = np.maximum(np.maximum(hi - w_r, w_r - lo), 1e-6)
+            dt = np.where(w_r < dr, np.pi, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
+        u = 2.0 * rng.random((2, n_refine, dim)) - 1.0
+        r = np.minimum(np.maximum(w_r[None, :] + dr[None, :] * u[0], 0.0), r_cap)
+        t = w_t[None, :] + dt[None, :] * u[1]
+        dr *= 0.5
+        dt *= 0.5
+        return (r * np.exp(1j * t),)
+
+    per = max(1, min(plan.angular_count, plan.budget // (plan.radial_levels + 1) ** dim))
+    return maximise(density_fn, (density_fn(Z), levels[::per], lambda i: (Z[i],)),
+                    propose, plan)
+
+
+def assert_same_estimate(est, ref):
+    assert est.value == ref.value and est.sup == ref.sup
+    np.testing.assert_array_equal(bits(est.witness), bits(ref.witness))
+    assert est.trace == ref.trace and est.level_trace == ref.level_trace
+    assert (est.evaluations, est.converged) == (ref.evaluations, ref.converged)
+
+
+# a plan whose budget stops the rounds before max_rounds at dims 1-3
+BUDGET_STOPPED = SamplingPlan(radial_levels=6, angular_count=16, max_rounds=100, budget=1000)
+
+
+@pytest.mark.parametrize("block", [None, 200], ids=["one-draw", "small-blocks"])
+@pytest.mark.parametrize("plan", [SamplingPlan(), BUDGET_STOPPED, SamplingPlan(max_rounds=0)],
+                         ids=["default", "budget-stopped", "no-rounds"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_jitter_draw_equals_per_round_draws(dim, plan, block, monkeypatch):
+    # the jitter of every round drawn at once (or in blocks of a few rounds)
+    # and scaled by the box schedule is bit-equal to one draw per round
+    if block is not None:
+        monkeypatch.setattr(sampling, "_JITTER_BLOCK", block)
+    corpus = default_function_corpus(dim)
+    for f in corpus[::16] + corpus[-1:]:
+        density = bloch_density_fn(f, 1.0)
+        est = estimate_supremum(density, dim, plan)
+        assert_same_estimate(est, per_round_estimate(density, dim, plan))
+        if plan is BUDGET_STOPPED:
+            assert len(est.trace) - 1 < plan.max_rounds
+
+
+def test_many_rounds_allocate_for_the_rounds_the_budget_leaves():
+    # rounds past what the budget affords are never drawn
+    def peak(plan):
+        tracemalloc.start()
+        try:
+            est = estimate_supremum(modulus_density, 2, plan)
+            return est, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many, many_peak = peak(SamplingPlan(max_rounds=10**6))
+    default, default_peak = peak(SamplingPlan())
+    assert len(default.trace) < len(many.trace) < 10**6 and many.evaluations <= 60_000
+    assert many_peak < 2 * default_peak
+
+
+def test_plans_past_level_51_are_refused():
+    with pytest.raises(ValueError, match="at most 51"):
+        SamplingPlan(radial_levels=52)
+    assert SamplingPlan(radial_levels=51).max_radius() < 1.0
+    # the largest level the command line takes still doubles into a valid plan
+    assert SamplingPlan(radial_levels=50).doubled().radial_levels == 51
+    with pytest.raises(ValueError, match="at most 51"):
+        SamplingPlan(radial_levels=51).doubled()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_outermost_grid_stays_strictly_inside(dim):
+    Z, _ = stratified_grid(dim, SamplingPlan(radial_levels=51))
+    for k in range(dim):
+        assert np.all(one_minus_sq(np.abs(Z[:, k])) > 0.0)
