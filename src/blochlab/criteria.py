@@ -38,10 +38,11 @@ what it computed for one map in one slot: the last map it was asked about,
 held strongly and compared by identity, with
   - the parts of the full density on stratified_grid(n, plan), keyed by the
     plan (the parts of another plan replace them),
-  - the parts of the full density at each refinement batch that
-    `boundedness_check` scored, keyed by the batch's bytes: each estimate
-    reseeds its generator and shrinks its box alike, so cells that reach one
-    witness propose the same batches, and
+  - the parts of the full density at each batch that `boundedness_check`
+    scored in refinement (one round, or a run of the rounds left once two
+    have held; see `sampling.maximise`), keyed by the batch's bytes: each
+    estimate reseeds its generator and shrinks its box alike, so cells that
+    reach one witness in one round propose the same batches, and
   - per (mode, axis, seed), a path set: the list `make_boundary_paths`
     returned (an empty list is a kept answer), the validated approach of each
     path, and the parts at the paths' merged points.

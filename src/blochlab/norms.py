@@ -59,8 +59,8 @@ from contextvars import ContextVar
 import numpy as np
 
 from .holo import HoloFunction, Series, Sum, partial_axes, partial_values
-from .sampling import (REFINE_SHRINK, NormEstimate, SamplingPlan, estimate_supremum,
-                       grid_derived, maximise, stratified_grid)
+from .sampling import (NormEstimate, SamplingPlan, estimate_supremum, grid_derived, maximise,
+                       round_draws, stratified_grid)
 
 _PAIR_SEPARATION_FLOOR = 1e-14
 # the Lipschitz short pairs' steps h = 2^-j i^k, j = 1..8, k = 0..3
@@ -352,10 +352,20 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
     seeded permutation of the grid.  A short pair's quotient is about
     ||grad f||_2 |z - w|^(1-p), which peaks at a separation that f sets, so
     each refinement round jitters either end of the best pair and adds the
-    `_gradient_pairs` of both ends; the first round also adds those of the 8
-    steepest points of a 256-point grid subsample.  The gradients are not
-    charged against the budget.  The witness is the pair (`witness`,
-    `witness_partner`).
+    `_gradient_pairs` of both ends, computed once per best pair; the first
+    round also adds those of the 8 steepest points of a 256-point grid
+    subsample.  The gradients are not charged against the budget.  The
+    witness is the pair (`witness`, `witness_partner`).
+
+    The jitter layout, which seeded reports depend on: after the
+    permutation the generator draws u of shape (rounds, 2, 2, n_refine, dim)
+    through `sampling.round_draws`, rounds = min(max_rounds, (budget -
+    len(Z)) // (2 n_refine)) for n_refine = max(8, angular_count), as no
+    round holds fewer than 2 n_refine pairs.  Round j moves end e of the
+    best pair (e = 0 the witness, 1 its partner) to the points end +
+    b (u[j, e, 0] - 1/2) + i b (u[j, e, 1] - 1/2), b = 0.2 2^-j, pulled back
+    to modulus r_cap, each paired with the other end; these are the values
+    of one draw of shape (2, n_refine, dim) per end per round.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"the Lipschitz exponent must lie in (0, 1], got {p}")
@@ -366,21 +376,42 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
     rng = np.random.default_rng(plan.seed)
     Z, perm, levels, separations = _grid_pairs(dim, plan, rng, p)
     n_refine = max(8, plan.angular_count)
-    box = 0.2
     r_cap = plan.max_radius()
     sub = Z[::max(1, Z.shape[0] // 256)]
     seeds = sub[np.argsort(-_gradient_norm_fn(f)(sub), kind="stable")[:8]]
+    seed_pairs = _gradient_pairs(f, seeds, r_cap)
+    rounds = min(plan.max_rounds, max(plan.budget - len(Z), 0) // (2 * n_refine))
+
+    def offsets(u, first):
+        # each round's complex jitter of both ends, in the box 0.2 2^-j
+        box = np.ldexp(0.2, -np.arange(first, first + len(u)))[:, None, None, None]
+        u -= 0.5
+        return box * u[:, :, 0] + 1j * box * u[:, :, 1]
+
+    jitter = round_draws(rng, rounds, (2, 2, n_refine, dim), offsets)
 
     def propose(witness):
-        nonlocal box, seeds
-        lefts, rights = [], []
-        for anchor, partner in (witness, witness[::-1]):
-            u = rng.random((2, n_refine, dim)) - 0.5
-            lefts.append(_clip(anchor[None, :] + (box * u[0] + 1j * box * u[1]), r_cap))
-            rights.append(np.broadcast_to(partner, lefts[-1].shape))
-        left, right = _gradient_pairs(f, np.concatenate([np.stack(witness), seeds]), r_cap)
-        seeds, box = seeds[:0], box * REFINE_SHRINK
-        return np.concatenate(lefts + [left]), np.concatenate(rights + [right])
+        ends = np.stack(witness)
+        pairs = _gradient_pairs(f, ends, r_cap)
+        per_round = 2 * n_refine + len(pairs[0])
+
+        def size(j):
+            return per_round + (len(seed_pairs[0]) if j == 0 else 0)
+
+        def build(j, k):
+            # per round: both ends jittered, then the gradient pairs (and the seeds')
+            shape = (k - j, 2 * n_refine, dim)
+            moved = _clip(ends[:, None, :] + jitter(j, k), r_cap).reshape(shape)
+            others = np.broadcast_to(ends[::-1, None, :], (k - j, 2, n_refine, dim)).reshape(shape)
+            batch = []
+            for side, grad, seed in zip((moved, others), pairs, seed_pairs):
+                grad = np.broadcast_to(grad, (shape[0], *grad.shape))
+                side = np.concatenate([side, grad], axis=1).reshape(-1, dim)
+                batch.append(side if j else np.concatenate([side[:per_round], seed,
+                                                            side[per_round:]]))
+            return tuple(batch)
+
+        return size, build
 
     grid = (_grid_pair_quotients(f, Z, perm, separations), levels,
             lambda i: (Z[i], Z[perm[i]]))

@@ -3,15 +3,23 @@
 One maximiser, `maximise`, serves every estimator: it takes one stratified
 grid of candidates that their estimator has scored, records the cumulative
 maximum per radial level, then runs local refinement rounds around the running
-maximum until the rounds or the evaluation budget run out.
+maximum until the rounds or the evaluation budget run out.  An estimator
+proposes a round as a function of (witness, round index) and tells its size
+before any point is built, so a round the budget refuses is never drawn or
+built.  Once two rounds in a row have left the witness in place, `maximise`
+scores all the remaining rounds in one call and replays them in order; the
+rounds after one that moves the witness are dropped, neither charged nor
+traced, and proposed again around the new witness.  A candidate's score does
+not depend on its batch, so the estimate is that of one round per call.
 `estimate_supremum` feeds it a pointwise density over a radially stratified
 grid (radii r_i = 1 - 2^{-i}, where weighted-derivative densities fight their
 weights, crossed with jittered angles) and refines in a polar box that halves
-each round, drawing every round's jitter at once; the Bloch norms and the
-exponent-1 Lipschitz norm go through it.  The Lipschitz estimator in `norms`
-feeds `maximise` pairs of grid points for exponents below 1.  Estimates are
-lower bounds of the true supremum by construction; `converged` reports whether
-the refinement trace plateaued.  Everything is deterministic for a fixed seed.
+each round, its jitter drawn by `round_draws` in blocks of whole rounds; the
+Bloch norms and the exponent-1 Lipschitz norm go through it.  The Lipschitz
+estimator in `norms` feeds `maximise` pairs of grid points for exponents
+below 1.  Estimates are lower bounds of the true supremum by construction;
+`converged` reports whether the refinement trace plateaued.  Everything is
+deterministic for a fixed seed.
 
 Estimators redraw the same seeded grid many times, so `stratified_grid` keeps
 one: the last grid drawn from a freshly seeded generator, keyed on (dim, plan),
@@ -43,6 +51,7 @@ C-ordered copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,12 +59,13 @@ import numpy as np
 from .reports import record_json
 
 PLATEAU_RTOL = 1e-3
-REFINE_SHRINK = 0.5
 # the outermost level whose points stay strictly inside: from level 52 on,
 # (1 - 2^-i) |e^{i theta}| rounds to modulus 1 at some angles
 MAX_RADIAL_LEVELS = 51
-# the most jitter values `estimate_supremum` draws at once
+# the most values `round_draws` draws at once
 _JITTER_BLOCK = 1 << 16
+# the most candidates a look-ahead run of `maximise` holds past its first round
+_RUN_POINTS = 1 << 11
 _TINY = 1e-300
 
 
@@ -65,7 +75,7 @@ class SamplingPlan:
 
     radial_levels: radii r_i = 1 - 2^{-i} for i = 0..radial_levels.
     angular_count: target points per torus circle / per radial stratum.
-    max_rounds: local refinement rounds (each shrinks the box by REFINE_SHRINK).
+    max_rounds: local refinement rounds (each halves the refinement box).
     budget: overall cap on density evaluations for one estimate.
     seed: jitter seed; fixed seed means reproducible estimates.
 
@@ -234,21 +244,38 @@ def maximise(score, grid, propose, plan: SamplingPlan,
     consecutive candidates (one per candidate, or one per level combination
     of the stratified grid), and row(i) gives candidate i.  The estimator
     scores the grid itself, so that it can share work across it (the
-    Lipschitz grid pairs take one value of f per grid point).  Each round
-    proposes propose(witness), a tuple of (N, dim) arrays around the best
-    candidate so far that score(*batch) maps to N floats, and is charged the
-    batch's length against plan.budget; rounds stop at plan.max_rounds or
-    before a batch that would exceed the budget.  The best candidate is the
-    witness and, for pairs, its partner.
+    Lipschitz grid pairs take one value of f per grid point).
+
+    Refinement rounds j = 0, 1, ... are proposed around the best candidate so
+    far, the witness (with its partner, for pairs).  propose(witness) is
+    called once per witness and returns (size, build): size(j) is the number
+    of candidates of round j around that witness, and build(j, k) the
+    candidates of rounds j..k-1, concatenated in round order as a tuple of
+    (N, dim) arrays that score(*batch) maps to N floats.  A round is charged
+    its size against plan.budget; rounds stop at plan.max_rounds or before a
+    round that would exceed the budget, and a refused round is never built.
+
+    A round holds when it leaves the witness unchanged.  Rounds are scored
+    one per call until two in a row have held; then every remaining round
+    that the budget leaves (at most `_RUN_POINTS` candidates past the first)
+    is built and scored in one call, and the rounds are offered in order.
+    The first that moves the witness ends the run: the rounds after it are
+    dropped, neither charged nor traced, and proposed again around the new
+    witness, one per call, as the hold count starts over.  A candidate's
+    score does not depend on its batch, so the estimate is the one that
+    scoring each round alone would give.
     """
     best, witness, evaluations = 0.0, None, 0
 
     def offer(vals, row):
+        # charges vals and says whether their best candidate became the witness
         nonlocal best, witness, evaluations
         evaluations += vals.shape[0]
         i = int(np.argmax(vals))
-        if witness is None or float(vals[i]) > best:
-            best, witness = float(vals[i]), tuple(a.copy() for a in row(i))
+        if witness is not None and not float(vals[i]) > best:
+            return False
+        best, witness = float(vals[i]), tuple(a.copy() for a in row(i))
+        return True
 
     vals, levels, row = grid
     vals = np.asarray(vals, dtype=float)
@@ -261,12 +288,31 @@ def maximise(score, grid, propose, plan: SamplingPlan,
     level_trace = np.maximum.accumulate(level_max).tolist()
 
     trace = [best]
-    for _ in range(plan.max_rounds):
-        cand = propose(witness)
-        if evaluations + cand[0].shape[0] > plan.budget:
+    j = held = 0
+    while j < plan.max_rounds:
+        if not held:
+            size, build = propose(witness)
+        # each scored round's end in the batch: the next round, and once two
+        # have held, every round left
+        end = size(j)
+        if evaluations + end > plan.budget:
             break
-        offer(np.asarray(score(*cand), dtype=float), lambda i: tuple(a[i] for a in cand))
-        trace.append(best)
+        ends = [end]
+        if held >= 2:
+            for k in range(j + 1, plan.max_rounds):
+                end += size(k)
+                if evaluations + end > plan.budget or end > ends[0] + _RUN_POINTS:
+                    break
+                ends.append(end)
+        cand = build(j, j + len(ends))
+        vals = np.asarray(score(*cand), dtype=float)
+        start = 0
+        for end in ends:
+            moved = offer(vals[start:end], lambda i: tuple(a[start + i] for a in cand))
+            trace.append(best)
+            j, start, held = j + 1, end, 0 if moved else held + 1
+            if moved:
+                break
 
     converged = (len(trace) >= 2
                  and (trace[-1] - trace[-2]) <= PLATEAU_RTOL * max(trace[-1], _TINY))
@@ -276,72 +322,118 @@ def maximise(score, grid, propose, plan: SamplingPlan,
                         witness_partner=witness[1] if len(witness) > 1 else None)
 
 
+def round_draws(rng: np.random.Generator, rounds: int, shape, finish):
+    """draws(j, k) for 0 <= j < k <= rounds: finish applied to the uniform
+    draws of rounds j..k-1, where round i draws rng.random(shape) as the i-th
+    of `rounds` consecutive draws from rng's present state.  Nothing else may
+    draw from rng while draws is in use.
+
+    The rounds are drawn on first use in blocks of whole rounds of at most
+    `_JITTER_BLOCK` values, so that a block draws no round past `rounds`.
+    When there is more than one block, each is drawn from rng's present
+    state advanced past the blocks before it, so that any round can be drawn
+    again with the same values.  finish(u, first) maps the draws u of a
+    block whose first round is `first` to the values a round is given, and
+    may do so in place; the last finished block is kept.
+    """
+    per_round = math.prod(shape)
+    block = max(1, _JITTER_BLOCK // per_round)
+    start = rng.bit_generator.state if rounds > block else None
+    kept = {}
+
+    def finished(b):
+        if b not in kept:
+            kept.clear()
+            if start is not None:
+                rng.bit_generator.state = start
+                rng.bit_generator.advance(b * block * per_round)
+            kept[b] = finish(rng.random((min(block, rounds - b * block), *shape)), b * block)
+        return kept[b]
+
+    def draws(j, k):
+        parts = []
+        while j < k:
+            b = j // block
+            parts.append(finished(b)[j - b * block:min(k, (b + 1) * block) - b * block])
+            j = (b + 1) * block
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    return draws
+
+
+def _polar_box(w: np.ndarray, plan: SamplingPlan) -> np.ndarray:
+    """The first refinement box (dr, dt) of shape (2, 1, dim) around the point w.
+
+    dr brackets the neighbouring radial levels of each |w_k| (radii[0] == 0
+    and radii[-1] == r_cap close the bracket at the ends); a box that reaches
+    the origin spans every angle, as np.angle(-0+0j) is pi.
+    """
+    radii = plan.radii()
+    w_r = np.abs(w)
+    lo = radii[np.maximum(np.searchsorted(radii, w_r - 1e-15) - 1, 0)]
+    hi = radii[np.minimum(np.searchsorted(radii, w_r + 1e-15, side="right"), radii.size - 1)]
+    dr = np.maximum(np.maximum(hi - w_r, w_r - lo), 1e-6)
+    dt = np.where(w_r < dr, np.pi, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
+    return np.stack([dr, dt])[:, None, :]
+
+
 def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
                       base: float = 0.0, grid_values=None) -> NormEstimate:
     """Estimate base + sup of a pointwise density over U^dim.
 
-    density_fn maps an (N, dim) complex array to (N,) nonnegative floats.
-    The initial stratified grid fixes the per-level trace; refinement rounds
-    then shrink a polar box around the best point (never past the outermost
-    grid radius, so the estimate stays a resolved lower bound).  grid_values,
-    when given, are the density on stratified_grid(dim, plan), computed by a
-    caller that shares work across densities; density_fn then scores the
-    refinement rounds alone.  Values of any shape but (len(Z),) raise
-    ValueError.
+    density_fn maps an (N, dim) complex array to (N,) nonnegative floats, a
+    point's value not depending on its batch.  The initial stratified grid
+    fixes the per-level trace; refinement rounds then shrink a polar box
+    around the best point (never past the outermost grid radius, so the
+    estimate stays a resolved lower bound).  grid_values, when given, are
+    the density on stratified_grid(dim, plan), computed by a caller that
+    shares work across densities; density_fn then scores the refinement
+    rounds alone.  Values of any shape but (len(Z),) raise ValueError.
 
-    The jitter layout, which seeded reports depend on: at the first round
-    the generator draws u of shape (rounds, 2, n_refine, dim) in one call,
-    for n_refine = max(8, angular_count) and the rounds `maximise` proposes,
-    min(max_rounds, (budget - len(Z)) // n_refine + 1).  Round j moves the
-    witness's (radius, angle) by (2 u[j] - 1) times the box (dr, dt) 2^-j,
-    (dr, dt) being the box around the first witness, and clamps the radius
-    to [0, r_cap].  A draw of more than `_JITTER_BLOCK` values is split into
-    consecutive draws of whole rounds, which give the same values.
+    Round j holds n_refine = max(8, angular_count) points, and `maximise`
+    asks for them only for the rounds the budget leaves,
+    min(max_rounds, (budget - len(Z)) // n_refine).  Their jitter layout,
+    which seeded reports depend on: the generator, after the grid, draws u
+    of shape (rounds, 2, n_refine, dim) through `round_draws`.  Round j
+    moves the witness's (radius, angle) by (2 u[j] - 1) times the box
+    (dr, dt) 2^-j, (dr, dt) being `_polar_box` around the grid's best point
+    (the first witness), and clamps the radius to [0, r_cap].  A round's
+    points are a function of (witness, j) alone, so `maximise` builds a run
+    of rounds around one witness in one vectorised step.
     """
     rng = np.random.default_rng(plan.seed)
     Z, levels = stratified_grid(dim, plan, rng)
     if grid_values is not None and np.shape(grid_values) != (len(Z),):
         raise ValueError(f"grid_values has shape {np.shape(grid_values)}; the grid of "
                          f"(dim, plan) has {len(Z)} points")
-    vals = density_fn(Z) if grid_values is None else grid_values
+    vals = np.asarray(density_fn(Z) if grid_values is None else grid_values, dtype=float)
     r_cap = plan.max_radius()
-    radii = plan.radii()
     n_refine = max(8, plan.angular_count)
-    # the rounds maximise proposes: those the budget leaves, and the one it refuses
-    rounds = min(plan.max_rounds, max(plan.budget - len(Z), 0) // n_refine + 1)
-    block = max(1, min(rounds, _JITTER_BLOCK // (2 * n_refine * dim)))
-    steps = None
+    rounds = min(plan.max_rounds, max(plan.budget - len(Z), 0) // n_refine)
+    box = _polar_box(Z[np.argmax(vals)], plan) if rounds else None
 
-    def jitter(box):
-        # each round's (radial, angular) steps, `block` rounds per draw: round
-        # j scales its uniform draw in [-1, 1) by the first box halved j times
-        while True:
-            scale = np.empty((block, 2, 1, dim))
-            scale[0], scale[1:] = box, REFINE_SHRINK
-            scale = np.multiply.accumulate(scale)
-            box = scale[-1] * REFINE_SHRINK
-            u = 2.0 * rng.random((block, 2, n_refine, dim)) - 1.0
-            u *= scale
-            yield from u
+    def scaled(u, first):
+        # each round's (radial, angular) steps: (2 u - 1) times the box halved j times
+        u *= 2.0
+        u -= 1.0
+        scale = np.ldexp(box, -np.arange(first, first + len(u))[:, None, None, None])
+        for k in range(dim):  # a broadcast over the short last axis is slower
+            u[..., k] *= scale[..., k]
+        return u
+
+    steps = round_draws(rng, rounds, (2, n_refine, dim), scaled)
 
     def propose(witness):
-        nonlocal steps
         (w,) = witness
         w_r = np.abs(w)
         w_t = np.angle(w)
-        if steps is None:
-            # initial polar box: bracket of neighboring radial levels around the
-            # witness; radii[0] == 0 and radii[-1] == r_cap close the bracket at the ends
-            lo = radii[np.maximum(np.searchsorted(radii, w_r - 1e-15) - 1, 0)]
-            hi = radii[np.minimum(np.searchsorted(radii, w_r + 1e-15, side="right"),
-                                  radii.size - 1)]
-            dr = np.maximum(np.maximum(hi - w_r, w_r - lo), 1e-6)
-            # a box that reaches the origin spans every angle: np.angle(-0+0j) is pi
-            dt = np.where(w_r < dr, np.pi, 2.0 * np.pi / max(plan.angular_count, 8) * 2.0)
-            steps = jitter(np.stack([dr, dt])[:, None, :])
-        step = next(steps)
-        r = np.minimum(np.maximum(w_r + step[0], 0.0), r_cap)
-        return (r * np.exp(1j * (w_t + step[1])),)
+
+        def build(j, k):
+            step = steps(j, k)
+            r = np.minimum(np.maximum(w_r + step[:, 0], 0.0), r_cap)
+            return ((r * np.exp(1j * (w_t + step[:, 1]))).reshape(-1, dim),)
+
+        return (lambda j: n_refine), build
 
     grid = (vals, levels[::_points_per_combination(dim, plan)], lambda i: (Z[i],))
     return maximise(density_fn, grid, propose, plan, base=base)
