@@ -451,7 +451,11 @@ class ScaledKernel(HoloFunction):
     a non-integer power in polar form, |den|^-e exp(-i e Arg den), since
     numpy's complex power goes through the complex log at 3x the cost.  At
     w = 0 the kernel is the constant `scale`: its partial has scale 0, which
-    `is_zero` reads as structurally zero.
+    `is_zero` reads as structurally zero, and `val` and `abs_val` return
+    `scale` and |scale| at every point with no power taken.  The general path
+    would give the same bits at finite points: den is 1 + 0i there, its power
+    1 +- 0i, and scale (1 +- 0i) is scale for a scale with no -0 part, such
+    as every real scale and every scale a partial derives from one.
     """
 
     def __init__(self, dim: int, axis: int, w: complex, exponent: float, scale: complex = 1.0):
@@ -474,12 +478,16 @@ class ScaledKernel(HoloFunction):
         return den, mod
 
     def val(self, Z):
+        if self.w == 0:
+            return np.full(np.shape(Z)[:-1], self.scale)
         den, mod = self._denominator(Z)
         e = self.exponent
         return _times(self.scale, den ** -e if e.is_integer()
                       else mod ** -e * np.exp(-1j * e * np.angle(den)))
 
     def abs_val(self, Z):
+        if self.w == 0:
+            return np.full(np.shape(Z)[:-1], abs(self.scale))
         _, mod = self._denominator(Z)
         return abs(self.scale) * mod ** (-self.exponent)
 

@@ -19,7 +19,15 @@ For a family-f member each row sets two algorithms against each other:
 The direction search contracts the points with every random direction
 Q_BLOCK points at a time, G_b @ U.T, with a second product for the weights
 H(z, u), so that no temporary grows with the number of points times the
-number of directions.
+number of directions.  A function whose finite-difference gradient is zero
+at every point (a constant, say) gets zeros without a search: 0 / sqrt(H)
+is +0 in every direction.  A NaN gradient is not zero and takes the search,
+so its row still breaches.
+
+The finite-difference quotient multiplies both float planes of the
+differences by 1 / (2h).  numpy divides a complex a + ib by the real c as
+(a + b 0) (1/c) + i (b - a 0) (1/c), which has the bits of a (1/c) + i b (1/c)
+for finite a and b that are not -0.
 
 Point arrays are coordinate-major, as `sampling` describes: uniform points
 are built in a (dim, N) block and returned as its transpose, the
@@ -96,7 +104,8 @@ def fd_gradient(f: HoloFunction, Z: np.ndarray) -> np.ndarray:
         np.subtract(Z[..., k], FD_STEP, out=shifted[k, ...])
         G[k, ...] -= f.val(points)
         shifted[k, ...] = Z[..., k]
-    G /= 2.0 * FD_STEP
+    planes = G.view(float)
+    planes *= 1.0 / (2.0 * FD_STEP)
     return np.moveaxis(G, 0, -1)
 
 
@@ -144,11 +153,13 @@ def direct_q_seminorm(f: HoloFunction, Z: np.ndarray, seed: int = 0) -> np.ndarr
     block before it, and a single point (N = 1) is contracted as two copies of
     itself, which gives it its bits inside any batch.
     """
-    rng = np.random.default_rng(seed)
     Z = np.asarray(Z, dtype=complex)
+    G = fd_gradient(f, Z)                      # (N, dim)
+    if not G.any():
+        return np.zeros(G.shape[0])
+    rng = np.random.default_rng(seed)
     dim = Z.shape[-1]
     U = rng.normal(size=(Q_DIRECTIONS, dim)) + 1j * rng.normal(size=(Q_DIRECTIONS, dim))
-    G = fd_gradient(f, Z)                      # (N, dim)
     w2 = one_minus_sq(np.abs(Z)) ** 2          # (N, dim)
     U2t = (np.abs(U) ** 2).T
     n = G.shape[0]

@@ -330,15 +330,15 @@ def small_exponent_decay(dim: int = 1) -> SuiteRow:
     """For p in {0.3, 0.7} and q in {1, 2} the per-coordinate profiles of the
     corpus self-maps decay along every realizable path."""
     seed = 16
+    maps = [(name, phi, [path for axis in range(dim)
+                         for path in make_boundary_paths(phi, "coordinate", axis=axis,
+                                                         seed=seed, count=6)])
+            for name, phi in corpus_mod.default_selfmap_corpus(dim, seed=seed)]
     failures = []
     for p in (0.3, 0.7):
         for q in (1.0, 2.0):
-            for name, phi in corpus_mod.default_selfmap_corpus(dim, seed=seed):
-                paths = []
-                for axis in range(dim):
-                    paths.extend(make_boundary_paths(phi, "coordinate", axis=axis,
-                                                     seed=seed, count=6))
-                profiles, verdict = compactness_profile(phi, p, q, paths, "coordinate")
+            for name, phi, paths in maps:
+                _, verdict = compactness_profile(phi, p, q, paths, "coordinate")
                 if verdict.verdict == "fails":
                     failures.append(f"{name}, p={p}, q={q}")
     return _row("small-exponent-decay", not failures, float(len(failures)),

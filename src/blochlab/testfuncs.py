@@ -69,6 +69,15 @@ def _antiderivative(zl: np.ndarray, w: complex, p: float) -> np.ndarray:
     i 2 e^x sin(y/2) cos(y/2), without cancellation as p -> 1.  Every step is
     real and elementwise, since numpy's complex products take a fused
     multiply-add on some array lengths and not on others.
+
+    The real steps run on contiguous planes; a and b fill the two halves of
+    the output's buffer until the value is written over them, and Im L is
+    taken last, from 1 - a formed again, so that at most three planes live
+    beside the output.  The exact factors join neighbouring multiplies,
+    which changes no bit above the subnormal range: the 1/2 of Re L joins
+    1 - p, and the sign of Im L, kept as arctan2(b, 1 - a), joins (1 - p)/2,
+    or at p = 1 the coefficient -i k of that plane in the value
+    k Re L - i k arctan2(b, 1 - a).
     """
     zl = np.asarray(zl, dtype=complex)
     if w == 0:
@@ -76,32 +85,36 @@ def _antiderivative(zl: np.ndarray, w: complex, p: float) -> np.ndarray:
     shape, zl = zl.shape, zl.reshape(-1)     # in-place steps need arrays, not scalars
     c, d = w.real, -w.imag                   # conj(w) = c + i d
     out = np.empty(zl.shape, dtype=complex)
-    a, b = out.real, out.imag                # out holds a + ib until L is formed
+    a, b = out.view(float).reshape(2, -1)
+    tmp = np.multiply(zl.imag, d)
     np.multiply(zl.real, c, out=a)
-    a -= d * zl.imag
+    a -= tmp
+    np.multiply(zl.real, d, out=tmp)
     np.multiply(zl.imag, c, out=b)
-    b += d * zl.real
-    scratch = 1.0 - a
-    im = np.arctan2(b, scratch)
-    im *= -1.0                               # Im L = arctan2(-b, 1 - a)
-    b *= b
+    b += tmp
+    b2 = np.multiply(b, b, out=tmp)
     re = a - 2.0
     re *= a
-    re += b
+    re += b2
     np.log1p(re, out=re)
-    scratch *= scratch
-    scratch += b
-    np.copyto(re, np.log(scratch, out=scratch), where=a > 0.5)
-    re *= 0.5                                # Re L
+    im = np.subtract(1.0, a)
+    im *= im
+    im += b2
+    del tmp, b2                              # at most three planes beside the output
+    np.putmask(re, a > 0.5, np.log(im, out=im))
+    np.subtract(1.0, a, out=im)
+    np.arctan2(b, im, out=im)                # -Im L
     if p == 1.0:
+        re *= 0.5                            # Re L
         k = -1.0 / complex(c, d)
+        turn = complex(k.imag, -k.real)      # -i k
     else:
-        re *= 1.0 - p                        # (1-p) L = x + iy: re holds x, im y/2
-        im *= 0.5 * (1.0 - p)
+        re *= 0.5 * (1.0 - p)                # (1-p) L = x + iy: re holds x, im y/2
+        im *= -0.5 * (1.0 - p)
         np.expm1(re, out=re)
         sin = np.sin(im, out=a)
         np.cos(im, out=im)
-        np.add(re, 1.0, out=scratch)
+        scratch = np.add(re, 1.0, out=b)
         scratch *= sin                       # e^x sin(y/2)
         sin *= scratch
         sin *= 2.0
@@ -109,12 +122,11 @@ def _antiderivative(zl: np.ndarray, w: complex, p: float) -> np.ndarray:
         im *= scratch
         im *= 2.0                            # 2 e^x sin(y/2) cos(y/2)
         k = 1.0 / ((p - 1.0) * complex(c, d))
-    np.multiply(re, k.real, out=out.real)
-    np.multiply(im, k.imag, out=scratch)
-    out.real -= scratch
+        turn = complex(-k.imag, k.real)      # i k
     np.multiply(re, k.imag, out=out.imag)
-    np.multiply(im, k.real, out=scratch)
-    out.imag += scratch
+    np.multiply(re, k.real, out=out.real)
+    out.real += np.multiply(im, turn.real, out=re)
+    out.imag += np.multiply(im, turn.imag, out=im)
     return out.reshape(shape)
 
 

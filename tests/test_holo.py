@@ -389,6 +389,26 @@ class TestKernelPower:
             disk_points(np.random.default_rng(8), (300,), 2))
         assert np.all(got == self.SCALE)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.36, -2.5, 0.0, 0.7 - 0.2j, -1.5 + 4.0j])
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_zero_parameter_has_the_general_bits(self, exponent, scale):
+        # the w = 0 shortcut against the power the general path takes of
+        # den = 1 + 0i, scaled as `_times` scales it
+        kernel = ScaledKernel(2, 1, 0.0, exponent, scale)
+        for shape in [(1,), (300,), (4, 5), (20_000,)]:
+            Z = disk_points(np.random.default_rng(9), shape, 2)
+            den = 1.0 - np.conj(kernel.w) * Z[..., 1]
+            mod = np.abs(den)
+            power = (den ** -exponent if float(exponent).is_integer()
+                     else mod ** -exponent * np.exp(-1j * exponent * np.angle(den)))
+            want = np.multiply(kernel.scale, power, out=power if power.size > 1 else None)
+            got = kernel.val(Z)
+            assert got.shape == shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(
+                kernel.abs_val(Z).view(np.uint64),
+                (abs(kernel.scale) * mod ** -exponent).view(np.uint64))
+
 
 class TestPartial:
     def test_power_rule(self):

@@ -16,8 +16,12 @@ The last tests check the look-ahead of `maximise` against
 and Lipschitz estimates must be bit-equal to it, the density calls are
 pinned, and every score that `maximise` refines must give a candidate the
 same bits in any batch, which is what lets it score many rounds at once.
+The last two check that the estimators leave no reference cycle, which
+would keep their jitter blocks alive until the cyclic collector runs, and
+that a planted self-calling `round_draws` closure is caught.
 """
 
+import gc
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -588,3 +592,56 @@ def test_criterion_scores_do_not_depend_on_their_batch(dim, kept, monkeypatch):
         parts = criteria._batch_parts(phi)
         for p, q in ((0.5, 1.0), (2.0, 3.0)):
             assert_batch_independent(lambda Z: parts(Z).combine(p, q), batches)
+
+
+GC_PLAN = SamplingPlan(seed=5, radial_levels=10, angular_count=24, max_rounds=8, budget=15_000)
+
+
+def run_estimators():
+    """The estimators whose refinement closures `round_draws` serves."""
+    f = polynomial_corpus(2, count=1, seed=4)[0]
+    _, phi = default_selfmap_corpus(2)[-1]
+    bloch_norm_estimate(f, 1.0, GC_PLAN)
+    lipschitz_norm_estimate(f, 0.5, GC_PLAN)
+    lipschitz_norm_estimate(f, 1.0, GC_PLAN)
+    criteria.boundedness_check(phi, 1.0, 1.0, GC_PLAN)
+    criteria.classify(phi, 1.0, 1.0, GC_PLAN)
+
+
+def assert_leaves_no_cycle(run):
+    """run() frees everything it makes by reference counting: with the cyclic
+    collector off, a later collection finds nothing unreachable.  A first run
+    lets lazy set-up finish, which may make cycles of its own."""
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_estimators_leave_no_reference_cycle():
+    # a cycle keeps an estimate's jitter blocks alive until the collector runs,
+    # which the bench sees only as resident memory
+    assert_leaves_no_cycle(run_estimators)
+
+
+def test_planted_refinement_cycle_is_caught(monkeypatch):
+    original = sampling.round_draws
+
+    def self_calling_round_draws(rng, rounds, shape, finish):
+        draws = original(rng, rounds, shape, finish)
+
+        def cyclic(j, k):
+            if k - j > 1:
+                return np.concatenate([cyclic(j, j + 1), cyclic(j + 1, k)])
+            return draws(j, k)
+
+        return cyclic
+
+    monkeypatch.setattr(sampling, "round_draws", self_calling_round_draws)
+    monkeypatch.setattr(norms, "round_draws", self_calling_round_draws)
+    with pytest.raises(AssertionError):
+        assert_leaves_no_cycle(run_estimators)

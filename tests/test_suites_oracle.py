@@ -177,6 +177,19 @@ class TestOracle:
             else:
                 assert np.all(got <= closed * (1.0 + 1e-12)), f
 
+    def test_zero_gradient_q_search_matches_einsum(self):
+        # the constant members skip the search; the einsum contraction gives
+        # them +0 at every point, and so must the shortcut
+        constants = [(i, f) for i, f in enumerate(default_function_corpus(2))
+                     if holo.is_constant(f)]
+        assert len(constants) == 6
+        for i, f in constants:
+            for count in (1, 200):
+                Z = uniform_points(2, count, i, rmax=0.8)
+                got = direct_q_seminorm(f, Z, seed=i)
+                assert got.shape == (count,)
+                np.testing.assert_array_equal(bits(got), bits(einsum_q_seminorm(f, Z, seed=i)))
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_blocked_q_search_matches_one_shot(self, dim):
         # 17 and 33 points end in a one-point block, which must not be
@@ -219,7 +232,9 @@ class TestOracle:
         Z = uniform_points(2, 200, 0, rmax=0.8)
         assert peak_traced_bytes(direct_q_seminorm, f, Z) < 0.5 * 2**20
         Z = uniform_points(2, 20_000, 0, rmax=0.97)
-        assert peak_traced_bytes(fd_gradient, f, Z) < 2.0 * 2**20
+        # a family-f member adds the planes of its closed form
+        for f in (f, TestFunction("f", 1, 0.6 - 0.3j, 0.5, 2)):
+            assert peak_traced_bytes(fd_gradient, f, Z) < 2.0 * 2**20
 
     @pytest.mark.parametrize("dim, seed, allowed", [
         (1, 0, {"sup:1"}),

@@ -3,7 +3,8 @@
 The family-f closed form, `testfuncs._antiderivative`, is checked against two
 exponents whose antiderivative has a form without cancellation: z/(1 - conj(w) z)
 at p = 2 and 2z/(1 + sqrt(1 - conj(w) z)) at p = 1/2, and a batch of points
-is checked bit for bit against the same points taken one at a time.
+is checked bit for bit against the same points taken one at a time and
+against the step-by-step form it folds.
 """
 
 import math
@@ -104,6 +105,81 @@ class TestSeriesAgainstLoop:
             loop = np.array([_antiderivative(np.array([z]), w, p)[0] for z in zl.reshape(-1)],
                             dtype=complex).reshape(zl.shape)
             assert np.array_equal(got, loop), name
+
+
+def stepwise_antiderivative(zl, w, p):
+    """The family-f closed form step by step: a and b in the strided planes of
+    the output, Im L negated on its own, the halving of Re L and the factor
+    1 - p applied one after the other."""
+    zl = np.asarray(zl, dtype=complex)
+    if w == 0:
+        return zl.copy()
+    shape, zl = zl.shape, zl.reshape(-1)
+    c, d = w.real, -w.imag
+    out = np.empty(zl.shape, dtype=complex)
+    a, b = out.real, out.imag
+    np.multiply(zl.real, c, out=a)
+    a -= d * zl.imag
+    np.multiply(zl.imag, c, out=b)
+    b += d * zl.real
+    scratch = 1.0 - a
+    im = np.arctan2(b, scratch)
+    im *= -1.0
+    b *= b
+    re = a - 2.0
+    re *= a
+    re += b
+    np.log1p(re, out=re)
+    scratch *= scratch
+    scratch += b
+    np.copyto(re, np.log(scratch, out=scratch), where=a > 0.5)
+    re *= 0.5
+    if p == 1.0:
+        k = -1.0 / complex(c, d)
+    else:
+        re *= 1.0 - p
+        im *= 0.5 * (1.0 - p)
+        np.expm1(re, out=re)
+        sin = np.sin(im, out=a)
+        np.cos(im, out=im)
+        np.add(re, 1.0, out=scratch)
+        scratch *= sin
+        sin *= scratch
+        sin *= 2.0
+        re -= sin
+        im *= scratch
+        im *= 2.0
+        k = 1.0 / ((p - 1.0) * complex(c, d))
+    np.multiply(re, k.real, out=out.real)
+    np.multiply(im, k.imag, out=scratch)
+    out.real -= scratch
+    np.multiply(re, k.imag, out=out.imag)
+    np.multiply(im, k.real, out=scratch)
+    out.imag += scratch
+    return out.reshape(shape)
+
+
+class TestAntiderivativeStepwise:
+    """`_antiderivative` folds its exact factors and runs on contiguous planes;
+    every bit must be those of the step-by-step form, signed zeros included:
+    the points hold 0 and real and imaginary points, and the angles of w
+    include the real axis, where products of zeros arise."""
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 3.7])
+    @pytest.mark.parametrize("modulus", [0.4, 0.8, 0.999])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bit_equal(self, dim, modulus, p):
+        rng = np.random.default_rng(dim)
+        for angle in (0.0, np.pi, 0.5 * np.pi, 0.7, -2.3):
+            w = complex(modulus * np.cos(angle), modulus * np.sin(angle))
+            t = TestFunction("f", dim - 1, w, p, dim)
+            for count in (1, 2, 20_000):
+                Z = np.sqrt(rng.random((count, dim))) * np.exp(2j * np.pi * rng.random((count, dim)))
+                Z[:5, dim - 1] = [0.0, 0.5, -0.5j, w / modulus, -1.0][:count]
+                got = t.val(Z)
+                want = stepwise_antiderivative(Z[..., dim - 1], w, p)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                              err_msg=f"w={w}, {count} points")
 
 
 class TestKernelFamily:
