@@ -8,17 +8,17 @@ the grid.  That holds as well when `stratified_grid` returns its kept grid
 instead of drawing one.  Grids are coordinate-major (Z[:, k] contiguous), so
 they are compared through a C-ordered copy of their bits.  Later tests check
 the refinement box that `estimate_supremum` opens around an origin witness,
-the grid values a caller may hand it, its jitter draw against the per-round
-draws it replaces, and the plans whose outer radius would reach the torus.
+the grid values a caller may hand it, its one jitter draw against a draw per
+round, and the plans whose outer radius would reach the torus.
 
-The last tests check the look-ahead of `maximise` against
-`sequential_maximise`, a loop of one round per call: the Bloch, criterion
-and Lipschitz estimates must be bit-equal to it, the density calls are
-pinned, and every score that `maximise` refines must give a candidate the
-same bits in any batch, which is what lets it score many rounds at once.
-The last two check that the estimators leave no reference cycle, which
-would keep their jitter blocks alive until the cyclic collector runs, and
-that a planted self-calling `round_draws` closure is caught.
+The last tests check the estimators against `sequential_maximise`, a loop of
+one round per call whose references draw each round's jitter when they
+propose it: the Bloch, criterion and Lipschitz estimates must be bit-equal
+to it, a constant density is scored one round per call, and every score that
+`maximise` refines must give a candidate the same bits in any batch.  The
+last two check that the estimators leave no reference cycle, which would
+keep their jitter draws alive until the cyclic collector runs, and that a
+planted self-calling `propose` closure is caught.
 """
 
 import gc
@@ -356,15 +356,12 @@ def assert_same_estimate(est, ref):
 BUDGET_STOPPED = SamplingPlan(radial_levels=6, angular_count=16, max_rounds=100, budget=1000)
 
 
-@pytest.mark.parametrize("block", [None, 200], ids=["one-draw", "small-blocks"])
 @pytest.mark.parametrize("plan", [SamplingPlan(), BUDGET_STOPPED, SamplingPlan(max_rounds=0)],
                          ids=["default", "budget-stopped", "no-rounds"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_jitter_draw_equals_per_round_draws(dim, plan, block, monkeypatch):
-    # the jitter of every round drawn at once (or in blocks of a few rounds)
-    # and scaled by the box schedule is bit-equal to one draw per round
-    if block is not None:
-        monkeypatch.setattr(sampling, "_JITTER_BLOCK", block)
+def test_jitter_draw_equals_per_round_draws(dim, plan):
+    # the jitter of every round drawn at once and scaled by the box schedule
+    # is bit-equal to one draw per round
     corpus = default_function_corpus(dim)
     for f in corpus[::16] + corpus[-1:]:
         density = bloch_density_fn(f, 1.0)
@@ -408,8 +405,7 @@ def test_outermost_grid_stays_strictly_inside(dim):
 
 
 # ---------------------------------------------------------------------------
-# The look-ahead of `maximise`: once two rounds in a row leave the witness in
-# place, the remaining rounds are scored in one call and replayed in order.
+# The estimators against `sequential_maximise`, one round per score call.
 
 ROUND_PLANS = [SamplingPlan(), BUDGET_STOPPED] + [SamplingPlan(max_rounds=r) for r in (0, 1, 2)]
 ROUND_PLAN_IDS = ["default", "budget-stopped", "rounds-0", "rounds-1", "rounds-2"]
@@ -451,74 +447,16 @@ def test_criterion_estimates_equal_sequential_rounds(dim, plan, kept, monkeypatc
                                                          dim, plan))
 
 
-def counted_estimate(density, dim=2, plan=SamplingPlan()):
-    """estimate_supremum of density(Z, call), with the length of each batch it scored."""
+def test_a_constant_density_scores_one_round_per_call():
     sizes = []
 
-    def scored(Z):
+    def constant(Z):
         sizes.append(len(Z))
-        return density(Z, len(sizes) - 1)
+        return np.ones(len(Z))
 
-    return estimate_supremum(scored, dim, plan), sizes
-
-
-def test_a_constant_density_scores_its_rounds_in_three_calls():
-    est, sizes = counted_estimate(lambda Z, call: np.ones(len(Z)))
-    assert sizes[1:] == [64, 64, 640]
+    est = estimate_supremum(constant, 2, SamplingPlan())
+    assert sizes[1:] == [64] * 12
     assert est.trace == [1.0] * 13 and est.evaluations == sum(sizes)
-
-
-def test_a_density_that_gains_every_round_scores_one_round_per_call():
-    est, sizes = counted_estimate(lambda Z, call: np.full(len(Z), float(call)))
-    assert sizes[1:] == [64] * 12 and est.trace == [float(c) for c in range(13)]
-
-
-def test_a_gain_inside_a_run_drops_the_rounds_after_it():
-    # the run of rounds 2..11 gains in round 5: rounds 6..11 are dropped and
-    # proposed again around the new witness, one per call until two hold
-    batches = []
-
-    def probe(Z, call):
-        batches.append(Z)
-        vals = np.zeros(len(Z))
-        if call == 0:
-            vals[1000] = 1.0  # a witness off the origin, where no two jitters coincide
-        if call == 3:
-            vals[3 * 64:] = 2.0
-        return vals
-
-    est, sizes = counted_estimate(probe)
-    assert sizes[1:] == [64, 64, 640, 64, 64, 256]
-    assert est.trace == [1.0] * 6 + [2.0] * 7
-    assert est.evaluations == sizes[0] + 12 * 64
-    np.testing.assert_array_equal(bits(est.witness), bits(batches[3][3 * 64]))
-    # the same gain as a density of the points alone, against the rounds one by one
-    top, gain = batches[0][1000].tobytes(), {z.tobytes() for z in batches[3][3 * 64:4 * 64]}
-    assert len(gain) == 64
-
-    def density(Z):
-        rows = [z.tobytes() for z in np.ascontiguousarray(Z)]
-        return np.array([2.0 if z in gain else float(z == top) for z in rows])
-
-    assert_same_estimate(estimate_supremum(density, 2, SamplingPlan()),
-                         per_round_estimate(density, 2, SamplingPlan()))
-    assert counted_estimate(lambda Z, call: density(Z))[1] == sizes
-
-
-@pytest.mark.parametrize("block", [None, 100], ids=["one-draw", "small-blocks"])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_lipschitz_jitter_draw_equals_per_round_draws(dim, block, monkeypatch):
-    # one draw of every round's jitter gives each round the values of its two
-    # draws of shape (2, n_refine, dim), one per end of the best pair
-    if block is not None:
-        monkeypatch.setattr(sampling, "_JITTER_BLOCK", block)
-    n_refine, rounds = 8, 5
-    draws = sampling.round_draws(np.random.default_rng(7), rounds, (2, 2, n_refine, dim),
-                                 lambda u, first: u)
-    rng = np.random.default_rng(7)
-    per_round = [[rng.random((2, n_refine, dim)) for _ in range(2)] for _ in range(rounds)]
-    for j, k in ((0, rounds), (2, 4), (4, 5), (1, 2)):
-        np.testing.assert_array_equal(draws(j, k), np.array(per_round[j:k]))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -545,8 +483,9 @@ def test_rounds_the_budget_refuses_are_never_drawn(dim):
 
 
 # ---------------------------------------------------------------------------
-# The look-ahead rests on this: a score `maximise` refines gives a candidate
-# the same bits in any batch.
+# A score `maximise` refines gives a candidate the same bits in any batch.
+# This guards `criteria`'s kept batch parts (`_Kept.batches`) and a
+# refinement that scores the rounds of several starts in one batch.
 
 def batches_of(dim, seed):
     rng = np.random.default_rng(seed)
@@ -598,7 +537,7 @@ GC_PLAN = SamplingPlan(seed=5, radial_levels=10, angular_count=24, max_rounds=8,
 
 
 def run_estimators():
-    """The estimators whose refinement closures `round_draws` serves."""
+    """The estimators whose refinement closures `maximise` calls."""
     f = polynomial_corpus(2, count=1, seed=4)[0]
     _, phi = default_selfmap_corpus(2)[-1]
     bloch_norm_estimate(f, 1.0, GC_PLAN)
@@ -623,25 +562,22 @@ def assert_leaves_no_cycle(run):
 
 
 def test_estimators_leave_no_reference_cycle():
-    # a cycle keeps an estimate's jitter blocks alive until the collector runs,
+    # a cycle keeps an estimate's jitter draw alive until the collector runs,
     # which the bench sees only as resident memory
     assert_leaves_no_cycle(run_estimators)
 
 
 def test_planted_refinement_cycle_is_caught(monkeypatch):
-    original = sampling.round_draws
+    original = sampling.maximise
 
-    def self_calling_round_draws(rng, rounds, shape, finish):
-        draws = original(rng, rounds, shape, finish)
+    def maximise_with_cyclic_propose(score, grid, propose, plan, base=0.0):
+        def cyclic(witness, j):  # refers to itself through its closure
+            return propose(witness, j) if cyclic else None
 
-        def cyclic(j, k):
-            if k - j > 1:
-                return np.concatenate([cyclic(j, j + 1), cyclic(j + 1, k)])
-            return draws(j, k)
+        return original(score, grid, cyclic, plan, base=base)
 
-        return cyclic
-
-    monkeypatch.setattr(sampling, "round_draws", self_calling_round_draws)
-    monkeypatch.setattr(norms, "round_draws", self_calling_round_draws)
+    # norms imports maximise by name
+    monkeypatch.setattr(sampling, "maximise", maximise_with_cyclic_propose)
+    monkeypatch.setattr(norms, "maximise", maximise_with_cyclic_propose)
     with pytest.raises(AssertionError):
         assert_leaves_no_cycle(run_estimators)
