@@ -354,9 +354,9 @@ def lipschitz_norm_estimate(f: HoloFunction, p: float,
     ||grad f||_2 |z - w|^(1-p), which peaks at a separation that f sets, so
     each refinement round jitters either end of the best pair and adds the
     `_gradient_pairs` of both ends; the first round also adds those of the
-    8 steepest points of a 256-point grid subsample.  The gradients are not
-    charged against the budget.  The witness is the pair (`witness`,
-    `witness_partner`).
+    8 steepest points of a 256-point grid subsample.  The gradient pairs are
+    charged against the budget with the rest of their round.  The witness is
+    the pair (`witness`, `witness_partner`).
 
     The jitter layout, which seeded reports depend on: after the
     permutation the generator draws u of shape (rounds, 2, 2, n_refine, dim)

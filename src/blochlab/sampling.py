@@ -48,6 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+# numpy loads its random module on first use; this import loads it with the
+# module, so that an estimate's first draw does not pay for the import
+from numpy.random import default_rng
 
 from .reports import record_json
 
@@ -157,7 +160,7 @@ def stratified_grid(dim: int, plan: SamplingPlan, rng: np.random.Generator | Non
     reused as the module docstring describes.
     """
     global _kept_grid
-    seeded = np.random.default_rng(plan.seed)
+    seeded = default_rng(plan.seed)
     if rng is not None and rng.bit_generator.state != seeded.bit_generator.state:
         return _draw_grid(dim, plan, rng)
     rng = rng if rng is not None else seeded
@@ -315,7 +318,7 @@ def estimate_supremum(density_fn, dim: int, plan: SamplingPlan,
     being `_polar_box` around the grid's best point (the first witness), and
     clamps the radius to [0, r_cap].
     """
-    rng = np.random.default_rng(plan.seed)
+    rng = default_rng(plan.seed)
     Z, levels = stratified_grid(dim, plan, rng)
     if grid_values is not None and np.shape(grid_values) != (len(Z),):
         raise ValueError(f"grid_values has shape {np.shape(grid_values)}; the grid of "

@@ -14,11 +14,12 @@ round, and the plans whose outer radius would reach the torus.
 The last tests check the estimators against `sequential_maximise`, a loop of
 one round per call whose references draw each round's jitter when they
 propose it: the Bloch, criterion and Lipschitz estimates must be bit-equal
-to it, a constant density is scored one round per call, and every score that
-`maximise` refines must give a candidate the same bits in any batch.  The
-last two check that the estimators leave no reference cycle, which would
-keep their jitter draws alive until the cyclic collector runs, and that a
-planted self-calling `propose` closure is caught.
+to it, a density is scored one round per call whether it holds, gains every
+round or gains once, a Lipschitz round computes its gradient pairs in one
+call, and every score that `maximise` refines must give a candidate the same
+bits in any batch.  The last two check that the estimators leave no
+reference cycle, which would keep their jitter draws alive until the cyclic
+collector runs, and that a planted self-calling `propose` closure is caught.
 """
 
 import gc
@@ -356,19 +357,30 @@ def assert_same_estimate(est, ref):
 BUDGET_STOPPED = SamplingPlan(radial_levels=6, angular_count=16, max_rounds=100, budget=1000)
 
 
-@pytest.mark.parametrize("plan", [SamplingPlan(), BUDGET_STOPPED, SamplingPlan(max_rounds=0)],
-                         ids=["default", "budget-stopped", "no-rounds"])
+def budget_exact(dim):
+    """A plan whose budget takes the grid and exactly three rounds at dim."""
+    plan = SamplingPlan(radial_levels=6, angular_count=16, max_rounds=100)
+    return replace(plan, budget=len(stratified_grid(dim, plan)[0]) + 3 * 16)
+
+
+@pytest.mark.parametrize("plan", [SamplingPlan(), BUDGET_STOPPED, SamplingPlan(max_rounds=0),
+                                  SamplingPlan(max_rounds=1), SamplingPlan(max_rounds=2),
+                                  budget_exact],
+                         ids=["default", "budget-stopped", "no-rounds", "rounds-1", "rounds-2",
+                              "budget-exact"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_jitter_draw_equals_per_round_draws(dim, plan):
     # the jitter of every round drawn at once and scaled by the box schedule
-    # is bit-equal to one draw per round
+    # is bit-equal to one draw per round, also where the last round fills the budget
+    plan = budget_exact(dim) if plan is budget_exact else plan
     corpus = default_function_corpus(dim)
     for f in corpus[::16] + corpus[-1:]:
         density = bloch_density_fn(f, 1.0)
         est = estimate_supremum(density, dim, plan)
         assert_same_estimate(est, per_round_estimate(density, dim, plan))
-        if plan is BUDGET_STOPPED:
+        if plan.max_rounds == 100:  # the budget stops the rounds
             assert len(est.trace) - 1 < plan.max_rounds
+            assert plan is BUDGET_STOPPED or (len(est.trace), est.evaluations) == (4, plan.budget)
 
 
 def test_many_rounds_allocate_for_the_rounds_the_budget_leaves():
@@ -447,16 +459,67 @@ def test_criterion_estimates_equal_sequential_rounds(dim, plan, kept, monkeypatc
                                                          dim, plan))
 
 
+def probed(value, estimate=estimate_supremum):
+    """estimate of the density value(call, Z) at dim 2, with the batches it scored."""
+    batches = []
+
+    def probe(Z):
+        batches.append(Z)
+        return value(len(batches) - 1, Z)
+
+    return estimate(probe, 2, SamplingPlan()), batches
+
+
 def test_a_constant_density_scores_one_round_per_call():
-    sizes = []
+    est, batches = probed(lambda call, Z: np.ones(len(Z)))
+    assert [len(Z) for Z in batches[1:]] == [64] * 12
+    assert est.trace == [1.0] * 13 and est.evaluations == sum(map(len, batches))
 
-    def constant(Z):
-        sizes.append(len(Z))
-        return np.ones(len(Z))
 
-    est = estimate_supremum(constant, 2, SamplingPlan())
-    assert sizes[1:] == [64] * 12
-    assert est.trace == [1.0] * 13 and est.evaluations == sum(sizes)
+def test_a_density_that_gains_every_round_scores_one_round_per_call():
+    est, batches = probed(lambda call, Z: np.full(len(Z), float(call)))
+    assert [len(Z) for Z in batches[1:]] == [64] * 12 and est.trace == list(map(float, range(13)))
+
+
+def gain_in_round_5(call, Z):
+    """1 at a grid point off the origin, then 2 on all of round 5 (call 6)."""
+    vals = np.full(len(Z), 2.0 if call == 6 else 0.0)
+    if call == 0:
+        vals[1000] = 1.0
+    return vals
+
+
+def test_a_gain_in_a_later_round_moves_the_witness():
+    # the rounds after round 5 are proposed around its best point, as the
+    # reference proposes them
+    est, batches = probed(gain_in_round_5)
+    ref, ref_batches = probed(gain_in_round_5, per_round_estimate)
+    assert est.trace == [1.0] * 6 + [2.0] * 7
+    np.testing.assert_array_equal(bits(est.witness), bits(batches[6][0]))
+    assert_same_estimate(est, ref)
+    for Z, Z_ref in zip(batches, ref_batches, strict=True):
+        np.testing.assert_array_equal(bits(Z), bits(Z_ref))
+
+
+@pytest.mark.parametrize("p", [0.25, 0.75])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lipschitz_rounds_make_one_gradient_pairs_call_each(dim, p, monkeypatch):
+    # a round's gradient pairs, of both ends and in round 0 of the 8 seeds
+    # too, come from one call, as the reference's come once per proposed round
+    calls, original = [], norms._gradient_pairs
+
+    def counted(f, anchors, r_cap):
+        calls.append(len(anchors))
+        return original(f, anchors, r_cap)
+
+    monkeypatch.setattr(norms, "_gradient_pairs", counted)
+    for f in estimator_functions(dim):
+        est = lipschitz_norm_estimate(f, p, SamplingPlan())
+        est_calls, calls[:] = calls[:], []
+        assert_same_estimate(est, per_round_lipschitz(f, p, SamplingPlan()))
+        assert est_calls == calls and calls[0] == 2 + 8 and set(calls[1:]) <= {2}
+        assert len(est.trace) - 1 <= len(calls) <= len(est.trace)
+        calls.clear()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
